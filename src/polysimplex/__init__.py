@@ -64,6 +64,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     compose,
+    contract_staged,
     identity_tensor,
     partial_compose_left,
     partial_compose_right,

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 from . import construct as C
@@ -263,6 +262,8 @@ def _descriptor_out(args, desc_or_pair) -> int:
 
 def cmd_construct(args) -> int:
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise UsageError("--params must be a JSON object")
     verify = not args.no_verify
     ring = default_ring()
     recipe = args.recipe
@@ -356,27 +357,21 @@ def cmd_demo(args) -> int:
     yb = C.yang_baxter_from_pair(t_desc.tensor, s_desc.tensor, "compose", verify=False)
     yb4 = C.yang_baxter_from_pair(t_desc.tensor, s_desc.tensor, "four_factor", verify=False)
 
-    checks = [
-        ("bialgebra axioms", lambda: axioms),
-        ("pentagon for T", lambda: check_polygon(t_desc.tensor, 5)),
-        ("dual pentagon for S", lambda: check_polygon(s_desc.tensor, 5, dual=True)),
-        ("relations (1)-(6)", lambda: check_relations_1_6(t_desc.tensor, s_desc.tensor)),
-        ("mixed relation at 5", lambda: check_mixed(t_desc.tensor, s_desc.tensor, 5)),
-        ("4-simplex for R4", lambda: check_simplex(r4.tensor, 4)),
-        ("3-simplex for R3", lambda: check_simplex(r3_desc.tensor, 3)),
+    results = [
+        ("bialgebra axioms", axioms),
+        ("pentagon for T", check_polygon(t_desc.tensor, 5)),
+        ("dual pentagon for S", check_polygon(s_desc.tensor, 5, dual=True)),
+        ("relations (1)-(6)", check_relations_1_6(t_desc.tensor, s_desc.tensor)),
+        ("mixed relation at 5", check_mixed(t_desc.tensor, s_desc.tensor, 5)),
+        ("4-simplex for R4", check_simplex(r4.tensor, 4)),
+        ("3-simplex for R3", check_simplex(r3_desc.tensor, 3)),
         (
             "R3 equals left trace of R4",
-            lambda: _equality_report(r3_desc.tensor, partial_trace_left(r4.tensor)),
+            _equality_report(r3_desc.tensor, partial_trace_left(r4.tensor)),
         ),
-        ("Yang-Baxter for S o T", lambda: check_simplex(yb.tensor, 2)),
-        ("Yang-Baxter for the four-factor map", lambda: check_simplex(yb4.tensor, 2)),
+        ("Yang-Baxter for S o T", check_simplex(yb.tensor, 2)),
+        ("Yang-Baxter for the four-factor map", check_simplex(yb4.tensor, 2)),
     ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in checks]
-            results = [(name, fut.result()) for name, fut in futures]
-    else:
-        results = [(name, fn()) for name, fn in checks]
     all_hold = True
     for name, report in results:
         status = "PASS" if report.holds else "FAIL"
@@ -502,7 +497,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="full pentagon-to-simplex pipeline over a group algebra")
     p.add_argument("--group", default="z2")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the text report here as well")
     p.add_argument("--report", help="write the JSON check reports here")
     p.set_defaults(func=cmd_demo)
@@ -532,6 +526,7 @@ def main(argv=None) -> int:
         InvalidGroup,
         RingError,
         FileNotFoundError,
+        IsADirectoryError,
         json.JSONDecodeError,
         KeyError,
     ) as exc:

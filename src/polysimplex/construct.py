@@ -21,6 +21,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     compose,
+    contract_staged,
     flip,
     identity_tensor,
     invert,
@@ -30,8 +31,6 @@ from .tensor import (
     partial_trace_left,
     partial_trace_right,
     permutation_tensor,
-    place,
-    place_std,
     regroup,
     tensor_product,
 )
@@ -624,17 +623,13 @@ def simplex_map_from_pair_formula(t: Tensor, s: Tensor, n: int) -> Tensor:
         legs = 2 * k
         odd_positions = tuple(range(1, 2 * k, 2))
         even_positions = tuple(range(2, 2 * k + 1, 2))
-        composite = place_std(s, odd_positions, legs)
-        composite = compose(place_std(t, even_positions, legs), composite)
+        composite = contract_staged([(s, odd_positions), (t, even_positions)], legs, d, ring)
         return compose(adjacent_pair_swaps(k, legs, d, ring), composite)
     k = n // 2
     legs = 2 * k - 1
     odd_positions = tuple(range(1, 2 * k, 2))
     even_positions = tuple(range(2, 2 * k - 1, 2))
-    composite = place(s, odd_positions, odd_positions[:-1], legs)
-    composite = compose(
-        place(t, even_positions, even_positions + (2 * k - 1,), legs - 1), composite
-    )
+    composite = contract_staged([(s, odd_positions), (t, even_positions)], legs, d, ring)
     return compose(adjacent_pair_swaps(k - 1, legs, d, ring), composite)
 
 
@@ -682,11 +677,7 @@ def yang_baxter_from_pair(
     if mode == "compose":
         out = SolutionDescriptor("simplex", 2, compose(s, t), ("yang-baxter-compose",))
         return _self_check(out, verify)
-    legs = 4
-    word = place_std(t, (2, 3), legs)
-    word = compose(place_std(s, (2, 4), legs), word)
-    word = compose(place_std(t, (1, 3), legs), word)
-    word = compose(place_std(s, (1, 4), legs), word)
+    word = contract_staged([(t, (2, 3)), (s, (2, 4)), (t, (1, 3)), (s, (1, 4))], 4, t.dim, t.ring)
     packed = regroup(word, 2)
     out = SolutionDescriptor("simplex", 2, packed, ("yang-baxter-four-factor",))
     return _self_check(out, verify)

@@ -203,7 +203,9 @@ def simplex_equation(n: int) -> str:
     return _factors("R", rows) + "=" + _factors("R", list(reversed(rows)))
 
 
-def mixed_equation(n: int) -> str:
+def mixed_sequences(n: int) -> tuple[list, list]:
+    """(map, row) per factor of both sides of the odd-gon mixed relation,
+    in written (top-to-bottom) order."""
     d, e, f, g = mixed_indices(n)
     k = len(e)
     lhs = []
@@ -216,6 +218,11 @@ def mixed_equation(n: int) -> str:
         rhs.append(("S", f[i]))
         if i < k:
             rhs.append(("T", g[i]))
+    return lhs, rhs
+
+
+def mixed_equation(n: int) -> str:
+    lhs, rhs = mixed_sequences(n)
 
     def render(seq):
         return "".join(f"{s}_{{{format_subscript(r)}}}" for s, r in seq)

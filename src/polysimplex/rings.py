@@ -213,5 +213,9 @@ def ring_from_tag(tag: str) -> ScalarRing:
     if tag == "f64":
         return F64
     if tag.startswith("gfp:"):
-        return prime_field(int(tag.split(":", 1)[1]))
+        try:
+            modulus = int(tag.split(":", 1)[1])
+        except ValueError:
+            raise RingError(f"malformed prime field tag {tag!r}") from None
+        return prime_field(modulus)
     raise RingError(f"unknown scalar ring tag {tag!r}")

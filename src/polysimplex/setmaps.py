@@ -1,8 +1,9 @@
 """Set-theoretic polygon equations over a finite base set.
 
 Solutions here are plain functions X^k -> X^l evaluated pointwise, with no
-linearization; the staged placement calculus is the same one the tensor
-engine uses, acting on value tuples instead of basis digits.  The six
+linearization.  The checks run the gathers of the compiled programs that
+the tensor checks contract, acting on value tuples instead of basis
+digits, in a loop of their own that needs no scalar arithmetic.  The six
 lifting constructions between neighbouring polygon orders are implemented
 with their fixed-point criteria checked in both directions.
 """
@@ -10,9 +11,10 @@ with their fixed-point criteria checked in both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
-from .indices import polygon_recursion_rows
+from .simplicial import compile_polygon
 from .tensor import ShapeError, replace_slots
 from .verify import PreconditionFailed, VerificationReport, polygon_signature
 
@@ -83,22 +85,23 @@ class FiniteMap:
         return FiniteMap.from_callable(base, k, l, fn)
 
 
-def _full_gather(row: tuple[int, ...], in_arity: int) -> tuple[int, ...]:
-    if len(row) == in_arity:
-        return row
-    if len(row) == in_arity - 1:
-        return row + (row[-1] + 1,)
-    raise ShapeError(f"row {row} cannot address {in_arity} inputs")
-
-
-def apply_staged(fmap: FiniteMap, rows, values) -> tuple[int, ...]:
-    """Run a sequence of placements of fmap over a value tuple."""
+def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
+    """Run staged placements of fmap, reading the legs at each gather."""
     state = list(values)
-    for row in rows:
-        gather = _full_gather(tuple(row), fmap.in_arity)
+    for gather in gathers:
         outs = list(fmap(tuple(state[p - 1] for p in gather)))
-        state = replace_slots(state, list(gather), outs)
+        state = replace_slots(state, gather, outs)
     return tuple(state)
+
+
+@cache
+def _polygon_gathers(n: int, dual: bool) -> tuple[int, tuple, tuple]:
+    """Free-input count and per-side gathers of the compiled (dual) n-gon."""
+    lhs, rhs = compile_polygon(n, dual)
+    lhs_gathers, rhs_gathers = (
+        tuple(positions for _, positions in side.gather_positions()) for side in (lhs, rhs)
+    )
+    return len(lhs.free_inputs), lhs_gathers, rhs_gathers
 
 
 def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> VerificationReport:
@@ -109,21 +112,12 @@ def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> Verificati
             f"{'dual ' if dual else ''}{n}-gon needs arity {want[0]}->{want[1]}, "
             f"got {fmap.in_arity}->{fmap.out_arity}"
         )
-    k = (n - 1) // 2 if n % 2 else n // 2
-    a_rows, b_rows = polygon_recursion_rows(n)
-    if n % 2:
-        start = k * (k + 1) // 2
-    else:
-        start = k * (k + 1) // 2 if dual else k * (k - 1) // 2
-    if dual:
-        lhs_rows, rhs_rows = list(a_rows), list(reversed(b_rows))
-    else:
-        lhs_rows, rhs_rows = list(reversed(a_rows)), list(b_rows)
+    legs, lhs_gathers, rhs_gathers = _polygon_gathers(n, dual)
     name = f"set-theoretic {'dual ' if dual else ''}{n}-gon"
     shape = (fmap.base, fmap.in_arity, fmap.out_arity)
-    for values in product(range(fmap.base), repeat=start):
-        lhs = apply_staged(fmap, lhs_rows, values)
-        rhs = apply_staged(fmap, rhs_rows, values)
+    for values in product(range(fmap.base), repeat=legs):
+        lhs = apply_staged(fmap, lhs_gathers, values)
+        rhs = apply_staged(fmap, rhs_gathers, values)
         if lhs != rhs:
             witness = {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
             return VerificationReport(name, False, 1, shape, shape, witness)

@@ -9,13 +9,19 @@ ordering that lists the (n-2)-faces of the n-simplex equation as
 d(0,1), d(0,2), ..., d(n-1,n)).  Free outputs keep the order the staged
 placements produce; both sides of an equation always agree on it.
 
-This module is the only generator of the even-gon mixed relation, which
-has no closed-form index recursion.
+The compiled programs are what the checks in :mod:`polysimplex.verify`
+evaluate: :func:`evaluate_program` hands their gather positions to
+:func:`polysimplex.tensor.contract_staged`, and the set-theoretic checks
+feed the same gathers to their tuple loop.  The closed-form index
+matrices are tied to these programs by the cross-generator tests.  This
+module is the only generator of the even-gon mixed relation, which has no
+closed-form index recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .rings import RATIONAL, ScalarRing
 from .tensor import (
@@ -23,10 +29,9 @@ from .tensor import (
     ShapeError,
     Tensor,
     compose,
-    identity_tensor,
+    contract_staged,
     partial_trace_left,
     permutation_tensor,
-    place_gathered,
     replace_slots,
     tensor_product,
 )
@@ -138,13 +143,15 @@ def flatten(program: ContractionProgram) -> list[tuple[str, tuple[int, ...]]]:
     """(tag, input positions) per factor, in written (top-to-bottom) order.
 
     For the polygon, simplex and odd mixed families the emitted positions
-    are exactly the recursion matrices' rows, consumable by ``place_std``;
-    the even mixed relation may interleave legs out of sorted order.
+    are exactly the recursion matrices' rows, completed to full gathers
+    where a map reads one leg more than its row names; the even mixed
+    relation may interleave legs out of sorted order.
     """
     program.validate()
     return list(reversed(program.gather_positions()))
 
 
+@cache
 def compile_polygon(n: int, dual: bool = False) -> tuple[ContractionProgram, ContractionProgram]:
     """Both sides of the (dual) n-gon equation from the facets of the
     (n-1)-simplex, split by vertex parity."""
@@ -171,6 +178,7 @@ def compile_polygon(n: int, dual: bool = False) -> tuple[ContractionProgram, Con
     return lhs, rhs
 
 
+@cache
 def compile_simplex(n: int) -> tuple[ContractionProgram, ContractionProgram]:
     """Both sides of the n-simplex equation on the faces of the n-simplex."""
     if n < 1:
@@ -189,6 +197,7 @@ def compile_simplex(n: int) -> tuple[ContractionProgram, ContractionProgram]:
     return lhs, rhs
 
 
+@cache
 def compile_mixed(n: int) -> tuple[ContractionProgram, ContractionProgram]:
     """Both sides of the mixed relation between an n-gon solution T and a
     dual n-gon solution S.
@@ -330,19 +339,14 @@ def evaluate_program(
     families.
     """
     program.validate()
-    state = list(program.free_inputs)
-    result = identity_tensor(d, len(state), ring)
-    for step in program.steps:
+    steps = []
+    for step, (_, positions) in zip(program.steps, program.gather_positions()):
         f = maps(step.tag, step.face) if callable(maps) else maps[step.tag]
-        if f.dim != d or f.ring != ring:
-            raise ShapeError("map dimension/ring does not match the program")
         if (f.in_legs, f.out_legs) != (len(step.inputs), len(step.outputs)):
             raise ShapeError(
                 f"map for {step.tag}{step.face} has signature "
                 f"{f.in_legs}->{f.out_legs}, expected "
                 f"{len(step.inputs)}->{len(step.outputs)}"
             )
-        positions = [state.index(label) + 1 for label in step.inputs]
-        result = compose(place_gathered(f, positions, len(state)), result)
-        state = replace_slots(state, positions, list(step.outputs))
-    return result
+        steps.append((f, positions))
+    return contract_staged(steps, len(program.free_inputs), d, ring)

@@ -13,6 +13,12 @@ Conventions, fixed once here and relied on everywhere:
   are gathered to the front in that order, the map is applied, outputs are
   distributed to positions ``b``, and passive legs keep their relative
   order.
+
+:func:`contract_staged` is the one evaluator of staged placements: the
+compiled polygon, simplex and mixed sides, the relation words and the
+closed-form constructions are lists of ``(map, gather positions)`` steps
+pushed through it column by column, with outputs written by the slot
+rule of :func:`replace_slots`.  No placed factor is ever materialized.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 import json
+from operator import itemgetter
 
 from .rings import RATIONAL, ScalarRing, ring_from_tag
 
@@ -64,10 +71,6 @@ class LegPermutation:
         for i, x in enumerate(digits):
             out[self.image[i] - 1] = x
         return tuple(out)
-
-
-def identity_permutation(n: int) -> LegPermutation:
-    return LegPermutation(tuple(range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -330,60 +333,6 @@ def place(f: Tensor, a, b, n: int) -> Tensor:
     return _place_entries(f, a, b, n)
 
 
-def place_std(f: Tensor, a, n: int) -> Tensor:
-    """Placement in the shorthand regimes l=k, l=k+1, l=k-1.
-
-    For l=k the output index equals ``a``; for l=k+1 a fresh slot opens
-    right after the last input slot; for l=k-1 the multi-index ``a`` has
-    k-1 entries, the actual inputs are ``a`` plus the next position, and
-    the outputs land back on ``a``.
-    """
-    k, l = f.in_legs, f.out_legs
-    a = tuple(a)
-    if l == k:
-        return place(f, a, a, n)
-    if l == k + 1:
-        _check_multi_index(a, k, n, "input index")
-        return place(f, a, a + (a[-1] + 1,), n)
-    if l == k - 1:
-        _check_multi_index(a, k - 1, n, "input index")
-        return place(f, a + (a[-1] + 1,), a, n)
-    raise ShapeError(f"no shorthand for signature {k}->{l}")
-
-
-def place_gathered(f: Tensor, positions, n: int) -> Tensor:
-    """Placement with gather legs listed in the map's own leg order.
-
-    ``positions`` need not be sorted.  Outputs fill the sorted consumed
-    slots left to right; one extra output opens a new slot right after the
-    last consumed slot, one missing output closes it.  For sorted
-    positions this coincides with :func:`place_std`.
-    """
-    k, l = f.in_legs, f.out_legs
-    positions = tuple(positions)
-    if len(positions) != k or len(set(positions)) != k:
-        raise ShapeError(f"gather positions {positions} must be {k} distinct legs")
-    if any(p < 1 or p > n for p in positions):
-        raise ShapeError(f"gather positions {positions} out of range 1..{n}")
-    if abs(l - k) > 1:
-        raise ShapeError(f"gathered placement needs |out-in| <= 1, got {k}->{l}")
-    slots = sorted(positions)
-    order = {p: m for m, p in enumerate(positions)}
-    if positions == tuple(slots):
-        reordered = f
-    else:
-        # Pre-permute f so that gathering the *sorted* slots feeds each map
-        # leg its intended wire.
-        perm = LegPermutation(tuple(order[p] + 1 for p in slots)).inverse()
-        reordered = permute_legs(f, identity_permutation(l), perm)
-    a = tuple(slots)
-    if l == k:
-        return place(reordered, a, a, n)
-    if l == k + 1:
-        return place(reordered, a, a + (a[-1] + 1,), n)
-    return place(reordered, a, a[:-1], n)
-
-
 def _place_entries(f: Tensor, a: tuple[int, ...], b: tuple[int, ...], n: int) -> Tensor:
     k, l = f.in_legs, f.out_legs
     d, ring = f.dim, f.ring
@@ -410,7 +359,7 @@ def _place_entries(f: Tensor, a: tuple[int, ...], b: tuple[int, ...], n: int) ->
 
 
 def replace_slots(seq: list, positions, new_items) -> list:
-    """List surgery mirroring :func:`place_gathered` on labeled legs.
+    """The slot rule of staged placement, applied to a list of legs.
 
     Removes the (possibly unsorted) ``positions`` and writes ``new_items``
     into the sorted slots, with the last slot opening or closing when the
@@ -433,6 +382,62 @@ def replace_slots(seq: list, positions, new_items) -> list:
     if k == 0 and l == 1:
         raise ShapeError("cannot place an output without an anchor slot")
     return out
+
+
+def _tuple_getter(indices):
+    """``itemgetter`` that returns a tuple for any number of indices."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    if not indices:
+        return lambda seq: ()
+    return itemgetter(*indices)
+
+
+def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL) -> Tensor:
+    """Compose staged placements on V^(x)legs into one tensor.
+
+    ``steps`` lists ``(f, positions)`` in application order.  Map leg i of
+    ``f`` reads the current leg ``positions[i]`` (1-based, in any order);
+    the outputs land in the sorted consumed slots by the rule of
+    :func:`replace_slots`.  Each basis column is pushed through the steps
+    as a sparse vector, so no placed factor is ever built; the result
+    equals composing the placed factors one after another.
+    """
+    plans = []
+    n = legs
+    for f, positions in steps:
+        positions = tuple(positions)
+        k = f.in_legs
+        if f.dim != d or f.ring != ring:
+            raise ShapeError("map dimension/ring does not match the staged evaluation")
+        if len(positions) != k or len(set(positions)) != k:
+            raise ShapeError(f"gather positions {positions} must be {k} distinct legs")
+        if any(p < 1 or p > n for p in positions):
+            raise ShapeError(f"gather positions {positions} out of range 1..{n}")
+        by_in: dict[Digits, list] = {}
+        for (out, inp), v in f.entries.items():
+            by_in.setdefault(inp, []).append((out, v))
+        # New leg j takes old leg layout[j] < n, or map output layout[j] - n.
+        layout = replace_slots(list(range(n)), positions, list(range(n, n + f.out_legs)))
+        plans.append((_tuple_getter([p - 1 for p in positions]), by_in, _tuple_getter(layout)))
+        n = len(layout)
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    entries: dict[EntryKey, object] = {}
+    for column in product(range(d), repeat=legs):
+        vec = {column: ring.one}
+        for read, by_in, write in plans:
+            nxt: dict[Digits, object] = {}
+            for state, c in vec.items():
+                for out, v in by_in.get(read(state), ()):
+                    key = write(state + out)
+                    acc = nxt.get(key)
+                    term = mul(v, c)
+                    nxt[key] = term if acc is None else add(acc, term)
+            vec = {key: c for key, c in nxt.items() if not is_zero(c)}
+        for state, c in vec.items():
+            entries[(state, column)] = c
+    return Tensor(d, legs, n, entries, ring)
 
 
 def partial_trace_left(f: Tensor) -> Tensor:

@@ -1,9 +1,13 @@
 """Decision procedures for every equation family.
 
-Each check materializes both sides of the equation as sparse tensors and
-compares them entrywise, reporting the first differing coordinate as a
-witness.  Exact rings decide equality exactly; the float ring compares
-within its global absolute tolerance.
+The polygon, simplex and mixed checks take both sides of their equation
+from the simplicial compiler and contract each with
+:func:`polysimplex.tensor.contract_staged`, through
+:func:`polysimplex.simplicial.evaluate_program`; the relations (1)-(6)
+are fixed placement words fed to the same evaluator.  The two side
+tensors are compared entrywise, reporting the largest deviation at the
+lexicographically first key as a witness.  Exact rings decide equality
+exactly; the float ring compares within its global absolute tolerance.
 """
 
 from __future__ import annotations
@@ -11,17 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .indices import mixed_indices, polygon_recursion_rows, simplex_indices
-from .simplicial import compile_mixed, evaluate_program
+from .indices import mixed_sequences
+from .simplicial import compile_mixed, compile_polygon, compile_simplex, evaluate_program, flatten
 from .tensor import (
     LegPermutation,
     ShapeError,
     Tensor,
     compose,
+    contract_staged,
     deviation,
-    identity_tensor,
     permutation_tensor,
-    place_gathered,
     tensor_power,
 )
 
@@ -86,26 +89,6 @@ def polygon_signature(n: int, dual: bool) -> tuple[int, int]:
     return (k, k - 1) if dual else (k - 1, k)
 
 
-def _full_gather(row: tuple[int, ...], in_legs: int) -> tuple[int, ...]:
-    """Complete a shorthand multi-index to the actual input positions."""
-    if len(row) == in_legs:
-        return row
-    if len(row) == in_legs - 1:
-        return row + (row[-1] + 1,)
-    raise ShapeError(f"row {row} cannot address {in_legs} input legs")
-
-
-def eval_placements(f: Tensor, rows, start_legs: int) -> Tensor:
-    """Compose staged placements of f at the given rows (application order)."""
-    legs = start_legs
-    result = identity_tensor(f.dim, legs, f.ring)
-    for row in rows:
-        gather = _full_gather(tuple(row), f.in_legs)
-        result = compose(place_gathered(f, gather, legs), result)
-        legs += f.out_legs - f.in_legs
-    return result
-
-
 def check_polygon(t: Tensor, n: int, dual: bool = False) -> VerificationReport:
     """Does t satisfy the (dual) n-gon equation?"""
     want = polygon_signature(n, dual)
@@ -114,18 +97,8 @@ def check_polygon(t: Tensor, n: int, dual: bool = False) -> VerificationReport:
             f"{'dual ' if dual else ''}{n}-gon needs signature {want[0]}->{want[1]}, "
             f"got {t.in_legs}->{t.out_legs}"
         )
-    k = (n - 1) // 2 if n % 2 else n // 2
-    a_rows, b_rows = polygon_recursion_rows(n)
-    if n % 2:
-        start = k * (k + 1) // 2
-    else:
-        start = k * (k + 1) // 2 if dual else k * (k - 1) // 2
-    if dual:
-        lhs = eval_placements(t, a_rows, start)
-        rhs = eval_placements(t, list(reversed(b_rows)), start)
-    else:
-        lhs = eval_placements(t, list(reversed(a_rows)), start)
-        rhs = eval_placements(t, b_rows, start)
+    maps = {"S" if dual else "T": t}
+    lhs, rhs = (evaluate_program(side, maps, t.dim, t.ring) for side in compile_polygon(n, dual))
     name = f"dual {n}-gon" if dual else f"{n}-gon"
     return compare_sides(name, lhs, rhs)
 
@@ -136,43 +109,17 @@ def check_simplex(r: Tensor, n: int) -> VerificationReport:
         raise ShapeError(
             f"{n}-simplex needs signature {n}->{n}, got {r.in_legs}->{r.out_legs}"
         )
-    rows = list(simplex_indices(n).rows)
-    start = n * (n + 1) // 2
-    lhs = eval_placements(r, list(reversed(rows)), start)
-    rhs = eval_placements(r, rows, start)
+    lhs, rhs = (evaluate_program(side, {"R": r}, r.dim, r.ring) for side in compile_simplex(n))
     return compare_sides(f"{n}-simplex", lhs, rhs)
-
-
-def _mixed_sides_from_indices(t: Tensor, s: Tensor, n: int) -> tuple[Tensor, Tensor]:
-    k = (n - 1) // 2
-    d_m, e_m, f_m, g_m = mixed_indices(n)
-    ambient = k * k
-
-    def run(seq) -> Tensor:
-        result = identity_tensor(t.dim, ambient, t.ring)
-        for f, row in seq:
-            result = compose(place_gathered(f, tuple(row), ambient), result)
-        return result
-
-    lhs_seq = []
-    for i in range(k + 1):
-        lhs_seq.append((t, d_m[i]))
-        if i < k:
-            lhs_seq.append((s, e_m[i]))
-    rhs_seq = []
-    for i in range(k, -1, -1):
-        rhs_seq.append((s, f_m[i]))
-        if i > 0:
-            rhs_seq.append((t, g_m[i - 1]))
-    return run(lhs_seq), run(rhs_seq)
 
 
 def check_mixed(t: Tensor, s: Tensor, n: int) -> VerificationReport:
     """Do (t, s) satisfy the mixed relation at order n?
 
-    t must solve-shape the n-gon and s the dual n-gon.  For odd n both the
-    closed-form index matrices and the compiled program are evaluated and
-    must agree; even n only exists through the compiled program.
+    t must solve-shape the n-gon and s the dual n-gon.  For odd n the
+    compiled placements must coincide with the closed-form index matrices
+    (one evaluator contracts both, so equal placements mean equal sides);
+    even n only exists through the compiled program.
     """
     want_t = polygon_signature(n, dual=False)
     want_s = polygon_signature(n, dual=True)
@@ -184,17 +131,14 @@ def check_mixed(t: Tensor, s: Tensor, n: int) -> VerificationReport:
         )
     if t.dim != s.dim or t.ring != s.ring:
         raise ShapeError("mixed pair must share dimension and ring")
-    lhs_prog, rhs_prog = compile_mixed(n)
+    programs = compile_mixed(n)
+    if n % 2 and [flatten(side) for side in programs] != list(mixed_sequences(n)):
+        raise ShapeError(
+            "internal disagreement between index-matrix and compiled "
+            f"placements of the {n}-gon mixed relation"
+        )
     maps = {"T": t, "S": s}
-    lhs = evaluate_program(lhs_prog, maps, t.dim, t.ring)
-    rhs = evaluate_program(rhs_prog, maps, t.dim, t.ring)
-    if n % 2:
-        lhs_ix, rhs_ix = _mixed_sides_from_indices(t, s, n)
-        if deviation(lhs, lhs_ix) is not None or deviation(rhs, rhs_ix) is not None:
-            raise ShapeError(
-                "internal disagreement between index-matrix and compiled "
-                f"evaluations of the {n}-gon mixed relation"
-            )
+    lhs, rhs = (evaluate_program(side, maps, t.dim, t.ring) for side in programs)
     return compare_sides(f"{n}-gon mixed relation", lhs, rhs)
 
 
@@ -267,14 +211,11 @@ def check_relations_1_6(t: Tensor, s: Tensor) -> VerificationReport:
     first_failure = None
     worst = 0
     for name, (legs, lhs_seq, rhs_seq) in RELATIONS_1_6.items():
-
-        def run(seq) -> Tensor:
-            result = identity_tensor(t.dim, legs, t.ring)
-            for tag, row in reversed(seq):
-                result = compose(place_gathered(maps[tag], row, legs), result)
-            return result
-
-        report = compare_sides(f"relation ({name})", run(lhs_seq), run(rhs_seq))
+        lhs, rhs = (
+            contract_staged([(maps[tag], row) for tag, row in reversed(seq)], legs, t.dim, t.ring)
+            for seq in (lhs_seq, rhs_seq)
+        )
+        report = compare_sides(f"relation ({name})", lhs, rhs)
         details[name] = report.holds
         if not report.holds and first_failure is None:
             first_failure = report

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from polysimplex.cli import build_catalog, main
 from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.construct import hopf_pentagon_pair
@@ -140,6 +142,22 @@ class TestVerify:
         assert code == 2 and "f64" in err
 
 
+@pytest.mark.parametrize("case", ["tensor-is-directory", "params-not-object", "malformed-ring-tag"])
+def test_malformed_input_exits_two(capsys, tmp_path, case):
+    if case == "tensor-is-directory":
+        argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", str(tmp_path)]
+    elif case == "params-not-object":
+        argv = ["construct", "--recipe", "bialgebra-tower", "--group", "z2", "--params", "[1]"]
+    else:
+        data = json.loads(flip(2).to_json())
+        data["scalar"] = "gfp:x"
+        path = tmp_path / "bad-ring.json"
+        path.write_text(json.dumps(data))
+        argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error" in err
+
+
 class TestSetCommands:
     def test_set_verify(self, capsys, tmp_path):
         fmap = FiniteMap.from_callable(2, 2, 2, lambda a: (a[0], (a[0] + a[1]) % 2))
@@ -230,9 +248,9 @@ class TestDemoAndCatalog:
         data = json.loads(report_path.read_text())
         assert data["4-simplex for R4"]["holds"] is True
 
-    def test_demo_deterministic_and_parallel_identical(self, capsys):
+    def test_demo_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "demo", "--group", "z2")
-        code2, out2, _ = run(capsys, "demo", "--group", "z2", "--jobs", "4")
+        code2, out2, _ = run(capsys, "demo", "--group", "z2")
         assert code1 == code2 == 0
         assert out1 == out2
 

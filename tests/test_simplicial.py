@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from oracle import polygon_sides, start_legs
 from polysimplex.indices import mixed_indices, polygon_recursion_rows, simplex_indices
 from polysimplex.simplicial import (
     ContractionProgram,
@@ -90,16 +91,21 @@ class TestFaceHelpers:
 
 
 class TestCrossGeneratorEquivalence:
+    """The checks evaluate the compiled programs; these tests tie them to
+    the paper's index matrices and leg counts well beyond the orders the
+    acceptance suite renders."""
+
     def test_polygon_all_orders(self):
-        for n in range(3, 11):
+        for n in range(3, 23):
             a_rows, b_rows = polygon_recursion_rows(n)
             lhs, rhs = compile_polygon(n)
             assert [r for _, r in flatten(lhs)] == a_rows
             assert [r for _, r in flatten(rhs)] == list(reversed(b_rows))
             assert all(tag == "T" for tag, _ in flatten(lhs) + flatten(rhs))
+            assert len(lhs.free_inputs) == start_legs("polygon", n)
 
     def test_dual_polygon_all_orders(self):
-        for n in range(3, 11):
+        for n in range(3, 23):
             a_rows, b_rows = polygon_recursion_rows(n)
             lhs, rhs = compile_polygon(n, dual=True)
             if n % 2 == 0:
@@ -109,16 +115,18 @@ class TestCrossGeneratorEquivalence:
             assert [r for _, r in flatten(lhs)] == list(reversed(a_rows))
             assert [r for _, r in flatten(rhs)] == b_rows
             assert all(tag == "S" for tag, _ in flatten(lhs) + flatten(rhs))
+            assert len(lhs.free_inputs) == start_legs("dual-polygon", n)
 
     def test_simplex_all_orders(self):
-        for n in range(1, 5):
+        for n in range(1, 10):
             rows = list(simplex_indices(n).rows)
             lhs, rhs = compile_simplex(n)
             assert [r for _, r in flatten(lhs)] == rows
             assert [r for _, r in flatten(rhs)] == list(reversed(rows))
+            assert len(lhs.free_inputs) == start_legs("simplex", n)
 
     def test_mixed_odd_orders(self):
-        for n in range(3, 10, 2):
+        for n in range(3, 22, 2):
             k = (n - 1) // 2
             d_m, e_m, f_m, g_m = mixed_indices(n)
             lhs, rhs = compile_mixed(n)
@@ -134,6 +142,7 @@ class TestCrossGeneratorEquivalence:
                     expect_rhs.append(("T", g_m[i]))
             assert flatten(lhs) == expect_lhs
             assert flatten(rhs) == expect_rhs
+            assert len(lhs.free_inputs) == start_legs("mixed", n)
 
     def test_polygon_free_outputs_descend(self):
         for n in range(3, 11):
@@ -200,16 +209,10 @@ class TestProgramStructure:
 
 class TestProgramEvaluation:
     def test_pentagon_program_agrees_with_placements(self):
-        from polysimplex.verify import eval_placements
-
-        a_rows, b_rows = polygon_recursion_rows(5)
         lhs, rhs = compile_polygon(5)
-        got = evaluate_program(lhs, {"T": Z2_T}, 2)
-        expect = eval_placements(Z2_T, list(reversed(a_rows)), 3)
-        assert got == expect
-        got_rhs = evaluate_program(rhs, {"T": Z2_T}, 2)
-        expect_rhs = eval_placements(Z2_T, b_rows, 3)
-        assert got_rhs == expect_rhs
+        expect, expect_rhs = polygon_sides(Z2_T, 5)
+        assert evaluate_program(lhs, {"T": Z2_T}, 2) == expect
+        assert evaluate_program(rhs, {"T": Z2_T}, 2) == expect_rhs
 
     def test_functional_oracle_even_mixed(self):
         # Evaluate the compiled 4-gon mixed sides two ways: as sparse tensor

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import RINGS, place_gathered, sparse_tensor, staged
 from polysimplex.rings import F64, RingError, prime_field
 from polysimplex.tensor import (
     LegPermutation,
@@ -20,6 +21,7 @@ from polysimplex.tensor import (
     ShapeError,
     Tensor,
     compose,
+    contract_staged,
     deviation,
     flip,
     from_function,
@@ -32,8 +34,6 @@ from polysimplex.tensor import (
     permutation_tensor,
     permute_legs,
     place,
-    place_gathered,
-    place_std,
     regroup,
     replace_slots,
     sweep,
@@ -221,17 +221,21 @@ class TestPlace:
                 assert place(mult, a, b, n) == oracle_place_via_sweeps(mult, a, b, n)
 
     def test_place_std_shorthands(self):
+        # Sorted gathers in the regimes k->k, k->k+1 (a slot opens after the
+        # last input) and k->k-1 (the last input slot closes).
         delta = from_function(2, 1, 2, lambda x: (x[0], x[0]))
         mult = from_function(2, 2, 1, lambda x: ((x[0] + x[1]) % 2,))
-        assert place_std(Z2_T, (1, 3), 3) == place(Z2_T, (1, 3), (1, 3), 3)
-        assert place_std(delta, (2,), 3) == place(delta, (2,), (2, 3), 3)
-        assert place_std(mult, (2,), 3) == place(mult, (2, 3), (2,), 3)
+        for f, a, b in ((Z2_T, (1, 3), (1, 3)), (delta, (2,), (2, 3)), (mult, (2, 3), (2,))):
+            expect = place(f, a, b, 3)
+            assert place_gathered(f, a, 3) == expect
+            assert contract_staged([(f, a)], 3, 2) == expect
 
     def test_gathered_matches_sorted(self):
-        assert place_gathered(Z2_T, (1, 3), 4) == place_std(Z2_T, (1, 3), 4)
+        assert contract_staged([(Z2_T, (1, 3))], 4, 2) == place(Z2_T, (1, 3), (1, 3), 4)
 
     def test_gathered_unsorted_reorders_inputs(self):
-        got = place_gathered(Z2_T, (3, 1), 3)
+        got = contract_staged([(Z2_T, (3, 1))], 3, 2)
+        assert got == place_gathered(Z2_T, (3, 1), 3)
         # leg order (3, 1): T reads (c, a), so (a, b, c) -> (c+a at slot 3... )
         for a, b, c in product(range(2), repeat=3):
             out_first, out_second = c, (c + a) % 2
@@ -243,6 +247,43 @@ class TestPlace:
             place(Z2_T, [3, 1], [1, 3], 3)
         with pytest.raises(ShapeError):
             place(Z2_T, [1, 4], [1, 2], 3)
+
+
+@st.composite
+def staged_program(draw):
+    """Random steps with unsorted gathers and signatures k->k, k->k+1, k->k-1."""
+    ring = draw(st.sampled_from(RINGS))
+    d = draw(st.integers(2, 3))
+    start = legs = draw(st.integers(1, 4))
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        if legs == 0:
+            break
+        k = draw(st.integers(1, min(legs, 2)))
+        l = k + draw(st.sampled_from([-1, 0, 1]))
+        positions = draw(st.permutations(range(1, legs + 1)))[:k]
+        steps.append((draw(sparse_tensor(ring, d, k, l)), tuple(positions)))
+        legs += l - k
+    return steps, start, d, ring
+
+
+class TestContractStaged:
+    @settings(max_examples=150, deadline=None)
+    @given(staged_program())
+    def test_matches_materialized_oracle(self, program):
+        steps, legs, d, ring = program
+        got = contract_staged(steps, legs, d, ring)
+        expect = staged(steps, legs, d, ring)
+        assert got.to_json_dict() == expect.to_json_dict()
+
+    def test_bad_gathers_rejected(self):
+        for positions in ((1, 1), (0, 2), (1, 4), (1,)):
+            with pytest.raises(ShapeError):
+                contract_staged([(Z2_T, positions)], 3, 2)
+
+    def test_map_from_other_ring_rejected(self):
+        with pytest.raises(ShapeError):
+            contract_staged([(Z2_T, (1, 2))], 2, 2, F64)
 
 
 class TestTraces:

@@ -3,15 +3,22 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from polysimplex.tensor import ShapeError, flip, from_function, identity_tensor
 from polysimplex.verify import (
+    RELATIONS_1_6,
+    VerificationReport,
     blocks_transpose,
     check_commutes,
     check_mixed,
     check_polygon,
     check_relations_1_6,
     check_simplex,
+    compare_sides,
+    polygon_signature,
 )
 
 Z2_T = from_function(2, 2, 2, lambda x: (x[0], (x[0] + x[1]) % 2))
@@ -219,3 +226,66 @@ class TestReportShape:
         report = check_polygon(Z2_T, 5)
         assert report.max_deviation == 0
         assert report.witness is None
+
+
+def expected_relations_report(t, s):
+    """check_relations_1_6's aggregate, rebuilt from the oracle's sides."""
+    reports = {
+        name: compare_sides(f"relation ({name})", *oracle.relation_sides(t, s, name))
+        for name in RELATIONS_1_6
+    }
+    failing = [r for r in reports.values() if not r.holds]
+    first = failing[0] if failing else None
+    return VerificationReport(
+        "relations (1)-(6)",
+        not failing,
+        first.max_deviation if first else 0,
+        t.shape,
+        s.shape,
+        witness=first.witness if first else None,
+        details={name: r.holds for name, r in reports.items()},
+    )
+
+
+@st.composite
+def equation_case(draw, ring):
+    """A random check and the oracle's report for it."""
+    family = draw(st.sampled_from(["polygon", "dual-polygon", "simplex", "mixed", "relations"]))
+
+    def tensor(in_legs, out_legs):
+        return draw(
+            st.one_of(
+                oracle.sparse_tensor(ring, 2, in_legs, out_legs),
+                oracle.function_tensor(ring, 2, in_legs, out_legs),
+            )
+        )
+
+    if family in ("polygon", "dual-polygon"):
+        n = draw(st.integers(3, 7))
+        dual = family == "dual-polygon"
+        t = tensor(*polygon_signature(n, dual))
+        name = f"dual {n}-gon" if dual else f"{n}-gon"
+        return check_polygon(t, n, dual), compare_sides(name, *oracle.polygon_sides(t, n, dual))
+    if family == "simplex":
+        n = draw(st.integers(1, 3))
+        r = tensor(n, n)
+        return check_simplex(r, n), compare_sides(f"{n}-simplex", *oracle.simplex_sides(r, n))
+    if family == "mixed":
+        n = draw(st.integers(3, 6))
+        t = tensor(*polygon_signature(n, False))
+        s = tensor(*polygon_signature(n, True))
+        expect = compare_sides(f"{n}-gon mixed relation", *oracle.mixed_sides(t, s, n))
+        return check_mixed(t, s, n), expect
+    t, s = tensor(2, 2), tensor(2, 2)
+    return check_relations_1_6(t, s), expected_relations_report(t, s)
+
+
+class TestWitnessContract:
+    """Verdict, largest deviation and witness key match the materialized oracle."""
+
+    @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_reports_match_oracle_sides(self, ring, data):
+        got, expect = data.draw(equation_case(ring))
+        assert got.to_json_dict() == expect.to_json_dict()
