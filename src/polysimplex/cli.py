@@ -2,7 +2,8 @@
 
 Commands: gen-eq, compile, verify, set-verify, set-enumerate, construct,
 demo, catalog.  Exit status: 0 success / equation holds, 1 verification
-failure, 2 configuration or shape error.  The default scalar context comes
+failure or a constructed solution failing its own check, 2 configuration
+or shape error.  The default scalar context comes
 from the POLYSIMPLEX_SCALAR environment variable ("rational", "f64" or
 "gfp:<p>").
 """
@@ -46,6 +47,7 @@ from .simplicial import (
 from .tensor import NotInvertible, ShapeError, Tensor, compose, partial_trace_left
 from .verify import (
     PreconditionFailed,
+    SelfCheckFailed,
     VerificationReport,
     check_commutes,
     check_mixed,
@@ -105,8 +107,15 @@ def emit_report(report: VerificationReport, path: str | None) -> None:
 # -- gen-eq --------------------------------------------------------------------
 
 
+# Every family prints on the order of n^2 index entries, about 10 MB of
+# text for the 1000-simplex; larger orders would need gigabytes.
+GEN_EQ_MAX_N = 1000
+
+
 def cmd_gen_eq(args) -> int:
     n = args.n
+    if n > GEN_EQ_MAX_N:
+        raise UsageError(f"gen-eq is limited to n <= {GEN_EQ_MAX_N}")
     if args.family == "polygon" or args.family == "dual-polygon":
         a, b = polygon_indices(n)
         matrices = {"A": a.as_lists(), "B": b.as_lists()}
@@ -532,6 +541,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except SelfCheckFailed as exc:
+        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
+        return CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -43,34 +43,37 @@ class MultiIndexMatrix:
         return [list(r) for r in self.rows]
 
 
-def _shift(rows: list[Row], offset: int) -> list[Row]:
-    return [tuple(x + offset for x in row) for row in rows]
+def _unroll(k: int, base: list[Row], head, column, offset) -> list[Row]:
+    """Rows at level k of a two-term row recursion, built without recursion.
+
+    Level 1 is ``base``.  Level j >= 2 is the row ``head(j)`` followed by
+    rows i >= 1 equal to ``(column(j, i-1),)`` glued onto row i-1 of level
+    j-1 shifted by ``offset(j)``.  Row i of level k is read off by walking
+    down i levels, so each row costs its own length.
+    """
+    count = len(base) + k - 1
+    rows = []
+    for i in range(count):
+        level, index, shift, prefix = k, i, 0, []
+        while level > 1 and index > 0:
+            prefix.append(column(level, index - 1) + shift)
+            shift += offset(level)
+            level, index = level - 1, index - 1
+        tail = base[index] if level == 1 else head(level)
+        rows.append(tuple(prefix) + tuple(x + shift for x in tail))
+    return rows
 
 
 def _odd_a_rows(k: int) -> list[Row]:
     # A_3 = [1; 1]; A_(2k+1) prepends the row [1..k] and glues the column
     # (1..k) onto A_(2k-1) + k.
-    if k == 1:
-        return [(1,), (1,)]
-    prev = _odd_a_rows(k - 1)
-    rows = [tuple(range(1, k + 1))]
-    shifted = _shift(prev, k)
-    for i in range(k):
-        rows.append((i + 1,) + shifted[i])
-    return rows
+    return _unroll(k, [(1,), (1,)], lambda j: range(1, j + 1), lambda j, i: i + 1, lambda j: j)
 
 
 def _odd_b_rows(k: int) -> list[Row]:
     # B_3 = [1]; B_(2k+1) prepends [1..k] and glues the column (2..k) onto
     # B_(2k-1) + k.
-    if k == 1:
-        return [(1,)]
-    prev = _odd_b_rows(k - 1)
-    rows = [tuple(range(1, k + 1))]
-    shifted = _shift(prev, k)
-    for i in range(k - 1):
-        rows.append((i + 2,) + shifted[i])
-    return rows
+    return _unroll(k, [(1,)], lambda j: range(1, j + 1), lambda j, i: i + 2, lambda j: j)
 
 
 def polygon_indices(n: int) -> tuple[MultiIndexMatrix, MultiIndexMatrix]:
@@ -109,38 +112,26 @@ def simplex_indices(n: int) -> MultiIndexMatrix:
     return MultiIndexMatrix(tuple(_odd_a_rows(n)), "A", 2 * n + 1)
 
 
+def _mixed_head(j: int) -> Row:
+    return (1,) + tuple(range(j + 1, 2 * j))
+
+
 def _mixed_e_rows(k: int) -> list[Row]:
-    if k == 1:
-        return [(1,)]
-    prev = _mixed_e_rows(k - 1)
-    rows = [(1,) + tuple(range(k + 1, 2 * k))]
-    shifted = _shift(prev, 2 * k - 1)
-    for i in range(k - 1):
-        rows.append((i + 2,) + shifted[i])
-    return rows
+    return _unroll(k, [(1,)], _mixed_head, lambda j, i: i + 2, lambda j: 2 * j - 1)
 
 
 def _mixed_d_rows(k: int) -> list[Row]:
-    if k == 1:
-        return [(1,), (1,)]
-    prev = _mixed_d_rows(k - 1)
-    rows = [tuple(range(1, k + 1))]
-    shifted = _shift(prev, 2 * k - 1)
-    first_col = [1] + list(range(k + 1, 2 * k))
-    for i in range(k):
-        rows.append((first_col[i],) + shifted[i])
-    return rows
+    return _unroll(
+        k,
+        [(1,), (1,)],
+        lambda j: range(1, j + 1),
+        lambda j, i: 1 if i == 0 else j + i,
+        lambda j: 2 * j - 1,
+    )
 
 
 def _mixed_f_rows(k: int) -> list[Row]:
-    if k == 1:
-        return [(1,), (1,)]
-    prev = _mixed_f_rows(k - 1)
-    rows = [(1,) + tuple(range(k + 1, 2 * k))]
-    shifted = _shift(prev, 2 * k - 1)
-    for i in range(k):
-        rows.append((i + 1,) + shifted[i])
-    return rows
+    return _unroll(k, [(1,), (1,)], _mixed_head, lambda j, i: i + 1, lambda j: 2 * j - 1)
 
 
 def mixed_indices(

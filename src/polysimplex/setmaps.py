@@ -1,9 +1,10 @@
 """Set-theoretic polygon equations over a finite base set.
 
 Solutions here are plain functions X^k -> X^l evaluated pointwise, with no
-linearization.  The checks run the gathers of the compiled programs that
-the tensor checks contract, acting on value tuples instead of basis
-digits, in a loop of their own that needs no scalar arithmetic.  The six
+linearization.  The checks run the same compiled plan as the function
+path of :func:`polysimplex.tensor.contract_staged`, on value tuples
+instead of basis digits, with the map's table keyed by argument tuples:
+no scalar arithmetic and no per-tuple slot bookkeeping.  The six
 lifting constructions between neighbouring polygon orders are implemented
 with their fixed-point criteria checked in both directions.
 """
@@ -15,7 +16,7 @@ from functools import cache
 from itertools import product
 
 from .simplicial import compile_polygon
-from .tensor import ShapeError, replace_slots
+from .tensor import ShapeError, _push, _staged_plan
 from .verify import PreconditionFailed, VerificationReport, polygon_signature
 
 
@@ -85,39 +86,53 @@ class FiniteMap:
         return FiniteMap.from_callable(base, k, l, fn)
 
 
+def _lookup(fmap: FiniteMap) -> dict:
+    """The table of fmap keyed by argument tuples."""
+    return dict(zip(product(range(fmap.base), repeat=fmap.in_arity), fmap.table))
+
+
 def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
     """Run staged placements of fmap, reading the legs at each gather."""
-    state = list(values)
-    for gather in gathers:
-        outs = list(fmap(tuple(state[p - 1] for p in gather)))
-        state = replace_slots(state, gather, outs)
-    return tuple(state)
+    values = tuple(values)
+    gathers = tuple(tuple(gather) for gather in gathers)
+    if any(len(gather) != fmap.in_arity for gather in gathers):
+        raise ShapeError(f"every gather must name {fmap.in_arity} legs, got {gathers}")
+    plan, _ = _staged_plan(len(values), tuple((gather, fmap.out_arity) for gather in gathers))
+    return _push(plan, (_lookup(fmap),) * len(plan), values)
 
 
 @cache
-def _polygon_gathers(n: int, dual: bool) -> tuple[int, tuple, tuple]:
-    """Free-input count and per-side gathers of the compiled (dual) n-gon."""
+def _polygon_plans(n: int, dual: bool) -> tuple[int, tuple, tuple]:
+    """Free-input count and per-side plans of the compiled (dual) n-gon."""
+    out_arity = polygon_signature(n, dual)[1]
     lhs, rhs = compile_polygon(n, dual)
-    lhs_gathers, rhs_gathers = (
-        tuple(positions for _, positions in side.gather_positions()) for side in (lhs, rhs)
+    legs = len(lhs.free_inputs)
+    lhs_plan, rhs_plan = (
+        _staged_plan(legs, tuple((positions, out_arity) for _, positions in side.gather_positions()))[0]
+        for side in (lhs, rhs)
     )
-    return len(lhs.free_inputs), lhs_gathers, rhs_gathers
+    return legs, lhs_plan, rhs_plan
 
 
 def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> VerificationReport:
-    """Exhaustive pointwise check of the (dual) n-gon equation."""
+    """Exhaustive pointwise check of the (dual) n-gon equation.
+
+    Tuples run in product order; the witness is the first failing one.
+    """
     want = polygon_signature(n, dual)
     if (fmap.in_arity, fmap.out_arity) != want:
         raise ShapeError(
             f"{'dual ' if dual else ''}{n}-gon needs arity {want[0]}->{want[1]}, "
             f"got {fmap.in_arity}->{fmap.out_arity}"
         )
-    legs, lhs_gathers, rhs_gathers = _polygon_gathers(n, dual)
+    legs, lhs_plan, rhs_plan = _polygon_plans(n, dual)
+    table = _lookup(fmap)
+    lhs_tables, rhs_tables = (table,) * len(lhs_plan), (table,) * len(rhs_plan)
     name = f"set-theoretic {'dual ' if dual else ''}{n}-gon"
     shape = (fmap.base, fmap.in_arity, fmap.out_arity)
     for values in product(range(fmap.base), repeat=legs):
-        lhs = apply_staged(fmap, lhs_gathers, values)
-        rhs = apply_staged(fmap, rhs_gathers, values)
+        lhs = _push(lhs_plan, lhs_tables, values)
+        rhs = _push(rhs_plan, rhs_tables, values)
         if lhs != rhs:
             witness = {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
             return VerificationReport(name, False, 1, shape, shape, witness)

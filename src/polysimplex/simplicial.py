@@ -12,7 +12,7 @@ placements produce; both sides of an equation always agree on it.
 The compiled programs are what the checks in :mod:`polysimplex.verify`
 evaluate: :func:`evaluate_program` hands their gather positions to
 :func:`polysimplex.tensor.contract_staged`, and the set-theoretic checks
-feed the same gathers to their tuple loop.  The closed-form index
+run the same gathers through the evaluator's compiled plan.  The closed-form index
 matrices are tied to these programs by the cross-generator tests.  This
 module is the only generator of the even-gon mixed relation, which has no
 closed-form index recursion.

@@ -19,16 +19,27 @@ compiled polygon, simplex and mixed sides, the relation words and the
 closed-form constructions are lists of ``(map, gather positions)`` steps
 pushed through it column by column, with outputs written by the slot
 rule of :func:`replace_slots`.  No placed factor is ever materialized.
+The steps are compiled once per shape into a plan of tuple getters,
+which the set-theoretic checks run too.  When every map is a basis
+function (each column it has holds one entry, equal to one), columns
+follow per-map lookup tables with no ring arithmetic; other maps push
+sparse vectors.
+
+Validation sits at the trust boundary: ``Tensor(...)``, JSON input and
+:func:`from_function` check every key and coerce every value, while the
+evaluator's results, already clean and zero-free, are wrapped by the
+private ``Tensor._trusted`` without a second pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 import json
 from operator import itemgetter
 
-from .rings import RATIONAL, ScalarRing, ring_from_tag
+from .rings import RATIONAL, FloatRing, ScalarRing, ring_from_tag
 
 Digits = tuple[int, ...]
 EntryKey = tuple[Digits, Digits]
@@ -97,6 +108,15 @@ class Tensor:
             if not self.ring.is_zero(value):
                 clean[(out, inp)] = value
         object.__setattr__(self, "entries", clean)
+
+    @classmethod
+    def _trusted(cls, dim: int, in_legs: int, out_legs: int, entries: dict, ring: ScalarRing) -> "Tensor":
+        """Wrap entries that are already clean: tuple keys of the right
+        lengths and digit range, coerced and nonzero values.  Internal
+        results only; every outside input goes through ``__init__``."""
+        t = object.__new__(cls)
+        vars(t).update(dim=dim, in_legs=in_legs, out_legs=out_legs, entries=entries, ring=ring)
+        return t
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -200,6 +220,11 @@ def deviation(f: Tensor, g: Tensor):
     if f.shape != g.shape or f.ring != g.ring:
         raise ShapeError(f"cannot compare shapes {f.shape} and {g.shape}")
     ring = f.ring
+    # Entries are zero-free, so equal dicts mean no deviation in an exact
+    # ring.  Floats keep the scan: a NaN entry is a deviation there, while
+    # dict equality calls the same NaN object equal to itself.
+    if f.entries == g.entries and not isinstance(ring, FloatRing):
+        return None
     worst = None
     for key in sorted(set(f.entries) | set(g.entries)):
         diff = ring.add(f.entry(*key), ring.neg(g.entry(*key)))
@@ -394,39 +419,107 @@ def _tuple_getter(indices):
     return itemgetter(*indices)
 
 
+@lru_cache(maxsize=256)
+def _staged_plan(legs: int, shape: tuple) -> tuple[tuple, int]:
+    """Compile staged placements on ``legs`` legs into tuple getters.
+
+    ``shape`` lists ``(gather positions, output count)`` per step.  Each
+    plan step is ``(read, write)``: ``read(state)`` picks the map's inputs
+    from the current state, ``write(state + outputs)`` is the next state
+    laid out by the slot rule of :func:`replace_slots`.  Returns the plan
+    and the final leg count; built once per shape and cached.
+    """
+    plan = []
+    n = legs
+    for positions, out_count in shape:
+        if len(set(positions)) != len(positions):
+            raise ShapeError(f"gather positions {positions} must be {len(positions)} distinct legs")
+        if any(p < 1 or p > n for p in positions):
+            raise ShapeError(f"gather positions {positions} out of range 1..{n}")
+        # New leg j takes old leg layout[j] < n, or map output layout[j] - n.
+        layout = replace_slots(list(range(n)), positions, list(range(n, n + out_count)))
+        plan.append((_tuple_getter([p - 1 for p in positions]), _tuple_getter(layout)))
+        n = len(layout)
+    return tuple(plan), n
+
+
+def _push(plan, tables, state):
+    """Run one basis tuple through a plan of function tables.
+
+    ``tables[i]`` maps the inputs read by step i to its outputs.  Returns
+    the final state, or None when a table has no entry for its inputs.
+    """
+    for (read, write), table in zip(plan, tables):
+        out = table.get(read(state))
+        if out is None:
+            return None
+        state = write(state + out)
+    return state
+
+
+def _function_table(f: Tensor):
+    """``{input digits: output digits}`` when every column of ``f`` that
+    has entries holds exactly one, equal to ``ring.one``; else None."""
+    one = f.ring.one
+    table = {}
+    for (out, inp), v in f.entries.items():
+        if inp in table or v != one:
+            return None
+        table[inp] = out
+    return table
+
+
 def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL) -> Tensor:
     """Compose staged placements on V^(x)legs into one tensor.
 
     ``steps`` lists ``(f, positions)`` in application order.  Map leg i of
     ``f`` reads the current leg ``positions[i]`` (1-based, in any order);
     the outputs land in the sorted consumed slots by the rule of
-    :func:`replace_slots`.  Each basis column is pushed through the steps
-    as a sparse vector, so no placed factor is ever built; the result
-    equals composing the placed factors one after another.
+    :func:`replace_slots`.  Each basis column is pushed through the
+    compiled plan of the steps, so no placed factor is ever built; the
+    result equals composing the placed factors one after another.
+
+    When every map is a basis function on the columns it has, each
+    column follows one state through per-map lookup tables with no ring
+    arithmetic, and a column reaching a missing input is dropped.  Other
+    maps push each column as a sparse vector.
     """
-    plans = []
-    n = legs
+    if d < 1 or legs < 0:
+        raise ShapeError("dim must be >= 1 and leg counts >= 0")
+    maps, shape = [], []
     for f, positions in steps:
         positions = tuple(positions)
-        k = f.in_legs
         if f.dim != d or f.ring != ring:
             raise ShapeError("map dimension/ring does not match the staged evaluation")
-        if len(positions) != k or len(set(positions)) != k:
-            raise ShapeError(f"gather positions {positions} must be {k} distinct legs")
-        if any(p < 1 or p > n for p in positions):
-            raise ShapeError(f"gather positions {positions} out of range 1..{n}")
+        if len(positions) != f.in_legs:
+            raise ShapeError(f"gather positions {positions} must be {f.in_legs} distinct legs")
+        maps.append(f)
+        shape.append((positions, f.out_legs))
+    if not maps:
+        # Validated, so a float tolerance >= 1 drops the entries, as for
+        # any zero-valued result.
+        return identity_tensor(d, legs, ring)
+    plan, n = _staged_plan(legs, tuple(shape))
+    entries: dict[EntryKey, object] = {}
+    by_map = {id(f): _function_table(f) for f in maps}
+    # A float tolerance >= 1 makes one a zero, which the sparse path drops.
+    if None not in by_map.values() and not ring.is_zero(ring.one):
+        tables = [by_map[id(f)] for f in maps]
+        for column in product(range(d), repeat=legs):
+            state = _push(plan, tables, column)
+            if state is not None:
+                entries[(state, column)] = ring.one
+        return Tensor._trusted(d, legs, n, entries, ring)
+    by_ins = []
+    for f in maps:
         by_in: dict[Digits, list] = {}
         for (out, inp), v in f.entries.items():
             by_in.setdefault(inp, []).append((out, v))
-        # New leg j takes old leg layout[j] < n, or map output layout[j] - n.
-        layout = replace_slots(list(range(n)), positions, list(range(n, n + f.out_legs)))
-        plans.append((_tuple_getter([p - 1 for p in positions]), by_in, _tuple_getter(layout)))
-        n = len(layout)
+        by_ins.append(by_in)
     add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    entries: dict[EntryKey, object] = {}
     for column in product(range(d), repeat=legs):
         vec = {column: ring.one}
-        for read, by_in, write in plans:
+        for (read, write), by_in in zip(plan, by_ins):
             nxt: dict[Digits, object] = {}
             for state, c in vec.items():
                 for out, v in by_in.get(read(state), ()):
@@ -437,7 +530,7 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL) -> Te
             vec = {key: c for key, c in nxt.items() if not is_zero(c)}
         for state, c in vec.items():
             entries[(state, column)] = c
-    return Tensor(d, legs, n, entries, ring)
+    return Tensor._trusted(d, legs, n, entries, ring)
 
 
 def partial_trace_left(f: Tensor) -> Tensor:

@@ -1,10 +1,12 @@
-"""The materialized staged-placement evaluation, kept as a test oracle.
+"""Reference evaluations kept as test oracles.
 
 Every placed factor is built as a full operator on V^(x)n (``place`` after
 ``permute_legs``) and the factors are composed one by one.  The equation
 sides are taken from the closed-form index matrices with the leg counts
 of the published equations, independently of the simplicial compiler.
-Random sparse tensors over each scalar ring feed the property tests.
+The set-theoretic check reruns the slot rule of ``replace_slots`` on every
+value tuple, and ``deviation_scan`` compares every key.  Random sparse
+and function-like tensors over each scalar ring feed the property tests.
 """
 
 from itertools import product
@@ -21,8 +23,9 @@ from polysimplex.tensor import (
     identity_tensor,
     permute_legs,
     place,
+    replace_slots,
 )
-from polysimplex.verify import RELATIONS_1_6
+from polysimplex.verify import RELATIONS_1_6, polygon_signature
 
 RINGS = (RATIONAL, F64, prime_field(5))
 
@@ -52,6 +55,14 @@ def function_tensor(draw, ring, d, in_legs, out_legs):
         {(draw(outs), inp): ring.one for inp in product(range(d), repeat=in_legs)},
         ring,
     )
+
+
+@st.composite
+def partial_function_tensor(draw, ring, d, in_legs, out_legs):
+    """Basis function defined on a random subset of the input columns."""
+    outs = st.tuples(*[st.integers(0, d - 1)] * out_legs)
+    columns = draw(st.lists(st.sampled_from(list(product(range(d), repeat=in_legs))), unique=True))
+    return Tensor(d, in_legs, out_legs, {(draw(outs), inp): ring.one for inp in columns}, ring)
 
 
 def place_gathered(f, positions, n):
@@ -157,3 +168,41 @@ def relation_sides(t, s, name):
         staged([(maps[tag], row) for tag, row in reversed(seq)], legs, t.dim, t.ring)
         for seq in (lhs_seq, rhs_seq)
     )
+
+
+def deviation_scan(f, g):
+    """Largest entrywise |f - g| over every key, lexicographically first."""
+    ring = f.ring
+    worst = None
+    for key in sorted(set(f.entries) | set(g.entries)):
+        diff = ring.add(f.entry(*key), ring.neg(g.entry(*key)))
+        if not ring.is_zero(diff):
+            mag = ring.magnitude(diff)
+            if worst is None or mag > worst[0]:
+                worst = (mag, key)
+    return worst
+
+
+def apply_gathers(fmap, gathers, values):
+    """Stage fmap on a value tuple, one ``replace_slots`` per gather."""
+    state = list(values)
+    for gather in gathers:
+        outs = list(fmap(tuple(state[p - 1] for p in gather)))
+        state = replace_slots(state, gather, outs)
+    return tuple(state)
+
+
+def set_check(fmap, n, dual=False):
+    """(holds, witness) of the (dual) n-gon on every tuple in product order,
+    with the sides taken from the index matrices."""
+    a_rows, b_rows = polygon_recursion_rows(n)
+    orders = (a_rows, list(reversed(b_rows))) if dual else (list(reversed(a_rows)), b_rows)
+    in_arity = polygon_signature(n, dual)[0]
+    lhs_gathers, rhs_gathers = ([full_gather(row, in_arity) for row in rows] for rows in orders)
+    legs = start_legs("dual-polygon" if dual else "polygon", n)
+    for values in product(range(fmap.base), repeat=legs):
+        lhs = apply_gathers(fmap, lhs_gathers, values)
+        rhs = apply_gathers(fmap, rhs_gathers, values)
+        if lhs != rhs:
+            return False, {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
+    return True, None

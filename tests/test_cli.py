@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from polysimplex import construct
 from polysimplex.cli import build_catalog, main
 from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap
 from polysimplex.tensor import flip, from_function
+from polysimplex.verify import SelfCheckFailed
 
 
 def run(capsys, *argv):
@@ -38,6 +40,18 @@ class TestGenEq:
     def test_bad_n(self, capsys):
         code, _, _ = run(capsys, "gen-eq", "--family", "polygon", "--n", "2")
         assert code == 2
+
+    def test_order_deeper_than_the_recursion_limit(self, capsys):
+        code, out, _ = run(capsys, "gen-eq", "--family", "simplex", "--n", "1000")
+        assert code == 0
+        assert out.splitlines()[0].count("R_{") == 2 * 1001
+
+    @pytest.mark.parametrize("family,n", [("simplex", 3000), ("polygon", 5000)])
+    def test_huge_order_refused(self, capsys, family, n):
+        code, out, err = run(capsys, "gen-eq", "--family", family, "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: gen-eq is limited to n <= 1000")
 
 
 class TestCompile:
@@ -177,6 +191,16 @@ class TestSetCommands:
 
 
 class TestConstruct:
+    def test_self_check_failure_exits_one(self, capsys, monkeypatch):
+        def broken_recipe(h, verify=True):
+            raise SelfCheckFailed("hopf pair fails the mixed relation")
+
+        monkeypatch.setattr(construct, "hopf_pentagon_pair", broken_recipe)
+        code, out, err = run(capsys, "construct", "--recipe", "hopf-pentagon-pair", "--group", "z2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: internal self-check failed: hopf pair fails the mixed relation\n"
+
     def test_pentagon_pair_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "pair.json"
         code, _, _ = run(

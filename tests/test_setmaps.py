@@ -2,14 +2,20 @@
 agreement with the linear engine."""
 
 import random
+from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle import apply_gathers, set_check, start_legs
 
 from polysimplex.hopf import settheoretic_lift
 from polysimplex.setmaps import (
     FiniteMap,
     LIFTS,
+    apply_staged,
     check_polygon_set,
     enumerate_set_solutions,
     lift_dual_even_to_odd,
@@ -20,7 +26,7 @@ from polysimplex.setmaps import (
     lift_odd_to_even_pinned,
 )
 from polysimplex.tensor import ShapeError
-from polysimplex.verify import PreconditionFailed, check_polygon
+from polysimplex.verify import PreconditionFailed, check_polygon, polygon_signature
 
 
 def z_add_map(base):
@@ -62,6 +68,56 @@ class TestCheckPolygonSet:
                 set_says = check_polygon_set(table, n, dual).holds
                 tensor_says = check_polygon(settheoretic_lift(table), n, dual).holds
                 assert set_says == tensor_says
+
+
+@cache
+def known_solutions():
+    """Base-2 solutions for n <= 5, their lifts to the 6-gon, and the
+    identity 7-gon solutions, keyed by (n, dual)."""
+    pool = {}
+    for n, dual in product((3, 4, 5), (False, True)):
+        pool[(n, dual)] = enumerate_set_solutions(n, 2, dual)
+    pool[(6, False)] = [lift_odd_to_even(t, 2).result for t in pool[(5, False)]] + [
+        lift_dual_odd_to_even(s, 2).result for s in pool[(5, True)]
+    ]
+    identities = [FiniteMap.from_callable(b, 3, 3, lambda a: a) for b in (2, 3)]
+    pool[(7, False)] = pool[(7, True)] = identities
+    return pool
+
+
+@st.composite
+def polygon_map(draw):
+    """A random map, or a known solution with at most one row changed."""
+    n, dual = draw(st.sampled_from([(n, dual) for n in range(3, 8) for dual in (False, True)]))
+    k, l = polygon_signature(n, dual)
+    solutions = known_solutions().get((n, dual), [])
+    if solutions and draw(st.booleans()):
+        fmap = draw(st.sampled_from(solutions))
+        rows = list(fmap.table)
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = draw(st.tuples(*[st.integers(0, fmap.base - 1)] * l))
+        return FiniteMap(fmap.base, k, l, tuple(rows)), n, dual
+    legs = start_legs("dual-polygon" if dual else "polygon", n)
+    base = draw(st.sampled_from([b for b in (1, 2, 3) if b**legs <= 729]))
+    row = st.tuples(*[st.integers(0, base - 1)] * l)
+    rows = draw(st.lists(row, min_size=base**k, max_size=base**k))
+    return FiniteMap(base, k, l, tuple(rows)), n, dual
+
+
+class TestSetOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(polygon_map())
+    def test_verdict_and_witness_match_oracle(self, case):
+        fmap, n, dual = case
+        report = check_polygon_set(fmap, n, dual)
+        assert (report.holds, report.witness) == set_check(fmap, n, dual)
+
+    def test_apply_staged_matches_slot_rule(self):
+        fmap = z_add_map(3)
+        gathers = [(2, 3), (3, 1), (1, 2)]
+        for values in product(range(3), repeat=3):
+            assert apply_staged(fmap, gathers, values) == apply_gathers(fmap, gathers, values)
 
 
 class TestEnumeration:

@@ -6,15 +6,24 @@ is re-done as the literal sweep composite
 tau_(1,b1)^-1 ... (F (x) id) ... tau_(1,a1).
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import RINGS, place_gathered, sparse_tensor, staged
-from polysimplex.rings import F64, RingError, prime_field
+from oracle import (
+    RINGS,
+    deviation_scan,
+    partial_function_tensor,
+    place_gathered,
+    sparse_tensor,
+    staged,
+)
+from polysimplex.rings import F64, FloatRing, RingError, prime_field
 from polysimplex.tensor import (
     LegPermutation,
     NotInvertible,
@@ -250,10 +259,10 @@ class TestPlace:
 
 
 @st.composite
-def staged_program(draw):
+def staged_program(draw, maps=sparse_tensor, dims=(2, 3)):
     """Random steps with unsorted gathers and signatures k->k, k->k+1, k->k-1."""
     ring = draw(st.sampled_from(RINGS))
-    d = draw(st.integers(2, 3))
+    d = draw(st.sampled_from(dims))
     start = legs = draw(st.integers(1, 4))
     steps = []
     for _ in range(draw(st.integers(1, 3))):
@@ -262,9 +271,13 @@ def staged_program(draw):
         k = draw(st.integers(1, min(legs, 2)))
         l = k + draw(st.sampled_from([-1, 0, 1]))
         positions = draw(st.permutations(range(1, legs + 1)))[:k]
-        steps.append((draw(sparse_tensor(ring, d, k, l)), tuple(positions)))
+        steps.append((draw(maps(ring, d, k, l)), tuple(positions)))
         legs += l - k
     return steps, start, d, ring
+
+
+def function_program():
+    return staged_program(maps=partial_function_tensor, dims=(1, 2, 3))
 
 
 class TestContractStaged:
@@ -276,6 +289,35 @@ class TestContractStaged:
         expect = staged(steps, legs, d, ring)
         assert got.to_json_dict() == expect.to_json_dict()
 
+    @settings(max_examples=150, deadline=None)
+    @given(function_program())
+    def test_function_path_matches_oracle_without_arithmetic(self, program):
+        steps, legs, d, ring = program
+        expect = staged(steps, legs, d, ring)
+        with mock.patch.object(type(ring), "add", side_effect=AssertionError("add")), \
+                mock.patch.object(type(ring), "mul", side_effect=AssertionError("mul")):
+            got = contract_staged(steps, legs, d, ring)
+        assert got.to_json_dict() == expect.to_json_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(function_program())
+    def test_scaled_function_takes_sparse_path(self, program):
+        steps, legs, d, ring = program
+        steps = [(f.scale(2), positions) for f, positions in steps]
+        expect = staged(steps, legs, d, ring)
+        cls = type(ring)
+        with mock.patch.object(cls, "mul", autospec=True, side_effect=cls.mul) as mul:
+            got = contract_staged(steps, legs, d, ring)
+        assert got.to_json_dict() == expect.to_json_dict()
+        assert mul.called or not got.entries
+
+    @pytest.mark.parametrize("ring", RINGS + (FloatRing(2.0),), ids=["rational", "f64", "gfp5", "f64-tol2"])
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_identity_steps_match_oracle(self, ring, count):
+        steps = [(identity_tensor(2, 1, ring), (2,))] * count
+        expect = staged(steps, 2, 2, ring)
+        assert contract_staged(steps, 2, 2, ring).to_json_dict() == expect.to_json_dict()
+
     def test_bad_gathers_rejected(self):
         for positions in ((1, 1), (0, 2), (1, 4), (1,)):
             with pytest.raises(ShapeError):
@@ -284,6 +326,46 @@ class TestContractStaged:
     def test_map_from_other_ring_rejected(self):
         with pytest.raises(ShapeError):
             contract_staged([(Z2_T, (1, 2))], 2, 2, F64)
+
+
+class TestTrustedConstruction:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(RINGS).flatmap(
+        lambda ring: sparse_tensor(ring, 2, 2, 1, max_entries=8)
+    ))
+    def test_equals_validated_construction(self, t):
+        trusted = Tensor._trusted(t.dim, t.in_legs, t.out_legs, dict(t.entries), t.ring)
+        assert trusted == t
+        assert trusted.entries == t.entries
+        assert trusted.to_json_dict() == t.to_json_dict()
+        assert repr(trusted) == repr(t) and hash(trusted) == hash(t)
+
+
+def nan_tensor(entries):
+    return st.dictionaries(
+        st.sampled_from([((o,), (i,)) for o in range(2) for i in range(2)]),
+        st.one_of(st.floats(-2, 2), st.sampled_from([math.nan, math.inf, 1.0])),
+        max_size=entries,
+    ).map(lambda e: Tensor(2, 1, 1, e, F64))
+
+
+class TestDeviationVerdicts:
+    @settings(max_examples=150, deadline=None)
+    @given(nan_tensor(4), nan_tensor(4))
+    def test_float_nan_verdicts_match_full_scan(self, a, b):
+        twin = Tensor(2, 1, 1, dict(a.entries), F64)
+        for f, g in ((a, twin), (a, b), (b, a)):
+            assert repr(deviation(f, g)) == repr(deviation_scan(f, g))
+            assert (f == g) == (deviation_scan(f, g) is None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(RINGS).flatmap(
+        lambda ring: st.tuples(sparse_tensor(ring, 2, 1, 1), sparse_tensor(ring, 2, 1, 1))
+    ))
+    def test_exact_shortcut_matches_full_scan(self, pair):
+        a, b = pair
+        for f, g in ((a, a), (a, b)):
+            assert repr(deviation(f, g)) == repr(deviation_scan(f, g))
 
 
 class TestTraces:
