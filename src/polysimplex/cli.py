@@ -68,6 +68,21 @@ def default_ring():
     return ring_from_tag(os.environ.get("POLYSIMPLEX_SCALAR", "rational"))
 
 
+def read_json(path: str | None, parse, what: str):
+    """``parse`` applied to the JSON document at ``path``.
+
+    Input files are outside data: a missing path, undecodable bytes or a
+    document of the wrong structure is a usage error, not a crash.
+    """
+    if path is None:
+        raise UsageError(f"missing {what} path")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except (TypeError, ValueError, KeyError, AttributeError, IndexError) as exc:
+            raise UsageError(f"malformed {what} in {path}: {exc}") from exc
+
+
 def load_group(spec: str) -> GroupTable:
     named = {"v4": lambda: direct_product(cyclic_group(2), cyclic_group(2))}
     if spec in named:
@@ -76,21 +91,15 @@ def load_group(spec: str) -> GroupTable:
         return cyclic_group(int(spec[1:]))
     if spec.startswith("s") and spec[1:].isdigit():
         return symmetric_group(int(spec[1:]))
-    with open(spec, encoding="utf-8") as fh:
-        return GroupTable.from_json_dict(json.load(fh))
+    return read_json(spec, GroupTable.from_json_dict, "group")
 
 
-def load_tensor(path: str) -> Tensor:
-    with open(path, encoding="utf-8") as fh:
-        return Tensor.from_json_dict(json.load(fh))
+def load_tensor(path: str | None) -> Tensor:
+    return read_json(path, Tensor.from_json_dict, "tensor")
 
 
-def load_descriptor(path: str) -> C.SolutionDescriptor:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "tensor" in data:
-        return C.SolutionDescriptor.from_json_dict(data)
-    raise UsageError(f"{path} does not contain a solution descriptor")
+def load_descriptor(path: str | None) -> C.SolutionDescriptor:
+    return read_json(path, C.SolutionDescriptor.from_json_dict, "solution descriptor")
 
 
 def write_json(path: str, data: dict) -> None:
@@ -231,8 +240,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_set_verify(args) -> int:
-    with open(args.map, encoding="utf-8") as fh:
-        fmap = FiniteMap.from_json_dict(json.load(fh))
+    fmap = read_json(args.map, FiniteMap.from_json_dict, "finite map")
     dual = args.family == "dual-polygon"
     report = check_polygon_set(fmap, args.n, dual)
     emit_report(report, args.report)

@@ -1,22 +1,26 @@
 """Set-theoretic polygon equations over a finite base set.
 
 Solutions here are plain functions X^k -> X^l evaluated pointwise, with no
-linearization.  The checks run the same compiled plan as the function
-path of :func:`polysimplex.tensor.contract_staged`, on value tuples
+linearization.  The checks run the loop-nest kernel generator of the
+function path of :func:`polysimplex.tensor.contract_staged`, on values
 instead of basis digits, with the map's table keyed by argument tuples:
-no scalar arithmetic and no per-tuple slot bookkeeping.  The six
-lifting constructions between neighbouring polygon orders are implemented
-with their fixed-point criteria checked in both directions.
+both sides of an equation run in one nest over the tuples in product
+order, each lookup in the outermost loop that binds its inputs, and the
+first tuple whose sides differ is the witness.  Runs of legs without a
+lookup share one loop and the depth is capped, so the 28 free legs of a
+15-gon compile as well as the 10 of a 9-gon.  The six lifting
+constructions between neighbouring polygon orders are implemented with
+their fixed-point criteria checked in both directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 
 from .simplicial import compile_polygon
-from .tensor import ShapeError, _push, _staged_plan
+from .tensor import ShapeError, _staged_kernel
 from .verify import PreconditionFailed, VerificationReport, polygon_signature
 
 
@@ -39,6 +43,15 @@ class FiniteMap:
         for row in self.table:
             if len(row) != self.out_arity or any(x < 0 or x >= self.base for x in row):
                 raise ShapeError(f"table row {row} invalid for arity/base")
+
+    @classmethod
+    def _trusted(cls, base: int, in_arity: int, out_arity: int, table: tuple) -> "FiniteMap":
+        """Wrap a table already known to be valid: ``base**in_arity`` rows
+        of ``out_arity`` values in range.  Internal results only; every
+        outside input goes through ``__init__``."""
+        fmap = object.__new__(cls)
+        vars(fmap).update(base=base, in_arity=in_arity, out_arity=out_arity, table=table)
+        return fmap
 
     @staticmethod
     def from_callable(base: int, in_arity: int, out_arity: int, fn) -> "FiniteMap":
@@ -86,9 +99,14 @@ class FiniteMap:
         return FiniteMap.from_callable(base, k, l, fn)
 
 
+@lru_cache(maxsize=4)
+def _arguments(base: int, in_arity: int) -> tuple:
+    return tuple(product(range(base), repeat=in_arity))
+
+
 def _lookup(fmap: FiniteMap) -> dict:
     """The table of fmap keyed by argument tuples."""
-    return dict(zip(product(range(fmap.base), repeat=fmap.in_arity), fmap.table))
+    return dict(zip(_arguments(fmap.base, fmap.in_arity), fmap.table))
 
 
 def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
@@ -97,21 +115,22 @@ def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
     gathers = tuple(tuple(gather) for gather in gathers)
     if any(len(gather) != fmap.in_arity for gather in gathers):
         raise ShapeError(f"every gather must name {fmap.in_arity} legs, got {gathers}")
-    plan, _ = _staged_plan(len(values), tuple((gather, fmap.out_arity) for gather in gathers))
-    return _push(plan, (_lookup(fmap),) * len(plan), values)
+    kernel = _staged_kernel(len(values), (tuple((gather, fmap.out_arity) for gather in gathers),))
+    sink: dict = {}
+    kernel(tuple((v,) for v in values), sink, True, *(_lookup(fmap).get,) * len(gathers))
+    return next((state for state, _ in sink), None)
 
 
 @cache
-def _polygon_plans(n: int, dual: bool) -> tuple[int, tuple, tuple]:
-    """Free-input count and per-side plans of the compiled (dual) n-gon."""
+def _polygon_kernel(n: int, dual: bool) -> tuple[int, int, object]:
+    """Free-input count, step count and compare kernel of the compiled (dual) n-gon."""
     out_arity = polygon_signature(n, dual)[1]
     lhs, rhs = compile_polygon(n, dual)
-    legs = len(lhs.free_inputs)
-    lhs_plan, rhs_plan = (
-        _staged_plan(legs, tuple((positions, out_arity) for _, positions in side.gather_positions()))[0]
-        for side in (lhs, rhs)
+    sides = tuple(
+        tuple((positions, out_arity) for _, positions in side.gather_positions()) for side in (lhs, rhs)
     )
-    return legs, lhs_plan, rhs_plan
+    legs = len(lhs.free_inputs)
+    return legs, len(lhs.steps) + len(rhs.steps), _staged_kernel(legs, sides)
 
 
 def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> VerificationReport:
@@ -125,17 +144,14 @@ def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> Verificati
             f"{'dual ' if dual else ''}{n}-gon needs arity {want[0]}->{want[1]}, "
             f"got {fmap.in_arity}->{fmap.out_arity}"
         )
-    legs, lhs_plan, rhs_plan = _polygon_plans(n, dual)
-    table = _lookup(fmap)
-    lhs_tables, rhs_tables = (table,) * len(lhs_plan), (table,) * len(rhs_plan)
+    legs, steps, kernel = _polygon_kernel(n, dual)
+    failure = kernel((range(fmap.base),) * legs, *(_lookup(fmap),) * steps)
     name = f"set-theoretic {'dual ' if dual else ''}{n}-gon"
     shape = (fmap.base, fmap.in_arity, fmap.out_arity)
-    for values in product(range(fmap.base), repeat=legs):
-        lhs = _push(lhs_plan, lhs_tables, values)
-        rhs = _push(rhs_plan, rhs_tables, values)
-        if lhs != rhs:
-            witness = {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
-            return VerificationReport(name, False, 1, shape, shape, witness)
+    if failure is not None:
+        values, lhs, rhs = failure
+        witness = {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
+        return VerificationReport(name, False, 1, shape, shape, witness)
     return VerificationReport(name, True, 0, shape, shape)
 
 
@@ -220,6 +236,8 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
     """
     in_arity, out_arity = polygon_signature(n, dual)
     k = (n - 1) // 2 if n % 2 else n // 2
+    if base < 1:
+        raise ShapeError("base set must be non-empty")
     if base > ENUMERATION_CAP["base"] or k > ENUMERATION_CAP["k"]:
         raise ShapeError(
             f"enumeration capped at base <= {ENUMERATION_CAP['base']}, "
@@ -229,7 +247,8 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
     outputs = list(product(range(base), repeat=out_arity))
     found = []
     for choice in product(outputs, repeat=rows):
-        candidate = FiniteMap(base, in_arity, out_arity, tuple(choice))
+        # Rows drawn from product(range(base), ...) are valid by construction.
+        candidate = FiniteMap._trusted(base, in_arity, out_arity, choice)
         if check_polygon_set(candidate, n, dual).holds:
             found.append(candidate)
     return found

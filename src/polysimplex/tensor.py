@@ -19,11 +19,12 @@ compiled polygon, simplex and mixed sides, the relation words and the
 closed-form constructions are lists of ``(map, gather positions)`` steps
 pushed through it column by column, with outputs written by the slot
 rule of :func:`replace_slots`.  No placed factor is ever materialized.
-The steps are compiled once per shape into a plan of tuple getters,
-which the set-theoretic checks run too.  When every map is a basis
-function (each column it has holds one entry, equal to one), columns
-follow per-map lookup tables with no ring arithmetic; other maps push
-sparse vectors.
+When every map is a basis function (each column it has holds one entry,
+equal to one), the steps run as a generated loop-nest kernel with no
+ring arithmetic, each lookup hoisted to the outermost loop that binds
+its inputs; the set-theoretic checks run the same generator, comparing
+both sides in one nest.  Other maps push sparse vectors through a plan
+of tuple getters.
 
 Validation sits at the trust boundary: ``Tensor(...)``, JSON input and
 :func:`from_function` check every key and coerce every value, while the
@@ -33,6 +34,7 @@ private ``Tensor._trusted`` without a second pass.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -419,9 +421,32 @@ def _tuple_getter(indices):
     return itemgetter(*indices)
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_shape(legs: int, shape) -> int:
+    """Validate staged placements on ``legs`` legs; return the final leg count.
+
+    ``shape`` lists ``(gather positions, output count)`` per step.
+    """
+    if not _is_count(legs) or legs < 0:
+        raise ShapeError(f"leg count {legs!r} must be an integer >= 0")
+    n = legs
+    for positions, out_count in shape:
+        if not all(_is_count(p) for p in positions) or not _is_count(out_count):
+            raise ShapeError(f"gather positions {positions!r} and output count {out_count!r} must be integers")
+        if len(set(positions)) != len(positions):
+            raise ShapeError(f"gather positions {positions} must be {len(positions)} distinct legs")
+        if any(p < 1 or p > n for p in positions):
+            raise ShapeError(f"gather positions {positions} out of range 1..{n}")
+        n = len(replace_slots([None] * n, positions, [None] * out_count))
+    return n
+
+
 @lru_cache(maxsize=256)
 def _staged_plan(legs: int, shape: tuple) -> tuple[tuple, int]:
-    """Compile staged placements on ``legs`` legs into tuple getters.
+    """Compile validated staged placements on ``legs`` legs into tuple getters.
 
     ``shape`` lists ``(gather positions, output count)`` per step.  Each
     plan step is ``(read, write)``: ``read(state)`` picks the map's inputs
@@ -432,10 +457,6 @@ def _staged_plan(legs: int, shape: tuple) -> tuple[tuple, int]:
     plan = []
     n = legs
     for positions, out_count in shape:
-        if len(set(positions)) != len(positions):
-            raise ShapeError(f"gather positions {positions} must be {len(positions)} distinct legs")
-        if any(p < 1 or p > n for p in positions):
-            raise ShapeError(f"gather positions {positions} out of range 1..{n}")
         # New leg j takes old leg layout[j] < n, or map output layout[j] - n.
         layout = replace_slots(list(range(n)), positions, list(range(n, n + out_count)))
         plan.append((_tuple_getter([p - 1 for p in positions]), _tuple_getter(layout)))
@@ -443,18 +464,118 @@ def _staged_plan(legs: int, shape: tuple) -> tuple[tuple, int]:
     return tuple(plan), n
 
 
-def _push(plan, tables, state):
-    """Run one basis tuple through a plan of function tables.
+# CPython refuses more than 20 statically nested blocks; a kernel never
+# opens more loops than this, whatever its leg count.
+_MAX_LOOPS = 12
 
-    ``tables[i]`` maps the inputs read by step i to its outputs.  Returns
-    the final state, or None when a table has no entry for its inputs.
+
+def _tuple_source(names) -> str:
+    return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"  # "()" when empty
+
+
+def _kernel_source(legs: int, sides: tuple) -> str:
+    """Python source of the loop-nest kernel of staged placements.
+
+    ``sides`` holds one shape (contract mode) or two (compare mode).  Leg
+    j of the column is the loop variable ``c<j>``, bound in product order
+    (first leg slowest); each map output is a fresh variable ``v<i>``, so
+    the slot rule of :func:`replace_slots` is applied to variable names
+    here, once, and no state tuple exists at run time.  Step ``s`` looks
+    its inputs up in ``T<s>`` inside the outermost loop that binds all of
+    them, so its work is shared by every column of the inner loops.  Runs
+    of legs with no lookup between them share one ``product`` loop, and
+    the outermost loop boundaries are merged until at most ``_MAX_LOOPS``
+    remain.
+
+    Contract mode writes ``sink[(final legs, column)] = one`` for every
+    column whose lookups all hit (``T<s>`` are ``dict.get``; a miss skips
+    the whole block of columns under that loop).  Compare mode runs both
+    sides on total tables (``T<s>`` are dicts) and returns the first
+    ``(column, lhs, rhs)`` in product order whose final legs differ, or
+    None.
+
+    The source is made only of generated names; tables and domains are
+    arguments of the kernel, never part of the text.
     """
-    for (read, write), table in zip(plan, tables):
-        out = table.get(read(state))
-        if out is None:
-            return None
-        state = write(state + out)
-    return state
+    finals = [_check_shape(legs, shape) for shape in sides]
+    compare = len(sides) == 2
+    if compare and finals[0] != finals[1]:
+        raise ShapeError(f"sides end on {finals[0]} and {finals[1]} legs")
+    columns = [f"c{j}" for j in range(legs)]
+    # The level of a variable is the last leg its value depends on (-1: none).
+    level = {c: j for j, c in enumerate(columns)}
+    lookups, states = [], []
+    for shape in sides:
+        state = columns
+        for positions, out_count in shape:
+            ins = [state[p - 1] for p in positions]
+            outs = [f"v{len(level) + i}" for i in range(out_count)]
+            step_level = max((level[v] for v in ins), default=-1)
+            level.update(dict.fromkeys(outs, step_level))
+            lookups.append((step_level, ins, outs))
+            state = replace_slots(state, positions, outs)
+        states.append(state)
+
+    # Loop boundaries: the last leg, and every leg that completes a lookup's inputs.
+    ends = sorted({lvl for lvl, _, _ in lookups if lvl >= 0} | ({legs - 1} if legs else set()))
+    ends = ends[-_MAX_LOOPS:]
+    placed: dict[int, list] = {}
+    for s, (lvl, ins, outs) in enumerate(lookups):
+        placed.setdefault(bisect_left(ends, lvl) if lvl >= 0 else -1, []).append((s, ins, outs))
+    head = "domains" if compare else "domains, sink, one"
+    lines = [f"def kernel({', '.join([head] + [f'T{s}' for s in range(len(lookups))])}):"]
+    if legs:
+        lines.append(f"    {', '.join(f'R{j}' for j in range(legs))}, = domains")
+
+    def emit_lookups(loop):
+        pad = "    " * (loop + 2)
+        for s, ins, outs in placed.get(loop, ()):
+            key = _tuple_source(ins)
+            target = f"{', '.join(outs)}, = " if outs else ""
+            if compare:
+                lines.append(f"{pad}{target}T{s}[{key}]")
+            else:
+                lines.append(f"{pad}o = T{s}({key})")
+                lines.append(f"{pad}if o is None:")
+                lines.append(f"{pad}    {'continue' if loop >= 0 else 'return'}")
+                if outs:
+                    lines.append(f"{pad}{target}o")
+
+    emit_lookups(-1)
+    start = 0
+    for loop, end in enumerate(ends):
+        pad = "    " * (loop + 1)
+        if end == start:
+            lines.append(f"{pad}for c{start} in R{start}:")
+        else:
+            bound = ", ".join(columns[start : end + 1])
+            domains = ", ".join(f"R{j}" for j in range(start, end + 1))
+            lines.append(f"{pad}for {bound} in product({domains}):")
+        emit_lookups(loop)
+        start = end + 1
+    pad = "    " * (len(ends) + 1)
+    column = _tuple_source(columns)
+    if not compare:
+        final = _tuple_source(states[0])
+        lines.append(f"{pad}sink[({final}, {column})] = one")
+    else:
+        lhs, rhs = (_tuple_source(state) for state in states)
+        differ = [(a, b) for a, b in zip(*states) if a != b]
+        if differ:
+            left, right = (_tuple_source([pair[i] for pair in differ]) for i in (0, 1))
+            lines.append(f"{pad}if {left} != {right}:")
+            lines.append(f"{pad}    return {column}, {lhs}, {rhs}")
+        else:
+            lines.append(f"{pad}pass")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=256)
+def _staged_kernel(legs: int, sides: tuple):
+    """The compiled kernel of :func:`_kernel_source`, built once per shape."""
+    namespace = {"product": product}
+    exec(compile(_kernel_source(legs, sides), "<staged kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _function_table(f: Tensor):
@@ -475,14 +596,17 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL) -> Te
     ``steps`` lists ``(f, positions)`` in application order.  Map leg i of
     ``f`` reads the current leg ``positions[i]`` (1-based, in any order);
     the outputs land in the sorted consumed slots by the rule of
-    :func:`replace_slots`.  Each basis column is pushed through the
-    compiled plan of the steps, so no placed factor is ever built; the
-    result equals composing the placed factors one after another.
+    :func:`replace_slots`.  No placed factor is ever built; the result
+    equals composing the placed factors one after another.
 
-    When every map is a basis function on the columns it has, each
-    column follows one state through per-map lookup tables with no ring
-    arithmetic, and a column reaching a missing input is dropped.  Other
-    maps push each column as a sparse vector.
+    When every map is a basis function on the columns it has, the steps
+    run as a generated loop nest over the columns in product order, with
+    every leg a local variable and each map's lookup table read in the
+    outermost loop that binds its inputs, so one lookup serves a whole
+    block of columns and a missing input drops that block.  Runs of legs
+    without a lookup share one loop and the nest depth is capped, so any
+    leg count compiles.  Other maps push each column through a plan of
+    tuple getters as a sparse vector.
     """
     if d < 1 or legs < 0:
         raise ShapeError("dim must be >= 1 and leg counts >= 0")
@@ -495,21 +619,20 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL) -> Te
             raise ShapeError(f"gather positions {positions} must be {f.in_legs} distinct legs")
         maps.append(f)
         shape.append((positions, f.out_legs))
+    shape = tuple(shape)
+    n = _check_shape(legs, shape)
     if not maps:
         # Validated, so a float tolerance >= 1 drops the entries, as for
         # any zero-valued result.
         return identity_tensor(d, legs, ring)
-    plan, n = _staged_plan(legs, tuple(shape))
     entries: dict[EntryKey, object] = {}
     by_map = {id(f): _function_table(f) for f in maps}
     # A float tolerance >= 1 makes one a zero, which the sparse path drops.
     if None not in by_map.values() and not ring.is_zero(ring.one):
-        tables = [by_map[id(f)] for f in maps]
-        for column in product(range(d), repeat=legs):
-            state = _push(plan, tables, column)
-            if state is not None:
-                entries[(state, column)] = ring.one
+        kernel = _staged_kernel(legs, (shape,))
+        kernel((range(d),) * legs, entries, ring.one, *(by_map[id(f)].get for f in maps))
         return Tensor._trusted(d, legs, n, entries, ring)
+    plan, _ = _staged_plan(legs, shape)
     by_ins = []
     for f in maps:
         by_in: dict[Digits, list] = {}

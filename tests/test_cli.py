@@ -1,8 +1,12 @@
 """CLI behaviour: command output, exit codes, and file round trips."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polysimplex import construct
 from polysimplex.cli import build_catalog, main
@@ -180,6 +184,15 @@ class TestSetCommands:
         code, out, _ = run(capsys, "set-verify", "--family", "polygon", "--n", "5", "--map", str(path))
         assert code == 0 and "holds" in out
 
+    @pytest.mark.parametrize("family", ["polygon", "dual-polygon"])
+    def test_set_verify_past_the_block_limit(self, capsys, tmp_path, family):
+        # The 15-gon has 28 free legs, more loops than CPython nests statically.
+        fmap = FiniteMap.from_callable(1, 7, 7, lambda a: a)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(fmap.to_json_dict()))
+        code, out, err = run(capsys, "set-verify", "--family", family, "--n", "15", "--map", str(path))
+        assert code == 0 and out.endswith("15-gon: holds\n") and err == ""
+
     def test_set_enumerate_counts(self, capsys):
         code, out, _ = run(capsys, "set-enumerate", "--family", "polygon", "--n", "3", "--base", "2")
         assert code == 0
@@ -322,3 +335,97 @@ class TestScalarContextEnv:
         monkeypatch.setenv("POLYSIMPLEX_SCALAR", "gfp:6")
         code, _, _ = run(capsys, "demo", "--group", "z2")
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Well-formed, malformed and unreadable input files for the CLI fuzz test."""
+    root = tmp_path_factory.mktemp("fuzz")
+    t_desc, s_desc = hopf_pentagon_pair(group_algebra(cyclic_group(2)))
+    tensor = t_desc.tensor.to_json_dict()
+    documents = {
+        "tensor": tensor,
+        "tensor2": s_desc.tensor.to_json_dict(),
+        "descriptor": t_desc.to_json_dict(),
+        "map": FiniteMap.from_callable(2, 1, 1, lambda a: a).to_json_dict(),
+        "list": [1, 2],
+        "number": 3,
+        "empty": {},
+        "bad-entries": dict(tensor, entries=[[1]]),
+        "entries-not-list": dict(tensor, entries=5),
+        "dim-is-text": dict(tensor, dim="2"),
+        "bad-ring": dict(tensor, scalar="gfp:x"),
+        "map-table-list": {"base": 2, "in": 1, "out": 1, "table": [1]},
+        "map-base-text": {"base": "2", "in": 1, "out": 1, "table": {}},
+        "group-table-number": {"table": 3},
+        "descriptor-tensor-number": {"tensor": 1},
+    }
+    paths = []
+    for name, data in documents.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    (root / "junk.json").write_text("{not json")
+    (root / "binary.json").write_bytes(b"\xff\xfe\x00\x81")
+    (root / "out").mkdir()
+    paths += [str(root / "junk.json"), str(root / "binary.json"), str(root), str(root / "missing.json")]
+    return paths, [str(root / "out" / "written.json"), str(root)]
+
+
+COMMANDS = {
+    "gen-eq": ("--family", "--n", "--format"),
+    "compile": ("--family", "--n", "--emit"),
+    "verify": ("--family", "--n", "--tensor", "--tensor2", "--tolerance", "--report"),
+    "set-verify": ("--family", "--n", "--map", "--report"),
+    "set-enumerate": ("--family", "--n", "--base", "--format"),
+    "construct": ("--recipe", "--group", "--input", "--input2", "--params", "--out", "--no-verify"),
+    "demo": ("--group", "--out", "--report"),
+    "catalog": ("--max-n", "--format"),
+    "frobnicate": (),
+}
+RECIPES = [
+    "hopf-pentagon-pair", "bialgebra-tower", "multi-bialgebra-tower", "hopf-mixed-pair-antipode",
+    "higher-mixed-pair", "yang-baxter", "invert-to-dual", "conjugate", "bar-sigma-conjugate",
+    "trace-descend", "trace-descend-mixed", "stack", "simplex-from-mixed", "frobnicate",
+]
+
+
+@st.composite
+def fuzz_argv(draw, paths, outputs):
+    """A subcommand with mostly its own flags, small orders and bases only
+    (base-3 5-gon enumeration and the v4 demo are not desk scale)."""
+    values = {
+        "--family": st.sampled_from(["polygon", "dual-polygon", "simplex", "mixed", "commutes", "relations", "x"]),
+        "--n": st.sampled_from(["-1", "0", "2", "3", "4", "5", "x"]),
+        "--format": st.sampled_from(["text", "json", "x"]),
+        "--emit": st.sampled_from(["program", "placements", "dot", "x"]),
+        "--tolerance": st.sampled_from(["0", "-1", "1e-9", "nan", "x"]),
+        "--base": st.sampled_from(["-1", "0", "1", "2", "x"]),
+        "--recipe": st.sampled_from(RECIPES),
+        "--group": st.sampled_from(["z1", "z2", "s2", "z0", "s0", "x"] + paths),
+        "--params": st.sampled_from(["{}", "[1]", "x", '{"n": 4}', '{"k": 1}', '{"n": "x"}', '{"k": 0}',
+                                     '{"mode": "x"}', '{"groups": ["z2"]}', '{"groups": "z2"}', '{"side": "x"}']),
+        "--max-n": st.sampled_from(["-1", "2", "5", "13", "x"]),
+        "--no-verify": st.none(),
+        **{flag: st.sampled_from(paths) for flag in ("--tensor", "--tensor2", "--map", "--input", "--input2")},
+        **{flag: st.sampled_from(outputs) for flag in ("--report", "--out")},
+    }
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = draw(st.lists(st.sampled_from(COMMANDS[command] or ("--n",)), unique=True))
+    flags += draw(st.lists(st.sampled_from(sorted(values)), max_size=1))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        value = draw(values[flag])
+        if value is not None:
+            argv.append(value)
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_a_contract_code(fuzz_files, data):
+    argv = data.draw(fuzz_argv(*fuzz_files))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -25,7 +25,7 @@ from polysimplex.setmaps import (
     lift_odd_to_even,
     lift_odd_to_even_pinned,
 )
-from polysimplex.tensor import ShapeError
+from polysimplex.tensor import ShapeError, _staged_kernel
 from polysimplex.verify import PreconditionFailed, check_polygon, polygon_signature
 
 
@@ -119,6 +119,82 @@ class TestSetOracle:
         for values in product(range(3), repeat=3):
             assert apply_staged(fmap, gathers, values) == apply_gathers(fmap, gathers, values)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_apply_staged_on_random_programs(self, data):
+        fmap = data.draw(finite_map())
+        legs = data.draw(st.integers(max(fmap.in_arity, 1), 5))
+        values = data.draw(st.tuples(*[st.integers(0, fmap.base - 1)] * legs))
+        gathers = data.draw(gather_sequence(fmap, legs, data.draw(st.integers(0, 3))))
+        assert apply_staged(fmap, gathers, values) == apply_gathers(fmap, gathers, values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_compare_kernel_finds_first_failure(self, data):
+        """Two random staged sides of one map: the first tuple in product
+        order whose sides differ, as the per-tuple slot rule finds it."""
+        fmap = data.draw(finite_map())
+        legs = data.draw(st.integers(max(fmap.in_arity, 1), 4))
+        # Equal step counts, so that both sides end on the same leg count.
+        count = data.draw(st.integers(0, 3))
+        lhs, rhs = (data.draw(gather_sequence(fmap, legs, count)) for _ in range(2))
+        expect = None
+        for values in product(range(fmap.base), repeat=legs):
+            sides = apply_gathers(fmap, lhs, values), apply_gathers(fmap, rhs, values)
+            if sides[0] != sides[1]:
+                expect = (values, *sides)
+                break
+        shapes = tuple(tuple((gather, fmap.out_arity) for gather in side) for side in (lhs, rhs))
+        table = dict(zip(product(range(fmap.base), repeat=fmap.in_arity), fmap.table))
+        kernel = _staged_kernel(legs, shapes)
+        assert kernel((range(fmap.base),) * legs, *(table,) * (len(lhs) + len(rhs))) == expect
+
+    @pytest.mark.parametrize("n, dual", [(13, False), (15, True)])
+    def test_past_the_block_limit_base_one(self, n, dual):
+        """21 and 28 free legs: more loops than CPython nests statically."""
+        k, l = polygon_signature(n, dual)
+        fmap = FiniteMap.from_callable(1, k, l, lambda a: (0,) * l)
+        report = check_polygon_set(fmap, n, dual)
+        assert (report.holds, report.witness) == set_check(fmap, n, dual) == (True, None)
+
+    def test_past_the_block_limit_failing_witness(self):
+        rng = random.Random(13)
+        k, l = polygon_signature(13, False)
+        fmap = FiniteMap.from_callable(2, k, l, lambda a: tuple(rng.randrange(2) for _ in range(l)))
+        report = check_polygon_set(fmap, 13)
+        assert not report.holds
+        assert (report.holds, report.witness) == set_check(fmap, 13)
+
+
+@st.composite
+def finite_map(draw):
+    base = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    l = k + draw(st.sampled_from([-1, 0, 1]))
+    rows = st.tuples(*[st.integers(0, base - 1)] * l)
+    return FiniteMap(base, k, l, tuple(draw(st.lists(rows, min_size=base**k, max_size=base**k))))
+
+
+@st.composite
+def gather_sequence(draw, fmap, legs, count):
+    """Up to ``count`` unsorted gathers of fmap, each valid on the legs left."""
+    gathers = []
+    for _ in range(count):
+        if legs < fmap.in_arity:
+            break
+        gathers.append(tuple(draw(st.permutations(range(1, legs + 1)))[: fmap.in_arity]))
+        legs += fmap.out_arity - fmap.in_arity
+    return gathers
+
+
+class TestTrustedFiniteMap:
+    @settings(max_examples=100, deadline=None)
+    @given(finite_map())
+    def test_equals_validated_construction(self, fmap):
+        trusted = FiniteMap._trusted(fmap.base, fmap.in_arity, fmap.out_arity, fmap.table)
+        assert trusted == fmap and hash(trusted) == hash(fmap)
+        assert trusted.to_json_dict() == fmap.to_json_dict()
+
 
 class TestEnumeration:
     def test_three_gon_solutions_are_idempotents(self):
@@ -143,6 +219,9 @@ class TestEnumeration:
             enumerate_set_solutions(5, 4)
         with pytest.raises(ShapeError):
             enumerate_set_solutions(7, 2)
+        for base in (0, -1):
+            with pytest.raises(ShapeError):
+                enumerate_set_solutions(4, base)
 
 
 class TestLifts:

@@ -6,8 +6,12 @@ is re-done as the literal sweep composite
 tau_(1,b1)^-1 ... (F (x) id) ... tau_(1,a1).
 """
 
+import keyword
 import math
+import re
+import tokenize
 from fractions import Fraction
+from io import StringIO
 from itertools import combinations, product
 from unittest import mock
 
@@ -23,7 +27,8 @@ from oracle import (
     sparse_tensor,
     staged,
 )
-from polysimplex.rings import F64, FloatRing, RingError, prime_field
+from polysimplex import tensor as tensor_module
+from polysimplex.rings import F64, RATIONAL, FloatRing, RingError, prime_field
 from polysimplex.tensor import (
     LegPermutation,
     NotInvertible,
@@ -49,6 +54,7 @@ from polysimplex.tensor import (
     sweep_inverse,
     tensor_product,
 )
+from polysimplex.tensor import _MAX_LOOPS, _kernel_source
 
 
 def dense_matmul(a, b):
@@ -326,6 +332,100 @@ class TestContractStaged:
     def test_map_from_other_ring_rejected(self):
         with pytest.raises(ShapeError):
             contract_staged([(Z2_T, (1, 2))], 2, 2, F64)
+
+
+@st.composite
+def hoisted_program(draw):
+    """A program whose first map reads only leading legs and misses some of
+    its input columns, so the kernel drops whole blocks of columns at an
+    outer loop; random steps follow."""
+    ring = draw(st.sampled_from(RINGS))
+    d = draw(st.sampled_from((2, 3)))
+    start = draw(st.integers(2, 5))
+    k = draw(st.integers(1, min(start - 1, 2)))
+    l = k + draw(st.sampled_from([-1, 0, 1]))
+    columns = list(product(range(d), repeat=k))
+    present = draw(st.lists(st.sampled_from(columns), max_size=len(columns) - 1, unique=True))
+    outs = st.tuples(*[st.integers(0, d - 1)] * l)
+    first = Tensor(d, k, l, {(draw(outs), inp): ring.one for inp in present}, ring)
+    steps = [(first, tuple(draw(st.permutations(range(1, k + 1)))))]
+    legs = start + l - k
+    for _ in range(draw(st.integers(0, 2))):
+        k2 = draw(st.integers(1, min(legs, 2)))
+        l2 = k2 + draw(st.sampled_from([-1, 0, 1]))
+        positions = draw(st.permutations(range(1, legs + 1)))[:k2]
+        steps.append((draw(partial_function_tensor(ring, d, k2, l2)), tuple(positions)))
+        legs += l2 - k2
+        if legs == 0:
+            break
+    return steps, start, d, ring
+
+
+def kernel_shape(steps):
+    return tuple((positions, f.out_legs) for f, positions in steps)
+
+
+class TestStagedKernel:
+    """The generated loop nest of the function path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hoisted_program())
+    def test_miss_at_hoisted_lookup_matches_oracle(self, program):
+        steps, legs, d, ring = program
+        source = _kernel_source(legs, (kernel_shape(steps),)).splitlines()
+        loops = [i for i, line in enumerate(source) if line.lstrip().startswith("for ")]
+        first_lookup = next(i for i, line in enumerate(source) if "T0(" in line)
+        assert first_lookup < loops[-1]
+        got = contract_staged(steps, legs, d, ring)
+        assert got.to_json_dict() == staged(steps, legs, d, ring).to_json_dict()
+
+    @pytest.mark.parametrize("present", [True, False])
+    @pytest.mark.parametrize("legs", [0, 2])
+    def test_lookup_without_inputs_matches_oracle(self, legs, present):
+        # A 0 -> 0 map is looked up before any loop; a miss empties the result.
+        f = Tensor(2, 0, 0, {((), ()): 1} if present else {})
+        steps = [(f, ()), (Z2_T, (2, 1))] if legs else [(f, ())]
+        expect = staged(steps, legs, 2, RATIONAL)
+        assert contract_staged(steps, legs, 2, RATIONAL).to_json_dict() == expect.to_json_dict()
+
+    @pytest.mark.parametrize("d, legs", [(1, 30), (2, 14)])
+    def test_loop_depth_capped(self, d, legs):
+        # Step j reads leg j alone, so every leg ends a lookup's inputs.
+        f = from_function(d, 1, 1, lambda x: ((x[0] + 1) % d,))
+        steps = [(f, (j,)) for j in range(1, legs + 1)]
+        source = _kernel_source(legs, (kernel_shape(steps),))
+        assert 1 < sum(line.lstrip().startswith("for ") for line in source.splitlines()) <= _MAX_LOOPS
+        # Each leg is mapped once: the product map, in closed form.
+        expect = from_function(d, legs, legs, lambda col: tuple((x + 1) % d for x in col))
+        assert contract_staged(steps, legs, d, RATIONAL).to_json_dict() == expect.to_json_dict()
+
+    @pytest.mark.parametrize("position", ["1", 1.0, True, None, (1,)])
+    def test_non_integer_gather_rejected_before_generation(self, position):
+        with pytest.raises(ShapeError):
+            _kernel_source(3, ((((position, 2), 2),),))
+        with mock.patch.object(tensor_module, "_kernel_source", side_effect=AssertionError("generated")):
+            with pytest.raises(ShapeError):
+                contract_staged([(Z2_T, (position, 2))], 3, 2)
+
+    def test_non_integer_counts_rejected(self):
+        for legs, out_count in (("3", 2), (3, "2"), (-1, 2)):
+            with pytest.raises(ShapeError):
+                _kernel_source(legs, ((((1, 2), out_count),),))
+
+    @pytest.mark.parametrize("compare", [False, True])
+    def test_source_holds_only_generated_names(self, compare):
+        shape = (((2, 1), 3), ((1, 3, 4), 3), ((4,), 0))
+        sides = (shape, (((3, 4), 2), ((1, 2, 3), 3))) if compare else (shape,)
+        source = _kernel_source(5, sides)
+        allowed = {"kernel", "domains", "sink", "one", "product", "o", "None"}
+        generated = re.compile(r"[cvRT][0-9]+")
+        kinds = {tokenize.NAME, tokenize.OP, tokenize.NEWLINE, tokenize.NL,
+                 tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+        for token in tokenize.generate_tokens(StringIO(source).readline):
+            assert token.type in kinds, token
+            if token.type == tokenize.NAME:
+                assert (keyword.iskeyword(token.string) or token.string in allowed
+                        or generated.fullmatch(token.string)), token.string
 
 
 class TestTrustedConstruction:

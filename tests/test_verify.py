@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from polysimplex.tensor import ShapeError, flip, from_function, identity_tensor
+from polysimplex.tensor import ShapeError, Tensor, flip, from_function, identity_tensor
 from polysimplex.verify import (
     RELATIONS_1_6,
     VerificationReport,
@@ -289,3 +289,17 @@ class TestWitnessContract:
     def test_reports_match_oracle_sides(self, ring, data):
         got, expect = data.draw(equation_case(ring))
         assert got.to_json_dict() == expect.to_json_dict()
+
+    @pytest.mark.parametrize("value", [None, 1, 2], ids=["zero", "function", "scaled"])
+    @pytest.mark.parametrize("family, n", [("polygon", 13), ("simplex", 6)])
+    def test_past_the_block_limit_on_one_dimension(self, family, n, value):
+        """21 free legs at d = 1: more loops than CPython nests statically."""
+        k, l = polygon_signature(n, False) if family == "polygon" else (n, n)
+        entries = {} if value is None else {((0,) * l, (0,) * k): value}
+        t = Tensor(1, k, l, entries)
+        if family == "polygon":
+            got, sides = check_polygon(t, n), oracle.polygon_sides(t, n)
+        else:
+            got, sides = check_simplex(t, n), oracle.simplex_sides(t, n)
+        assert oracle.start_legs(family, n) == 21
+        assert got.to_json_dict() == compare_sides(got.equation, *sides).to_json_dict()
