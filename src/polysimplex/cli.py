@@ -54,6 +54,7 @@ from .verify import (
     check_polygon,
     check_relations_1_6,
     check_simplex,
+    polygon_signature,
 )
 
 USAGE_ERROR = 2
@@ -119,6 +120,21 @@ def emit_report(report: VerificationReport, path: str | None) -> None:
 # Every family prints on the order of n^2 index entries, about 10 MB of
 # text for the 1000-simplex; larger orders would need gigabytes.
 GEN_EQ_MAX_N = 1000
+
+# Columns (tensor basis columns, or value tuples of a set map) a check may
+# run through both sides of its equation: the base-2 13-gon (2^21) takes
+# about 5 s, and every order of magnitude more is minutes to years.
+MAX_COLUMNS = 2**22
+
+
+def require_columns(dim: int, program) -> None:
+    """Refuse a check on ``dim ** free legs`` columns above the cap."""
+    columns = dim ** len(program.free_inputs)
+    if columns > MAX_COLUMNS:
+        raise UsageError(
+            f"the check runs {dim}^{len(program.free_inputs)} = {columns} columns, "
+            f"over the cap of {MAX_COLUMNS}"
+        )
 
 
 def cmd_gen_eq(args) -> int:
@@ -215,12 +231,22 @@ def cmd_verify(args) -> int:
         if second is not None:
             second = _with_tolerance(second, args.tolerance)
     if args.family in ("polygon", "dual-polygon"):
-        report = check_polygon(first, args.n, dual=args.family == "dual-polygon")
+        dual = args.family == "dual-polygon"
+        if (first.in_legs, first.out_legs) == polygon_signature(args.n, dual):
+            require_columns(first.dim, compile_polygon(args.n, dual)[0])
+        report = check_polygon(first, args.n, dual)
     elif args.family == "simplex":
+        if (first.in_legs, first.out_legs) == (args.n, args.n):
+            require_columns(first.dim, compile_simplex(args.n)[0])
         report = check_simplex(first, args.n)
     elif args.family == "mixed":
         if second is None:
             raise UsageError("mixed verification needs --tensor2 for the dual solution")
+        if ((first.in_legs, first.out_legs), (second.in_legs, second.out_legs)) == (
+            polygon_signature(args.n, False),
+            polygon_signature(args.n, True),
+        ):
+            require_columns(first.dim, compile_mixed(args.n)[0])
         report = check_mixed(first, second, args.n)
     elif args.family == "commutes":
         if second is None:
@@ -242,6 +268,8 @@ def cmd_verify(args) -> int:
 def cmd_set_verify(args) -> int:
     fmap = read_json(args.map, FiniteMap.from_json_dict, "finite map")
     dual = args.family == "dual-polygon"
+    if (fmap.in_arity, fmap.out_arity) == polygon_signature(args.n, dual):
+        require_columns(fmap.base, compile_polygon(args.n, dual)[0])
     report = check_polygon_set(fmap, args.n, dual)
     emit_report(report, args.report)
     print(f"{report.equation}: {'holds' if report.holds else 'FAILS'}")
@@ -360,11 +388,8 @@ def _basis_action_lines(name: str, t: Tensor) -> list[str]:
 def cmd_demo(args) -> int:
     ring = default_ring()
     group = load_group(args.group)
-    if group.order > 4:
-        raise UsageError(
-            "demo runs a 4-simplex check on V^(x)10; groups of order > 4 "
-            "exceed desk scale"
-        )
+    # The 4-simplex check on V^(x)10 is the widest; orders above 4 exceed the cap.
+    require_columns(group.order, compile_simplex(4)[0])
     h = group_algebra(group, ring)
     lines: list[str] = [f"pipeline over k[G] with |G| = {group.order}", ""]
     axioms = check_axioms(h)

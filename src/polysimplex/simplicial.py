@@ -10,9 +10,11 @@ d(0,1), d(0,2), ..., d(n-1,n)).  Free outputs keep the order the staged
 placements produce; both sides of an equation always agree on it.
 
 The compiled programs are what the checks in :mod:`polysimplex.verify`
-evaluate: :func:`evaluate_program` hands their gather positions to
-:func:`polysimplex.tensor.contract_staged`, and the set-theoretic checks
-run the same gathers through the evaluator's compiled plan.  The closed-form index
+evaluate: :func:`_program_steps` pairs their gather positions with the
+maps, which the checks run through the compare-mode kernel or
+:func:`polysimplex.tensor.contract_staged` (as :func:`evaluate_program`
+does), and the set-theoretic checks run the same gathers through the
+evaluator's kernel generator.  The closed-form index
 matrices are tied to these programs by the cross-generator tests.  This
 module is the only generator of the even-gon mixed relation, which has no
 closed-form index recursion.
@@ -326,17 +328,12 @@ def program_to_dot(program: ContractionProgram, name: str = "side") -> str:
     return "\n".join(lines)
 
 
-def evaluate_program(
-    program: ContractionProgram,
-    maps,
-    d: int,
-    ring: ScalarRing = RATIONAL,
-) -> Tensor:
-    """Contract one side into a single tensor.
+def _program_steps(program: ContractionProgram, maps) -> list:
+    """The ``(map, gather positions)`` steps of one validated side.
 
     ``maps`` is either a dict keyed by tag ('T', 'S', 'R'; constant
     solutions) or a callable ``(tag, face) -> Tensor`` for non-constant
-    families.
+    families; each map must have the signature of its step.
     """
     program.validate()
     steps = []
@@ -349,4 +346,15 @@ def evaluate_program(
                 f"{len(step.inputs)}->{len(step.outputs)}"
             )
         steps.append((f, positions))
-    return contract_staged(steps, len(program.free_inputs), d, ring)
+    return steps
+
+
+def evaluate_program(
+    program: ContractionProgram,
+    maps,
+    d: int,
+    ring: ScalarRing = RATIONAL,
+) -> Tensor:
+    """Contract one side into a single tensor (``maps`` as for
+    :func:`_program_steps`)."""
+    return contract_staged(_program_steps(program, maps), len(program.free_inputs), d, ring)

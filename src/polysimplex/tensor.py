@@ -22,9 +22,13 @@ rule of :func:`replace_slots`.  No placed factor is ever materialized.
 When every map is a basis function (each column it has holds one entry,
 equal to one), the steps run as a generated loop-nest kernel with no
 ring arithmetic, each lookup hoisted to the outermost loop that binds
-its inputs; the set-theoretic checks run the same generator, comparing
-both sides in one nest.  Other maps push sparse vectors through a plan
-of tuple getters.
+its inputs.  Other maps push sparse vectors through a plan of tuple
+getters.  The same generator has a compare mode, which runs both sides
+of an equation in one nest on total tables and returns the first column
+whose sides differ: the set-theoretic checks use it, and so do the
+tensor checks of :mod:`polysimplex.verify`, which decide a holding
+equation on total basis functions without building either side and
+fall back to :func:`contract_staged` and :func:`deviation` otherwise.
 
 Validation sits at the trust boundary: ``Tensor(...)``, JSON input and
 :func:`from_function` check every key and coerce every value, while the
@@ -590,6 +594,27 @@ def _function_table(f: Tensor):
     return table
 
 
+def _check_steps(steps, legs: int, d: int, ring: ScalarRing) -> tuple[list, tuple, int]:
+    """Validate ``(f, positions)`` steps on V^(x)legs over ``d`` and ``ring``.
+
+    Returns the maps, the shape (``(gather positions, output count)`` per
+    step) and the final leg count; every staged evaluation runs this first.
+    """
+    if d < 1 or legs < 0:
+        raise ShapeError("dim must be >= 1 and leg counts >= 0")
+    maps, shape = [], []
+    for f, positions in steps:
+        positions = tuple(positions)
+        if f.dim != d or f.ring != ring:
+            raise ShapeError("map dimension/ring does not match the staged evaluation")
+        if len(positions) != f.in_legs:
+            raise ShapeError(f"gather positions {positions} must be {f.in_legs} distinct legs")
+        maps.append(f)
+        shape.append((positions, f.out_legs))
+    shape = tuple(shape)
+    return maps, shape, _check_shape(legs, shape)
+
+
 def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL) -> Tensor:
     """Compose staged placements on V^(x)legs into one tensor.
 
@@ -608,19 +633,7 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL) -> Te
     leg count compiles.  Other maps push each column through a plan of
     tuple getters as a sparse vector.
     """
-    if d < 1 or legs < 0:
-        raise ShapeError("dim must be >= 1 and leg counts >= 0")
-    maps, shape = [], []
-    for f, positions in steps:
-        positions = tuple(positions)
-        if f.dim != d or f.ring != ring:
-            raise ShapeError("map dimension/ring does not match the staged evaluation")
-        if len(positions) != f.in_legs:
-            raise ShapeError(f"gather positions {positions} must be {f.in_legs} distinct legs")
-        maps.append(f)
-        shape.append((positions, f.out_legs))
-    shape = tuple(shape)
-    n = _check_shape(legs, shape)
+    maps, shape, n = _check_steps(steps, legs, d, ring)
     if not maps:
         # Validated, so a float tolerance >= 1 drops the entries, as for
         # any zero-valued result.

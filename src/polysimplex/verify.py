@@ -1,11 +1,14 @@
 """Decision procedures for every equation family.
 
 The polygon, simplex and mixed checks take both sides of their equation
-from the simplicial compiler and contract each with
-:func:`polysimplex.tensor.contract_staged`, through
-:func:`polysimplex.simplicial.evaluate_program`; the relations (1)-(6)
-are fixed placement words fed to the same evaluator.  The two side
-tensors are compared entrywise, reporting the largest deviation at the
+from the simplicial compiler as staged ``(map, gather positions)`` steps;
+the relations (1)-(6) are fixed placement words.  When every map is a
+total basis function, both sides run in one compare-mode loop-nest
+kernel (:func:`polysimplex.tensor._staged_kernel`) and a holding
+equation is decided without building either side.  Otherwise, and on
+any difference found, each side is contracted by
+:func:`polysimplex.tensor.contract_staged` and the two tensors are
+compared entrywise, reporting the largest deviation at the
 lexicographically first key as a witness.  Exact rings decide equality
 exactly; the float ring compares within its global absolute tolerance.
 """
@@ -16,11 +19,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .indices import mixed_sequences
-from .simplicial import compile_mixed, compile_polygon, compile_simplex, evaluate_program, flatten
+from .simplicial import _program_steps, compile_mixed, compile_polygon, compile_simplex, flatten
 from .tensor import (
     LegPermutation,
     ShapeError,
     Tensor,
+    _check_steps,
+    _function_table,
+    _staged_kernel,
     compose,
     contract_staged,
     deviation,
@@ -78,6 +84,40 @@ def compare_sides(equation: str, lhs: Tensor, rhs: Tensor) -> VerificationReport
     return VerificationReport(equation, False, mag, lhs.shape, rhs.shape, witness)
 
 
+def _check_sides(equation: str, sides, legs: int, d: int, ring) -> VerificationReport:
+    """Compare two staged sides on V^(x)legs, each a list of ``(map, positions)`` steps.
+
+    When every map is a total basis function (``d**in_legs`` columns, each
+    one entry equal to one, and one is not a zero of the ring), both sides
+    run in one compare-mode kernel pass and a holding equation is decided
+    without building either side.  Otherwise, and whenever that pass finds
+    a difference, both sides are contracted and compared entrywise: the
+    witness is the largest deviation at the lexicographically first key,
+    which the first differing column in product order need not be.
+    """
+    (lhs_maps, lhs_shape, n), (rhs_maps, rhs_shape, rhs_n) = (
+        _check_steps(steps, legs, d, ring) for steps in sides
+    )
+    maps = lhs_maps + rhs_maps
+    tables = {id(f): _function_table(f) for f in maps}
+    if (
+        n == rhs_n
+        and not ring.is_zero(ring.one)
+        and all(tables[id(f)] is not None and len(tables[id(f)]) == d**f.in_legs for f in maps)
+    ):
+        kernel = _staged_kernel(legs, (lhs_shape, rhs_shape))
+        if kernel((range(d),) * legs, *(tables[id(f)] for f in maps)) is None:
+            return VerificationReport(equation, True, 0, (d, legs, n), (d, legs, n))
+    lhs, rhs = (contract_staged(steps, legs, d, ring) for steps in sides)
+    return compare_sides(equation, lhs, rhs)
+
+
+def _check_programs(equation: str, programs, maps, d: int, ring) -> VerificationReport:
+    """:func:`_check_sides` on the two compiled sides of an equation."""
+    sides = [_program_steps(side, maps) for side in programs]
+    return _check_sides(equation, sides, len(programs[0].free_inputs), d, ring)
+
+
 def polygon_signature(n: int, dual: bool) -> tuple[int, int]:
     """(in_legs, out_legs) demanded of a (dual) n-gon solution."""
     if n < 3:
@@ -97,10 +137,8 @@ def check_polygon(t: Tensor, n: int, dual: bool = False) -> VerificationReport:
             f"{'dual ' if dual else ''}{n}-gon needs signature {want[0]}->{want[1]}, "
             f"got {t.in_legs}->{t.out_legs}"
         )
-    maps = {"S" if dual else "T": t}
-    lhs, rhs = (evaluate_program(side, maps, t.dim, t.ring) for side in compile_polygon(n, dual))
     name = f"dual {n}-gon" if dual else f"{n}-gon"
-    return compare_sides(name, lhs, rhs)
+    return _check_programs(name, compile_polygon(n, dual), {"S" if dual else "T": t}, t.dim, t.ring)
 
 
 def check_simplex(r: Tensor, n: int) -> VerificationReport:
@@ -109,8 +147,7 @@ def check_simplex(r: Tensor, n: int) -> VerificationReport:
         raise ShapeError(
             f"{n}-simplex needs signature {n}->{n}, got {r.in_legs}->{r.out_legs}"
         )
-    lhs, rhs = (evaluate_program(side, {"R": r}, r.dim, r.ring) for side in compile_simplex(n))
-    return compare_sides(f"{n}-simplex", lhs, rhs)
+    return _check_programs(f"{n}-simplex", compile_simplex(n), {"R": r}, r.dim, r.ring)
 
 
 def check_mixed(t: Tensor, s: Tensor, n: int) -> VerificationReport:
@@ -137,9 +174,7 @@ def check_mixed(t: Tensor, s: Tensor, n: int) -> VerificationReport:
             "internal disagreement between index-matrix and compiled "
             f"placements of the {n}-gon mixed relation"
         )
-    maps = {"T": t, "S": s}
-    lhs, rhs = (evaluate_program(side, maps, t.dim, t.ring) for side in programs)
-    return compare_sides(f"{n}-gon mixed relation", lhs, rhs)
+    return _check_programs(f"{n}-gon mixed relation", programs, {"T": t, "S": s}, t.dim, t.ring)
 
 
 def blocks_transpose(d: int, blocks: int, width: int, ring) -> Tensor:
@@ -211,11 +246,8 @@ def check_relations_1_6(t: Tensor, s: Tensor) -> VerificationReport:
     first_failure = None
     worst = 0
     for name, (legs, lhs_seq, rhs_seq) in RELATIONS_1_6.items():
-        lhs, rhs = (
-            contract_staged([(maps[tag], row) for tag, row in reversed(seq)], legs, t.dim, t.ring)
-            for seq in (lhs_seq, rhs_seq)
-        )
-        report = compare_sides(f"relation ({name})", lhs, rhs)
+        sides = [[(maps[tag], row) for tag, row in reversed(seq)] for seq in (lhs_seq, rhs_seq)]
+        report = _check_sides(f"relation ({name})", sides, legs, t.dim, t.ring)
         details[name] = report.holds
         if not report.holds and first_failure is None:
             first_failure = report

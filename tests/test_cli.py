@@ -3,13 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import polysimplex
 from polysimplex import construct
-from polysimplex.cli import build_catalog, main
+from polysimplex.cli import MAX_COLUMNS, build_catalog, main
 from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap
@@ -176,6 +180,16 @@ def test_malformed_input_exits_two(capsys, tmp_path, case):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("family, n, legs", [("polygon", 13, 21), ("simplex", 6, 21), ("mixed", 13, 36)])
+def test_verify_over_the_column_cap_refused(capsys, tmp_path, family, n, legs):
+    path = tmp_path / "t.json"
+    path.write_text(from_function(3, 6, 6, lambda x: x).to_json())
+    argv = ["verify", "--family", family, "--n", str(n), "--tensor", str(path), "--tensor2", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: the check runs 3^{legs} = {3**legs} columns, over the cap of {MAX_COLUMNS}\n"
+
+
 class TestSetCommands:
     def test_set_verify(self, capsys, tmp_path):
         fmap = FiniteMap.from_callable(2, 2, 2, lambda a: (a[0], (a[0] + a[1]) % 2))
@@ -192,6 +206,21 @@ class TestSetCommands:
         path.write_text(json.dumps(fmap.to_json_dict()))
         code, out, err = run(capsys, "set-verify", "--family", family, "--n", "15", "--map", str(path))
         assert code == 0 and out.endswith("15-gon: holds\n") and err == ""
+
+    @pytest.mark.parametrize("family", ["polygon", "dual-polygon"])
+    def test_set_verify_over_the_column_cap_refused(self, capsys, tmp_path, family):
+        fmap = FiniteMap.from_callable(2, 7, 7, lambda a: a)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(fmap.to_json_dict()))
+        code, out, err = run(capsys, "set-verify", "--family", family, "--n", "15", "--map", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: the check runs 2^28 = {2**28} columns, over the cap of {MAX_COLUMNS}\n"
+
+    def test_set_verify_wrong_arity_reported_before_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(FiniteMap.from_callable(2, 2, 2, lambda a: a).to_json_dict()))
+        code, _, err = run(capsys, "set-verify", "--family", "polygon", "--n", "15", "--map", str(path))
+        assert code == 2 and "arity" in err
 
     def test_set_enumerate_counts(self, capsys):
         code, out, _ = run(capsys, "set-enumerate", "--family", "polygon", "--n", "3", "--base", "2")
@@ -275,6 +304,18 @@ class TestConstruct:
         assert code == 2
 
 
+# A fresh interpreter runs the CLI and reports its exit code and peak RSS
+# (kB).  A child spawned from the test process itself would report the
+# test process's peak: Linux keeps the old address space's high-water mark
+# across exec.
+MEASURE_CLI = """
+import os, sys
+argv = [sys.executable, "-m", "polysimplex.cli", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
 class TestDemoAndCatalog:
     def test_demo_z2(self, capsys, tmp_path):
         report_path = tmp_path / "demo.json"
@@ -290,6 +331,26 @@ class TestDemoAndCatalog:
         code2, out2, _ = run(capsys, "demo", "--group", "z2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_demo_over_the_column_cap_refused(self, capsys):
+        code, out, err = run(capsys, "demo", "--group", "z5")
+        assert code == 2 and out == ""
+        assert err == f"error: the check runs 5^10 = {5**10} columns, over the cap of {MAX_COLUMNS}\n"
+
+    def test_demo_v4_in_bounded_memory(self):
+        """Both 4^10-column sides of the 4-simplex check were once built (781 MB)."""
+        src = os.path.dirname(os.path.dirname(polysimplex.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("POLYSIMPLEX_SCALAR", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", MEASURE_CLI, "demo", "--group", "v4"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, maxrss_kb = map(int, proc.stderr.split())
+        checks = [line for line in proc.stdout.splitlines() if line.startswith("check ")]
+        assert code == 0
+        assert len(checks) == 10 and all(line.endswith(": PASS") for line in checks)
+        assert maxrss_kb < 100 * 1024
 
     def test_catalog_contains_ten_gon_rhs(self, capsys):
         code, out, _ = run(capsys, "catalog", "--max-n", "10")

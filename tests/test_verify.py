@@ -1,12 +1,21 @@
 """Verifier checks against known solutions and known non-solutions."""
 
+import json
+from functools import cache
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from polysimplex import verify
+from polysimplex.construct import hopf_pentagon_pair, simplex_from_mixed
+from polysimplex.hopf import cyclic_group, group_algebra
+from polysimplex.rings import F64, FloatRing
+from polysimplex.setmaps import enumerate_set_solutions
+from polysimplex.simplicial import compile_simplex, evaluate_program
 from polysimplex.tensor import ShapeError, Tensor, flip, from_function, identity_tensor
 from polysimplex.verify import (
     RELATIONS_1_6,
@@ -280,6 +289,73 @@ def equation_case(draw, ring):
     return check_relations_1_6(t, s), expected_relations_report(t, s)
 
 
+@cache
+def set_solutions(n, dual):
+    """Set-theoretic (dual) n-gon solutions on one and two points; their
+    lifts solve the tensor equation."""
+    return tuple(fmap for base in (1, 2) for fmap in enumerate_set_solutions(n, base, dual))
+
+
+def z_pair(d):
+    """The k[Z_d] pentagon and dual pentagon maps, which also solve the mixed relations."""
+    return (lambda x: (x[0], (x[0] + x[1]) % d)), (lambda x: (x[0], (x[1] - x[0]) % d))
+
+
+def identity(x):
+    return x
+
+
+@st.composite
+def total_function(draw, ring, d, in_legs, out_legs, solution):
+    """A total basis-function tensor: ``solution`` lifted, lifted with the
+    outputs of two columns swapped, or a random table."""
+    kind = draw(st.sampled_from(["solution", "swapped", "random"]))
+    if kind == "random":
+        return draw(oracle.function_tensor(ring, d, in_legs, out_legs))
+    table = {inp: tuple(solution(inp)) for inp in product(range(d), repeat=in_legs)}
+    if kind == "swapped" and len(table) > 1:
+        a, b = draw(st.lists(st.sampled_from(sorted(table)), min_size=2, max_size=2, unique=True))
+        table[a], table[b] = table[b], table[a]
+    return Tensor(d, in_legs, out_legs, {(out, inp): ring.one for inp, out in table.items()}, ring)
+
+
+@st.composite
+def total_function_case(draw, ring):
+    """A check on total basis-function tensors and the oracle's report for it."""
+    family = draw(st.sampled_from(["polygon", "dual-polygon", "simplex", "mixed", "relations"]))
+    if family in ("polygon", "dual-polygon"):
+        dual = family == "dual-polygon"
+        n = draw(st.integers(3, 5))
+        fmap = draw(st.sampled_from(set_solutions(n, dual)))
+        t = draw(total_function(ring, fmap.base, fmap.in_arity, fmap.out_arity, fmap))
+        name = f"dual {n}-gon" if dual else f"{n}-gon"
+        return check_polygon(t, n, dual), compare_sides(name, *oracle.polygon_sides(t, n, dual))
+    d = draw(st.integers(1, 3))
+    if family == "simplex":
+        n = draw(st.integers(1, 3))
+        solutions = [identity]
+        if n == 2:
+            solutions.append(lambda x: (x[1], x[0]))
+        if n == 3 and d == 2:
+            solutions.append(lambda v: (v[0], (v[2] - v[0]) % 2, (v[0] + v[1]) % 2))
+        r = draw(total_function(ring, d, n, n, draw(st.sampled_from(solutions))))
+        return check_simplex(r, n), compare_sides(f"{n}-simplex", *oracle.simplex_sides(r, n))
+    pair = draw(st.sampled_from([(identity, identity), z_pair(d)]))
+    if family == "mixed":
+        n = 5 if pair[0] is not identity else 3
+        k = polygon_signature(n, False)[0]
+        t, s = (draw(total_function(ring, d, k, k, f)) for f in pair)
+        expect = compare_sides(f"{n}-gon mixed relation", *oracle.mixed_sides(t, s, n))
+        return check_mixed(t, s, n), expect
+    t, s = (draw(total_function(ring, d, 2, 2, f)) for f in pair)
+    return check_relations_1_6(t, s), expected_relations_report(t, s)
+
+
+def compare_route_refused():
+    """Patch out the compare-mode kernel of the checks."""
+    return mock.patch.object(verify, "_staged_kernel", side_effect=AssertionError("compare route taken"))
+
+
 class TestWitnessContract:
     """Verdict, largest deviation and witness key match the materialized oracle."""
 
@@ -303,3 +379,107 @@ class TestWitnessContract:
             got, sides = check_simplex(t, n), oracle.simplex_sides(t, n)
         assert oracle.start_legs(family, n) == 21
         assert got.to_json_dict() == compare_sides(got.equation, *sides).to_json_dict()
+
+    @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_total_functions_match_oracle(self, ring, data):
+        """The compare route decides holding checks; failing ones fall back."""
+        got, expect = data.draw(total_function_case(ring))
+        assert got.to_json_dict() == expect.to_json_dict()
+
+    @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_partial_tables_take_the_fallback(self, ring, data):
+        n = data.draw(st.integers(3, 6))
+        dual = data.draw(st.booleans())
+        k, l = polygon_signature(n, dual)
+        t = data.draw(oracle.partial_function_tensor(ring, 2, k, l))
+        assume(len(t.entries) < 2**k)
+        with compare_route_refused():
+            got = check_polygon(t, n, dual)
+        assert got.to_json_dict() == compare_sides(got.equation, *oracle.polygon_sides(t, n, dual)).to_json_dict()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_nan_entries_take_the_fallback(self, data):
+        t = data.draw(oracle.function_tensor(F64, 2, 2, 2))
+        entries = dict(t.entries)
+        entries[data.draw(st.sampled_from(sorted(entries)))] = float("nan")
+        t = Tensor(2, 2, 2, entries, F64)
+        with compare_route_refused():
+            got = check_polygon(t, 5)
+        assert not got.holds
+        # NaN is unequal to itself, so compare the serialized reports.
+        expect = compare_sides("5-gon", *oracle.polygon_sides(t, 5))
+        assert json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
+
+    @pytest.mark.parametrize("tolerance", [1.0, 2.5])
+    @pytest.mark.parametrize("trusted", [False, True], ids=["validated", "trusted"])
+    def test_tolerance_at_least_one_takes_the_fallback(self, tolerance, trusted):
+        """One is a zero of the ring: validation drops every entry, and a
+        table of ones that bypassed it is not a basis function either."""
+        ring = FloatRing(tolerance)
+        fn = z_pair(2)[0]
+        entries = {(fn(inp), inp): 1.0 for inp in product(range(2), repeat=2)}
+        t = Tensor._trusted(2, 2, 2, entries, ring) if trusted else Tensor(2, 2, 2, entries, ring)
+        with compare_route_refused():
+            got = check_polygon(t, 5)
+        assert got.holds
+        assert got.to_json_dict() == compare_sides("5-gon", *oracle.polygon_sides(t, 5)).to_json_dict()
+
+
+@cache
+def z3_simplex_maps():
+    """R4 and R3 of the pentagon-to-simplex pipeline over k[Z3]."""
+    t, s = hopf_pentagon_pair(group_algebra(cyclic_group(3)), verify=False)
+    return tuple(simplex_from_mixed(t, s, drop=drop, verify=False).tensor for drop in ("one", "two"))
+
+
+class TestCompareRoute:
+    """Holding checks on total basis functions build neither side."""
+
+    def holding_checks(self):
+        r4, r3 = z3_simplex_maps()
+        delta = from_function(2, 1, 2, lambda x: (x[0], x[0]))
+        return [
+            lambda: check_polygon(Z3_T, 5),
+            lambda: check_polygon(Z3_S, 5, dual=True),
+            lambda: check_polygon(delta, 4),
+            lambda: check_mixed(Z3_T, Z3_S, 5),
+            lambda: check_relations_1_6(Z3_T, Z3_S),
+            lambda: check_simplex(r4, 4),
+            lambda: check_simplex(r3, 3),
+            lambda: check_simplex(flip(3), 2),
+        ]
+
+    def test_holding_checks_build_no_side(self, monkeypatch):
+        checks = self.holding_checks()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a side tensor was built")
+
+        monkeypatch.setattr(verify, "contract_staged", refuse)
+        monkeypatch.setattr(Tensor, "_trusted", refuse)
+        for check in checks:
+            report = check()
+            assert report.holds and report.max_deviation == 0 and report.witness is None
+
+    def test_holding_report_matches_the_built_sides(self):
+        r4, _ = z3_simplex_maps()
+        got = check_simplex(r4, 4)
+        assert got.lhs_dims == got.rhs_dims == (3, 10, 10)
+        sides = (evaluate_program(side, {"R": r4}, 3, r4.ring) for side in compile_simplex(4))
+        assert got.to_json_dict() == compare_sides("4-simplex", *sides).to_json_dict()
+
+    def test_failing_check_returns_the_oracle_witness(self):
+        """The first differing column in product order is not the witness key."""
+        swapped = dict(Z3_T.entries)
+        (a, ia), (b, ib) = sorted(swapped)[1], sorted(swapped)[7]
+        del swapped[(a, ia)], swapped[(b, ib)]
+        swapped.update({(b, ia): 1, (a, ib): 1})
+        t = Tensor(3, 2, 2, swapped)
+        got = check_polygon(t, 5)
+        assert not got.holds
+        assert got.to_json_dict() == compare_sides("5-gon", *oracle.polygon_sides(t, 5)).to_json_dict()
