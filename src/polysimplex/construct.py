@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .hopf import HopfInstance, check_axioms
-from .indices import bar_sigma
+from .simplicial import pair_to_simplex_map
 from .tensor import (
-    LegPermutation,
     NotInvertible,
     ShapeError,
     Tensor,
@@ -30,7 +29,6 @@ from .tensor import (
     partial_compose_right,
     partial_trace_left,
     partial_trace_right,
-    permutation_tensor,
     regroup,
     tensor_product,
 )
@@ -146,17 +144,18 @@ def conjugate(desc: SolutionDescriptor, phi: Tensor, verify: bool = True) -> Sol
 
 
 def bar_sigma_conjugate(desc: SolutionDescriptor, verify: bool = True) -> SolutionDescriptor:
-    """Order-reversal conjugation.
+    """Order-reversal conjugation: reverse the legs on both sides of T.
 
     Odd orders swap polygon <-> dual-polygon; even orders stay in their
-    family (with the reversal sized per side).
+    family (with the reversal sized per side).  One staged step reads the
+    inputs in reverse and the output order reverses the outputs.
     """
     if desc.family == "simplex":
         raise PreconditionFailed("reversal transform is stated for polygon families")
     t = desc.tensor
-    left = bar_sigma(t.out_legs, t.dim, t.ring) if t.out_legs else identity_tensor(t.dim, 0, t.ring)
-    right = bar_sigma(t.in_legs, t.dim, t.ring) if t.in_legs else identity_tensor(t.dim, 0, t.ring)
-    transformed = compose(left, compose(t, right))
+    k, l = t.in_legs, t.out_legs
+    reversed_in, reversed_out = tuple(range(k, 0, -1)), tuple(range(l, 0, -1))
+    transformed = contract_staged([(t, reversed_in)], k, t.dim, t.ring, reversed_out)
     if desc.order % 2:
         family = "dual-polygon" if desc.family == "polygon" else "polygon"
     else:
@@ -601,38 +600,6 @@ def hopf_mixed_pair_antipode(
 # -- simplex solutions from mixed pairs ----------------------------------------
 
 
-def adjacent_pair_swaps(pairs: int, legs: int, d: int, ring) -> Tensor:
-    """sigma_(1,2) sigma_(3,4) ... on the first 2*pairs of ``legs`` legs."""
-    image = list(range(1, legs + 1))
-    for m in range(pairs):
-        image[2 * m], image[2 * m + 1] = image[2 * m + 1], image[2 * m]
-    return permutation_tensor(d, LegPermutation(tuple(image)), ring)
-
-
-def simplex_map_from_pair_formula(t: Tensor, s: Tensor, n: int) -> Tensor:
-    """Closed form of the (n-1)-simplex map built from an n-gon pair.
-
-    Odd n = 2k+1 on 2k legs: pair swaps after T on the even positions and S
-    on the odd positions.  Even n = 2k on 2k-1 legs: swaps stop short of the
-    last leg, S reads all odd positions and writes back to all but the last
-    of them, T grows the even positions by one.
-    """
-    d, ring = t.dim, t.ring
-    if n % 2:
-        k = (n - 1) // 2
-        legs = 2 * k
-        odd_positions = tuple(range(1, 2 * k, 2))
-        even_positions = tuple(range(2, 2 * k + 1, 2))
-        composite = contract_staged([(s, odd_positions), (t, even_positions)], legs, d, ring)
-        return compose(adjacent_pair_swaps(k, legs, d, ring), composite)
-    k = n // 2
-    legs = 2 * k - 1
-    odd_positions = tuple(range(1, 2 * k, 2))
-    even_positions = tuple(range(2, 2 * k - 1, 2))
-    composite = contract_staged([(s, odd_positions), (t, even_positions)], legs, d, ring)
-    return compose(adjacent_pair_swaps(k - 1, legs, d, ring), composite)
-
-
 def simplex_from_mixed(
     t_desc: SolutionDescriptor,
     s_desc: SolutionDescriptor,
@@ -651,7 +618,7 @@ def simplex_from_mixed(
     n = t_desc.order
     if drop != "one" and n < 3:
         raise PreconditionFailed(f"cannot drop two orders from an {n}-gon pair")
-    r = simplex_map_from_pair_formula(t_desc.tensor, s_desc.tensor, n)
+    r = pair_to_simplex_map(t_desc.tensor, s_desc.tensor)
     provenance = t_desc.provenance + s_desc.provenance
     if drop == "one":
         out = SolutionDescriptor("simplex", n - 1, r, provenance + ("pair-to-simplex",))

@@ -26,17 +26,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .rings import RATIONAL, ScalarRing
-from .tensor import (
-    LegPermutation,
-    ShapeError,
-    Tensor,
-    compose,
-    contract_staged,
-    partial_trace_left,
-    permutation_tensor,
-    replace_slots,
-    tensor_product,
-)
+from .tensor import ShapeError, Tensor, contract_staged, partial_trace_left, replace_slots
 
 Face = tuple[int, ...]
 
@@ -231,38 +221,25 @@ def compile_mixed(n: int) -> tuple[ContractionProgram, ContractionProgram]:
 # -- non-constant solution families (simplex solutions from mixed pairs) ------
 
 
-def interleave_split(count: int) -> tuple[list[int], list[int]]:
-    """0-based leg indices split into (even-labeled, odd-labeled)."""
-    return list(range(0, count, 2)), list(range(1, count, 2))
-
-
 def pair_to_simplex_map(t: Tensor, s: Tensor) -> Tensor:
-    """sigma o (S (x) T) o tau on the legs of one simplex face.
+    """The (n-1)-simplex map of an n-gon map t and a dual n-gon map s.
 
-    tau routes the even-position legs to S and the odd-position legs to T;
-    sigma interleaves S's outputs back onto even positions and T's outputs
-    onto odd positions (positions 1-based, labels 0-based).
+    n = t.in_legs + t.out_legs + 1, and the map acts on the legs of one
+    simplex face, s.in_legs + t.in_legs of them.  S reads the odd
+    positions and T the even ones (1-based), each writing back by the slot
+    rule: for odd n both keep their leg counts; for even n S closes the
+    last odd slot and T opens it again.  The output order then swaps the
+    legs in pairs (1, 2), (3, 4), ..., one pair per input of T.
     """
     if t.dim != s.dim or t.ring != s.ring:
         raise ShapeError("mixed pair must share dimension and ring")
-    n_in = s.in_legs + t.in_legs
-    n_out = s.out_legs + t.out_legs
-    evens_in, odds_in = interleave_split(n_in)
-    if len(evens_in) != s.in_legs or len(odds_in) != t.in_legs:
-        raise ShapeError(
-            f"signatures {s.shape} and {t.shape} do not interleave on {n_in} legs"
-        )
-    # tau: leg at interleaved position -> block position (S block then T block)
-    tau_image = [0] * n_in
-    for block_pos, leg in enumerate(evens_in + odds_in):
-        tau_image[leg] = block_pos + 1
-    tau = permutation_tensor(t.dim, LegPermutation(tuple(tau_image)), t.ring)
-    evens_out, odds_out = interleave_split(n_out)
-    sigma_image = [0] * n_out
-    for block_pos, leg in enumerate(odds_out + evens_out):
-        sigma_image[block_pos] = leg + 1
-    sigma = permutation_tensor(t.dim, LegPermutation(tuple(sigma_image)), t.ring)
-    return compose(sigma, compose(tensor_product(s, t), tau))
+    if (s.in_legs, s.out_legs) != (t.out_legs, t.in_legs) or t.out_legs - t.in_legs not in (0, 1):
+        raise ShapeError(f"signatures {t.shape} and {s.shape} are not an n-gon and a dual n-gon map")
+    legs = s.in_legs + t.in_legs
+    swaps = 2 * t.in_legs
+    order = tuple((m ^ 1 if m < swaps else m) + 1 for m in range(legs))
+    steps = [(s, tuple(range(1, legs + 1, 2))), (t, tuple(range(2, legs + 1, 2)))]
+    return contract_staged(steps, legs, t.dim, t.ring, order)
 
 
 def simplex_family_from_pair(n: int, t_family, s_family) -> dict[Face, Tensor]:

@@ -1,9 +1,10 @@
 """Sparse multilinear maps V^k -> V^l over a fixed local dimension.
 
 A :class:`Tensor` stores only nonzero entries, keyed by
-``(out_digits, in_digits)`` pairs of basis multi-digits.  All solutions
-produced in this package are permutation-like (one nonzero per input
-column), so sparse storage keeps even the V^(x)10 instances tiny.
+``(out_digits, in_digits)`` pairs of basis multi-digits.  Most solutions
+produced in this package are basis functions (one entry, equal to one,
+per input column), and trace descent divides a few columns among several
+entries, so sparse storage keeps even the V^(x)10 instances tiny.
 
 Conventions, fixed once here and relied on everywhere:
 
@@ -18,7 +19,8 @@ Conventions, fixed once here and relied on everywhere:
 compiled polygon, simplex and mixed sides, the relation words and the
 closed-form constructions are lists of ``(map, gather positions)`` steps
 pushed through it column by column, with outputs written by the slot
-rule of :func:`replace_slots`.  No placed factor is ever materialized.
+rule of :func:`replace_slots` and the final legs optionally read out in
+another output order.  No placed factor is ever materialized.
 When every map is a basis function (each column it has holds one entry,
 equal to one), the steps run as a generated loop-nest kernel with no
 ring arithmetic, each lookup hoisted to the outermost loop that binds
@@ -147,17 +149,6 @@ class Tensor:
         factor = self.ring.coerce(factor)
         entries = {k: self.ring.mul(factor, v) for k, v in self.entries.items()}
         return Tensor(self.dim, self.in_legs, self.out_legs, entries, self.ring)
-
-    def is_permutation_like(self) -> bool:
-        """One entry per input column with value 1 (a basis bijection)."""
-        seen_in, seen_out = set(), set()
-        for (out, inp), v in self.entries.items():
-            if not self.ring.eq(v, self.ring.one):
-                return False
-            seen_in.add(inp)
-            seen_out.add(out)
-        full = self.dim**self.in_legs
-        return len(self.entries) == full and len(seen_in) == full and len(seen_out) == full
 
     def to_dense(self) -> list[list]:
         """Nested [row][col] list; rows/cols ranked first-leg-slowest."""
@@ -302,15 +293,6 @@ def tensor_product(f: Tensor, g: Tensor) -> Tensor:
     return Tensor(f.dim, f.in_legs + g.in_legs, f.out_legs + g.out_legs, entries, ring)
 
 
-def tensor_power(f: Tensor, n: int) -> Tensor:
-    if n < 0:
-        raise ShapeError("negative tensor power")
-    result = identity_tensor(f.dim, 0, f.ring)
-    for _ in range(n):
-        result = tensor_product(result, f)
-    return result
-
-
 def sweep(i: int, j: int, n: int, d: int, ring: ScalarRing = RATIONAL) -> Tensor:
     """Move factor j to position i, shifting factors i..j-1 right by one."""
     if not (1 <= i <= j <= n):
@@ -399,11 +381,13 @@ def replace_slots(seq: list, positions, new_items) -> list:
     k, l = len(positions), len(new_items)
     if abs(l - k) > 1:
         raise ShapeError(f"slot replacement needs |out-in| <= 1, got {k}->{l}")
-    slots = sorted(positions)
+    slots = {}
+    for i, p in enumerate(sorted(positions)):
+        slots.setdefault(p, i)
     out = []
     for p, item in enumerate(seq, start=1):
-        if p in slots:
-            i = slots.index(p)
+        i = slots.get(p)
+        if i is not None:
             if i < min(k, l):
                 out.append(new_items[i])
             if i == k - 1 and l == k + 1:
@@ -429,10 +413,11 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_shape(legs: int, shape) -> int:
+def _check_shape(legs: int, shape, order=None) -> int:
     """Validate staged placements on ``legs`` legs; return the final leg count.
 
-    ``shape`` lists ``(gather positions, output count)`` per step.
+    ``shape`` lists ``(gather positions, output count)`` per step; the
+    output order, if given, must be a tuple of the integers 1..final legs.
     """
     if not _is_count(legs) or legs < 0:
         raise ShapeError(f"leg count {legs!r} must be an integer >= 0")
@@ -445,18 +430,23 @@ def _check_shape(legs: int, shape) -> int:
         if any(p < 1 or p > n for p in positions):
             raise ShapeError(f"gather positions {positions} out of range 1..{n}")
         n = len(replace_slots([None] * n, positions, [None] * out_count))
+    if order is not None and not (
+        isinstance(order, tuple) and all(map(_is_count, order)) and sorted(order) == list(range(1, n + 1))
+    ):
+        raise ShapeError(f"output order {order!r} must be a tuple of the integers 1..{n} in some order")
     return n
 
 
 @lru_cache(maxsize=256)
-def _staged_plan(legs: int, shape: tuple) -> tuple[tuple, int]:
+def _staged_plan(legs: int, shape: tuple, order) -> tuple[tuple, object]:
     """Compile validated staged placements on ``legs`` legs into tuple getters.
 
     ``shape`` lists ``(gather positions, output count)`` per step.  Each
     plan step is ``(read, write)``: ``read(state)`` picks the map's inputs
     from the current state, ``write(state + outputs)`` is the next state
     laid out by the slot rule of :func:`replace_slots`.  Returns the plan
-    and the final leg count; built once per shape and cached.
+    and ``arrange``, which reads the final state out in the output order
+    (or as it stands); built once per shape and order, and cached.
     """
     plan = []
     n = legs
@@ -465,7 +455,7 @@ def _staged_plan(legs: int, shape: tuple) -> tuple[tuple, int]:
         layout = replace_slots(list(range(n)), positions, list(range(n, n + out_count)))
         plan.append((_tuple_getter([p - 1 for p in positions]), _tuple_getter(layout)))
         n = len(layout)
-    return tuple(plan), n
+    return tuple(plan), _tuple_getter([m - 1 for m in order] if order else range(n))
 
 
 # CPython refuses more than 20 statically nested blocks; a kernel never
@@ -477,16 +467,18 @@ def _tuple_source(names) -> str:
     return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"  # "()" when empty
 
 
-def _kernel_source(legs: int, sides: tuple) -> str:
+def _kernel_source(legs: int, sides: tuple, orders=None) -> str:
     """Python source of the loop-nest kernel of staged placements.
 
-    ``sides`` holds one shape (contract mode) or two (compare mode).  Leg
-    j of the column is the loop variable ``c<j>``, bound in product order
-    (first leg slowest); each map output is a fresh variable ``v<i>``, so
-    the slot rule of :func:`replace_slots` is applied to variable names
-    here, once, and no state tuple exists at run time.  Step ``s`` looks
-    its inputs up in ``T<s>`` inside the outermost loop that binds all of
-    them, so its work is shared by every column of the inner loops.  Runs
+    ``sides`` holds one shape (contract mode) or two (compare mode), and
+    ``orders`` the output order of each side (None: the final state as it
+    stands).  Leg j of the column is the loop variable ``c<j>``, bound in
+    product order (first leg slowest); each map output is a fresh variable
+    ``v<i>``, so the slot rule of :func:`replace_slots` and the output
+    order are applied to variable names here, once, and no state tuple
+    exists at run time.  Step ``s`` looks its inputs up in ``T<s>`` inside
+    the outermost loop that binds all of them, so its work is shared by
+    every column of the inner loops.  Runs
     of legs with no lookup between them share one ``product`` loop, and
     the outermost loop boundaries are merged until at most ``_MAX_LOOPS``
     remain.
@@ -501,7 +493,8 @@ def _kernel_source(legs: int, sides: tuple) -> str:
     The source is made only of generated names; tables and domains are
     arguments of the kernel, never part of the text.
     """
-    finals = [_check_shape(legs, shape) for shape in sides]
+    orders = orders or (None,) * len(sides)
+    finals = [_check_shape(legs, shape, order) for shape, order in zip(sides, orders)]
     compare = len(sides) == 2
     if compare and finals[0] != finals[1]:
         raise ShapeError(f"sides end on {finals[0]} and {finals[1]} legs")
@@ -509,7 +502,7 @@ def _kernel_source(legs: int, sides: tuple) -> str:
     # The level of a variable is the last leg its value depends on (-1: none).
     level = {c: j for j, c in enumerate(columns)}
     lookups, states = [], []
-    for shape in sides:
+    for shape, order in zip(sides, orders):
         state = columns
         for positions, out_count in shape:
             ins = [state[p - 1] for p in positions]
@@ -518,7 +511,7 @@ def _kernel_source(legs: int, sides: tuple) -> str:
             level.update(dict.fromkeys(outs, step_level))
             lookups.append((step_level, ins, outs))
             state = replace_slots(state, positions, outs)
-        states.append(state)
+        states.append(state if order is None else [state[m - 1] for m in order])
 
     # Loop boundaries: the last leg, and every leg that completes a lookup's inputs.
     ends = sorted({lvl for lvl, _, _ in lookups if lvl >= 0} | ({legs - 1} if legs else set()))
@@ -575,10 +568,10 @@ def _kernel_source(legs: int, sides: tuple) -> str:
 
 
 @lru_cache(maxsize=256)
-def _staged_kernel(legs: int, sides: tuple):
+def _staged_kernel(legs: int, sides: tuple, orders=None):
     """The compiled kernel of :func:`_kernel_source`, built once per shape."""
     namespace = {"product": product}
-    exec(compile(_kernel_source(legs, sides), "<staged kernel>", "exec"), namespace)
+    exec(compile(_kernel_source(legs, sides, orders), "<staged kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -594,8 +587,9 @@ def _function_table(f: Tensor):
     return table
 
 
-def _check_steps(steps, legs: int, d: int, ring: ScalarRing) -> tuple[list, tuple, int]:
-    """Validate ``(f, positions)`` steps on V^(x)legs over ``d`` and ``ring``.
+def _check_steps(steps, legs: int, d: int, ring: ScalarRing, order=None) -> tuple[list, tuple, int]:
+    """Validate ``(f, positions)`` steps and an output order on V^(x)legs
+    over ``d`` and ``ring``.
 
     Returns the maps, the shape (``(gather positions, output count)`` per
     step) and the final leg count; every staged evaluation runs this first.
@@ -612,17 +606,20 @@ def _check_steps(steps, legs: int, d: int, ring: ScalarRing) -> tuple[list, tupl
         maps.append(f)
         shape.append((positions, f.out_legs))
     shape = tuple(shape)
-    return maps, shape, _check_shape(legs, shape)
+    return maps, shape, _check_shape(legs, shape, order)
 
 
-def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL) -> Tensor:
+def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order=None) -> Tensor:
     """Compose staged placements on V^(x)legs into one tensor.
 
     ``steps`` lists ``(f, positions)`` in application order.  Map leg i of
     ``f`` reads the current leg ``positions[i]`` (1-based, in any order);
     the outputs land in the sorted consumed slots by the rule of
-    :func:`replace_slots`.  No placed factor is ever built; the result
-    equals composing the placed factors one after another.
+    :func:`replace_slots`.  The output order, a tuple, makes leg
+    ``order[m]`` of the final state the output leg m+1 (None keeps the
+    final state as it stands).  No placed factor is ever built; the
+    result equals composing the placed factors, and then the leg
+    permutation, one after another.
 
     When every map is a basis function on the columns it has, the steps
     run as a generated loop nest over the columns in product order, with
@@ -633,19 +630,18 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL) -> Te
     leg count compiles.  Other maps push each column through a plan of
     tuple getters as a sparse vector.
     """
-    maps, shape, n = _check_steps(steps, legs, d, ring)
-    if not maps:
-        # Validated, so a float tolerance >= 1 drops the entries, as for
-        # any zero-valued result.
-        return identity_tensor(d, legs, ring)
+    maps, shape, n = _check_steps(steps, legs, d, ring, order)
     entries: dict[EntryKey, object] = {}
     by_map = {id(f): _function_table(f) for f in maps}
     # A float tolerance >= 1 makes one a zero, which the sparse path drops.
     if None not in by_map.values() and not ring.is_zero(ring.one):
-        kernel = _staged_kernel(legs, (shape,))
+        kernel = _staged_kernel(legs, (shape,), (order,))
         kernel((range(d),) * legs, entries, ring.one, *(by_map[id(f)].get for f in maps))
         return Tensor._trusted(d, legs, n, entries, ring)
-    plan, _ = _staged_plan(legs, shape)
+    if not maps:
+        # One is a zero of the ring, so the permutation has no entries.
+        return Tensor._trusted(d, legs, n, entries, ring)
+    plan, arrange = _staged_plan(legs, shape, order)
     by_ins = []
     for f in maps:
         by_in: dict[Digits, list] = {}
@@ -665,7 +661,7 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL) -> Te
                     nxt[key] = term if acc is None else add(acc, term)
             vec = {key: c for key, c in nxt.items() if not is_zero(c)}
         for state, c in vec.items():
-            entries[(state, column)] = c
+            entries[(arrange(state), column)] = c
     return Tensor._trusted(d, legs, n, entries, ring)
 
 

@@ -2,7 +2,9 @@
 
 The polygon, simplex and mixed checks take both sides of their equation
 from the simplicial compiler as staged ``(map, gather positions)`` steps;
-the relations (1)-(6) are fixed placement words.  When every map is a
+the relations (1)-(6) are fixed placement words, and the commutation that
+licenses stacking places its maps on the rows and columns of a grid of
+legs, read out row by row in an output order.  When every map is a
 total basis function, both sides run in one compare-mode loop-nest
 kernel (:func:`polysimplex.tensor._staged_kernel`) and a holding
 equation is decided without building either side.  Otherwise, and on
@@ -21,17 +23,14 @@ from typing import Optional
 from .indices import mixed_sequences
 from .simplicial import _program_steps, compile_mixed, compile_polygon, compile_simplex, flatten
 from .tensor import (
-    LegPermutation,
     ShapeError,
     Tensor,
     _check_steps,
     _function_table,
     _staged_kernel,
-    compose,
     contract_staged,
     deviation,
-    permutation_tensor,
-    tensor_power,
+    replace_slots,
 )
 
 
@@ -84,8 +83,9 @@ def compare_sides(equation: str, lhs: Tensor, rhs: Tensor) -> VerificationReport
     return VerificationReport(equation, False, mag, lhs.shape, rhs.shape, witness)
 
 
-def _check_sides(equation: str, sides, legs: int, d: int, ring) -> VerificationReport:
-    """Compare two staged sides on V^(x)legs, each a list of ``(map, positions)`` steps.
+def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, None)) -> VerificationReport:
+    """Compare two staged sides on V^(x)legs, each a list of ``(map, positions)``
+    steps read out in its output order (see :func:`contract_staged`).
 
     When every map is a total basis function (``d**in_legs`` columns, each
     one entry equal to one, and one is not a zero of the ring), both sides
@@ -96,7 +96,7 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring) -> VerificationR
     which the first differing column in product order need not be.
     """
     (lhs_maps, lhs_shape, n), (rhs_maps, rhs_shape, rhs_n) = (
-        _check_steps(steps, legs, d, ring) for steps in sides
+        _check_steps(steps, legs, d, ring, order) for steps, order in zip(sides, orders)
     )
     maps = lhs_maps + rhs_maps
     tables = {id(f): _function_table(f) for f in maps}
@@ -105,10 +105,10 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring) -> VerificationR
         and not ring.is_zero(ring.one)
         and all(tables[id(f)] is not None and len(tables[id(f)]) == d**f.in_legs for f in maps)
     ):
-        kernel = _staged_kernel(legs, (lhs_shape, rhs_shape))
+        kernel = _staged_kernel(legs, (lhs_shape, rhs_shape), orders)
         if kernel((range(d),) * legs, *(tables[id(f)] for f in maps)) is None:
             return VerificationReport(equation, True, 0, (d, legs, n), (d, legs, n))
-    lhs, rhs = (contract_staged(steps, legs, d, ring) for steps in sides)
+    lhs, rhs = (contract_staged(steps, legs, d, ring, order) for steps, order in zip(sides, orders))
     return compare_sides(equation, lhs, rhs)
 
 
@@ -177,21 +177,15 @@ def check_mixed(t: Tensor, s: Tensor, n: int) -> VerificationReport:
     return _check_programs(f"{n}-gon mixed relation", programs, {"T": t, "S": s}, t.dim, t.ring)
 
 
-def blocks_transpose(d: int, blocks: int, width: int, ring) -> Tensor:
-    """Permutation V^(blocks*width) regrouping row-major blocks into columns."""
-    image = [0] * (blocks * width)
-    for r in range(blocks):
-        for c in range(width):
-            image[r * width + c] = c * blocks + r + 1
-    return permutation_tensor(d, LegPermutation(tuple(image)), ring)
-
-
 def check_commutes(f: Tensor, g: Tensor) -> VerificationReport:
     """The interchange-style commutation that licenses stacking.
 
-    With f: V^k -> V^l on rows and g: V^i -> V^j on columns, one side
-    applies f to every row then g to every column, the other applies g to
-    every column then f to every row; both are maps V^(ki) -> V^(lj).
+    With f: V^k -> V^l on rows and g: V^i -> V^j on columns, the legs of
+    V^(ki) form i rows of k.  One side applies f to every row then g to
+    every column, the other applies g to every column then f to every
+    row; both end on the j x l grid read row by row, maps V^(ki) -> V^(lj).
+    Each map is placed by the slot rule, so its leg counts may differ by
+    at most one.
     """
     if f.dim != g.dim or f.ring != g.ring:
         raise ShapeError("commutation check needs matching dimension and ring")
@@ -199,16 +193,31 @@ def check_commutes(f: Tensor, g: Tensor) -> VerificationReport:
     i, j = g.in_legs, g.out_legs
     if min(k, l, i, j) < 1:
         raise ShapeError("commutation check needs at least one leg per side")
-    d, ring = f.dim, f.ring
-    lhs = compose(
-        blocks_transpose(d, l, j, ring),
-        compose(tensor_power(g, l), compose(blocks_transpose(d, i, l, ring), tensor_power(f, i))),
-    )
-    rhs = compose(
-        tensor_power(f, j),
-        compose(blocks_transpose(d, k, j, ring), compose(tensor_power(g, k), blocks_transpose(d, i, k, ring))),
-    )
-    return compare_sides("commutation", lhs, rhs)
+    if abs(l - k) > 1 or abs(j - i) > 1:
+        raise ShapeError(
+            f"commutation check needs leg counts that differ by at most one, got {k}->{l} and {i}->{j}"
+        )
+
+    def on_rows(rows):
+        return [(f, [(r, c) for c in range(k)], [(r, c) for c in range(l)]) for r in range(rows)]
+
+    def on_columns(columns):
+        return [(g, [(r, c) for r in range(i)], [(r, c) for r in range(j)]) for c in range(columns)]
+
+    def side(placements):
+        """Steps and output order of ``(map, input labels, output labels)``
+        placements on the legs, labelled ``(row, column)`` row by row."""
+        state = [(r, c) for r in range(i) for c in range(k)]
+        steps = []
+        for h, inputs, outputs in placements:
+            positions = tuple(state.index(label) + 1 for label in inputs)
+            steps.append((h, positions))
+            state = replace_slots(state, positions, outputs)
+        # Row by row is the sorted order of the final labels.
+        return steps, tuple(sorted(range(1, len(state) + 1), key=lambda m: state[m - 1]))
+
+    (lhs, lhs_order), (rhs, rhs_order) = side(on_rows(i) + on_columns(l)), side(on_columns(k) + on_rows(j))
+    return _check_sides("commutation", (lhs, rhs), k * i, f.dim, f.ring, (lhs_order, rhs_order))
 
 
 RELATIONS_1_6 = {

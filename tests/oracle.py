@@ -5,8 +5,10 @@ Every placed factor is built as a full operator on V^(x)n (``place`` after
 sides are taken from the closed-form index matrices with the leg counts
 of the published equations, independently of the simplicial compiler.
 The set-theoretic check reruns the slot rule of ``replace_slots`` on every
-value tuple, and ``deviation_scan`` compares every key.  Random sparse
-and function-like tensors over each scalar ring feed the property tests.
+value tuple, and ``deviation_scan`` compares every key.  The commutation
+sides and the simplex map of a polygon pair are composed from tensor
+powers and permutation tensors.  Random sparse and function-like tensors
+over each scalar ring feed the property tests.
 """
 
 from itertools import product
@@ -21,9 +23,11 @@ from polysimplex.tensor import (
     Tensor,
     compose,
     identity_tensor,
+    permutation_tensor,
     permute_legs,
     place,
     replace_slots,
+    tensor_product,
 )
 from polysimplex.verify import RELATIONS_1_6, polygon_signature
 
@@ -38,11 +42,20 @@ def ring_value(ring):
     return st.integers(0, ring.p - 1)
 
 
+def dyadic_value(ring):
+    """Like ``ring_value``, but floats with few binary digits, whose sums and
+    products are exact in any order: a reference that associates its
+    products differently then agrees to the last bit."""
+    if ring is F64:
+        return st.sampled_from([0.25, -0.5, 1.0, -1.0, 1.5, 2.0, -3.0])
+    return ring_value(ring)
+
+
 @st.composite
-def sparse_tensor(draw, ring, d, in_legs, out_legs, max_entries=6):
+def sparse_tensor(draw, ring, d, in_legs, out_legs, max_entries=6, values=ring_value):
     keys = list(product(product(range(d), repeat=out_legs), product(range(d), repeat=in_legs)))
     chosen = draw(st.lists(st.sampled_from(keys), max_size=max_entries, unique=True))
-    values = draw(st.lists(ring_value(ring), min_size=len(chosen), max_size=len(chosen)))
+    values = draw(st.lists(values(ring), min_size=len(chosen), max_size=len(chosen)))
     return Tensor(d, in_legs, out_legs, dict(zip(chosen, values)), ring)
 
 
@@ -168,6 +181,81 @@ def relation_sides(t, s, name):
         staged([(maps[tag], row) for tag, row in reversed(seq)], legs, t.dim, t.ring)
         for seq in (lhs_seq, rhs_seq)
     )
+
+
+def tensor_power(f, n):
+    result = identity_tensor(f.dim, 0, f.ring)
+    for _ in range(n):
+        result = tensor_product(result, f)
+    return result
+
+
+def blocks_transpose(d, blocks, width, ring):
+    """Permutation of V^(blocks*width) regrouping row-major blocks into columns."""
+    image = [0] * (blocks * width)
+    for r in range(blocks):
+        for c in range(width):
+            image[r * width + c] = c * blocks + r + 1
+    return permutation_tensor(d, LegPermutation(tuple(image)), ring)
+
+
+def commutation_sides(f, g):
+    """f on every row then g on every column, and g then f, as operators
+    V^(ki) -> V^(lj) on the grid of i rows of k legs."""
+    d, ring = f.dim, f.ring
+    k, l, i, j = f.in_legs, f.out_legs, g.in_legs, g.out_legs
+    lhs = compose(
+        blocks_transpose(d, l, j, ring),
+        compose(tensor_power(g, l), compose(blocks_transpose(d, i, l, ring), tensor_power(f, i))),
+    )
+    rhs = compose(
+        tensor_power(f, j),
+        compose(blocks_transpose(d, k, j, ring), compose(tensor_power(g, k), blocks_transpose(d, i, k, ring))),
+    )
+    return lhs, rhs
+
+
+def interleave_split(count):
+    """0-based leg indices split into (even-labeled, odd-labeled)."""
+    return list(range(0, count, 2)), list(range(1, count, 2))
+
+
+def pair_to_simplex_map(t, s):
+    """sigma o (S (x) T) o tau on the legs of one simplex face.
+
+    tau routes the even-position legs to S and the odd-position legs to T;
+    sigma interleaves S's outputs back onto even positions and T's outputs
+    onto odd positions (positions 1-based, labels 0-based).
+    """
+    n_in = s.in_legs + t.in_legs
+    n_out = s.out_legs + t.out_legs
+    evens_in, odds_in = interleave_split(n_in)
+    tau_image = [0] * n_in
+    for block_pos, leg in enumerate(evens_in + odds_in):
+        tau_image[leg] = block_pos + 1
+    tau = permutation_tensor(t.dim, LegPermutation(tuple(tau_image)), t.ring)
+    evens_out, odds_out = interleave_split(n_out)
+    sigma_image = [0] * n_out
+    for block_pos, leg in enumerate(odds_out + evens_out):
+        sigma_image[block_pos] = leg + 1
+    sigma = permutation_tensor(t.dim, LegPermutation(tuple(sigma_image)), t.ring)
+    return compose(sigma, compose(tensor_product(s, t), tau))
+
+
+def adjacent_pair_swaps(pairs, legs, d, ring):
+    """sigma_(1,2) sigma_(3,4) ... on the first 2*pairs of ``legs`` legs."""
+    image = list(range(1, legs + 1))
+    for m in range(pairs):
+        image[2 * m], image[2 * m + 1] = image[2 * m + 1], image[2 * m]
+    return permutation_tensor(d, LegPermutation(tuple(image)), ring)
+
+
+def pair_swap_formula(t, s):
+    """The same map in closed form: S staged on the odd positions and T on
+    the even ones, then the adjacent pair swaps, one per input of T."""
+    legs = s.in_legs + t.in_legs
+    steps = [(s, tuple(range(1, legs + 1, 2))), (t, tuple(range(2, legs + 1, 2)))]
+    return compose(adjacent_pair_swaps(t.in_legs, legs, t.dim, t.ring), staged(steps, legs, t.dim, t.ring))
 
 
 def deviation_scan(f, g):

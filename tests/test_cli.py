@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import polysimplex
 from polysimplex import construct
-from polysimplex.cli import MAX_COLUMNS, build_catalog, main
+from polysimplex import cli
+from polysimplex.cli import MAX_COLUMNS, MAX_ORDER, build_catalog, main
 from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap
@@ -188,6 +189,86 @@ def test_verify_over_the_column_cap_refused(capsys, tmp_path, family, n, legs):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: the check runs 3^{legs} = {3**legs} columns, over the cap of {MAX_COLUMNS}\n"
+
+
+def test_verify_commutes_over_the_column_cap_refused(capsys, tmp_path):
+    # f^(x)5 alone would hold 2^25 entries.
+    path = tmp_path / "t.json"
+    path.write_text(from_function(2, 5, 5, lambda x: x).to_json())
+    argv = ["verify", "--family", "commutes", "--tensor", str(path), "--tensor2", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: the check runs 2^25 = {2**25} columns, over the cap of {MAX_COLUMNS}\n"
+
+
+@pytest.mark.parametrize("legs", [MAX_ORDER, MAX_ORDER + 1])
+def test_verify_commutes_wide_maps_at_the_order_cap(capsys, tmp_path, legs):
+    """One column at any leg count, so only the leg cap stops a 1-dimensional map."""
+    wide, narrow = tmp_path / "wide.json", tmp_path / "narrow.json"
+    wide.write_text(from_function(1, legs, legs, lambda x: x).to_json())
+    narrow.write_text(from_function(1, 1, 1, lambda x: x).to_json())
+    argv = ["verify", "--family", "commutes", "--tensor", str(narrow), "--tensor2", str(wide)]
+    code, out, err = run(capsys, *argv)
+    if legs <= MAX_ORDER:
+        assert (code, out, err) == (0, "commutation: holds\n", "")
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: commutation maps have up to {legs} legs on a side, over the cap of {MAX_ORDER}\n"
+
+
+def one_point_inputs(tmp_path, family, n):
+    """argv tails of verify and set-verify on 1-dimensional maps of the (dual) n-gon."""
+    from polysimplex.verify import polygon_signature
+
+    def tensor(k, l, name):
+        path = tmp_path / name
+        path.write_text(from_function(1, k, l, lambda x: (0,) * l).to_json())
+        return str(path)
+
+    if family == "simplex":
+        return ["--tensor", tensor(n, n, "r.json")]
+    if family == "mixed":
+        return ["--tensor", tensor(*polygon_signature(n, False), "t.json"),
+                "--tensor2", tensor(*polygon_signature(n, True), "s.json")]
+    return ["--tensor", tensor(*polygon_signature(n, family == "dual-polygon"), "t.json")]
+
+
+class TestOrderCap:
+    """A 1-dimensional map has one column at every order: the order cap
+    refuses what the column cap cannot, before anything is compiled."""
+
+    def test_at_the_cap(self, capsys, tmp_path):
+        n = str(MAX_ORDER)
+        code, out, _ = run(capsys, "compile", "--family", "polygon", "--n", n, "--emit", "placements")
+        assert code == 0 and json.loads(out)["lhs"]
+        argv = ["verify", "--family", "polygon", "--n", n, *one_point_inputs(tmp_path, "polygon", MAX_ORDER)]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, f"{n}-gon: holds\n")
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(FiniteMap.from_callable(1, 29, 30, lambda a: (0,) * 30).to_json_dict()))
+        code, out, _ = run(capsys, "set-verify", "--family", "polygon", "--n", n, "--map", str(path))
+        assert (code, out) == (0, f"set-theoretic {n}-gon: holds\n")
+
+    @pytest.mark.parametrize("family", ["polygon", "dual-polygon", "simplex", "mixed"])
+    def test_over_the_cap_refused_before_compiling(self, capsys, tmp_path, monkeypatch, family):
+        n = MAX_ORDER + 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled")
+
+        for name in ("compile_polygon", "compile_simplex", "compile_mixed"):
+            monkeypatch.setattr(cli, name, refuse)
+        expect = f"error: equation order {n} is over the cap of {MAX_ORDER}\n"
+        commands = [
+            ["compile", "--family", family, "--n", str(n), "--emit", emit] for emit in ("program", "placements", "dot")
+        ]
+        commands.append(["verify", "--family", family, "--n", str(n), *one_point_inputs(tmp_path, family, n)])
+        if family in ("polygon", "dual-polygon"):
+            path = tmp_path / "map.json"
+            path.write_text(json.dumps(FiniteMap.from_callable(1, 30, 30, lambda a: a).to_json_dict()))
+            commands.append(["set-verify", "--family", family, "--n", str(n), "--map", str(path)])
+        for argv in commands:
+            assert run(capsys, *argv) == (2, "", expect)
 
 
 class TestSetCommands:

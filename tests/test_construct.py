@@ -4,10 +4,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from polysimplex.construct import (
     SolutionDescriptor,
-    adjacent_pair_swaps,
     bar_sigma_conjugate,
     bialgebra_tower,
     conjugate,
@@ -17,7 +19,6 @@ from polysimplex.construct import (
     invert_to_dual,
     multi_bialgebra_tower,
     simplex_from_mixed,
-    simplex_map_from_pair_formula,
     stack,
     stack_arithmetic,
     trace_descend,
@@ -26,7 +27,9 @@ from polysimplex.construct import (
     yang_baxter_from_pair,
 )
 from polysimplex.hopf import cyclic_group, group_algebra, symmetric_group
+from polysimplex.indices import bar_sigma
 from polysimplex.rings import RATIONAL
+from polysimplex.simplicial import pair_to_simplex_map
 from polysimplex.tensor import (
     ShapeError,
     Tensor,
@@ -170,6 +173,18 @@ class TestBarSigmaConjugate:
 
     def test_involution_on_odd_orders(self):
         assert bar_sigma_conjugate(bar_sigma_conjugate(T2)).tensor == T2.tensor
+
+    @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reversal_permutations(self, ring, data):
+        n = data.draw(st.integers(3, 8))
+        dual = data.draw(st.booleans())
+        k, l = polygon_signature(n, dual)
+        t = data.draw(st.one_of(oracle.sparse_tensor(ring, 2, k, l), oracle.function_tensor(ring, 2, k, l)))
+        out = bar_sigma_conjugate(SolutionDescriptor("dual-polygon" if dual else "polygon", n, t), verify=False)
+        expect = compose(bar_sigma(l, 2, ring), compose(t, bar_sigma(k, 2, ring)))
+        assert out.tensor.to_json_dict() == expect.to_json_dict()
 
 
 class TestTraceDescend:
@@ -457,7 +472,7 @@ class TestSimplexFromMixed:
         for n, sig_t, sig_s in ((5, (2, 2), (2, 2)), (4, (1, 2), (2, 1))):
             t = seeded_tensor(n, 2, *sig_t)
             s = seeded_tensor(n + 1, 2, *sig_s)
-            big = simplex_map_from_pair_formula(t, s, n)
+            big = pair_to_simplex_map(t, s)
             small = partial_trace_left(big)
             assert small.shape == (2, n - 2, n - 2)
 
@@ -466,7 +481,7 @@ class TestSimplexFromMixed:
             simplex_from_mixed(T3, SolutionDescriptor("dual-polygon", 5, T3.tensor), "one")
 
     def test_pair_swaps_helper(self):
-        sw = adjacent_pair_swaps(2, 5, 2, RATIONAL)
+        sw = oracle.adjacent_pair_swaps(2, 5, 2, RATIONAL)
         for digits in product(range(2), repeat=5):
             expect = (digits[1], digits[0], digits[3], digits[2], digits[4])
             assert sw.entry(expect, digits) == 1

@@ -8,7 +8,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from oracle import polygon_sides, start_legs
 from polysimplex.indices import mixed_indices, polygon_recursion_rows, simplex_indices
 from polysimplex.simplicial import (
@@ -33,6 +36,7 @@ from polysimplex.simplicial import (
 from polysimplex.tensor import (
     ShapeError,
     Tensor,
+    flip,
     from_function,
     identity_tensor,
     partial_trace_left,
@@ -254,34 +258,43 @@ class TestProgramEvaluation:
 
 class TestNonConstantBuilders:
     def test_constant_family_matches_closed_form_odd(self):
-        # order-4 family from 5-gon-shaped tensors == sigma T S composite
-        from polysimplex.construct import simplex_map_from_pair_formula
-
+        # order-4 family from 5-gon-shaped tensors == the pair swaps after T and S
         t = seeded_tensor(11, 2, 2, 2)
         s = seeded_tensor(23, 2, 2, 2)
         family = simplex_family_from_pair(4, t, s)
-        expect = simplex_map_from_pair_formula(t, s, 5)
+        expect = oracle.pair_swap_formula(t, s)
         for face, tensor in family.items():
             assert tensor == expect
 
     def test_constant_family_matches_closed_form_even(self):
-        from polysimplex.construct import simplex_map_from_pair_formula
-
         for n, seeds in ((3, (5, 7)), (5, (13, 17))):
             m = n + 1  # polygon order, even
             k = m // 2
             t = seeded_tensor(seeds[0], 2, k - 1, k)
             s = seeded_tensor(seeds[1], 2, k, k - 1)
             family = simplex_family_from_pair(n, t, s)
-            expect = simplex_map_from_pair_formula(t, s, m)
+            expect = oracle.pair_swap_formula(t, s)
             for tensor in family.values():
                 assert tensor == expect
+
+    @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_builder_matches_both_oracles(self, ring, data):
+        """Both parities: n = 2k+1 on 2k legs, n = 2k on 2k-1 legs."""
+        n = data.draw(st.integers(3, 8))
+        t_sig = (n - 1) // 2, n // 2
+        maps = [oracle.sparse_tensor, oracle.function_tensor, oracle.partial_function_tensor]
+        t, s = (data.draw(st.sampled_from(maps).flatmap(lambda m: m(ring, 2, *sig))) for sig in (t_sig, t_sig[::-1]))
+        got = pair_to_simplex_map(t, s).to_json_dict()
+        assert got == oracle.pair_to_simplex_map(t, s).to_json_dict()
+        assert got == oracle.pair_swap_formula(t, s).to_json_dict()
 
     def test_identity_pair_gives_pure_permutation(self):
         one = identity_tensor(2, 1)
         family = simplex_family_from_pair(2, one, one)
         for tensor in family.values():
-            assert tensor.is_permutation_like()
+            assert tensor == flip(2)
 
     def test_traced_identity_family_scales_by_dimension(self):
         fam = {face_delete(standard_simplex(4), i): identity_tensor(2, 4) for i in range(5)}
@@ -304,3 +317,5 @@ class TestNonConstantBuilders:
     def test_mismatched_pair_rejected(self):
         with pytest.raises(ShapeError):
             pair_to_simplex_map(identity_tensor(2, 2), identity_tensor(3, 2))
+        with pytest.raises(ShapeError):
+            pair_to_simplex_map(identity_tensor(2, 2), seeded_tensor(1, 2, 1, 2))

@@ -324,6 +324,29 @@ class TestContractStaged:
         expect = staged(steps, 2, 2, ring)
         assert contract_staged(steps, 2, 2, ring).to_json_dict() == expect.to_json_dict()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(staged_program(), function_program()), st.data())
+    def test_output_order_matches_oracle(self, program, data):
+        """Final leg m+1 is leg order[m] of the staged result."""
+        steps, legs, d, ring = program
+        expect = staged(steps, legs, d, ring)
+        order = tuple(data.draw(st.permutations(range(1, expect.out_legs + 1))))
+        expect = permute_legs(expect, LegPermutation(order).inverse(), LegPermutation(tuple(range(1, legs + 1))))
+        assert contract_staged(steps, legs, d, ring, order).to_json_dict() == expect.to_json_dict()
+
+    @pytest.mark.parametrize("ring", RINGS + (FloatRing(2.0),), ids=["rational", "f64", "gfp5", "f64-tol2"])
+    def test_output_order_without_steps_is_a_permutation(self, ring):
+        expect = permutation_tensor(2, LegPermutation((3, 1, 2)), ring)
+        assert contract_staged([], 3, 2, ring, (2, 3, 1)).to_json_dict() == expect.to_json_dict()
+
+    @pytest.mark.parametrize("order", [(1, 1, 2), (0, 1, 2), (1, 2), (1, 2, 3, 4), ("1", 2, 3), (1.0, 2, 3),
+                                       (True, 2, 3), [3, 2, 1], 3, "123"])
+    def test_malformed_output_order_rejected(self, order):
+        with pytest.raises(ShapeError):
+            contract_staged([(Z2_T, (3, 1))], 3, 2, RATIONAL, order)
+        with pytest.raises(ShapeError):
+            contract_staged([(Z2_T.scale(2), (3, 1))], 3, 2, RATIONAL, order)
+
     def test_bad_gathers_rejected(self):
         for positions in ((1, 1), (0, 2), (1, 4), (1,)):
             with pytest.raises(ShapeError):

@@ -16,11 +16,10 @@ from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.rings import F64, FloatRing
 from polysimplex.setmaps import enumerate_set_solutions
 from polysimplex.simplicial import compile_simplex, evaluate_program
-from polysimplex.tensor import ShapeError, Tensor, flip, from_function, identity_tensor
+from polysimplex.tensor import ShapeError, Tensor, _function_table, flip, from_function, identity_tensor
 from polysimplex.verify import (
     RELATIONS_1_6,
     VerificationReport,
-    blocks_transpose,
     check_commutes,
     check_mixed,
     check_polygon,
@@ -159,10 +158,18 @@ class TestCheckCommutes:
         assert check_commutes(pin0, mult).holds
         assert not check_commutes(pin1, mult).holds
 
+    def test_leg_counts_apart_by_two_rejected(self):
+        # The slot rule places a map whose leg counts differ by at most one.
+        widen = from_function(2, 1, 3, lambda x: (x[0],) * 3)
+        with pytest.raises(ShapeError):
+            check_commutes(widen, identity_tensor(2, 1))
+        with pytest.raises(ShapeError):
+            check_commutes(identity_tensor(2, 1), widen)
+
     def test_blocks_transpose_is_grid_transpose(self):
         from polysimplex.rings import RATIONAL
 
-        x = blocks_transpose(2, 2, 3, RATIONAL)
+        x = oracle.blocks_transpose(2, 2, 3, RATIONAL)
         for digits in product(range(2), repeat=6):
             grid = [digits[0:3], digits[3:6]]
             expect = tuple(grid[r][c] for c in range(3) for r in range(2))
@@ -430,6 +437,64 @@ class TestWitnessContract:
         assert got.to_json_dict() == compare_sides("5-gon", *oracle.polygon_sides(t, 5)).to_json_dict()
 
 
+@st.composite
+def commutation_pair(draw, ring, total):
+    """Maps f and g for a commutation check, leg counts apart by at most one.
+
+    Copy maps (output leg m repeats input leg m mod k) commute with every
+    basis function, so holding checks are common; ``total`` draws total
+    basis functions only, otherwise partial tables and sparse tensors too.
+    The oracle multiplies the entries of the two maps in another grouping
+    than the staged sides do, so float entries are dyadic.
+    """
+    d = draw(st.integers(1, 3))
+    budget = {1: 9, 2: 6, 3: 4}[d]  # at most d**budget columns
+
+    def draw_map(in_legs):
+        out_legs = max(1, in_legs + draw(st.sampled_from([-1, 0, 1])))
+        kinds = [oracle.function_tensor(ring, d, in_legs, out_legs), st.just(None)]
+        if not total:
+            kinds += [
+                oracle.partial_function_tensor(ring, d, in_legs, out_legs),
+                oracle.sparse_tensor(ring, d, in_legs, out_legs, values=oracle.dyadic_value),
+            ]
+        f = draw(st.one_of(kinds))
+        if f is None:
+            f = from_function(d, in_legs, out_legs, lambda x: tuple(x[m % in_legs] for m in range(out_legs)), ring)
+        return f
+
+    k = draw(st.integers(1, 3))
+    i = draw(st.integers(1, max(1, budget // k)))
+    return draw_map(k), draw_map(i)
+
+
+def expected_commutation(f, g):
+    return compare_sides("commutation", *oracle.commutation_sides(f, g)).to_json_dict()
+
+
+class TestCommutationContract:
+    """check_commutes against the tensor powers and grid transposes of the oracle."""
+
+    @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_total_functions_match_oracle(self, ring, data):
+        """The compare route decides holding checks; failing ones fall back."""
+        f, g = data.draw(commutation_pair(ring, total=True))
+        assert check_commutes(f, g).to_json_dict() == expected_commutation(f, g)
+
+    @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_other_maps_take_the_fallback(self, ring, data):
+        f, g = data.draw(commutation_pair(ring, total=False))
+        tables = [_function_table(m) for m in (f, g)]
+        assume(not all(table is not None and len(table) == f.dim**m.in_legs for table, m in zip(tables, (f, g))))
+        with compare_route_refused():
+            got = check_commutes(f, g)
+        assert json.dumps(got.to_json_dict()) == json.dumps(expected_commutation(f, g))
+
+
 @cache
 def z3_simplex_maps():
     """R4 and R3 of the pentagon-to-simplex pipeline over k[Z3]."""
@@ -443,6 +508,7 @@ class TestCompareRoute:
     def holding_checks(self):
         r4, r3 = z3_simplex_maps()
         delta = from_function(2, 1, 2, lambda x: (x[0], x[0]))
+        swap2, swap3 = flip(2), flip(3)
         return [
             lambda: check_polygon(Z3_T, 5),
             lambda: check_polygon(Z3_S, 5, dual=True),
@@ -451,7 +517,9 @@ class TestCompareRoute:
             lambda: check_relations_1_6(Z3_T, Z3_S),
             lambda: check_simplex(r4, 4),
             lambda: check_simplex(r3, 3),
-            lambda: check_simplex(flip(3), 2),
+            lambda: check_simplex(swap3, 2),
+            lambda: check_commutes(Z3_T, Z3_T),
+            lambda: check_commutes(delta, swap2),
         ]
 
     def test_holding_checks_build_no_side(self, monkeypatch):
@@ -461,7 +529,9 @@ class TestCompareRoute:
             raise AssertionError("a side tensor was built")
 
         monkeypatch.setattr(verify, "contract_staged", refuse)
+        monkeypatch.setattr(verify, "compare_sides", refuse)
         monkeypatch.setattr(Tensor, "_trusted", refuse)
+        monkeypatch.setattr(Tensor, "__post_init__", refuse)
         for check in checks:
             report = check()
             assert report.holds and report.max_deviation == 0 and report.witness is None
