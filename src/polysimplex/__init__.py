@@ -37,7 +37,6 @@ from .hopf import (
 )
 from .indices import (
     MultiIndexMatrix,
-    bar_sigma,
     mixed_equation,
     mixed_indices,
     polygon_equation,
@@ -59,7 +58,6 @@ from .simplicial import (
     traced_family,
 )
 from .tensor import (
-    LegPermutation,
     NotInvertible,
     ShapeError,
     Tensor,
@@ -70,9 +68,6 @@ from .tensor import (
     partial_compose_right,
     partial_trace_left,
     partial_trace_right,
-    permute_legs,
-    place,
-    sweep,
     tensor_product,
 )
 from .verify import (

@@ -124,8 +124,9 @@ GEN_EQ_MAX_N = 1000
 # Equation orders that compile, verify and set-verify accept, and the legs
 # a map of a commutation check may have on each side.  Compiling grows faster
 # than the cube of the order whatever the dimension, so the column cap never
-# stops a 1-dimensional map: at n = 60 the widest family, the simplex
-# equation on 1830 legs, takes about 3 s, and n = 200 takes minutes.
+# stops a 1-dimensional map: verifying the widest family, the simplex
+# equation, takes about 0.5 s at n = 60 (1830 legs), 2.4 s at n = 100 and
+# 30 s at n = 200 (2 vCPU Xeon, Python 3.11).
 MAX_ORDER = 60
 
 # Columns (tensor basis columns, or value tuples of a set map) a check may

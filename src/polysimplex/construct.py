@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .hopf import HopfInstance, check_axioms
 from .simplicial import pair_to_simplex_map
@@ -326,116 +327,43 @@ def _mixed_radix_encode(digits, dims) -> int:
     return value
 
 
+def _componentwise(maps: list[Tensor]) -> Tensor:
+    """The map acting as ``maps[m]`` on tensor factor m of (x)H_i.
+
+    The maps share their leg counts; each leg of the result packs one digit
+    per factor in mixed radix, the first factor slowest.
+    """
+    dims = [f.dim for f in maps]
+    ring, in_legs, out_legs = maps[0].ring, maps[0].in_legs, maps[0].out_legs
+    entries = {}
+    for combo in product(*(f.entries.items() for f in maps)):
+        value = ring.one
+        for _, v in combo:
+            value = ring.mul(value, v)
+        out = tuple(_mixed_radix_encode([o[j] for (o, _), _ in combo], dims) for j in range(out_legs))
+        inp = tuple(_mixed_radix_encode([i[j] for (_, i), _ in combo], dims) for j in range(in_legs))
+        entries[(out, inp)] = value
+    return Tensor(prod(dims), in_legs, out_legs, entries, ring)
+
+
 def _hat_structure(instances: list[HopfInstance], index: int) -> tuple[Tensor, Tensor]:
-    """(coproduct, product) number ``index`` on the tensor product algebra."""
-    dims = [h.dim for h in instances]
-    big = 1
-    for d in dims:
-        big *= d
-    ring = instances[0].ring
-    count = len(instances)
-    if index == 0:
-        # componentwise structure
-        cop_entries: dict = {}
-        for digits in product(*[range(d) for d in dims]):
-            x = _mixed_radix_encode(digits, dims)
-            choices = []
-            for m in range(count):
-                options = [
-                    (key[0], v)
-                    for key, v in instances[m].coproduct.entries.items()
-                    if key[1] == (digits[m],)
-                ]
-                choices.append(options)
-            for combo in product(*choices):
-                left = tuple(out[0] for out, _ in combo)
-                right = tuple(out[1] for out, _ in combo)
-                v = ring.one
-                for _, val in combo:
-                    v = ring.mul(v, val)
-                key = (
-                    (_mixed_radix_encode(left, dims), _mixed_radix_encode(right, dims)),
-                    (x,),
-                )
-                cop_entries[key] = ring.add(cop_entries.get(key, ring.zero), v)
-        prod_entries: dict = {}
-        for xd in product(*[range(d) for d in dims]):
-            for yd in product(*[range(d) for d in dims]):
-                choices = []
-                for m in range(count):
-                    options = [
-                        (key[0][0], v)
-                        for key, v in instances[m].product.entries.items()
-                        if key[1] == (xd[m], yd[m])
-                    ]
-                    choices.append(options)
-                for combo in product(*choices):
-                    z = tuple(out for out, _ in combo)
-                    v = ring.one
-                    for _, val in combo:
-                        v = ring.mul(v, val)
-                    key = (
-                        (_mixed_radix_encode(z, dims),),
-                        (_mixed_radix_encode(xd, dims), _mixed_radix_encode(yd, dims)),
-                    )
-                    prod_entries[key] = ring.add(prod_entries.get(key, ring.zero), v)
-        return (
-            Tensor(big, 1, 2, cop_entries, ring),
-            Tensor(big, 2, 1, prod_entries, ring),
-        )
-    # index >= 1: counit-weighted projection product and unit-insertion coproduct
-    unit_vectors = []
-    counit_covers = []
-    for h in instances:
-        unit_vectors.append({key[0][0]: v for key, v in h.unit.entries.items()})
-        counit_covers.append({key[1][0]: v for key, v in h.counit.entries.items()})
-    cop_entries = {}
-    for digits in product(*[range(d) for d in dims]):
-        x = _mixed_radix_encode(digits, dims)
-        tail_units = [list(unit_vectors[m].items()) for m in range(index, count)]
-        head_units = [list(unit_vectors[m].items()) for m in range(index)]
-        for tail in product(*tail_units):
-            for head in product(*head_units):
-                left = tuple(digits[:index]) + tuple(u for u, _ in tail)
-                right = tuple(u for u, _ in head) + tuple(digits[index:])
-                v = ring.one
-                for _, val in tail:
-                    v = ring.mul(v, val)
-                for _, val in head:
-                    v = ring.mul(v, val)
-                key = (
-                    (_mixed_radix_encode(left, dims), _mixed_radix_encode(right, dims)),
-                    (x,),
-                )
-                cop_entries[key] = ring.add(cop_entries.get(key, ring.zero), v)
-    prod_entries = {}
-    for xd in product(*[range(d) for d in dims]):
-        for yd in product(*[range(d) for d in dims]):
-            v = ring.one
-            dead = False
-            for m in range(index):
-                w = counit_covers[m].get(yd[m])
-                if w is None:
-                    dead = True
-                    break
-                v = ring.mul(v, w)
-            if dead:
-                continue
-            for m in range(index, count):
-                w = counit_covers[m].get(xd[m])
-                if w is None:
-                    dead = True
-                    break
-                v = ring.mul(v, w)
-            if dead:
-                continue
-            z = tuple(xd[:index]) + tuple(yd[index:])
-            key = (
-                (_mixed_radix_encode(z, dims),),
-                (_mixed_radix_encode(xd, dims), _mixed_radix_encode(yd, dims)),
-            )
-            prod_entries[key] = ring.add(prod_entries.get(key, ring.zero), v)
-    return Tensor(big, 1, 2, cop_entries, ring), Tensor(big, 2, 1, prod_entries, ring)
+    """(coproduct, product) number ``index`` on the tensor product algebra.
+
+    Both are componentwise: (Delta, m) on every factor at index 0; for
+    index >= 1, (id (x) eta, id (x) eps) on the factors before ``index`` and
+    (eta (x) id, eps (x) id) on the rest.
+    """
+    pairs = []
+    for m, h in enumerate(instances):
+        one = identity_tensor(h.dim, 1, h.ring)
+        if index == 0:
+            pairs.append((h.coproduct, h.product))
+        elif m < index:
+            pairs.append((tensor_product(one, h.unit), tensor_product(one, h.counit)))
+        else:
+            pairs.append((tensor_product(h.unit, one), tensor_product(h.counit, one)))
+    coproducts, products = zip(*pairs)
+    return _componentwise(coproducts), _componentwise(products)
 
 
 def multi_bialgebra_tower(
@@ -447,8 +375,9 @@ def multi_bialgebra_tower(
     """Tower over a tensor product of bialgebras, using the block-splitting
     product/coproduct pairs on (x)H_i.
 
-    Builds the (2k+1)-gon solution (or the (2k+2)-gon one with ``even``).
-    With enough factors the blocks used are 1..k-1 as in the two-factor
+    Builds the (2k+1)-gon solution, or with ``even`` the 2k-gon one: the
+    same chain without its last product, as the plain towers build even
+    orders.  With enough factors the blocks used are 1..k-1 as in the two-factor
     worked example; a list of exactly k-1 factors shifts to blocks 0..k-2,
     whose 0 block is the componentwise structure.
     """
@@ -477,7 +406,7 @@ def multi_bialgebra_tower(
         if not last:
             connectors.append("l")
     tensor = _fold_chain(maps, connectors)
-    order = 2 * k + 2 if even else 2 * k + 1
+    order = 2 * k if even else 2 * k + 1
     out = SolutionDescriptor(
         "polygon", order, tensor, (f"multi-tower(k={k},factors={len(instances)})",)
     )

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import RATIONAL, ScalarRing
-from .tensor import LegPermutation, ShapeError, Tensor, permutation_tensor
+from .tensor import ShapeError
 
 Row = tuple[int, ...]
 
@@ -154,13 +153,6 @@ def mixed_indices(
         MultiIndexMatrix(tuple(_mixed_f_rows(k)), "F", n),
         MultiIndexMatrix(tuple(g_rows), "G", n),
     )
-
-
-def bar_sigma(k: int, d: int, ring: ScalarRing = RATIONAL) -> Tensor:
-    """Order-reversing permutation on k legs (the translation twist)."""
-    if k < 1:
-        raise ShapeError("bar_sigma needs k >= 1")
-    return permutation_tensor(d, LegPermutation(tuple(range(k, 0, -1))), ring)
 
 
 # -- equation rendering ------------------------------------------------------

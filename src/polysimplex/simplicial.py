@@ -22,7 +22,7 @@ closed-form index recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .rings import RATIONAL, ScalarRing
@@ -81,54 +81,71 @@ class Step:
 
 @dataclass(frozen=True)
 class ContractionProgram:
-    """One side of an equation; steps are stored in application order."""
+    """One side of an equation; steps are stored in application order.
+
+    Construction replays the wiring: the stored free inputs must be the
+    labels read before any step writes them, in reverse lexicographic
+    order, and the staged placements must end in the stored free outputs,
+    else :class:`ProgramError`.  The gather positions of the replay are
+    kept for :meth:`gather_positions`.
+    """
 
     steps: tuple[Step, ...]
     free_inputs: tuple[Face, ...]
     free_outputs: tuple[Face, ...]
+    _positions: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> None:
-        free_in, free_out = _wire(self.steps)
-        if free_in != self.free_inputs or free_out != self.free_outputs:
-            raise ProgramError("stored free legs disagree with the wiring")
+    def __post_init__(self):
+        if _free_inputs(self.steps) != self.free_inputs:
+            raise ProgramError("stored free inputs disagree with the wiring")
+        positions, state = _replay(self.free_inputs, [(step.inputs, step.outputs) for step in self.steps])
+        if tuple(state) != self.free_outputs:
+            raise ProgramError("program does not terminate in its free outputs")
+        object.__setattr__(self, "_positions", tuple(positions))
 
     def gather_positions(self) -> list[tuple[str, tuple[int, ...]]]:
         """Per step, the 1-based state positions its inputs are read from."""
-        state = list(self.free_inputs)
-        result = []
-        for step in self.steps:
-            positions = []
-            for label in step.inputs:
-                if label not in state:
-                    raise ProgramError(f"step {step.tag}{step.face} needs {label}")
-                positions.append(state.index(label) + 1)
-            result.append((step.tag, tuple(positions)))
-            state = replace_slots(state, positions, list(step.outputs))
-        if tuple(state) != self.free_outputs:
-            raise ProgramError("program does not terminate in its free outputs")
-        return result
+        return [(step.tag, positions) for step, positions in zip(self.steps, self._positions)]
 
 
-def _wire(steps: tuple[Step, ...]) -> tuple[tuple[Face, ...], tuple[Face, ...]]:
-    """Compute free legs by replaying the staged placements."""
+def _free_inputs(steps) -> tuple[Face, ...]:
+    """Labels read before any step writes them, in reverse lexicographic order."""
     produced = set()
     free_inputs = []
     for step in steps:
-        for label in step.inputs:
-            if label not in produced:
-                free_inputs.append(label)
+        free_inputs.extend(label for label in step.inputs if label not in produced)
         produced.update(step.outputs)
-    free_inputs = tuple(reverse_lex_sorted(free_inputs))
-    state = list(free_inputs)
-    for step in steps:
-        positions = [state.index(label) + 1 for label in step.inputs]
-        state = replace_slots(state, positions, list(step.outputs))
-    return free_inputs, tuple(state)
+    return tuple(reverse_lex_sorted(free_inputs))
+
+
+def _replay(state, placements) -> tuple[list[tuple[int, ...]], list]:
+    """Stage ``(input labels, output labels)`` placements on a list of leg
+    labels by the slot rule of :func:`replace_slots`.
+
+    Returns the 1-based positions each placement reads (the first leg with
+    that label) and the final state; a label missing from the state is a
+    :class:`ProgramError`.
+    """
+    state = list(state)
+    reads = []
+    for inputs, outputs in placements:
+        where = {}
+        for p, label in enumerate(state, start=1):
+            where.setdefault(label, p)
+        try:
+            positions = tuple(where[label] for label in inputs)
+        except KeyError as exc:
+            raise ProgramError(f"no leg labelled {exc.args[0]} to read") from None
+        reads.append(positions)
+        state = replace_slots(state, positions, list(outputs))
+    return reads, state
 
 
 def _program(steps: list[Step]) -> ContractionProgram:
-    free_in, free_out = _wire(tuple(steps))
-    return ContractionProgram(tuple(steps), free_in, free_out)
+    steps = tuple(steps)
+    free_inputs = _free_inputs(steps)
+    _, state = _replay(free_inputs, [(step.inputs, step.outputs) for step in steps])
+    return ContractionProgram(steps, free_inputs, tuple(state))
 
 
 def flatten(program: ContractionProgram) -> list[tuple[str, tuple[int, ...]]]:
@@ -139,7 +156,6 @@ def flatten(program: ContractionProgram) -> list[tuple[str, tuple[int, ...]]]:
     where a map reads one leg more than its row names; the even mixed
     relation may interleave legs out of sorted order.
     """
-    program.validate()
     return list(reversed(program.gather_positions()))
 
 
@@ -306,15 +322,14 @@ def program_to_dot(program: ContractionProgram, name: str = "side") -> str:
 
 
 def _program_steps(program: ContractionProgram, maps) -> list:
-    """The ``(map, gather positions)`` steps of one validated side.
+    """The ``(map, gather positions)`` steps of one side.
 
     ``maps`` is either a dict keyed by tag ('T', 'S', 'R'; constant
     solutions) or a callable ``(tag, face) -> Tensor`` for non-constant
     families; each map must have the signature of its step.
     """
-    program.validate()
     steps = []
-    for step, (_, positions) in zip(program.steps, program.gather_positions()):
+    for step, positions in zip(program.steps, program._positions):
         f = maps(step.tag, step.face) if callable(maps) else maps[step.tag]
         if (f.in_legs, f.out_legs) != (len(step.inputs), len(step.outputs)):
             raise ShapeError(

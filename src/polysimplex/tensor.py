@@ -9,11 +9,7 @@ entries, so sparse storage keeps even the V^(x)10 instances tiny.
 Conventions, fixed once here and relied on everywhere:
 
 * leg positions are 1-based, basis digits are 0-based;
-* dense exports are row-major with the FIRST leg slowest;
-* ``place`` realizes the sweep-composite semantics: legs listed in ``a``
-  are gathered to the front in that order, the map is applied, outputs are
-  distributed to positions ``b``, and passive legs keep their relative
-  order.
+* dense exports are row-major with the FIRST leg slowest.
 
 :func:`contract_staged` is the one evaluator of staged placements: the
 compiled polygon, simplex and mixed sides, the relation words and the
@@ -59,37 +55,6 @@ class ShapeError(ValueError):
 
 class NotInvertible(ValueError):
     """Raised when an operation requires an invertible tensor."""
-
-
-@dataclass(frozen=True)
-class LegPermutation:
-    """A bijection of leg positions; ``image[i-1]`` is where leg i goes."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise ShapeError(f"{self.image} is not a permutation of 1..{n}")
-
-    @property
-    def size(self) -> int:
-        return len(self.image)
-
-    def __call__(self, position: int) -> int:
-        return self.image[position - 1]
-
-    def inverse(self) -> "LegPermutation":
-        inv = [0] * self.size
-        for i, target in enumerate(self.image):
-            inv[target - 1] = i + 1
-        return LegPermutation(tuple(inv))
-
-    def apply(self, digits: Digits) -> Digits:
-        out = [0] * self.size
-        for i, x in enumerate(digits):
-            out[self.image[i] - 1] = x
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -246,13 +211,9 @@ def from_function(d: int, in_legs: int, out_legs: int, fn, ring: ScalarRing = RA
     return Tensor(d, in_legs, out_legs, entries, ring)
 
 
-def permutation_tensor(d: int, perm: LegPermutation, ring: ScalarRing = RATIONAL) -> Tensor:
-    return from_function(d, perm.size, perm.size, perm.apply, ring)
-
-
 def flip(d: int, ring: ScalarRing = RATIONAL) -> Tensor:
     """The transposition x(x)y -> y(x)x on two legs."""
-    return permutation_tensor(d, LegPermutation((2, 1)), ring)
+    return from_function(d, 2, 2, lambda x: (x[1], x[0]), ring)
 
 
 def compose(f: Tensor, g: Tensor) -> Tensor:
@@ -293,60 +254,14 @@ def tensor_product(f: Tensor, g: Tensor) -> Tensor:
     return Tensor(f.dim, f.in_legs + g.in_legs, f.out_legs + g.out_legs, entries, ring)
 
 
-def sweep(i: int, j: int, n: int, d: int, ring: ScalarRing = RATIONAL) -> Tensor:
-    """Move factor j to position i, shifting factors i..j-1 right by one."""
-    if not (1 <= i <= j <= n):
-        raise ShapeError(f"sweep positions must satisfy 1 <= i <= j <= n, got {(i, j, n)}")
-
-    def act(x: Digits) -> Digits:
-        lst = list(x)
-        val = lst.pop(j - 1)
-        lst.insert(i - 1, val)
-        return tuple(lst)
-
-    return from_function(d, n, n, act, ring)
-
-
-def sweep_inverse(i: int, j: int, n: int, d: int, ring: ScalarRing = RATIONAL) -> Tensor:
-    if not (1 <= i <= j <= n):
-        raise ShapeError(f"sweep positions must satisfy 1 <= i <= j <= n, got {(i, j, n)}")
-
-    def act(x: Digits) -> Digits:
-        lst = list(x)
-        val = lst.pop(i - 1)
-        lst.insert(j - 1, val)
-        return tuple(lst)
-
-    return from_function(d, n, n, act, ring)
-
-
-def _check_multi_index(a, length: int, bound: int, what: str) -> tuple[int, ...]:
-    a = tuple(a)
-    if len(a) != length:
-        raise ShapeError(f"{what} must have {length} entries, got {a}")
-    if any(x < 1 or x > bound for x in a):
-        raise ShapeError(f"{what} {a} out of range 1..{bound}")
-    if any(a[m] >= a[m + 1] for m in range(len(a) - 1)):
-        raise ShapeError(f"{what} {a} is not strictly increasing")
-    return a
-
-
-def place(f: Tensor, a, b, n: int) -> Tensor:
-    """Embed f into V^(x)n, reading legs ``a`` and writing legs ``b``.
-
-    Equals the sweep composite
-    tau_(1,b1)^-1 ... tau_(l,bl)^-1 (f (x) id^(n-k)) tau_(k,ak) ... tau_(1,a1);
-    passive legs map to passive output slots preserving relative order.
-    """
-    k, l = f.in_legs, f.out_legs
-    if n < k:
-        raise ShapeError(f"ambient leg count {n} smaller than map input {k}")
-    a = _check_multi_index(a, k, n, "input index")
-    b = _check_multi_index(b, l, n - k + l, "output index")
-    return _place_entries(f, a, b, n)
-
-
 def _place_entries(f: Tensor, a: tuple[int, ...], b: tuple[int, ...], n: int) -> Tensor:
+    """f as a full operator on V^(x)n, reading the sorted legs ``a`` and
+    writing the sorted legs ``b``; passive legs keep their relative order.
+
+    The evaluator never builds a placed factor: this is the placement
+    kernel of the materialized reference in ``tests/oracle.py``, and the
+    benchmark tracer binds it by name.
+    """
     k, l = f.in_legs, f.out_legs
     d, ring = f.dim, f.ring
     m = n - k + l
@@ -379,8 +294,7 @@ def replace_slots(seq: list, positions, new_items) -> list:
     item count differs by one.
     """
     k, l = len(positions), len(new_items)
-    if abs(l - k) > 1:
-        raise ShapeError(f"slot replacement needs |out-in| <= 1, got {k}->{l}")
+    _check_slot_counts(k, l)
     slots = {}
     for i, p in enumerate(sorted(positions)):
         slots.setdefault(p, i)
@@ -394,9 +308,15 @@ def replace_slots(seq: list, positions, new_items) -> list:
                 out.append(new_items[k])
         else:
             out.append(item)
+    return out
+
+
+def _check_slot_counts(k: int, l: int) -> None:
+    """Refuse k -> l slot replacements that the slot rule cannot place."""
+    if abs(l - k) > 1:
+        raise ShapeError(f"slot replacement needs |out-in| <= 1, got {k}->{l}")
     if k == 0 and l == 1:
         raise ShapeError("cannot place an output without an anchor slot")
-    return out
 
 
 def _tuple_getter(indices):
@@ -429,7 +349,8 @@ def _check_shape(legs: int, shape, order=None) -> int:
             raise ShapeError(f"gather positions {positions} must be {len(positions)} distinct legs")
         if any(p < 1 or p > n for p in positions):
             raise ShapeError(f"gather positions {positions} out of range 1..{n}")
-        n = len(replace_slots([None] * n, positions, [None] * out_count))
+        _check_slot_counts(len(positions), out_count)
+        n += out_count - len(positions)
     if order is not None and not (
         isinstance(order, tuple) and all(map(_is_count, order)) and sorted(order) == list(range(1, n + 1))
     ):
@@ -665,44 +586,27 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     return Tensor._trusted(d, legs, n, entries, ring)
 
 
-def partial_trace_left(f: Tensor) -> Tensor:
+def _partial_trace(f: Tensor, leg: int) -> Tensor:
+    """Close the loop between input and output ``leg`` (0: first, -1: last)."""
     if f.in_legs < 1 or f.out_legs < 1:
         raise ShapeError("partial trace needs at least one leg on each side")
     ring = f.ring
+    keep = slice(1, None) if leg == 0 else slice(None, -1)
     entries: dict[EntryKey, object] = {}
     for (out, inp), v in f.entries.items():
-        if out[0] == inp[0]:
-            key = (out[1:], inp[1:])
+        if out[leg] == inp[leg]:
+            key = (out[keep], inp[keep])
             acc = entries.get(key)
             entries[key] = v if acc is None else ring.add(acc, v)
     return Tensor(f.dim, f.in_legs - 1, f.out_legs - 1, entries, ring)
+
+
+def partial_trace_left(f: Tensor) -> Tensor:
+    return _partial_trace(f, 0)
 
 
 def partial_trace_right(f: Tensor) -> Tensor:
-    if f.in_legs < 1 or f.out_legs < 1:
-        raise ShapeError("partial trace needs at least one leg on each side")
-    ring = f.ring
-    entries: dict[EntryKey, object] = {}
-    for (out, inp), v in f.entries.items():
-        if out[-1] == inp[-1]:
-            key = (out[:-1], inp[:-1])
-            acc = entries.get(key)
-            entries[key] = v if acc is None else ring.add(acc, v)
-    return Tensor(f.dim, f.in_legs - 1, f.out_legs - 1, entries, ring)
-
-
-def permute_legs(f: Tensor, sigma_out: LegPermutation, sigma_in: LegPermutation) -> Tensor:
-    """Relabel legs: leg i moves to position image[i] on each side."""
-    if sigma_out.size != f.out_legs or sigma_in.size != f.in_legs:
-        raise ShapeError(
-            f"permutation sizes {(sigma_out.size, sigma_in.size)} do not match "
-            f"legs {(f.out_legs, f.in_legs)}"
-        )
-    entries = {
-        (sigma_out.apply(out), sigma_in.apply(inp)): v
-        for (out, inp), v in f.entries.items()
-    }
-    return Tensor(f.dim, f.in_legs, f.out_legs, entries, f.ring)
+    return _partial_trace(f, -1)
 
 
 def partial_compose_left(x: Tensor, y: Tensor, overlap: int = 1) -> Tensor:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .indices import mixed_sequences
-from .simplicial import _program_steps, compile_mixed, compile_polygon, compile_simplex, flatten
+from .simplicial import _program_steps, _replay, compile_mixed, compile_polygon, compile_simplex, flatten
 from .tensor import (
     ShapeError,
     Tensor,
@@ -30,7 +30,6 @@ from .tensor import (
     _staged_kernel,
     contract_staged,
     deviation,
-    replace_slots,
 )
 
 
@@ -199,22 +198,18 @@ def check_commutes(f: Tensor, g: Tensor) -> VerificationReport:
         )
 
     def on_rows(rows):
-        return [(f, [(r, c) for c in range(k)], [(r, c) for c in range(l)]) for r in range(rows)]
+        return [(f, ([(r, c) for c in range(k)], [(r, c) for c in range(l)])) for r in range(rows)]
 
     def on_columns(columns):
-        return [(g, [(r, c) for r in range(i)], [(r, c) for r in range(j)]) for c in range(columns)]
+        return [(g, ([(r, c) for r in range(i)], [(r, c) for r in range(j)])) for c in range(columns)]
 
     def side(placements):
-        """Steps and output order of ``(map, input labels, output labels)``
+        """Steps and output order of ``(map, (input labels, output labels))``
         placements on the legs, labelled ``(row, column)`` row by row."""
-        state = [(r, c) for r in range(i) for c in range(k)]
-        steps = []
-        for h, inputs, outputs in placements:
-            positions = tuple(state.index(label) + 1 for label in inputs)
-            steps.append((h, positions))
-            state = replace_slots(state, positions, outputs)
+        maps, wiring = zip(*placements)
+        reads, state = _replay([(r, c) for r in range(i) for c in range(k)], wiring)
         # Row by row is the sorted order of the final labels.
-        return steps, tuple(sorted(range(1, len(state) + 1), key=lambda m: state[m - 1]))
+        return list(zip(maps, reads)), tuple(sorted(range(1, len(state) + 1), key=lambda m: state[m - 1]))
 
     (lhs, lhs_order), (rhs, rhs_order) = side(on_rows(i) + on_columns(l)), side(on_columns(k) + on_rows(j))
     return _check_sides("commutation", (lhs, rhs), k * i, f.dim, f.ring, (lhs_order, rhs_order))

@@ -1,14 +1,19 @@
 """Reference evaluations kept as test oracles.
 
-Every placed factor is built as a full operator on V^(x)n (``place`` after
-``permute_legs``) and the factors are composed one by one.  The equation
-sides are taken from the closed-form index matrices with the leg counts
-of the published equations, independently of the simplicial compiler.
-The set-theoretic check reruns the slot rule of ``replace_slots`` on every
-value tuple, and ``deviation_scan`` compares every key.  The commutation
-sides and the simplex map of a polygon pair are composed from tensor
-powers and permutation tensors.  Random sparse and function-like tensors
-over each scalar ring feed the property tests.
+This is the materialized placement calculus that the package no longer
+ships: ``place`` builds a placed factor as a full operator on V^(x)n (the
+package's ``_place_entries``), ``sweep`` and ``sweep_inverse`` are the
+factor moves of the sweep composite, leg permutations are relabelled
+entries (``permute_legs``) or 0/1 operators (``permutation_tensor``), and
+``bar_sigma`` reverses the order of the legs.  Every staged factor is
+``place`` after ``permute_legs``, and the factors are composed one by one.
+The equation sides are taken from the closed-form index matrices with the
+leg counts of the published equations, independently of the simplicial
+compiler.  The set-theoretic check reruns the slot rule of
+``replace_slots`` on every value tuple, and ``deviation_scan`` compares
+every key.  The commutation sides and the simplex map of a polygon pair
+are composed from tensor powers and permutation tensors.  Random sparse
+and function-like tensors over each scalar ring feed the property tests.
 """
 
 from itertools import product
@@ -19,13 +24,11 @@ from polysimplex.indices import mixed_indices, polygon_recursion_rows, simplex_i
 from polysimplex.rings import F64, RATIONAL, prime_field
 from polysimplex.simplicial import compile_mixed
 from polysimplex.tensor import (
-    LegPermutation,
     Tensor,
+    _place_entries,
     compose,
+    from_function,
     identity_tensor,
-    permutation_tensor,
-    permute_legs,
-    place,
     replace_slots,
     tensor_product,
 )
@@ -78,6 +81,53 @@ def partial_function_tensor(draw, ring, d, in_legs, out_legs):
     return Tensor(d, in_legs, out_legs, {(draw(outs), inp): ring.one for inp in columns}, ring)
 
 
+def _move(image, digits):
+    """Digit i goes to position image[i] (1-based)."""
+    out = [0] * len(image)
+    for i, x in enumerate(digits):
+        out[image[i] - 1] = x
+    return tuple(out)
+
+
+def inverse(image):
+    """The inverse of a leg permutation given by its images."""
+    return _move(image, range(1, len(image) + 1))
+
+
+def permutation_tensor(d, image, ring=RATIONAL):
+    """The operator on V^(x)k moving leg i to position image[i-1]."""
+    return from_function(d, len(image), len(image), lambda x: _move(image, x), ring)
+
+
+def permute_legs(f, out_image, in_image):
+    """Relabel legs: leg i moves to position image[i-1] on each side."""
+    entries = {(_move(out_image, out), _move(in_image, inp)): v for (out, inp), v in f.entries.items()}
+    return Tensor(f.dim, f.in_legs, f.out_legs, entries, f.ring)
+
+
+def bar_sigma(k, d, ring=RATIONAL):
+    """The order-reversing permutation on k legs (the translation twist)."""
+    return from_function(d, k, k, lambda x: x[::-1], ring)
+
+
+def sweep(i, j, n, d, ring=RATIONAL):
+    """Move factor j to position i, shifting factors i..j-1 right by one."""
+    return from_function(d, n, n, lambda x: x[: i - 1] + (x[j - 1],) + x[i - 1 : j - 1] + x[j:], ring)
+
+
+def sweep_inverse(i, j, n, d, ring=RATIONAL):
+    """Move factor i to position j, shifting factors i+1..j left by one."""
+    return from_function(d, n, n, lambda x: x[: i - 1] + x[i:j] + (x[i - 1],) + x[j:], ring)
+
+
+def place(f, a, b, n):
+    """Embed f into V^(x)n, reading the sorted legs ``a`` and writing the
+    sorted legs ``b``; equals the sweep composite
+    tau_(1,b1)^-1 ... tau_(l,bl)^-1 (f (x) id^(n-k)) tau_(k,ak) ... tau_(1,a1).
+    """
+    return _place_entries(f, tuple(a), tuple(b), n)
+
+
 def place_gathered(f, positions, n):
     """Place f reading legs ``positions`` in its own leg order.
 
@@ -89,8 +139,8 @@ def place_gathered(f, positions, n):
     slots = tuple(sorted(positions))
     order = {p: m for m, p in enumerate(positions)}
     # Pre-permute f so that gathering the sorted slots feeds each map leg its wire.
-    perm = LegPermutation(tuple(order[p] + 1 for p in slots)).inverse()
-    reordered = permute_legs(f, LegPermutation(tuple(range(1, l + 1))), perm)
+    perm = inverse(tuple(order[p] + 1 for p in slots))
+    reordered = permute_legs(f, tuple(range(1, l + 1)), perm)
     if l == k:
         outputs = slots
     elif l == k + 1:
@@ -196,7 +246,7 @@ def blocks_transpose(d, blocks, width, ring):
     for r in range(blocks):
         for c in range(width):
             image[r * width + c] = c * blocks + r + 1
-    return permutation_tensor(d, LegPermutation(tuple(image)), ring)
+    return permutation_tensor(d, tuple(image), ring)
 
 
 def commutation_sides(f, g):
@@ -233,12 +283,12 @@ def pair_to_simplex_map(t, s):
     tau_image = [0] * n_in
     for block_pos, leg in enumerate(evens_in + odds_in):
         tau_image[leg] = block_pos + 1
-    tau = permutation_tensor(t.dim, LegPermutation(tuple(tau_image)), t.ring)
+    tau = permutation_tensor(t.dim, tuple(tau_image), t.ring)
     evens_out, odds_out = interleave_split(n_out)
     sigma_image = [0] * n_out
     for block_pos, leg in enumerate(odds_out + evens_out):
         sigma_image[block_pos] = leg + 1
-    sigma = permutation_tensor(t.dim, LegPermutation(tuple(sigma_image)), t.ring)
+    sigma = permutation_tensor(t.dim, tuple(sigma_image), t.ring)
     return compose(sigma, compose(tensor_product(s, t), tau))
 
 
@@ -247,7 +297,7 @@ def adjacent_pair_swaps(pairs, legs, d, ring):
     image = list(range(1, legs + 1))
     for m in range(pairs):
         image[2 * m], image[2 * m + 1] = image[2 * m + 1], image[2 * m]
-    return permutation_tensor(d, LegPermutation(tuple(image)), ring)
+    return permutation_tensor(d, tuple(image), ring)
 
 
 def pair_swap_formula(t, s):

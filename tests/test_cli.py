@@ -371,6 +371,15 @@ class TestConstruct:
         data = json.loads(out_path.read_text())
         assert data["family"] == "simplex" and data["order"] == 3
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_even_multi_bialgebra_tower(self, capsys, k):
+        # Two factors are k factors at k = 2 and k - 1 factors at k = 3.
+        params = json.dumps({"groups": ["z2", "z2"], "k": k, "even": True})
+        code, out, _ = run(capsys, "construct", "--recipe", "multi-bialgebra-tower", "--params", params)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["family"], data["order"], data["tensor"]["dim"]) == ("polygon", 2 * k, 4)
+
     def test_unknown_recipe(self, capsys):
         code, _, err = run(capsys, "construct", "--recipe", "frobnicate")
         assert code == 2

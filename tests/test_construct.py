@@ -1,5 +1,6 @@
 """Constructors: every producing procedure re-verified through the checkers."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -27,8 +28,7 @@ from polysimplex.construct import (
     yang_baxter_from_pair,
 )
 from polysimplex.hopf import cyclic_group, group_algebra, symmetric_group
-from polysimplex.indices import bar_sigma
-from polysimplex.rings import RATIONAL
+from polysimplex.rings import RATIONAL, prime_field
 from polysimplex.simplicial import pair_to_simplex_map
 from polysimplex.tensor import (
     ShapeError,
@@ -183,7 +183,7 @@ class TestBarSigmaConjugate:
         k, l = polygon_signature(n, dual)
         t = data.draw(st.one_of(oracle.sparse_tensor(ring, 2, k, l), oracle.function_tensor(ring, 2, k, l)))
         out = bar_sigma_conjugate(SolutionDescriptor("dual-polygon" if dual else "polygon", n, t), verify=False)
-        expect = compose(bar_sigma(l, 2, ring), compose(t, bar_sigma(k, 2, ring)))
+        expect = compose(oracle.bar_sigma(l, 2, ring), compose(t, oracle.bar_sigma(k, 2, ring)))
         assert out.tensor.to_json_dict() == expect.to_json_dict()
 
 
@@ -384,6 +384,58 @@ class TestMultiBialgebraTower:
     def test_too_few_factors_rejected(self):
         with pytest.raises(PreconditionFailed):
             multi_bialgebra_tower(3, [H2])
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("factors", ["k-1", "k"])
+    def test_even_tower_solves_the_2k_gon(self, k, factors):
+        # The chain without its last product, as the plain towers build even orders.
+        out = multi_bialgebra_tower(k, [H2] * (k - 1 if factors == "k-1" else k), even=True)
+        assert out.family == "polygon" and out.order == 2 * k
+        assert check_polygon(out.tensor, 2 * k).holds
+
+    @pytest.mark.parametrize("ring", [RATIONAL, prime_field(5)], ids=lambda ring: ring.tag)
+    @pytest.mark.parametrize("orders, k", [((2, 3), 2), ((2, 3), 3), ((2, 2, 3), 2)])
+    def test_mixed_dimension_factors(self, orders, k, ring):
+        from polysimplex.construct import _hat_structure
+
+        instances = [group_algebra(cyclic_group(o), ring) for o in orders]
+        big = math.prod(orders)
+
+        def unpack(x):
+            digits = []
+            for o in reversed(orders):
+                x, digit = divmod(x, o)
+                digits.append(digit)
+            return digits[::-1]
+
+        def pack(digits):
+            x = 0
+            for digit, o in zip(digits, orders):
+                x = x * o + digit
+            return x
+
+        # Closed forms over k[Z_o]: index 0 is group-like Delta and the group
+        # product factor by factor; index i keeps the first i factors of the
+        # left tensor leg and the rest of the right one (the unit is digit 0).
+        for index in range(len(orders) + 1):
+            zeros = [0] * len(orders)
+            if index == 0:
+                def cop(x):
+                    return (x[0], x[0])
+
+                def mult(x):
+                    return (pack([(a + b) % o for a, b, o in zip(unpack(x[0]), unpack(x[1]), orders)]),)
+            else:
+                def cop(x):
+                    digits = unpack(x[0])
+                    return (pack(digits[:index] + zeros[index:]), pack(zeros[:index] + digits[index:]))
+
+                def mult(x):
+                    return (pack(unpack(x[0])[:index] + unpack(x[1])[index:]),)
+            expect = (from_function(big, 1, 2, cop, ring), from_function(big, 2, 1, mult, ring))
+            assert _hat_structure(instances, index) == expect
+        out = multi_bialgebra_tower(k, instances, verify=False)
+        assert out.tensor.dim == big and check_polygon(out.tensor, 2 * k + 1).holds
 
 
 class TestHigherMixedPair:

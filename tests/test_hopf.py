@@ -159,7 +159,7 @@ class TestSettheoreticLift:
 
     def test_sweedler_expansion_matches_contraction(self):
         # T(e_g (x) e_h) = e_g (x) e_(gh) for the group algebra, computed
-        # through place/compose rather than the closed form.
+        # through tensor_product/compose rather than the closed form.
         from polysimplex.tensor import tensor_product
 
         h = group_algebra(cyclic_group(3))
