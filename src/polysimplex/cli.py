@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from itertools import product
+from math import prod
 
 from . import construct as C
 from .hopf import (
@@ -146,6 +147,15 @@ def require_columns(dim: int, legs: int) -> None:
     columns = dim**legs
     if columns > MAX_COLUMNS:
         raise UsageError(f"the check runs {dim}^{legs} = {columns} columns, over the cap of {MAX_COLUMNS}")
+
+
+def require_tower_check(order: int, dual: bool, dim: int) -> None:
+    """Refuse a tower whose self-check, the (dual) order-gon on ``dim``, is
+    over the order or column cap, before the tower is built.  Orders below
+    3 are left to the recipe, which refuses them."""
+    if order >= 3:
+        require_order(order)
+        require_columns(dim, len(compile_polygon(order, dual)[0].free_inputs))
 
 
 def cmd_gen_eq(args) -> int:
@@ -332,29 +342,40 @@ def cmd_construct(args) -> int:
     ring = default_ring()
     recipe = args.recipe
 
-    def hopf():
+    def group():
         if not args.group:
             raise UsageError(f"recipe {recipe} needs --group")
-        return group_algebra(load_group(args.group), ring)
+        return load_group(args.group)
+
+    def integer(name: str, default: int) -> int:
+        value = params.get(name, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError(f"params.{name} must be an integer, got {value!r}")
+        return value
 
     if recipe == "hopf-pentagon-pair":
-        return _descriptor_out(args, C.hopf_pentagon_pair(hopf(), verify))
+        return _descriptor_out(args, C.hopf_pentagon_pair(group_algebra(group(), ring), verify))
     if recipe == "bialgebra-tower":
-        out = C.bialgebra_tower(params.get("n", 5), hopf(), params.get("dual", False), verify)
-        return _descriptor_out(args, out)
+        n, dual, g = integer("n", 5), params.get("dual", False), group()
+        if verify:
+            require_tower_check(n, dual, g.order)
+        return _descriptor_out(args, C.bialgebra_tower(n, group_algebra(g, ring), dual, verify))
     if recipe == "multi-bialgebra-tower":
         groups = params.get("groups")
-        if not groups:
+        if not (isinstance(groups, list) and groups and all(isinstance(g, str) for g in groups)):
             raise UsageError("multi-bialgebra-tower needs params.groups, a list of group names")
-        instances = [group_algebra(load_group(g), ring) for g in groups]
-        out = C.multi_bialgebra_tower(params.get("k", 2), instances, params.get("even", False), verify)
-        return _descriptor_out(args, out)
+        k, even, tables = integer("k", 2), params.get("even", False), [load_group(g) for g in groups]
+        if verify:
+            require_tower_check(2 * k if even else 2 * k + 1, False, prod(g.order for g in tables))
+        instances = [group_algebra(g, ring) for g in tables]
+        return _descriptor_out(args, C.multi_bialgebra_tower(k, instances, even, verify))
     if recipe == "hopf-mixed-pair-antipode":
-        return _descriptor_out(args, C.hopf_mixed_pair_antipode(params.get("k", 2), hopf(), verify))
+        k = integer("k", 2)
+        return _descriptor_out(args, C.hopf_mixed_pair_antipode(k, group_algebra(group(), ring), verify))
     if recipe == "higher-mixed-pair":
         t = load_tensor(args.input)
         s = load_tensor(args.input2)
-        return _descriptor_out(args, C.higher_mixed_pair(params.get("k", 2), t, s, verify))
+        return _descriptor_out(args, C.higher_mixed_pair(integer("k", 2), t, s, verify))
     if recipe == "yang-baxter":
         t = load_tensor(args.input)
         s = load_tensor(args.input2)

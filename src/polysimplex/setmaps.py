@@ -8,9 +8,11 @@ both sides of an equation run in one nest over the tuples in product
 order, each lookup in the outermost loop that binds its inputs, and the
 first tuple whose sides differ is the witness.  Runs of legs without a
 lookup share one loop and the depth is capped, so the 28 free legs of a
-15-gon compile as well as the 10 of a 9-gon.  The six lifting
-constructions between neighbouring polygon orders are implemented with
-their fixed-point criteria checked in both directions.
+15-gon compile as well as the 10 of a 9-gon.  Enumeration is a
+depth-first search over table rows, pruned by the same nest run on the
+partial table.  The six lifting constructions between neighbouring
+polygon orders are implemented with their fixed-point criteria checked in
+both directions.
 """
 
 from __future__ import annotations
@@ -122,15 +124,20 @@ def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
 
 
 @cache
-def _polygon_kernel(n: int, dual: bool) -> tuple[int, int, object]:
-    """Free-input count, step count and compare kernel of the compiled (dual) n-gon."""
+def _polygon_kernel(n: int, dual: bool, partial: bool = False) -> tuple[int, int, object]:
+    """Free-input count, step count and compare kernel of the compiled (dual) n-gon.
+
+    The partial kernel takes the tables as ``dict.get`` of partial tables
+    and returns the first tuple whose sides are both determined and
+    differ, or None.
+    """
     out_arity = polygon_signature(n, dual)[1]
     lhs, rhs = compile_polygon(n, dual)
     sides = tuple(
         tuple((positions, out_arity) for _, positions in side.gather_positions()) for side in (lhs, rhs)
     )
     legs = len(lhs.free_inputs)
-    return legs, len(lhs.steps) + len(rhs.steps), _staged_kernel(legs, sides)
+    return legs, len(lhs.steps) + len(rhs.steps), _staged_kernel(legs, sides, partial=partial)
 
 
 def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> VerificationReport:
@@ -230,9 +237,12 @@ ENUMERATION_CAP = {"base": 3, "k": 2}
 def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[FiniteMap]:
     """All solutions of the (dual) n-gon equation over {0..base-1}.
 
-    Deterministic: candidates are generated and returned in lexicographic
-    table order.  Capped at base <= 3 and k <= 2; larger instances must be
-    user supplied.
+    A depth-first search assigns the table rows in order, trying outputs in
+    lexicographic order, and drops a partial table as soon as some tuple
+    has both sides determined and different; each complete table is then
+    checked in full.  Deterministic: solutions come out in lexicographic
+    table order.  Capped at base <= 3 and k <= 2; larger instances must
+    be user supplied.
     """
     in_arity, out_arity = polygon_signature(n, dual)
     k = (n - 1) // 2 if n % 2 else n // 2
@@ -243,12 +253,25 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
             f"enumeration capped at base <= {ENUMERATION_CAP['base']}, "
             f"k <= {ENUMERATION_CAP['k']}"
         )
-    rows = base**in_arity
+    rows = _arguments(base, in_arity)
     outputs = list(product(range(base), repeat=out_arity))
+    legs, steps, kernel = _polygon_kernel(n, dual, partial=True)
+    domains = (range(base),) * legs
+    table: dict = {}  # assigned rows, in row order
     found = []
-    for choice in product(outputs, repeat=rows):
-        # Rows drawn from product(range(base), ...) are valid by construction.
-        candidate = FiniteMap._trusted(base, in_arity, out_arity, choice)
-        if check_polygon_set(candidate, n, dual).holds:
-            found.append(candidate)
+
+    def extend(row: int) -> None:
+        if row == len(rows):
+            # Rows drawn from product(range(base), ...) are valid by construction.
+            candidate = FiniteMap._trusted(base, in_arity, out_arity, tuple(table.values()))
+            if check_polygon_set(candidate, n, dual).holds:
+                found.append(candidate)
+            return
+        for out in outputs:
+            table[rows[row]] = out
+            if kernel(domains, *(table.get,) * steps) is None:
+                extend(row + 1)
+        del table[rows[row]]
+
+    extend(0)
     return found

@@ -27,6 +27,8 @@ whose sides differ: the set-theoretic checks use it, and so do the
 tensor checks of :mod:`polysimplex.verify`, which decide a holding
 equation on total basis functions without building either side and
 fall back to :func:`contract_staged` and :func:`deviation` otherwise.
+Its partial variant skips the columns a partial table leaves undecided,
+and prunes the set enumeration.
 
 Validation sits at the trust boundary: ``Tensor(...)``, JSON input and
 :func:`from_function` check every key and coerce every value, while the
@@ -388,7 +390,7 @@ def _tuple_source(names) -> str:
     return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"  # "()" when empty
 
 
-def _kernel_source(legs: int, sides: tuple, orders=None) -> str:
+def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) -> str:
     """Python source of the loop-nest kernel of staged placements.
 
     ``sides`` holds one shape (contract mode) or two (compare mode), and
@@ -409,7 +411,9 @@ def _kernel_source(legs: int, sides: tuple, orders=None) -> str:
     the whole block of columns under that loop).  Compare mode runs both
     sides on total tables (``T<s>`` are dicts) and returns the first
     ``(column, lhs, rhs)`` in product order whose final legs differ, or
-    None.
+    None.  Partial compare mode takes its lookups from contract mode
+    (``T<s>`` are ``dict.get`` of partial tables), so a column counts only
+    where both sides are fully determined.
 
     The source is made only of generated names; tables and domains are
     arguments of the kernel, never part of the text.
@@ -450,7 +454,7 @@ def _kernel_source(legs: int, sides: tuple, orders=None) -> str:
         for s, ins, outs in placed.get(loop, ()):
             key = _tuple_source(ins)
             target = f"{', '.join(outs)}, = " if outs else ""
-            if compare:
+            if compare and not partial:
                 lines.append(f"{pad}{target}T{s}[{key}]")
             else:
                 lines.append(f"{pad}o = T{s}({key})")
@@ -489,10 +493,10 @@ def _kernel_source(legs: int, sides: tuple, orders=None) -> str:
 
 
 @lru_cache(maxsize=256)
-def _staged_kernel(legs: int, sides: tuple, orders=None):
+def _staged_kernel(legs: int, sides: tuple, orders=None, partial: bool = False):
     """The compiled kernel of :func:`_kernel_source`, built once per shape."""
     namespace = {"product": product}
-    exec(compile(_kernel_source(legs, sides, orders), "<staged kernel>", "exec"), namespace)
+    exec(compile(_kernel_source(legs, sides, orders, partial), "<staged kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -648,9 +652,23 @@ def regroup(f: Tensor, block: int) -> Tensor:
 
 
 def invert(f: Tensor) -> Tensor:
-    """Exact inverse via Gaussian elimination on the dense matrix."""
+    """Exact inverse: the swapped table of a bijective basis function,
+    else Gaussian elimination on the dense matrix."""
     if f.in_legs != f.out_legs:
         raise NotInvertible(f"non-square signature {f.in_legs}->{f.out_legs}")
+    table = _function_table(f)
+    if table is None:
+        return _invert_dense(f)
+    # A basis function missing a column or repeating an image has a zero
+    # column or two equal ones.
+    if len(table) != f.dim**f.in_legs or len(set(table.values())) != len(table):
+        raise NotInvertible("tensor is singular")
+    entries = {(inp, out): f.ring.one for inp, out in sorted(table.items())}
+    return Tensor._trusted(f.dim, f.in_legs, f.out_legs, entries, f.ring)
+
+
+def _invert_dense(f: Tensor) -> Tensor:
+    """Inverse of a square ``f`` by Gaussian elimination on the dense matrix."""
     ring = f.ring
     size = f.dim**f.in_legs
     m = f.to_dense()

@@ -10,7 +10,8 @@ entries (``permute_legs``) or 0/1 operators (``permutation_tensor``), and
 The equation sides are taken from the closed-form index matrices with the
 leg counts of the published equations, independently of the simplicial
 compiler.  The set-theoretic check reruns the slot rule of
-``replace_slots`` on every value tuple, and ``deviation_scan`` compares
+``replace_slots`` on every value tuple, the brute-force enumerator tries
+every table in lexicographic order, and ``deviation_scan`` compares
 every key.  The commutation sides and the simplex map of a polygon pair
 are composed from tensor powers and permutation tensors.  Random sparse
 and function-like tensors over each scalar ring feed the property tests.
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from polysimplex.indices import mixed_indices, polygon_recursion_rows, simplex_indices
 from polysimplex.rings import F64, RATIONAL, prime_field
+from polysimplex.setmaps import FiniteMap, check_polygon_set
 from polysimplex.simplicial import compile_mixed
 from polysimplex.tensor import (
     Tensor,
@@ -344,3 +346,16 @@ def set_check(fmap, n, dual=False):
         if lhs != rhs:
             return False, {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
     return True, None
+
+
+def enumerate_set_solutions_brute(n, base, dual=False):
+    """Every table over {0..base-1} in lexicographic order, kept when it
+    passes the (dual) n-gon check."""
+    in_arity, out_arity = polygon_signature(n, dual)
+    outputs = list(product(range(base), repeat=out_arity))
+    found = []
+    for choice in product(outputs, repeat=base**in_arity):
+        candidate = FiniteMap(base, in_arity, out_arity, choice)
+        if check_polygon_set(candidate, n, dual).holds:
+            found.append(candidate)
+    return found

@@ -308,6 +308,11 @@ class TestSetCommands:
         assert code == 0
         assert out.splitlines()[0] == "3 solution(s)"
 
+    def test_set_enumerate_base3_pentagon(self, capsys):
+        code, out, _ = run(capsys, "set-enumerate", "--family", "polygon", "--n", "5", "--base", "3")
+        assert code == 0
+        assert out.splitlines()[0] == "1115 solution(s)"
+
     def test_set_enumerate_cap(self, capsys):
         code, _, _ = run(capsys, "set-enumerate", "--family", "polygon", "--n", "7", "--base", "2")
         assert code == 2
@@ -379,6 +384,35 @@ class TestConstruct:
         assert code == 0
         data = json.loads(out)
         assert (data["family"], data["order"], data["tensor"]["dim"]) == ("polygon", 2 * k, 4)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bialgebra-tower", "--group", "z3", "--params", '{"n": 11}'], "3^15 = 14348907 columns"),
+            (["bialgebra-tower", "--group", "z2", "--params", '{"n": 61}'], "order 61 is over the cap"),
+            (["bialgebra-tower", "--group", "z2", "--params", '{"n": "x"}'], "params.n must be an integer"),
+            (["multi-bialgebra-tower", "--params", '{"groups": [1]}'], "a list of group names"),
+            (
+                ["multi-bialgebra-tower", "--params", '{"groups": ["z3", "z3", "z3"], "k": 3}'],
+                "27^6 = 387420489 columns",
+            ),
+        ],
+    )
+    def test_tower_over_the_caps_or_malformed_refused_before_building(self, capsys, monkeypatch, argv, message):
+        for recipe in ("bialgebra_tower", "multi_bialgebra_tower"):
+            monkeypatch.setattr(construct, recipe, lambda *args: pytest.fail("tower was built"))
+        code, out, err = run(capsys, "construct", "--recipe", *argv)
+        assert (code, out) == (2, "") and message in err
+
+    @pytest.mark.parametrize("n, flags", [(9, ()), (11, ("--no-verify",))])
+    def test_admitted_z3_tower(self, capsys, n, flags):
+        # --no-verify builds without the self-check, so no cap applies.
+        code, out, _ = run(
+            capsys, "construct", "--recipe", "bialgebra-tower", "--group", "z3", "--params", json.dumps({"n": n}), *flags
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["family"], data["order"], data["tensor"]["dim"]) == ("polygon", n, 3)
 
     def test_unknown_recipe(self, capsys):
         code, _, err = run(capsys, "construct", "--recipe", "frobnicate")

@@ -3,16 +3,17 @@ agreement with the linear engine."""
 
 import random
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import apply_gathers, set_check, start_legs
+from oracle import apply_gathers, enumerate_set_solutions_brute, set_check, start_legs
 
 from polysimplex.hopf import settheoretic_lift
 from polysimplex.setmaps import (
+    ENUMERATION_CAP,
     FiniteMap,
     LIFTS,
     apply_staged,
@@ -24,6 +25,7 @@ from polysimplex.setmaps import (
     lift_dual_odd_to_even_pinned,
     lift_odd_to_even,
     lift_odd_to_even_pinned,
+    _polygon_kernel,
 )
 from polysimplex.tensor import ShapeError, _staged_kernel
 from polysimplex.verify import PreconditionFailed, check_polygon, polygon_signature
@@ -222,6 +224,70 @@ class TestEnumeration:
         for base in (0, -1):
             with pytest.raises(ShapeError):
                 enumerate_set_solutions(4, base)
+
+
+# Every capped instance except the two base-3 5-gons, which brute force
+# would take hours on (9^9 tables each).
+CAPPED_BRUTE = [
+    (n, base, dual)
+    for n in (3, 4, 5)
+    for base in range(1, ENUMERATION_CAP["base"] + 1)
+    for dual in (False, True)
+    if (n, base) != (5, 3)
+]
+
+
+def relabel(fmap, perm):
+    """fmap conjugated by the permutation perm of X."""
+    inverse = {p: x for x, p in enumerate(perm)}
+    return FiniteMap.from_callable(
+        fmap.base,
+        fmap.in_arity,
+        fmap.out_arity,
+        lambda args: tuple(perm[x] for x in fmap(tuple(inverse[a] for a in args))),
+    )
+
+
+class TestBacktrackingEnumeration:
+    def test_capped_instances_match_brute_force(self):
+        assert len(CAPPED_BRUTE) == 16
+        for n, base, dual in CAPPED_BRUTE:
+            got = [f.table for f in enumerate_set_solutions(n, base, dual)]
+            assert got == [f.table for f in enumerate_set_solutions_brute(n, base, dual)], (n, base, dual)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_base3_pentagon(self, dual):
+        found = enumerate_set_solutions(5, 3, dual)
+        tables = [f.table for f in found]
+        assert len(tables) == 1115 and tables == sorted(tables)
+        assert all(check_polygon_set(f, 5, dual).holds for f in found)
+        for perm in permutations(range(3)):
+            assert {relabel(f, perm).table for f in found} == set(tables)
+
+
+SMALL_POLYGONS = [(3, False), (3, True), (4, False), (4, True), (5, False), (5, True)]
+
+
+class TestPartialPolygonKernel:
+    @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
+    def test_empty_table_is_undecided(self, n, dual):
+        legs, steps, kernel = _polygon_kernel(n, dual, partial=True)
+        assert kernel((range(2),) * legs, *({}.get,) * steps) is None
+
+    @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
+    def test_complete_tables_match_total_kernel(self, n, dual):
+        in_arity, out_arity = polygon_signature(n, dual)
+        legs, steps, partial = _polygon_kernel(n, dual, partial=True)
+        _, _, total = _polygon_kernel(n, dual)
+        rows = list(product(range(2), repeat=in_arity))
+        outputs = list(product(range(2), repeat=out_arity))
+        failures = 0
+        for choice in product(outputs, repeat=len(rows)):
+            table = dict(zip(rows, choice))
+            expect = total((range(2),) * legs, *(table,) * steps)
+            assert partial((range(2),) * legs, *(table.get,) * steps) == expect
+            failures += expect is not None
+        assert 0 < failures < len(outputs) ** len(rows)
 
 
 class TestLifts:

@@ -9,6 +9,7 @@ longer ships, is checked here as well, since every other oracle rests on
 it.
 """
 
+import json
 import keyword
 import math
 import re
@@ -16,6 +17,7 @@ import tokenize
 from fractions import Fraction
 from io import StringIO
 from itertools import combinations, product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -49,6 +51,7 @@ from polysimplex.tensor import (
     from_function,
     identity_tensor,
     invert,
+    is_invertible,
     partial_compose_left,
     partial_compose_right,
     partial_trace_left,
@@ -57,7 +60,9 @@ from polysimplex.tensor import (
     replace_slots,
     tensor_product,
 )
-from polysimplex.tensor import _MAX_LOOPS, _kernel_source
+from polysimplex.simplicial import compile_polygon
+from polysimplex.tensor import _MAX_LOOPS, _invert_dense, _kernel_source
+from polysimplex.verify import polygon_signature
 
 
 def dense_matmul(a, b):
@@ -442,6 +447,31 @@ class TestStagedKernel:
                         or generated.fullmatch(token.string)), token.string
 
 
+def polygon_kernel_sources():
+    """Contract-mode source of each side, and compare-mode source of both
+    sides, of the (dual) n-gon for n <= 9, shaped as the set checks shape
+    them."""
+    sources = {}
+    for n in range(3, 10):
+        for dual in (False, True):
+            out_arity = polygon_signature(n, dual)[1]
+            lhs, rhs = compile_polygon(n, dual)
+            sides = tuple(tuple((p, out_arity) for _, p in side.gather_positions()) for side in (lhs, rhs))
+            legs = len(lhs.free_inputs)
+            tag = f"{'dual ' if dual else ''}{n}-gon"
+            sources[f"{tag} lhs contract"] = _kernel_source(legs, sides[:1])
+            sources[f"{tag} rhs contract"] = _kernel_source(legs, sides[1:])
+            sources[f"{tag} compare"] = _kernel_source(legs, sides)
+    return sources
+
+
+def test_contract_and_compare_sources_unchanged():
+    # kernel_sources.json holds these sources as generated before the
+    # partial compare mode was added; the tensor and set checks run them.
+    golden = json.loads((Path(__file__).parent / "kernel_sources.json").read_text())
+    assert polygon_kernel_sources() == golden
+
+
 class TestTrustedConstruction:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(RINGS).flatmap(
@@ -590,6 +620,27 @@ class TestInverseAndRegroup:
         assert proj == identity_tensor(2, 1)
         with pytest.raises(NotInvertible):
             invert(rank_one)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.tag)
+    @pytest.mark.parametrize("legs", [1, 2])
+    def test_function_tables_invert_as_dense(self, ring, legs):
+        def outcome(inverse_of, f):
+            try:
+                inv = inverse_of(f)
+            except NotInvertible as exc:
+                return str(exc)
+            return list(inv.entries.items()), inv.to_json_dict()
+
+        # Every basis function on d = 2, total or missing columns; none of
+        # them takes the dense elimination.
+        columns = list(product(range(2), repeat=legs))
+        for images in product([None] + columns, repeat=len(columns)):
+            entries = {(out, inp): ring.one for inp, out in zip(columns, images) if out is not None}
+            f = Tensor(2, legs, legs, entries, ring)
+            with mock.patch.object(tensor_module, "_invert_dense", side_effect=AssertionError("dense")):
+                got = outcome(invert, f)
+                assert is_invertible(f) == (not isinstance(got, str))
+            assert got == outcome(_invert_dense, f), images
 
     def test_regroup_pairs(self):
         u = tensor_product(Z2_T, Z2_T)
