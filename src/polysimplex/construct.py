@@ -22,7 +22,6 @@ from .tensor import (
     Tensor,
     compose,
     contract_staged,
-    flip,
     identity_tensor,
     invert,
     is_invertible,
@@ -134,13 +133,10 @@ def conjugate(desc: SolutionDescriptor, phi: Tensor, verify: bool = True) -> Sol
     except NotInvertible as exc:
         raise PreconditionFailed(f"phi is singular: {exc}") from exc
     t = desc.tensor
-    outs = identity_tensor(t.dim, 0, t.ring)
-    ins = identity_tensor(t.dim, 0, t.ring)
-    for _ in range(t.out_legs):
-        outs = tensor_product(outs, phi_inv)
-    for _ in range(t.in_legs):
-        ins = tensor_product(ins, phi)
-    conj = compose(outs, compose(t, ins))
+    steps = [(phi, (i,)) for i in range(1, t.in_legs + 1)]
+    steps.append((t, range(1, t.in_legs + 1)))
+    steps += [(phi_inv, (j,)) for j in range(1, t.out_legs + 1)]
+    conj = contract_staged(steps, t.in_legs, t.dim, t.ring)
     return _self_check(desc.derived(desc.family, desc.order, conj, "conjugate"), verify)
 
 
@@ -426,6 +422,19 @@ def _require_mixed_pair(t_desc: SolutionDescriptor, s_desc: SolutionDescriptor) 
         raise PreconditionFailed(f"pair fails the mixed relation ({report.witness})")
 
 
+def _self_check_pair(
+    t_desc: SolutionDescriptor, s_desc: SolutionDescriptor, verify: bool, failure: str
+) -> tuple[SolutionDescriptor, SolutionDescriptor]:
+    """Check a constructed mixed pair: each map its own equation, then the
+    pair the mixed relation, raising ``SelfCheckFailed(failure)`` on that."""
+    if verify:
+        _self_check(t_desc, True)
+        _self_check(s_desc, True)
+        if not check_mixed(t_desc.tensor, s_desc.tensor, t_desc.order).holds:
+            raise SelfCheckFailed(failure)
+    return t_desc, s_desc
+
+
 def hopf_pentagon_pair(
     h: HopfInstance, verify: bool = True
 ) -> tuple[SolutionDescriptor, SolutionDescriptor]:
@@ -435,25 +444,12 @@ def hopf_pentagon_pair(
     S multiplies the inverse antipode of it from the right.
     """
     _require_axioms(h, commutative=False, antipode=True)
-    one = identity_tensor(h.dim, 1, h.ring)
-    s_inv = h.antipode_inverse()
-    t_tensor = compose(tensor_product(one, h.product), tensor_product(h.coproduct, one))
-    s_tensor = compose(
-        tensor_product(one, h.product),
-        compose(
-            tensor_product(one, tensor_product(one, s_inv)),
-            compose(tensor_product(one, flip(h.dim, h.ring)), tensor_product(h.coproduct, one)),
-        ),
-    )
+    t_tensor = partial_compose_right(h.coproduct, h.product)
+    steps = [(h.coproduct, (1,)), (h.antipode_inverse(), (2,)), (h.product, (3, 2))]
+    s_tensor = contract_staged(steps, 2, h.dim, h.ring)
     t_desc = SolutionDescriptor("polygon", 5, t_tensor, (f"hopf-T({h.name or 'H'})",))
     s_desc = SolutionDescriptor("dual-polygon", 5, s_tensor, (f"hopf-S({h.name or 'H'})",))
-    if verify:
-        _self_check(t_desc, True)
-        _self_check(s_desc, True)
-        report = check_mixed(t_tensor, s_tensor, 5)
-        if not report.holds:
-            raise SelfCheckFailed("hopf pair fails the mixed relation")
-    return t_desc, s_desc
+    return _self_check_pair(t_desc, s_desc, verify, "hopf pair fails the mixed relation")
 
 
 def higher_mixed_pair(
@@ -478,13 +474,7 @@ def higher_mixed_pair(
     n = 2 * k + 3
     t_desc = SolutionDescriptor("polygon", n, t_tower, (f"mixed-tower-T(k={k})",))
     s_desc = SolutionDescriptor("dual-polygon", n, s_tower, (f"mixed-tower-S(k={k})",))
-    if verify:
-        _self_check(t_desc, True)
-        _self_check(s_desc, True)
-        mixed = check_mixed(t_tower, s_tower, n)
-        if not mixed.holds:
-            raise SelfCheckFailed(f"stacked pair fails the {n}-gon mixed relation")
-    return t_desc, s_desc
+    return _self_check_pair(t_desc, s_desc, verify, f"stacked pair fails the {n}-gon mixed relation")
 
 
 def hopf_mixed_pair_antipode(
@@ -500,7 +490,7 @@ def hopf_mixed_pair_antipode(
         t_desc = SolutionDescriptor("polygon", 3, one, ("identity",))
         s_desc = SolutionDescriptor("dual-polygon", 3, one, ("identity",))
         return t_desc, s_desc
-    m_twisted = compose(h.product, tensor_product(h.antipode, one))
+    m_twisted = contract_staged([(h.antipode, (1,)), (h.product, (1, 2))], 2, h.dim, h.ring)
     t_block = partial_compose_right(h.coproduct, h.product)
     s_block = partial_compose_right(h.coproduct, m_twisted)
     if verify:
@@ -517,13 +507,7 @@ def hopf_mixed_pair_antipode(
     s_desc = SolutionDescriptor(
         "dual-polygon", n, s_tower, (f"antipode-tower({h.name or 'H'},{n})",)
     )
-    if verify:
-        _self_check(t_desc, True)
-        _self_check(s_desc, True)
-        mixed = check_mixed(t_tower, s_tower, n)
-        if not mixed.holds:
-            raise SelfCheckFailed(f"antipode pair fails the {n}-gon mixed relation")
-    return t_desc, s_desc
+    return _self_check_pair(t_desc, s_desc, verify, f"antipode pair fails the {n}-gon mixed relation")
 
 
 # -- simplex solutions from mixed pairs ----------------------------------------

@@ -23,7 +23,7 @@ from itertools import product
 
 from .simplicial import compile_polygon
 from .tensor import ShapeError, _staged_kernel
-from .verify import PreconditionFailed, VerificationReport, polygon_signature
+from .verify import PreconditionFailed, VerificationReport, polygon_signature, require_columns
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,7 @@ def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> Verificati
             f"got {fmap.in_arity}->{fmap.out_arity}"
         )
     legs, steps, kernel = _polygon_kernel(n, dual)
+    require_columns(fmap.base, legs)
     failure = kernel((range(fmap.base),) * legs, *(_lookup(fmap),) * steps)
     name = f"set-theoretic {'dual ' if dual else ''}{n}-gon"
     shape = (fmap.base, fmap.in_arity, fmap.out_arity)

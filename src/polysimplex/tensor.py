@@ -618,22 +618,24 @@ def partial_compose_left(x: Tensor, y: Tensor, overlap: int = 1) -> Tensor:
 
     The last ``overlap`` inputs of x consume the first ``overlap`` outputs
     of y.  One shared leg is the partial composition used by the stacking
-    results and the bialgebra towers.
+    results and the bialgebra towers.  Two staged steps, y on the trailing
+    legs and then x on the leading ones, each placed by the slot rule.
     """
     if overlap < 0 or overlap > min(x.in_legs, y.out_legs):
         raise ShapeError(f"overlap {overlap} impossible for {x.shape} o_l {y.shape}")
-    top = tensor_product(x, identity_tensor(x.dim, y.out_legs - overlap, x.ring))
-    bottom = tensor_product(identity_tensor(x.dim, x.in_legs - overlap, x.ring), y)
-    return compose(top, bottom)
+    first = x.in_legs - overlap + 1
+    steps = [(y, range(first, first + y.in_legs)), (x, range(1, x.in_legs + 1))]
+    return contract_staged(steps, first - 1 + y.in_legs, x.dim, x.ring)
 
 
 def partial_compose_right(x: Tensor, y: Tensor, overlap: int = 1) -> Tensor:
-    """x on the bottom-left, y on the top-right, sharing ``overlap`` legs."""
+    """x on the bottom-left, y on the top-right, sharing ``overlap`` legs:
+    x on the leading legs, then y from the last ``overlap`` outputs of x on."""
     if overlap < 0 or overlap > min(x.out_legs, y.in_legs):
         raise ShapeError(f"overlap {overlap} impossible for {x.shape} o_r {y.shape}")
-    top = tensor_product(identity_tensor(x.dim, x.out_legs - overlap, x.ring), y)
-    bottom = tensor_product(x, identity_tensor(x.dim, y.in_legs - overlap, x.ring))
-    return compose(top, bottom)
+    first = x.out_legs - overlap + 1
+    steps = [(x, range(1, x.in_legs + 1)), (y, range(first, first + y.in_legs))]
+    return contract_staged(steps, x.in_legs + y.in_legs - overlap, x.dim, x.ring)
 
 
 def regroup(f: Tensor, block: int) -> Tensor:

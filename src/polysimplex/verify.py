@@ -33,6 +33,19 @@ from .tensor import (
 )
 
 
+# Columns (tensor basis columns, or value tuples of a set map) a check may
+# run through both sides of its equation: the base-2 13-gon (2^21) takes
+# about 5 s, and every order of magnitude more is minutes to years.
+MAX_COLUMNS = 2**22
+
+
+def require_columns(dim: int, legs: int) -> None:
+    """Refuse a check on ``dim ** legs`` columns above the cap."""
+    columns = dim**legs
+    if columns > MAX_COLUMNS:
+        raise ShapeError(f"the check runs {dim}^{legs} = {columns} columns, over the cap of {MAX_COLUMNS}")
+
+
 class PreconditionFailed(ValueError):
     """A construction was fed inputs that fail its required hypotheses."""
 
@@ -93,10 +106,12 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
     a difference, both sides are contracted and compared entrywise: the
     witness is the largest deviation at the lexicographically first key,
     which the first differing column in product order need not be.
+    Checks over more than ``MAX_COLUMNS`` columns are refused.
     """
     (lhs_maps, lhs_shape, n), (rhs_maps, rhs_shape, rhs_n) = (
         _check_steps(steps, legs, d, ring, order) for steps, order in zip(sides, orders)
     )
+    require_columns(d, legs)
     maps = lhs_maps + rhs_maps
     tables = {id(f): _function_table(f) for f in maps}
     if (

@@ -13,7 +13,9 @@ compiler.  The set-theoretic check reruns the slot rule of
 ``replace_slots`` on every value tuple, the brute-force enumerator tries
 every table in lexicographic order, and ``deviation_scan`` compares
 every key.  The commutation sides and the simplex map of a polygon pair
-are composed from tensor powers and permutation tensors.  Random sparse
+are composed from tensor powers and permutation tensors, and the partial
+compositions, the Hopf pentagon pair, the legwise conjugation and the
+antipode-twisted product from maps padded with identity tensors.  Random sparse
 and function-like tensors over each scalar ring feed the property tests.
 """
 
@@ -29,6 +31,7 @@ from polysimplex.tensor import (
     Tensor,
     _place_entries,
     compose,
+    flip,
     from_function,
     identity_tensor,
     replace_slots,
@@ -359,3 +362,49 @@ def enumerate_set_solutions_brute(n, base, dual=False):
         if check_polygon_set(candidate, n, dual).holds:
             found.append(candidate)
     return found
+
+
+def partial_compose_left(x, y, overlap=1):
+    """(x (x) id) o (id (x) y), each map padded with identity tensors."""
+    top = tensor_product(x, identity_tensor(x.dim, y.out_legs - overlap, x.ring))
+    bottom = tensor_product(identity_tensor(x.dim, x.in_legs - overlap, x.ring), y)
+    return compose(top, bottom)
+
+
+def partial_compose_right(x, y, overlap=1):
+    """(id (x) y) o (x (x) id), each map padded with identity tensors."""
+    top = tensor_product(identity_tensor(x.dim, x.out_legs - overlap, x.ring), y)
+    bottom = tensor_product(x, identity_tensor(x.dim, y.in_legs - overlap, x.ring))
+    return compose(top, bottom)
+
+
+def hopf_pentagon_pair(h):
+    """The pentagon pair of a Hopf algebra as nested compositions:
+    T = (id (x) m)(Delta (x) id) and
+    S = (id (x) m)(id (x) id (x) S^-1)(id (x) flip)(Delta (x) id)."""
+    one = identity_tensor(h.dim, 1, h.ring)
+    t = compose(tensor_product(one, h.product), tensor_product(h.coproduct, one))
+    s = compose(
+        tensor_product(one, h.product),
+        compose(
+            tensor_product(one, tensor_product(one, h.antipode_inverse())),
+            compose(tensor_product(one, flip(h.dim, h.ring)), tensor_product(h.coproduct, one)),
+        ),
+    )
+    return t, s
+
+
+def conjugate(t, phi, phi_inv):
+    """phi_inv^(x)l o t o phi^(x)k, the tensor powers built one factor at a time."""
+    outs = identity_tensor(t.dim, 0, t.ring)
+    ins = identity_tensor(t.dim, 0, t.ring)
+    for _ in range(t.out_legs):
+        outs = tensor_product(outs, phi_inv)
+    for _ in range(t.in_legs):
+        ins = tensor_product(ins, phi)
+    return compose(outs, compose(t, ins))
+
+
+def twisted_product(h):
+    """m o (S (x) id), the antipode-twisted product."""
+    return compose(h.product, tensor_product(h.antipode, identity_tensor(h.dim, 1, h.ring)))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -54,6 +55,20 @@ class TestGenEq:
         code, out, _ = run(capsys, "gen-eq", "--family", "simplex", "--n", "1000")
         assert code == 0
         assert out.splitlines()[0].count("R_{") == 2 * 1001
+
+    def test_reader_closing_early_exits_two_without_a_traceback(self):
+        # About 10 MB of output, far more than a pipe holds, so the write
+        # after the reader has gone fails with EPIPE.
+        src = os.path.dirname(os.path.dirname(polysimplex.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "polysimplex.cli", "gen-eq", "--family", "simplex", "--n", "1000"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     @pytest.mark.parametrize("family,n", [("simplex", 3000), ("polygon", 5000)])
     def test_huge_order_refused(self, capsys, family, n):
@@ -403,6 +418,34 @@ class TestConstruct:
             monkeypatch.setattr(construct, recipe, lambda *args: pytest.fail("tower was built"))
         code, out, err = run(capsys, "construct", "--recipe", *argv)
         assert (code, out) == (2, "") and message in err
+
+    @pytest.mark.parametrize(
+        "recipe, group, params, legs",
+        [
+            ("higher-mixed-pair", "z3", {"k": 3}, 16),
+            ("higher-mixed-pair", "z2", {"k": 8}, 45),
+            ("stack", "z3", {"mode": "tensor"}, 15),
+        ],
+    )
+    def test_recipe_self_check_over_the_column_cap_refused(self, capsys, tmp_path, recipe, group, params, legs):
+        # The self-checks of these recipes once ran for minutes: the (2k+3)-gon
+        # of a stacked pair, and the 11-gon of a 5-gon and a 7-gon tower.
+        h = group_algebra(cyclic_group(int(group[1:])))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        if recipe == "stack":
+            first.write_text(json.dumps(construct.bialgebra_tower(5, h).to_json_dict()))
+            second.write_text(json.dumps(construct.bialgebra_tower(7, h).to_json_dict()))
+        else:
+            t_desc, s_desc = hopf_pentagon_pair(h)
+            first.write_text(t_desc.tensor.to_json())
+            second.write_text(s_desc.tensor.to_json())
+        argv = ["construct", "--recipe", recipe, "--input", str(first), "--input2", str(second)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--params", json.dumps(params))
+        assert time.perf_counter() - start < 1
+        d = int(group[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: the check runs {d}^{legs} = {d**legs} columns, over the cap of {MAX_COLUMNS}\n"
 
     @pytest.mark.parametrize("n, flags", [(9, ()), (11, ("--no-verify",))])
     def test_admitted_z3_tower(self, capsys, n, flags):

@@ -27,7 +27,7 @@ from polysimplex.construct import (
     verify_descriptor,
     yang_baxter_from_pair,
 )
-from polysimplex.hopf import cyclic_group, group_algebra, symmetric_group
+from polysimplex.hopf import cyclic_group, direct_product, dual_group_algebra, group_algebra, symmetric_group
 from polysimplex.rings import RATIONAL, prime_field
 from polysimplex.simplicial import pair_to_simplex_map
 from polysimplex.tensor import (
@@ -36,6 +36,7 @@ from polysimplex.tensor import (
     compose,
     from_function,
     identity_tensor,
+    invert,
     partial_trace_left,
     partial_trace_right,
     tensor_product,
@@ -487,6 +488,48 @@ class TestAntipodeMixedPair:
         )
         with pytest.raises(PreconditionFailed):
             hopf_mixed_pair_antipode(2, no_antipode)
+
+
+def _shift_automorphism(d):
+    """id + 2 E_(0, d-1): invertible, and not a basis function for d >= 2."""
+    entries = {((i,), (i,)): 1 for i in range(d)}
+    entries[((0,), (d - 1,))] = 2
+    return Tensor(d, 1, 1, entries)
+
+
+GROUPS = {
+    "z2": cyclic_group(2),
+    "z3": cyclic_group(3),
+    "v4": direct_product(cyclic_group(2), cyclic_group(2)),
+    "s3": symmetric_group(3),
+}
+
+
+@pytest.mark.parametrize("algebra", [group_algebra, dual_group_algebra], ids=["k[G]", "Fun(G)"])
+class TestStagedWordsMatchPaddedCompositions:
+    """The staged construction words equal the identity-padded compositions
+    of ``oracle``, entry for entry."""
+
+    # S3 makes the product noncommutative, so the order m reads its legs in matters.
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_pentagon_pair(self, algebra, group):
+        h = algebra(GROUPS[group])
+        built = [desc.tensor.to_json_dict() for desc in hopf_pentagon_pair(h)]
+        assert built == [t.to_json_dict() for t in oracle.hopf_pentagon_pair(h)]
+
+    @pytest.mark.parametrize("group", ["z2", "z3", "v4"])
+    def test_conjugate_by_a_non_basis_automorphism(self, algebra, group):
+        h = algebra(GROUPS[group])
+        phi = _shift_automorphism(h.dim)
+        for desc in (*hopf_pentagon_pair(h), bialgebra_tower(6, h)):
+            want = oracle.conjugate(desc.tensor, phi, invert(phi))
+            assert conjugate(desc, phi).tensor.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.parametrize("group", ["z2", "z3", "v4"])
+    def test_antipode_twisted_block(self, algebra, group):
+        h = algebra(GROUPS[group])
+        want = oracle.partial_compose_right(h.coproduct, oracle.twisted_product(h))
+        assert hopf_mixed_pair_antipode(2, h)[1].tensor.to_json_dict() == want.to_json_dict()
 
 
 class TestSimplexFromMixed:

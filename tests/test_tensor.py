@@ -24,9 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from oracle import (
     RINGS,
     deviation_scan,
+    dyadic_value,
+    function_tensor,
     inverse,
     partial_function_tensor,
     permutation_tensor,
@@ -605,6 +608,36 @@ class TestPartialComposition:
     def test_overlap_bounds(self):
         with pytest.raises(ShapeError):
             partial_compose_left(Z2_T, Z2_T, overlap=3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_against_padded_compositions(self, data):
+        ring = data.draw(st.sampled_from(RINGS))
+        d = data.draw(st.integers(1, 3))
+
+        def placeable():
+            k = data.draw(st.integers(0, 3))
+            l = data.draw(st.sampled_from([m for m in (k - 1, k, k + 1) if m >= 0 and (k, m) != (0, 1)]))
+            return data.draw(st.one_of(
+                sparse_tensor(ring, d, k, l, values=dyadic_value), function_tensor(ring, d, k, l)
+            ))
+
+        x, y = placeable(), placeable()
+        for overlap in range(min(x.in_legs, y.out_legs) + 1):
+            want = oracle.partial_compose_left(x, y, overlap)
+            assert partial_compose_left(x, y, overlap).to_json_dict() == want.to_json_dict()
+        for overlap in range(min(x.out_legs, y.in_legs) + 1):
+            want = oracle.partial_compose_right(x, y, overlap)
+            assert partial_compose_right(x, y, overlap).to_json_dict() == want.to_json_dict()
+
+    def test_maps_the_slot_rule_cannot_place_refused(self):
+        one = identity_tensor(2, 1)
+        spread = from_function(2, 1, 3, lambda x: x * 3)
+        unit = Tensor(2, 0, 1, {((0,), ()): 1})
+        for x, y in ((spread, one), (one, spread), (one, unit), (unit, one)):
+            for compose_partially in (partial_compose_left, partial_compose_right):
+                with pytest.raises(ShapeError):
+                    compose_partially(x, y, overlap=0)
 
 
 class TestInverseAndRegroup:
