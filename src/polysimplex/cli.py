@@ -56,6 +56,7 @@ from .verify import (
     check_polygon,
     check_relations_1_6,
     check_simplex,
+    polygon_signature,
     require_columns,
 )
 
@@ -137,13 +138,20 @@ def require_order(n: int) -> None:
         raise UsageError(f"equation order {n} is over the cap of {MAX_ORDER}")
 
 
-def require_tower_check(order: int, dual: bool, dim: int) -> None:
-    """Refuse a tower whose self-check, the (dual) order-gon on ``dim``, is
-    over the order or column cap, before the tower is built.  Orders below
-    3 are left to the recipe, which refuses them."""
-    if order >= 3:
-        require_order(order)
+def require_tower(order: int, dual: bool, dim: int, verify: bool) -> None:
+    """Refuse a tower over the caps before it is built: an order over the
+    order cap (a 1-dimensional tower has one column at every order, and
+    building it grows with about the cube of the order); with ``verify``,
+    its self-check, the (dual) order-gon on ``dim``, over the column cap;
+    without, the tower itself, ``dim ** in_legs`` columns.  Orders below 3
+    are left to the recipe, which refuses them."""
+    if order < 3:
+        return
+    require_order(order)
+    if verify:
         require_columns(dim, len(compile_polygon(order, dual)[0].free_inputs))
+    else:
+        require_columns(dim, polygon_signature(order, dual)[0], "the tower maps")
 
 
 def cmd_gen_eq(args) -> int:
@@ -327,20 +335,24 @@ def cmd_construct(args) -> int:
             raise UsageError(f"params.{name} must be an integer, got {value!r}")
         return value
 
+    def boolean(name: str) -> bool:
+        value = params.get(name, False)
+        if not isinstance(value, bool):
+            raise UsageError(f"params.{name} must be true or false, got {value!r}")
+        return value
+
     if recipe == "hopf-pentagon-pair":
         return _descriptor_out(args, C.hopf_pentagon_pair(group_algebra(group(), ring), verify))
     if recipe == "bialgebra-tower":
-        n, dual, g = integer("n", 5), params.get("dual", False), group()
-        if verify:
-            require_tower_check(n, dual, g.order)
+        n, dual, g = integer("n", 5), boolean("dual"), group()
+        require_tower(n, dual, g.order, verify)
         return _descriptor_out(args, C.bialgebra_tower(n, group_algebra(g, ring), dual, verify))
     if recipe == "multi-bialgebra-tower":
         groups = params.get("groups")
         if not (isinstance(groups, list) and groups and all(isinstance(g, str) for g in groups)):
             raise UsageError("multi-bialgebra-tower needs params.groups, a list of group names")
-        k, even, tables = integer("k", 2), params.get("even", False), [load_group(g) for g in groups]
-        if verify:
-            require_tower_check(2 * k if even else 2 * k + 1, False, prod(g.order for g in tables))
+        k, even, tables = integer("k", 2), boolean("even"), [load_group(g) for g in groups]
+        require_tower(2 * k if even else 2 * k + 1, False, prod(g.order for g in tables), verify)
         instances = [group_algebra(g, ring) for g in tables]
         return _descriptor_out(args, C.multi_bialgebra_tower(k, instances, even, verify))
     if recipe == "hopf-mixed-pair-antipode":

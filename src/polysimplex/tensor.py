@@ -20,13 +20,17 @@ another output order.  No placed factor is ever materialized.
 When every map is a basis function (each column it has holds one entry,
 equal to one), the steps run as a generated loop-nest kernel with no
 ring arithmetic, each lookup hoisted to the outermost loop that binds
-its inputs.  Other maps push sparse vectors through a plan of tuple
-getters.  The same generator has a compare mode, which runs both sides
-of an equation in one nest on total tables and returns the first column
-whose sides differ: the set-theoretic checks use it, and so do the
-tensor checks of :mod:`polysimplex.verify`, which decide a holding
-equation on total basis functions without building either side and
-fall back to :func:`contract_staged` and :func:`deviation` otherwise.
+its inputs.  Other maps push each column as a sparse vector through a
+plan of tuple getters, on native numbers (:func:`_push_columns`):
+rationals as integers scaled by each map's least common denominator,
+GF(p) as ``int`` reduced mod p, floats as floats.  The same generator
+has a compare mode, which runs both sides of an equation in one nest on
+total tables and returns the first column whose sides differ: the
+set-theoretic checks use it, and so do the tensor checks of
+:mod:`polysimplex.verify`, which decide a holding equation on total
+basis functions without building either side.  Those checks stream the
+pushed columns of other maps in exact rings, and build the sides with
+:func:`contract_staged` and compare them by :func:`deviation` otherwise.
 Its partial variant skips the columns a partial table leaves undecided,
 and prunes the set enumeration.
 
@@ -40,12 +44,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 import json
+from math import lcm, prod
 from operator import itemgetter
 
-from .rings import RATIONAL, FloatRing, ScalarRing, ring_from_tag
+from .rings import RATIONAL, FloatRing, PrimeField, RationalRing, ScalarRing, ring_from_tag
 
 Digits = tuple[int, ...]
 EntryKey = tuple[Digits, Digits]
@@ -553,7 +559,9 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     block of columns and a missing input drops that block.  Runs of legs
     without a lookup share one loop and the nest depth is capped, so any
     leg count compiles.  Other maps push each column through a plan of
-    tuple getters as a sparse vector.
+    tuple getters as a sparse vector on native numbers (see
+    :func:`_push_columns`), and a rational entry is built once, as
+    ``Fraction(c, S)`` from the integer ``c`` and the side's scale ``S``.
     """
     maps, shape, n = _check_steps(steps, legs, d, ring, order)
     entries: dict[EntryKey, object] = {}
@@ -566,28 +574,76 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     if not maps:
         # One is a zero of the ring, so the permutation has no entries.
         return Tensor._trusted(d, legs, n, entries, ring)
-    plan, arrange = _staged_plan(legs, shape, order)
-    by_ins = []
-    for f in maps:
-        by_in: dict[Digits, list] = {}
-        for (out, inp), v in f.entries.items():
-            by_in.setdefault(inp, []).append((out, v))
-        by_ins.append(by_in)
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    for column in product(range(d), repeat=legs):
-        vec = {column: ring.one}
-        for (read, write), by_in in zip(plan, by_ins):
-            nxt: dict[Digits, object] = {}
-            for state, c in vec.items():
-                for out, v in by_in.get(read(state), ()):
-                    key = write(state + out)
-                    acc = nxt.get(key)
-                    term = mul(v, c)
-                    nxt[key] = term if acc is None else add(acc, term)
-            vec = {key: c for key, c in nxt.items() if not is_zero(c)}
-        for state, c in vec.items():
-            entries[(arrange(state), column)] = c
+    scale, pushed = _push_columns(maps, shape, legs, d, ring, order)
+    value = _entry_value(ring, scale)
+    for column, vec in pushed:
+        for out, c in vec.items():
+            entries[(out, column)] = value(c)
     return Tensor._trusted(d, legs, n, entries, ring)
+
+
+def _native_map(f: Tensor) -> tuple[dict, int]:
+    """``{input digits: [(output digits, coefficient), ...]}`` of ``f`` on
+    native numbers, and its scale: rationals become integers times the
+    least common denominator of ``f``, which is the scale; GF(p) and float
+    entries are already ``int`` and ``float``, with scale 1."""
+    rational = isinstance(f.ring, RationalRing)
+    scale = lcm(*(v.denominator for v in f.entries.values())) if rational else 1
+    by_in: dict[Digits, list] = {}
+    for (out, inp), v in f.entries.items():
+        by_in.setdefault(inp, []).append((out, v.numerator * (scale // v.denominator) if rational else v))
+    return by_in, scale
+
+
+def _entry_value(ring: ScalarRing, scale: int):
+    """The ring element of a value pushed by :func:`_push_columns` on a
+    side of scale ``scale``."""
+    if isinstance(ring, RationalRing):
+        return lambda c: Fraction(c, scale)
+    return lambda c: c
+
+
+def _push_columns(maps, shape, legs: int, d: int, ring: ScalarRing, order=None):
+    """Push every column of V^(x)legs through validated staged maps as a
+    sparse vector on native numbers.
+
+    Returns the side's scale S, the product of its steps' scales (see
+    :func:`_native_map`), and an iterator over the columns in product
+    order of ``(column, {final legs in the output order: c})``, where the
+    entry is ``c / S`` in the rationals and ``c`` in the other rings.
+    GF(p) values are reduced mod p after each step, and floats are
+    multiplied and added in the order of the composed placed factors;
+    after each step values that are zero in the ring are dropped.
+    """
+    plan, arrange = _staged_plan(legs, shape, order)
+    native = {id(f): _native_map(f) for f in maps}
+    by_ins = [native[id(f)][0] for f in maps]
+    scale = prod(native[id(f)][1] for f in maps)
+    if isinstance(ring, FloatRing):
+        tolerance = ring.tolerance
+        # Not ``> tolerance``: a NaN is no zero, and stays.
+        settle = lambda nxt: {key: c for key, c in nxt.items() if not abs(c) <= tolerance}
+    elif isinstance(ring, PrimeField):
+        p = ring.p
+        settle = lambda nxt: {key: r for key, c in nxt.items() if (r := c % p)}
+    else:
+        settle = lambda nxt: {key: c for key, c in nxt.items() if c}
+
+    def columns():
+        for column in product(range(d), repeat=legs):
+            vec = {column: 1}
+            for (read, write), by_in in zip(plan, by_ins):
+                nxt: dict[Digits, object] = {}
+                for state, c in vec.items():
+                    for out, v in by_in.get(read(state), ()):
+                        key = write(state + out)
+                        # 0 + x is x for every nonzero float, and a -0.0
+                        # sum is a zero either way.
+                        nxt[key] = nxt.get(key, 0) + v * c
+                vec = settle(nxt)
+            yield column, {arrange(state): c for state, c in vec.items()}
+
+    return scale, columns()
 
 
 def _partial_trace(f: Tensor, leg: int) -> Tensor:

@@ -7,10 +7,13 @@ licenses stacking places its maps on the rows and columns of a grid of
 legs, read out row by row in an output order.  When every map is a
 total basis function, both sides run in one compare-mode loop-nest
 kernel (:func:`polysimplex.tensor._staged_kernel`) and a holding
-equation is decided without building either side.  Otherwise, and on
-any difference found, each side is contracted by
+equation is decided without building either side.  Other maps in an
+exact ring stream: both sides are pushed one column at a time on scaled
+integers (:func:`polysimplex.tensor._push_columns`), compared and
+discarded, so no side is built either.  In the float ring, and on a
+difference the kernel pass finds, each side is contracted by
 :func:`polysimplex.tensor.contract_staged` and the two tensors are
-compared entrywise, reporting the largest deviation at the
+compared entrywise.  Every route reports the largest deviation at the
 lexicographically first key as a witness.  Exact rings decide equality
 exactly; the float ring compares within its global absolute tolerance.
 """
@@ -18,15 +21,19 @@ exactly; the float ring compares within its global absolute tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
 from .indices import mixed_sequences
+from .rings import FloatRing
 from .simplicial import _program_steps, _replay, compile_mixed, compile_polygon, compile_simplex, flatten
 from .tensor import (
     ShapeError,
     Tensor,
     _check_steps,
+    _entry_value,
     _function_table,
+    _push_columns,
     _staged_kernel,
     contract_staged,
     deviation,
@@ -39,11 +46,12 @@ from .tensor import (
 MAX_COLUMNS = 2**22
 
 
-def require_columns(dim: int, legs: int) -> None:
-    """Refuse a check on ``dim ** legs`` columns above the cap."""
+def require_columns(dim: int, legs: int, subject: str = "the check runs") -> None:
+    """Refuse a check (or what ``subject`` names) on ``dim ** legs`` columns
+    above the cap."""
     columns = dim**legs
     if columns > MAX_COLUMNS:
-        raise ShapeError(f"the check runs {dim}^{legs} = {columns} columns, over the cap of {MAX_COLUMNS}")
+        raise ShapeError(f"{subject} {dim}^{legs} = {columns} columns, over the cap of {MAX_COLUMNS}")
 
 
 class PreconditionFailed(ValueError):
@@ -102,28 +110,68 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
     When every map is a total basis function (``d**in_legs`` columns, each
     one entry equal to one, and one is not a zero of the ring), both sides
     run in one compare-mode kernel pass and a holding equation is decided
-    without building either side.  Otherwise, and whenever that pass finds
-    a difference, both sides are contracted and compared entrywise: the
-    witness is the largest deviation at the lexicographically first key,
-    which the first differing column in product order need not be.
-    Checks over more than ``MAX_COLUMNS`` columns are refused.
+    without building either side.  Otherwise an exact ring streams the
+    columns (:func:`_stream_sides`) and builds no side either.  Floats, and
+    any difference the kernel pass finds, contract both sides and compare
+    them entrywise: the witness is the largest deviation at the
+    lexicographically first key, which the first differing column in
+    product order need not be.  Checks over more than ``MAX_COLUMNS``
+    columns are refused.
     """
     (lhs_maps, lhs_shape, n), (rhs_maps, rhs_shape, rhs_n) = (
         _check_steps(steps, legs, d, ring, order) for steps, order in zip(sides, orders)
     )
     require_columns(d, legs)
+    if n != rhs_n:
+        raise ShapeError(f"cannot compare shapes {(d, legs, n)} and {(d, legs, rhs_n)}")
     maps = lhs_maps + rhs_maps
     tables = {id(f): _function_table(f) for f in maps}
-    if (
-        n == rhs_n
-        and not ring.is_zero(ring.one)
-        and all(tables[id(f)] is not None and len(tables[id(f)]) == d**f.in_legs for f in maps)
+    if not ring.is_zero(ring.one) and all(
+        tables[id(f)] is not None and len(tables[id(f)]) == d**f.in_legs for f in maps
     ):
         kernel = _staged_kernel(legs, (lhs_shape, rhs_shape), orders)
         if kernel((range(d),) * legs, *(tables[id(f)] for f in maps)) is None:
             return VerificationReport(equation, True, 0, (d, legs, n), (d, legs, n))
+    elif not isinstance(ring, FloatRing):
+        pushed = (
+            _push_columns(side_maps, shape, legs, d, ring, order)
+            for side_maps, shape, order in zip((lhs_maps, rhs_maps), (lhs_shape, rhs_shape), orders)
+        )
+        return _stream_sides(equation, *pushed, ring, (d, legs, n))
     lhs, rhs = (contract_staged(steps, legs, d, ring, order) for steps, order in zip(sides, orders))
     return compare_sides(equation, lhs, rhs)
+
+
+def _stream_sides(equation: str, lhs, rhs, ring, shape) -> VerificationReport:
+    """:func:`compare_sides` on two sides pushed column by column, each a
+    ``(scale, columns)`` pair of :func:`_push_columns` in an exact ring.
+
+    A column's sides agree where ``lhs * S_rhs == rhs * S_lhs`` on every
+    key; each column is discarded once compared.  The witness is the
+    minimum of ``(-magnitude, (out, in))`` over the differing keys, with
+    the magnitude taken as :func:`deviation` takes it, so the report is
+    the one of the built sides.
+    """
+    (lhs_scale, lhs_columns), (rhs_scale, rhs_columns) = lhs, rhs
+    lhs_value, rhs_value = _entry_value(ring, lhs_scale), _entry_value(ring, rhs_scale)
+    common = gcd(lhs_scale, rhs_scale)
+    lhs_factor, rhs_factor = rhs_scale // common, lhs_scale // common
+    worst = None
+    for (column, lv), (_, rv) in zip(lhs_columns, rhs_columns):
+        if lhs_factor == rhs_factor and lv == rv:
+            continue
+        for out in lv.keys() | rv.keys():
+            a, b = lv.get(out, 0), rv.get(out, 0)
+            if a * lhs_factor != b * rhs_factor:
+                a, b = lhs_value(a), rhs_value(b)
+                rank = (-ring.magnitude(ring.add(a, ring.neg(b))), (out, column))
+                if worst is None or rank < worst[0]:
+                    worst = (rank, a, b)
+    if worst is None:
+        return VerificationReport(equation, True, 0, shape, shape)
+    (neg_mag, (out, inp)), a, b = worst
+    witness = {"out": list(out), "in": list(inp), "lhs": ring.format(a), "rhs": ring.format(b)}
+    return VerificationReport(equation, False, -neg_mag, shape, shape, witness)
 
 
 def _check_programs(equation: str, programs, maps, d: int, ring) -> VerificationReport:

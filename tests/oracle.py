@@ -16,7 +16,9 @@ every key.  The commutation sides and the simplex map of a polygon pair
 are composed from tensor powers and permutation tensors, and the partial
 compositions, the Hopf pentagon pair, the legwise conjugation and the
 antipode-twisted product from maps padded with identity tensors.  Random sparse
-and function-like tensors over each scalar ring feed the property tests.
+and function-like tensors over each scalar ring feed the property tests,
+and two maps whose composite cancels two paths on one key test the
+dropping of zeros.
 """
 
 from itertools import product
@@ -84,6 +86,17 @@ def partial_function_tensor(draw, ring, d, in_legs, out_legs):
     outs = st.tuples(*[st.integers(0, d - 1)] * out_legs)
     columns = draw(st.lists(st.sampled_from(list(product(range(d), repeat=in_legs))), unique=True))
     return Tensor(d, in_legs, out_legs, {(draw(outs), inp): ring.one for inp in columns}, ring)
+
+
+def cancelling_maps(ring):
+    """f: e0 -> e0 + e1, e1 -> e1, then g: e0 -> e0, e1 -> -e0 + e1.  The two
+    paths from e0 to e0 cancel (in GF(5), 1 + 4 reaches p), and the composite
+    is h: e0 -> e1, e1 -> -e0 + e1."""
+    one, minus = ring.one, ring.neg(ring.one)
+    f = Tensor(2, 1, 1, {((0,), (0,)): one, ((1,), (0,)): one, ((1,), (1,)): one}, ring)
+    g = Tensor(2, 1, 1, {((0,), (0,)): one, ((0,), (1,)): minus, ((1,), (1,)): one}, ring)
+    h = Tensor(2, 1, 1, {((1,), (0,)): one, ((0,), (1,)): minus, ((1,), (1,)): one}, ring)
+    return f, g, h
 
 
 def _move(image, digits):

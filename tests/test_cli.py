@@ -457,6 +457,57 @@ class TestConstruct:
         data = json.loads(out)
         assert (data["family"], data["order"], data["tensor"]["dim"]) == ("polygon", n, 3)
 
+    @pytest.mark.parametrize(
+        "recipe, group, params, message",
+        [
+            ("bialgebra-tower", "z3", {"n": 29}, f"the tower maps 3^14 = 4782969 columns, over the cap of {MAX_COLUMNS}"),
+            (
+                "multi-bialgebra-tower",
+                "z3",
+                {"groups": ["z3", "z3"], "k": 15, "even": True},
+                f"the tower maps 9^14 = 22876792454961 columns, over the cap of {MAX_COLUMNS}",
+            ),
+            # One column at every order; the 1601-gon took 18 s to build.
+            ("bialgebra-tower", "z1", {"n": 1601}, f"equation order 1601 is over the cap of {MAX_ORDER}"),
+        ],
+    )
+    def test_unverified_tower_over_the_caps_refused_before_building(
+        self, capsys, monkeypatch, recipe, group, params, message
+    ):
+        for name in ("bialgebra_tower", "multi_bialgebra_tower"):
+            monkeypatch.setattr(construct, name, lambda *args: pytest.fail("tower was built"))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "construct", "--recipe", recipe, "--group", group, "--params", json.dumps(params), "--no-verify"
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unverified_tower_under_the_column_cap_admitted(self, capsys):
+        code, out, _ = run(
+            capsys, "construct", "--recipe", "bialgebra-tower", "--group", "z3", "--params", '{"n": 21}', "--no-verify"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["order"], data["tensor"]["in_legs"]) == (21, 10)
+
+    @pytest.mark.parametrize(
+        "recipe, params",
+        [
+            ("bialgebra-tower", {"n": 7, "dual": "no"}),
+            ("bialgebra-tower", {"n": 7, "dual": 0}),
+            ("multi-bialgebra-tower", {"groups": ["z2", "z2"], "even": "false"}),
+        ],
+    )
+    def test_tower_flags_must_be_booleans(self, capsys, monkeypatch, recipe, params):
+        """A string flag was once read by its truthiness, so "no" built the dual tower."""
+        for name in ("bialgebra_tower", "multi_bialgebra_tower"):
+            monkeypatch.setattr(construct, name, lambda *args: pytest.fail("tower was built"))
+        code, out, err = run(capsys, "construct", "--recipe", recipe, "--group", "z2", "--params", json.dumps(params))
+        flag = "dual" if "dual" in params else "even"
+        assert (code, out) == (2, "")
+        assert err == f"error: params.{flag} must be true or false, got {params[flag]!r}\n"
+
     def test_unknown_recipe(self, capsys):
         code, _, err = run(capsys, "construct", "--recipe", "frobnicate")
         assert code == 2
@@ -518,6 +569,29 @@ class TestDemoAndCatalog:
         assert code == 0
         assert len(checks) == 10 and all(line.endswith(": PASS") for line in checks)
         assert maxrss_kb < 100 * 1024
+
+    def test_trace_descend_v4_in_bounded_memory(self, tmp_path):
+        """The self-check of the descended v4 7-gon, whose maps are no basis
+        functions, once built both of its sides (151 MB, 10.5 s)."""
+        src = os.path.dirname(os.path.dirname(polysimplex.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("POLYSIMPLEX_SCALAR", None)
+        tower, descended = tmp_path / "tower.json", tmp_path / "descended.json"
+        subprocess.run(
+            [sys.executable, "-m", "polysimplex.cli", "construct", "--recipe", "bialgebra-tower", "--group", "v4",
+             "--params", '{"n": 9}', "--no-verify", "--out", str(tower)],
+            env=env, check=True,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", MEASURE_CLI, "construct", "--recipe", "trace-descend",
+             "--input", str(tower), "--out", str(descended)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, maxrss_kb = map(int, proc.stderr.split())
+        data = json.loads(descended.read_text())
+        assert code == 0
+        assert (data["family"], data["order"], data["tensor"]["dim"]) == ("polygon", 7, 4)
+        assert maxrss_kb < 60 * 1024
 
     def test_catalog_contains_ten_gon_rhs(self, capsys):
         code, out, _ = run(capsys, "catalog", "--max-n", "10")

@@ -310,11 +310,20 @@ class TestContractStaged:
         steps, legs, d, ring = program
         steps = [(f.scale(2), positions) for f, positions in steps]
         expect = staged(steps, legs, d, ring)
-        cls = type(ring)
-        with mock.patch.object(cls, "mul", autospec=True, side_effect=cls.mul) as mul:
+        kernel = tensor_module._staged_kernel
+        with mock.patch.object(tensor_module, "_staged_kernel", side_effect=kernel) as spy:
             got = contract_staged(steps, legs, d, ring)
         assert got.to_json_dict() == expect.to_json_dict()
-        assert mul.called or not got.entries
+        # Only maps without entries are (empty) function tables.
+        assert spy.called == all(not f.entries for f, _ in steps)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["rational", "f64", "gfp5"])
+    def test_cancelled_paths_leave_no_entry(self, ring):
+        f, g, h = oracle.cancelling_maps(ring)
+        steps = [(f, (1,)), (g, (1,))]
+        got = contract_staged(steps, 1, 2, ring)
+        assert got.entries == h.entries
+        assert got.to_json_dict() == staged(steps, 1, 2, ring).to_json_dict()
 
     @pytest.mark.parametrize("ring", RINGS + (FloatRing(2.0),), ids=["rational", "f64", "gfp5", "f64-tol2"])
     @pytest.mark.parametrize("count", [0, 1, 2])

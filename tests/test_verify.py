@@ -1,6 +1,8 @@
 """Verifier checks against known solutions and known non-solutions."""
 
+import contextlib
 import json
+from fractions import Fraction
 from functools import cache
 from itertools import product
 from unittest import mock
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 
 import oracle
 from polysimplex import verify
-from polysimplex.construct import hopf_pentagon_pair, simplex_from_mixed
+from polysimplex.construct import SolutionDescriptor, conjugate, hopf_pentagon_pair, simplex_from_mixed
 from polysimplex.hopf import cyclic_group, group_algebra
-from polysimplex.rings import F64, FloatRing
+from polysimplex.rings import F64, RATIONAL, FloatRing, prime_field
 from polysimplex.setmaps import enumerate_set_solutions
 from polysimplex.simplicial import compile_simplex, evaluate_program
 from polysimplex.tensor import ShapeError, Tensor, _function_table, flip, from_function, identity_tensor
@@ -553,3 +555,111 @@ class TestCompareRoute:
         got = check_polygon(t, 5)
         assert not got.holds
         assert got.to_json_dict() == compare_sides("5-gon", *oracle.polygon_sides(t, 5)).to_json_dict()
+
+
+def inverse_pairs(ring):
+    """Scalars c != 1 and their inverses; the floats dyadic, so that every
+    product the checks and the oracle form is exact."""
+    if ring is F64:
+        return [(2.0, 0.5), (-0.5, -2.0), (4.0, 0.25)]
+    if ring is RATIONAL:
+        return [(Fraction(2, 3), Fraction(3, 2)), (Fraction(-3, 4), Fraction(-4, 3)), (Fraction(5), Fraction(1, 5))]
+    return [(c, ring.invert(c)) for c in range(2, ring.p)]
+
+
+@st.composite
+def two_sided_case(draw, ring):
+    """Two staged sides on the same legs, and the oracle's report on them.
+
+    The right side repeats the left one with one map scaled by c and a
+    first step of 1/c times the identity, so it holds with another scale
+    (the product of its maps' least common denominators) than the left
+    side; redrawing one of its maps makes it fail.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    legs = n = draw(st.integers(1, 3))
+    lhs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if n == 0:
+            break
+        k = draw(st.integers(1, min(n, 2)))
+        l = k + draw(st.sampled_from([-1, 0, 1]))
+        positions = tuple(draw(st.permutations(range(1, n + 1)))[:k])
+        lhs.append((draw(oracle.sparse_tensor(ring, d, k, l, values=oracle.dyadic_value)), positions))
+        n += l - k
+    c, inverse = draw(st.sampled_from(inverse_pairs(ring)))
+    j = draw(st.integers(0, len(lhs) - 1))
+    rhs = [(f.scale(c) if i == j else f, positions) for i, (f, positions) in enumerate(lhs)]
+    if draw(st.booleans()):
+        f, positions = rhs[j]
+        rhs[j] = (draw(oracle.sparse_tensor(ring, d, f.in_legs, f.out_legs, values=oracle.dyadic_value)), positions)
+    rhs.insert(0, (identity_tensor(d, 1, ring).scale(inverse), (1,)))
+    sides = (lhs, rhs)
+    expect = compare_sides("sides", *(oracle.staged(steps, legs, d, ring) for steps in sides))
+    return sides, legs, d, expect
+
+
+def exact_route_only(ring):
+    """In an exact ring, patch out the contraction of sides."""
+    if isinstance(ring, FloatRing):
+        return contextlib.nullcontext()
+    return mock.patch.object(verify, "contract_staged", side_effect=AssertionError("a side was contracted"))
+
+
+@cache
+def conjugated_z3_pair():
+    """The k[Z3] pentagon pair conjugated legwise by a rational automorphism
+    with denominators 2 and 3: a solution pair that is no basis function."""
+    phi = Tensor(3, 1, 1, {((0,), (0,)): Fraction(1, 2), ((1,), (0,)): 1, ((1,), (1,)): -3, ((2,), (2,)): Fraction(2, 3)})
+    t = conjugate(SolutionDescriptor("polygon", 5, Z3_T), phi, verify=False).tensor
+    s = conjugate(SolutionDescriptor("dual-polygon", 5, Z3_S), phi, verify=False).tensor
+    return t, s
+
+
+class TestStreamRoute:
+    """Exact checks on other maps stream their columns and match the oracle."""
+
+    @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_sides_of_other_scales_match_oracle(self, ring, data):
+        sides, legs, d, expect = data.draw(two_sided_case(ring))
+        with exact_route_only(ring):
+            got = verify._check_sides("sides", sides, legs, d, ring)
+        assert got.to_json_dict() == expect.to_json_dict()
+
+    @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
+    @pytest.mark.parametrize("rhs_entry", [None, 1, 2], ids=["holds", "one-at-the-cancelled-key", "two"])
+    def test_cancelled_paths_match_oracle(self, ring, rhs_entry):
+        f, g, h = oracle.cancelling_maps(ring)
+        if rhs_entry is not None:
+            h = Tensor(2, 1, 1, {**h.entries, ((0,), (0,)): ring.coerce(rhs_entry)}, ring)
+        lhs, rhs = [(f, (1,)), (g, (1,))], [(h, (1,))]
+        with exact_route_only(ring):
+            got = verify._check_sides("cancel", (lhs, rhs), 1, 2, ring)
+        assert got.holds == (rhs_entry is None)
+        expect = compare_sides("cancel", *(oracle.staged(steps, 1, 2, ring) for steps in (lhs, rhs)))
+        assert got.to_json_dict() == expect.to_json_dict()
+
+    @pytest.mark.parametrize("ring", [RATIONAL, prime_field(5)], ids=lambda ring: ring.tag)
+    def test_exact_checks_build_no_side(self, ring, monkeypatch):
+        t, s = (Tensor(3, 2, 2, m.entries, ring) for m in conjugated_z3_pair())
+        checks = {
+            "5-gon": (lambda: check_polygon(t, 5), lambda: oracle.polygon_sides(t, 5)),
+            "dual 5-gon": (lambda: check_polygon(s, 5, dual=True), lambda: oracle.polygon_sides(s, 5, True)),
+            "mixed": (lambda: check_mixed(t, s, 5), lambda: oracle.mixed_sides(t, s, 5)),
+            "scaled 5-gon": (lambda: check_polygon(t.scale(2), 5), lambda: oracle.polygon_sides(t.scale(2), 5)),
+            "scaled mixed": (lambda: check_mixed(t, s.scale(3), 5), lambda: oracle.mixed_sides(t, s.scale(3), 5)),
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a side tensor was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "contract_staged", refuse)
+            patch.setattr(Tensor, "_trusted", refuse)
+            reports = {name: check() for name, (check, _) in checks.items()}
+        assert [name for name, report in reports.items() if report.holds] == ["5-gon", "dual 5-gon", "mixed"]
+        for name, (_, sides) in checks.items():
+            report = reports[name]
+            assert report.to_json_dict() == compare_sides(report.equation, *sides()).to_json_dict()
