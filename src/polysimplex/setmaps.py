@@ -3,26 +3,27 @@
 Solutions here are plain functions X^k -> X^l evaluated pointwise, with no
 linearization.  The checks run the loop-nest kernel generator of the
 function path of :func:`polysimplex.tensor.contract_staged`, on values
-instead of basis digits, with the map's table keyed by argument tuples:
+instead of basis digits, with ``FiniteMap.table`` as it stands as the
+lookup table, since its rows are in the rank order of the argument tuples:
 both sides of an equation run in one nest over the tuples in product
 order, each lookup in the outermost loop that binds its inputs, and the
 first tuple whose sides differ is the witness.  Runs of legs without a
 lookup share one loop and the depth is capped, so the 28 free legs of a
 15-gon compile as well as the 10 of a 9-gon.  Enumeration is a
 depth-first search over table rows, pruned by the same nest run on the
-partial table.  The six lifting constructions between neighbouring
-polygon orders are implemented with their fixed-point criteria checked in
-both directions.
+partial table, a list indexed by row rank with None where unassigned.
+The six lifting constructions between neighbouring polygon orders are
+implemented with their fixed-point criteria checked in both directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import product
 
 from .simplicial import compile_polygon
-from .tensor import ShapeError, _staged_kernel
+from .tensor import ShapeError, _is_count, _staged_kernel
 from .verify import PreconditionFailed, VerificationReport, polygon_signature, require_columns
 
 
@@ -36,6 +37,10 @@ class FiniteMap:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # Values index the rank-keyed tables of the checks, so a bool or
+        # float must not pass for an int.
+        if not all(map(_is_count, (self.base, self.in_arity, self.out_arity))):
+            raise ShapeError("base and arities must be integers")
         if self.base < 1:
             raise ShapeError("base set must be non-empty")
         if len(self.table) != self.base**self.in_arity:
@@ -43,7 +48,7 @@ class FiniteMap:
                 f"table has {len(self.table)} rows, expected {self.base ** self.in_arity}"
             )
         for row in self.table:
-            if len(row) != self.out_arity or any(x < 0 or x >= self.base for x in row):
+            if len(row) != self.out_arity or not all(_is_count(x) and 0 <= x < self.base for x in row):
                 raise ShapeError(f"table row {row} invalid for arity/base")
 
     @classmethod
@@ -88,27 +93,23 @@ class FiniteMap:
     @staticmethod
     def from_json_dict(data: dict) -> "FiniteMap":
         base, k, l = data["base"], data["in"], data["out"]
-        entries = {
-            tuple(int(p) for p in key.split(",") if p != ""): tuple(value)
-            for key, value in data["table"].items()
-        }
-
-        def fn(args):
-            if args not in entries:
-                raise ShapeError(f"table is missing input {args}")
-            return entries[args]
-
-        return FiniteMap.from_callable(base, k, l, fn)
-
-
-@lru_cache(maxsize=4)
-def _arguments(base: int, in_arity: int) -> tuple:
-    return tuple(product(range(base), repeat=in_arity))
-
-
-def _lookup(fmap: FiniteMap) -> dict:
-    """The table of fmap keyed by argument tuples."""
-    return dict(zip(_arguments(fmap.base, fmap.in_arity), fmap.table))
+        # Also checked by __init__, but a float arity must not reach base**k.
+        if not all(map(_is_count, (base, k, l))):
+            raise ShapeError("base and arities must be integers")
+        entries = {}
+        for key, value in data["table"].items():
+            args = tuple(int(p) for p in key.split(",") if p != "")
+            if len(args) != k or not all(0 <= x < base for x in args):
+                raise ShapeError(f"table key {key!r} is not an input of arity {k} over base {base}")
+            if args in entries:
+                raise ShapeError(f"table key {key!r} repeats input {args}")
+            entries[args] = tuple(value)
+        # The keys are distinct inputs, so the table is total when there are
+        # base**k of them, and a missing input is among the first len + 1.
+        if len(entries) != base**k:
+            missing = next(args for args in product(range(base), repeat=k) if args not in entries)
+            raise ShapeError(f"table is missing input {missing}")
+        return FiniteMap.from_callable(base, k, l, entries.__getitem__)
 
 
 def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
@@ -117,9 +118,11 @@ def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
     gathers = tuple(tuple(gather) for gather in gathers)
     if any(len(gather) != fmap.in_arity for gather in gathers):
         raise ShapeError(f"every gather must name {fmap.in_arity} legs, got {gathers}")
+    if not all(_is_count(v) and 0 <= v < fmap.base for v in values):
+        raise ShapeError(f"values {values} must be integers in 0..{fmap.base - 1}")
     kernel = _staged_kernel(len(values), (tuple((gather, fmap.out_arity) for gather in gathers),))
     sink: dict = {}
-    kernel(tuple((v,) for v in values), sink, True, *(_lookup(fmap).get,) * len(gathers))
+    kernel(tuple((v,) for v in values), fmap.base, sink, True, *(fmap.table.__getitem__,) * len(gathers))
     return next((state for state, _ in sink), None)
 
 
@@ -153,7 +156,7 @@ def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> Verificati
         )
     legs, steps, kernel = _polygon_kernel(n, dual)
     require_columns(fmap.base, legs)
-    failure = kernel((range(fmap.base),) * legs, *(_lookup(fmap),) * steps)
+    failure = kernel((range(fmap.base),) * legs, fmap.base, *(fmap.table,) * steps)
     name = f"set-theoretic {'dual ' if dual else ''}{n}-gon"
     shape = (fmap.base, fmap.in_arity, fmap.out_arity)
     if failure is not None:
@@ -254,25 +257,26 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
             f"enumeration capped at base <= {ENUMERATION_CAP['base']}, "
             f"k <= {ENUMERATION_CAP['k']}"
         )
-    rows = _arguments(base, in_arity)
+    rows = base**in_arity
     outputs = list(product(range(base), repeat=out_arity))
     legs, steps, kernel = _polygon_kernel(n, dual, partial=True)
     domains = (range(base),) * legs
-    table: dict = {}  # assigned rows, in row order
+    table = [None] * rows  # indexed by row rank; None where unassigned
+    lookup = table.__getitem__
     found = []
 
     def extend(row: int) -> None:
-        if row == len(rows):
+        if row == rows:
             # Rows drawn from product(range(base), ...) are valid by construction.
-            candidate = FiniteMap._trusted(base, in_arity, out_arity, tuple(table.values()))
+            candidate = FiniteMap._trusted(base, in_arity, out_arity, tuple(table))
             if check_polygon_set(candidate, n, dual).holds:
                 found.append(candidate)
             return
         for out in outputs:
-            table[rows[row]] = out
-            if kernel(domains, *(table.get,) * steps) is None:
+            table[row] = out
+            if kernel(domains, base, *(lookup,) * steps) is None:
                 extend(row + 1)
-        del table[rows[row]]
+        table[row] = None
 
     extend(0)
     return found

@@ -19,9 +19,10 @@ rule of :func:`replace_slots` and the final legs optionally read out in
 another output order.  No placed factor is ever materialized.
 When every map is a basis function (each column it has holds one entry,
 equal to one), the steps run as a generated loop-nest kernel with no
-ring arithmetic, each lookup hoisted to the outermost loop that binds
-its inputs.  Other maps push each column as a sparse vector through a
-plan of tuple getters, on native numbers (:func:`_push_columns`):
+ring arithmetic on tables keyed by the mixed-radix rank of their input
+digits, each lookup hoisted to the outermost loop that binds its inputs.
+Other maps push each column as a sparse vector through a plan of tuple
+getters, on native numbers (:func:`_push_columns`):
 rationals as integers scaled by each map's least common denominator,
 GF(p) as ``int`` reduced mod p, floats as floats.  The same generator
 has a compare mode, which runs both sides of an equation in one nest on
@@ -148,11 +149,20 @@ class Tensor:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Tensor":
+        # Digits become the ranks that index the kernel's tables, so a bool
+        # or float must not pass for an int.  Checked here, at the JSON
+        # boundary, to keep internal construction fast.
         ring = ring_from_tag(data["scalar"])
-        entries = {
-            (tuple(out), tuple(inp)): ring.parse(v) for out, inp, v in data["entries"]
-        }
-        return Tensor(data["dim"], data["in_legs"], data["out_legs"], entries, ring)
+        shape = data["dim"], data["in_legs"], data["out_legs"]
+        if not all(map(_is_count, shape)):
+            raise ShapeError(f"dim and leg counts {list(shape)} must be integers")
+        entries = {}
+        for out, inp, v in data["entries"]:
+            key = (tuple(out), tuple(inp))
+            if not all(map(_is_count, key[0] + key[1])):
+                raise ShapeError(f"entry key {[out, inp]} must hold integer digits")
+            entries[key] = ring.parse(v)
+        return Tensor(*shape, entries, ring)
 
     @staticmethod
     def from_json(text: str) -> "Tensor":
@@ -407,22 +417,29 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) 
     order are applied to variable names here, once, and no state tuple
     exists at run time.  Step ``s`` looks its inputs up in ``T<s>`` inside
     the outermost loop that binds all of them, so its work is shared by
-    every column of the inner loops.  Runs
-    of legs with no lookup between them share one ``product`` loop, and
-    the outermost loop boundaries are merged until at most ``_MAX_LOOPS``
-    remain.
+    every column of the inner loops.  Runs of legs with no lookup between
+    them share one ``product`` loop, and the outermost loop boundaries are
+    merged until at most ``_MAX_LOOPS`` remain.
+
+    Every table is keyed by the mixed-radix rank of its inputs in base
+    ``d`` (first input most significant, as :func:`digits_to_rank`), with
+    the weights ``D<w> = d**w`` computed once at kernel entry.  The terms
+    of a key bound in outer loops are summed into ``h<s>`` once, in the
+    innermost loop that binds them, so the lookup itself adds only the
+    terms of its own loop: ``T<s>[h<s> + v7*D1 + c9]``.
 
     Contract mode writes ``sink[(final legs, column)] = one`` for every
-    column whose lookups all hit (``T<s>`` are ``dict.get``; a miss skips
-    the whole block of columns under that loop).  Compare mode runs both
-    sides on total tables (``T<s>`` are dicts) and returns the first
-    ``(column, lhs, rhs)`` in product order whose final legs differ, or
-    None.  Partial compare mode takes its lookups from contract mode
-    (``T<s>`` are ``dict.get`` of partial tables), so a column counts only
-    where both sides are fully determined.
+    column whose lookups all hit (``T<s>`` return None on a miss, as
+    ``dict.get`` does; a miss skips the whole block of columns under that
+    loop).  Compare mode runs both sides on total tables (``T<s>`` are
+    indexed by rank) and returns the first ``(column, lhs, rhs)`` in
+    product order whose final legs differ, or None.  Partial compare mode
+    takes its lookups from contract mode (``T<s>`` return None where a
+    partial table is undecided), so a column counts only where both sides
+    are fully determined.
 
-    The source is made only of generated names; tables and domains are
-    arguments of the kernel, never part of the text.
+    The source is made only of generated names; tables, domains and ``d``
+    are arguments of the kernel, never part of the text.
     """
     orders = orders or (None,) * len(sides)
     finals = [_check_shape(legs, shape, order) for shape, order in zip(sides, orders)]
@@ -447,18 +464,34 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) 
     # Loop boundaries: the last leg, and every leg that completes a lookup's inputs.
     ends = sorted({lvl for lvl, _, _ in lookups if lvl >= 0} | ({legs - 1} if legs else set()))
     ends = ends[-_MAX_LOOPS:]
+
+    def loop_of(lvl):
+        """The loop that binds a value of level ``lvl`` (-1: before any loop)."""
+        return bisect_left(ends, lvl) if lvl >= 0 else -1
+
     placed: dict[int, list] = {}
+    hoisted: dict[int, list] = {}
     for s, (lvl, ins, outs) in enumerate(lookups):
-        placed.setdefault(bisect_left(ends, lvl) if lvl >= 0 else -1, []).append((s, ins, outs))
-    head = "domains" if compare else "domains, sink, one"
+        loop = loop_of(lvl)
+        weights = range(len(ins) - 1, -1, -1)
+        terms = [(f"{v}*D{w}" if w else v, loop_of(level[v])) for v, w in zip(ins, weights)]
+        key = [term for term, bound in terms if bound == loop]
+        outer = [(term, bound) for term, bound in terms if bound < loop]
+        if outer:
+            sum_loop = max(bound for _, bound in outer)
+            hoisted.setdefault(sum_loop, []).append(f"h{s} = {' + '.join(term for term, _ in outer)}")
+            key.insert(0, f"h{s}")
+        placed.setdefault(loop, []).append((s, " + ".join(key) or "0", outs))
+    head = "domains, d" if compare else "domains, d, sink, one"
     lines = [f"def kernel({', '.join([head] + [f'T{s}' for s in range(len(lookups))])}):"]
     if legs:
         lines.append(f"    {', '.join(f'R{j}' for j in range(legs))}, = domains")
+    for w in range(1, max((len(ins) for _, ins, _ in lookups), default=0)):
+        lines.append(f"    D{w} = {'d' if w == 1 else f'D{w - 1} * d'}")
 
     def emit_lookups(loop):
         pad = "    " * (loop + 2)
-        for s, ins, outs in placed.get(loop, ()):
-            key = _tuple_source(ins)
+        for s, key, outs in placed.get(loop, ()):
             target = f"{', '.join(outs)}, = " if outs else ""
             if compare and not partial:
                 lines.append(f"{pad}{target}T{s}[{key}]")
@@ -468,6 +501,7 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) 
                 lines.append(f"{pad}    {'continue' if loop >= 0 else 'return'}")
                 if outs:
                     lines.append(f"{pad}{target}o")
+        lines.extend(pad + line for line in hoisted.get(loop, ()))
 
     emit_lookups(-1)
     start = 0
@@ -507,14 +541,15 @@ def _staged_kernel(legs: int, sides: tuple, orders=None, partial: bool = False):
 
 
 def _function_table(f: Tensor):
-    """``{input digits: output digits}`` when every column of ``f`` that
-    has entries holds exactly one, equal to ``ring.one``; else None."""
+    """``{rank of input digits: output digits}`` when every column of ``f``
+    that has entries holds exactly one, equal to ``ring.one``; else None."""
     one = f.ring.one
     table = {}
     for (out, inp), v in f.entries.items():
-        if inp in table or v != one:
+        rank = digits_to_rank(inp, f.dim)
+        if rank in table or v != one:
             return None
-        table[inp] = out
+        table[rank] = out
     return table
 
 
@@ -554,7 +589,8 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
 
     When every map is a basis function on the columns it has, the steps
     run as a generated loop nest over the columns in product order, with
-    every leg a local variable and each map's lookup table read in the
+    every leg a local variable and each map's lookup table, keyed by the
+    rank of its input digits (:func:`_function_table`), read in the
     outermost loop that binds its inputs, so one lookup serves a whole
     block of columns and a missing input drops that block.  Runs of legs
     without a lookup share one loop and the nest depth is capped, so any
@@ -569,7 +605,7 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     # A float tolerance >= 1 makes one a zero, which the sparse path drops.
     if None not in by_map.values() and not ring.is_zero(ring.one):
         kernel = _staged_kernel(legs, (shape,), (order,))
-        kernel((range(d),) * legs, entries, ring.one, *(by_map[id(f)].get for f in maps))
+        kernel((range(d),) * legs, d, entries, ring.one, *(by_map[id(f)].get for f in maps))
         return Tensor._trusted(d, legs, n, entries, ring)
     if not maps:
         # One is a zero of the ring, so the permutation has no entries.
@@ -721,7 +757,7 @@ def invert(f: Tensor) -> Tensor:
     # column or two equal ones.
     if len(table) != f.dim**f.in_legs or len(set(table.values())) != len(table):
         raise NotInvertible("tensor is singular")
-    entries = {(inp, out): f.ring.one for inp, out in sorted(table.items())}
+    entries = {(inp, out): f.ring.one for out, inp in sorted(f.entries, key=lambda key: key[1])}
     return Tensor._trusted(f.dim, f.in_legs, f.out_legs, entries, f.ring)
 
 

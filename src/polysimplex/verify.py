@@ -6,11 +6,12 @@ the relations (1)-(6) are fixed placement words, and the commutation that
 licenses stacking places its maps on the rows and columns of a grid of
 legs, read out row by row in an output order.  When every map is a
 total basis function, both sides run in one compare-mode loop-nest
-kernel (:func:`polysimplex.tensor._staged_kernel`) and a holding
-equation is decided without building either side.  Other maps in an
-exact ring stream: both sides are pushed one column at a time on scaled
-integers (:func:`polysimplex.tensor._push_columns`), compared and
-discarded, so no side is built either.  In the float ring, and on a
+kernel (:func:`polysimplex.tensor._staged_kernel`), on tables keyed by
+the rank of the input digits, and a holding equation is decided without
+building either side.  Other maps in an exact ring stream: both sides
+are pushed one column at a time on scaled integers
+(:func:`polysimplex.tensor._push_columns`), compared and discarded, so
+no side is built either.  In the float ring, and on a
 difference the kernel pass finds, each side is contracted by
 :func:`polysimplex.tensor.contract_staged` and the two tensors are
 compared entrywise.  Every route reports the largest deviation at the
@@ -130,7 +131,7 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
         tables[id(f)] is not None and len(tables[id(f)]) == d**f.in_legs for f in maps
     ):
         kernel = _staged_kernel(legs, (lhs_shape, rhs_shape), orders)
-        if kernel((range(d),) * legs, *(tables[id(f)] for f in maps)) is None:
+        if kernel((range(d),) * legs, d, *(tables[id(f)] for f in maps)) is None:
             return VerificationReport(equation, True, 0, (d, legs, n), (d, legs, n))
     elif not isinstance(ring, FloatRing):
         pushed = (

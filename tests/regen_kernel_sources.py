@@ -1,0 +1,41 @@
+"""Write tests/kernel_sources.json, the golden kernel sources.
+
+The golden file holds the contract-mode source of each side, and the
+compare-mode source of both sides, of the (dual) n-gon for n <= 9, as
+the set checks shape them; ``test_contract_and_compare_sources_unchanged``
+compares the generator against it.  Regenerate it on purpose, after a
+change to the generator, and review the diff:
+
+    PYTHONPATH=src python tests/regen_kernel_sources.py
+
+Stdlib only; pytest does not collect this file.
+"""
+
+import json
+from pathlib import Path
+
+from polysimplex.simplicial import compile_polygon
+from polysimplex.tensor import _kernel_source
+from polysimplex.verify import polygon_signature
+
+GOLDEN = Path(__file__).parent / "kernel_sources.json"
+
+
+def polygon_kernel_sources() -> dict:
+    sources = {}
+    for n in range(3, 10):
+        for dual in (False, True):
+            out_arity = polygon_signature(n, dual)[1]
+            lhs, rhs = compile_polygon(n, dual)
+            sides = tuple(tuple((p, out_arity) for _, p in side.gather_positions()) for side in (lhs, rhs))
+            legs = len(lhs.free_inputs)
+            tag = f"{'dual ' if dual else ''}{n}-gon"
+            sources[f"{tag} lhs contract"] = _kernel_source(legs, sides[:1])
+            sources[f"{tag} rhs contract"] = _kernel_source(legs, sides[1:])
+            sources[f"{tag} compare"] = _kernel_source(legs, sides)
+    return sources
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(polygon_kernel_sources(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")

@@ -196,6 +196,27 @@ def test_malformed_input_exits_two(capsys, tmp_path, case):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("case", ["dim-true", "dim-float", "legs-true", "digit-true", "digit-float"])
+def test_tensor_with_non_integer_shape_or_digit_exits_two(capsys, tmp_path, case):
+    """Digits index rank-keyed tables, so a bool or float is no integer
+    here, even where it equals one: ``"dim": true`` once verified as dim 1."""
+    shaped = case.startswith(("dim", "legs"))
+    data = json.loads((from_function(1, 1, 1, lambda x: x) if shaped else flip(2)).to_json())
+    if case == "dim-true":
+        data["dim"] = True
+    elif case == "dim-float":
+        data["dim"] = 1.0
+    elif case == "legs-true":
+        data["in_legs"] = data["out_legs"] = True
+    else:
+        data["entries"][-1][0][0] = True if case == "digit-true" else 1.0
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(data))
+    argv = ["--family", "polygon", "--n", "3"] if shaped else ["--family", "simplex", "--n", "2"]
+    code, out, err = run(capsys, "verify", *argv, "--tensor", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: malformed tensor")
+
+
 @pytest.mark.parametrize("family, n, legs", [("polygon", 13, 21), ("simplex", 6, 21), ("mixed", 13, 36)])
 def test_verify_over_the_column_cap_refused(capsys, tmp_path, family, n, legs):
     path = tmp_path / "t.json"
@@ -317,6 +338,35 @@ class TestSetCommands:
         path.write_text(json.dumps(FiniteMap.from_callable(2, 2, 2, lambda a: a).to_json_dict()))
         code, _, err = run(capsys, "set-verify", "--family", "polygon", "--n", "15", "--map", str(path))
         assert code == 2 and "arity" in err
+
+    @pytest.mark.parametrize("case", ["base-true", "arity-true", "arity-float", "value-true", "value-float",
+                                      "value-negative", "key-outside", "key-negative", "key-short",
+                                      "key-collision"])
+    def test_set_verify_malformed_map_exits_two(self, capsys, tmp_path, case):
+        """Values index rank-keyed tables, so a bool or float is no integer
+        here and a negative one is out of range; a key outside the domain,
+        or a second spelling of an input, is no row of the table."""
+        n, data = "5", FiniteMap.from_callable(2, 2, 2, lambda a: (a[0], (a[0] + a[1]) % 2)).to_json_dict()
+        if case == "base-true":
+            n, data = "3", {"base": True, "in": 1, "out": 1, "table": {"0": [0]}}
+        elif case == "arity-true":
+            n, data = "3", {"base": 2, "in": True, "out": True, "table": {"0": [0], "1": [1]}}
+        elif case == "arity-float":
+            n, data = "3", {"base": 2, "in": 1.0, "out": 1, "table": {"0": [0], "1": [1]}}
+        elif case.startswith("value"):
+            data["table"]["1,0"] = {"value-true": [True, True], "value-float": [1.0, 1], "value-negative": [-1, 0]}[case]
+        elif case == "key-outside":
+            data["table"]["5,5"] = [0, 0]
+        elif case == "key-negative":
+            data["table"]["-1,0"] = [0, 0]
+        elif case == "key-short":
+            data["table"]["1"] = [0, 0]
+        else:
+            data["table"]["01,1"] = data["table"]["1,1"]
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "set-verify", "--family", "polygon", "--n", n, "--map", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: malformed finite map")
 
     def test_set_enumerate_counts(self, capsys):
         code, out, _ = run(capsys, "set-enumerate", "--family", "polygon", "--n", "3", "--base", "2")

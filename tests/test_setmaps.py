@@ -121,6 +121,19 @@ class TestSetOracle:
         for values in product(range(3), repeat=3):
             assert apply_staged(fmap, gathers, values) == apply_gathers(fmap, gathers, values)
 
+    @pytest.mark.parametrize("values", [(-1, 0, 0), (0, 3, 0), (0, True, 0), (0, 1.0, 0)])
+    def test_apply_staged_refuses_values_outside_base(self, values):
+        """A value outside 0..base-1 has no row; a negative one must not
+        index a row from the end of the rank-keyed table."""
+        with pytest.raises(ShapeError):
+            apply_staged(z_add_map(3), [(2, 3), (3, 1)], values)
+
+    @pytest.mark.parametrize("row", [(-1, 0), (0, 2), (True, 0), (1.0, 0)])
+    def test_map_refuses_values_outside_base(self, row):
+        table = ((0, 0), row, (1, 0), (1, 1))
+        with pytest.raises(ShapeError):
+            FiniteMap(2, 2, 2, table)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_apply_staged_on_random_programs(self, data):
@@ -147,9 +160,9 @@ class TestSetOracle:
                 expect = (values, *sides)
                 break
         shapes = tuple(tuple((gather, fmap.out_arity) for gather in side) for side in (lhs, rhs))
-        table = dict(zip(product(range(fmap.base), repeat=fmap.in_arity), fmap.table))
         kernel = _staged_kernel(legs, shapes)
-        assert kernel((range(fmap.base),) * legs, *(table,) * (len(lhs) + len(rhs))) == expect
+        tables = (fmap.table,) * (len(lhs) + len(rhs))  # rows in rank order
+        assert kernel((range(fmap.base),) * legs, fmap.base, *tables) == expect
 
     @pytest.mark.parametrize("n, dual", [(13, False), (15, True)])
     def test_past_the_block_limit_base_one(self, n, dual):
@@ -272,22 +285,21 @@ class TestPartialPolygonKernel:
     @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
     def test_empty_table_is_undecided(self, n, dual):
         legs, steps, kernel = _polygon_kernel(n, dual, partial=True)
-        assert kernel((range(2),) * legs, *({}.get,) * steps) is None
+        assert kernel((range(2),) * legs, 2, *({}.get,) * steps) is None
 
     @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
     def test_complete_tables_match_total_kernel(self, n, dual):
         in_arity, out_arity = polygon_signature(n, dual)
         legs, steps, partial = _polygon_kernel(n, dual, partial=True)
         _, _, total = _polygon_kernel(n, dual)
-        rows = list(product(range(2), repeat=in_arity))
+        rows = 2**in_arity
         outputs = list(product(range(2), repeat=out_arity))
         failures = 0
-        for choice in product(outputs, repeat=len(rows)):
-            table = dict(zip(rows, choice))
-            expect = total((range(2),) * legs, *(table,) * steps)
-            assert partial((range(2),) * legs, *(table.get,) * steps) == expect
+        for table in product(outputs, repeat=rows):  # rows in rank order
+            expect = total((range(2),) * legs, 2, *(table,) * steps)
+            assert partial((range(2),) * legs, 2, *(dict(enumerate(table)).get,) * steps) == expect
             failures += expect is not None
-        assert 0 < failures < len(outputs) ** len(rows)
+        assert 0 < failures < len(outputs) ** rows
 
 
 class TestLifts:

@@ -17,7 +17,6 @@ import tokenize
 from fractions import Fraction
 from io import StringIO
 from itertools import combinations, product
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -63,9 +62,8 @@ from polysimplex.tensor import (
     replace_slots,
     tensor_product,
 )
-from polysimplex.simplicial import compile_polygon
-from polysimplex.tensor import _MAX_LOOPS, _invert_dense, _kernel_source
-from polysimplex.verify import polygon_signature
+from polysimplex.tensor import _MAX_LOOPS, _function_table, _invert_dense, _kernel_source, _staged_kernel
+from regen_kernel_sources import GOLDEN, polygon_kernel_sources
 
 
 def dense_matmul(a, b):
@@ -396,6 +394,74 @@ def kernel_shape(steps):
     return tuple((positions, f.out_legs) for f, positions in steps)
 
 
+@st.composite
+def spanning_sides(draw, maps):
+    """Two staged sides of one signature sequence over d in {1, 2, 3, 4}.
+    1 -> 1 maps on legs 1 and 2 end the first two loops, so the 3-input map
+    that follows reads inputs bound in three loops; a random k -> k step
+    may come last."""
+    ring = draw(st.sampled_from(RINGS))
+    d = draw(st.sampled_from((1, 2, 3, 4)))
+    legs = draw(st.integers(3, 4))
+    l3 = draw(st.integers(2, 4))
+    last = (draw(st.integers(1, 2)),) if draw(st.booleans()) else ()
+    sides = []
+    for _ in range(2):
+        steps = [(draw(maps(ring, d, 1, 1)), (1,)), (draw(maps(ring, d, 1, 1)), (2,)),
+                 (draw(maps(ring, d, 3, l3)), tuple(draw(st.permutations((1, 2, 3)))))]
+        for k in last:
+            width = legs - 3 + l3
+            steps.append((draw(maps(ring, d, k, k)), tuple(draw(st.permutations(range(1, width + 1)))[:k])))
+        sides.append(steps)
+    return sides, legs, d, ring
+
+
+def oracle_images(steps, legs, d, ring):
+    """``{column: final legs}`` of staged basis functions, by the oracle."""
+    return {inp: out for out, inp in staged(steps, legs, d, ring).entries}
+
+
+class TestRankedKernel:
+    """Tables keyed by mixed-radix rank, with keys summed across loops."""
+
+    @staticmethod
+    def run_compare(sides, legs, d, partial):
+        shapes = tuple(kernel_shape(steps) for steps in sides)
+        source = _kernel_source(legs, shapes)
+        # Some key sums terms of two outer loops before its own loop adds the rest.
+        assert any(line.lstrip().startswith("h") and line.count("+") for line in source.splitlines())
+        tables = [_function_table(f) for steps in sides for f, _ in steps]
+        if partial:
+            tables = [table.get for table in tables]
+        return _staged_kernel(legs, shapes, partial=partial)((range(d),) * legs, d, *tables)
+
+    @staticmethod
+    def first_difference(sides, legs, d, ring):
+        lhs, rhs = (oracle_images(steps, legs, d, ring) for steps in sides)
+        return next(((col, lhs[col], rhs[col]) for col in product(range(d), repeat=legs)
+                     if col in lhs and col in rhs and lhs[col] != rhs[col]), None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spanning_sides(partial_function_tensor))
+    def test_contract_matches_oracle(self, program):
+        sides, legs, d, ring = program
+        for steps in sides:
+            expect = staged(steps, legs, d, ring)
+            assert contract_staged(steps, legs, d, ring).to_json_dict() == expect.to_json_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(spanning_sides(function_tensor))
+    def test_compare_matches_oracle(self, program):
+        sides, legs, d, ring = program
+        assert self.run_compare(sides, legs, d, False) == self.first_difference(sides, legs, d, ring)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spanning_sides(partial_function_tensor))
+    def test_partial_compare_matches_oracle(self, program):
+        sides, legs, d, ring = program
+        assert self.run_compare(sides, legs, d, True) == self.first_difference(sides, legs, d, ring)
+
+
 class TestStagedKernel:
     """The generated loop nest of the function path."""
 
@@ -448,8 +514,8 @@ class TestStagedKernel:
         shape = (((2, 1), 3), ((1, 3, 4), 3), ((4,), 0))
         sides = (shape, (((3, 4), 2), ((1, 2, 3), 3))) if compare else (shape,)
         source = _kernel_source(5, sides)
-        allowed = {"kernel", "domains", "sink", "one", "product", "o", "None"}
-        generated = re.compile(r"[cvRT][0-9]+")
+        allowed = {"kernel", "domains", "d", "sink", "one", "product", "o", "None"}
+        generated = re.compile(r"[cvRTDh][0-9]+")
         kinds = {tokenize.NAME, tokenize.OP, tokenize.NEWLINE, tokenize.NL,
                  tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
         for token in tokenize.generate_tokens(StringIO(source).readline):
@@ -459,28 +525,10 @@ class TestStagedKernel:
                         or generated.fullmatch(token.string)), token.string
 
 
-def polygon_kernel_sources():
-    """Contract-mode source of each side, and compare-mode source of both
-    sides, of the (dual) n-gon for n <= 9, shaped as the set checks shape
-    them."""
-    sources = {}
-    for n in range(3, 10):
-        for dual in (False, True):
-            out_arity = polygon_signature(n, dual)[1]
-            lhs, rhs = compile_polygon(n, dual)
-            sides = tuple(tuple((p, out_arity) for _, p in side.gather_positions()) for side in (lhs, rhs))
-            legs = len(lhs.free_inputs)
-            tag = f"{'dual ' if dual else ''}{n}-gon"
-            sources[f"{tag} lhs contract"] = _kernel_source(legs, sides[:1])
-            sources[f"{tag} rhs contract"] = _kernel_source(legs, sides[1:])
-            sources[f"{tag} compare"] = _kernel_source(legs, sides)
-    return sources
-
-
 def test_contract_and_compare_sources_unchanged():
-    # kernel_sources.json holds these sources as generated before the
-    # partial compare mode was added; the tensor and set checks run them.
-    golden = json.loads((Path(__file__).parent / "kernel_sources.json").read_text())
+    # kernel_sources.json holds the rank-keyed sources that the tensor and
+    # set checks run; regen_kernel_sources.py rewrites it on purpose.
+    golden = json.loads(GOLDEN.read_text())
     assert polygon_kernel_sources() == golden
 
 
