@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import product
 from math import prod
 
@@ -507,7 +508,10 @@ def cmd_catalog(args) -> int:
 # -- argument plumbing -----------------------------------------------------------
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every in-process call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="polysimplex",
         description="polygon / simplex tensor equations: generate, verify, construct",

@@ -6,7 +6,10 @@ function path of :func:`polysimplex.tensor.contract_staged`, on values
 instead of basis digits, with ``FiniteMap.table`` as it stands as the
 lookup table, since its rows are in the rank order of the argument tuples:
 both sides of an equation run in one nest over the tuples in product
-order, each lookup in the outermost loop that binds its inputs, and the
+order, each lookup in the outermost loop that binds its inputs.  The
+nest runs once per dependency cone of the final legs
+(:func:`polysimplex.tensor._cone_domains`), with the legs outside the
+cone pinned to 0; only on a difference does it run every tuple, and the
 first tuple whose sides differ is the witness.  Runs of legs without a
 lookup share one loop and the depth is capped, so the 28 free legs of a
 15-gon compile as well as the 10 of a 9-gon.  Enumeration is a
@@ -23,7 +26,7 @@ from functools import cache
 from itertools import product
 
 from .simplicial import compile_polygon
-from .tensor import ShapeError, _is_count, _staged_kernel
+from .tensor import ShapeError, _cone_domains, _is_count, _staged_kernel
 from .verify import PreconditionFailed, VerificationReport, polygon_signature, require_columns
 
 
@@ -127,6 +130,18 @@ def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
 
 
 @cache
+def _polygon_sides(n: int, dual: bool) -> tuple[int, tuple]:
+    """Free-input count and the two kernel shapes (``(gather positions,
+    output count)`` per step) of the compiled (dual) n-gon."""
+    out_arity = polygon_signature(n, dual)[1]
+    lhs, rhs = compile_polygon(n, dual)
+    sides = tuple(
+        tuple((positions, out_arity) for _, positions in side.gather_positions()) for side in (lhs, rhs)
+    )
+    return len(lhs.free_inputs), sides
+
+
+@cache
 def _polygon_kernel(n: int, dual: bool, partial: bool = False) -> tuple[int, int, object]:
     """Free-input count, step count and compare kernel of the compiled (dual) n-gon.
 
@@ -134,19 +149,16 @@ def _polygon_kernel(n: int, dual: bool, partial: bool = False) -> tuple[int, int
     and returns the first tuple whose sides are both determined and
     differ, or None.
     """
-    out_arity = polygon_signature(n, dual)[1]
-    lhs, rhs = compile_polygon(n, dual)
-    sides = tuple(
-        tuple((positions, out_arity) for _, positions in side.gather_positions()) for side in (lhs, rhs)
-    )
-    legs = len(lhs.free_inputs)
-    return legs, len(lhs.steps) + len(rhs.steps), _staged_kernel(legs, sides, partial=partial)
+    legs, sides = _polygon_sides(n, dual)
+    return legs, sum(map(len, sides)), _staged_kernel(legs, sides, partial=partial)
 
 
 def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> VerificationReport:
     """Exhaustive pointwise check of the (dual) n-gon equation.
 
-    Tuples run in product order; the witness is the first failing one.
+    Tuples run in product order, over each dependency cone and, when a
+    cone finds a difference, over all of them; the witness is the first
+    failing one.
     """
     want = polygon_signature(n, dual)
     if (fmap.in_arity, fmap.out_arity) != want:
@@ -156,14 +168,15 @@ def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> Verificati
         )
     legs, steps, kernel = _polygon_kernel(n, dual)
     require_columns(fmap.base, legs)
-    failure = kernel((range(fmap.base),) * legs, fmap.base, *(fmap.table,) * steps)
     name = f"set-theoretic {'dual ' if dual else ''}{n}-gon"
     shape = (fmap.base, fmap.in_arity, fmap.out_arity)
-    if failure is not None:
-        values, lhs, rhs = failure
-        witness = {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
-        return VerificationReport(name, False, 1, shape, shape, witness)
-    return VerificationReport(name, True, 0, shape, shape)
+    tables = (fmap.table,) * steps
+    cones = _cone_domains(legs, _polygon_sides(n, dual)[1], None, tables, fmap.base)
+    if all(kernel(domains, fmap.base, *tables) is None for domains in cones):
+        return VerificationReport(name, True, 0, shape, shape)
+    values, lhs, rhs = kernel((range(fmap.base),) * legs, fmap.base, *tables)
+    witness = {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
+    return VerificationReport(name, False, 1, shape, shape, witness)
 
 
 @dataclass(frozen=True)
@@ -243,10 +256,11 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
 
     A depth-first search assigns the table rows in order, trying outputs in
     lexicographic order, and drops a partial table as soon as some tuple
-    has both sides determined and different; each complete table is then
-    checked in full.  Deterministic: solutions come out in lexicographic
-    table order.  Capped at base <= 3 and k <= 2; larger instances must
-    be user supplied.
+    has both sides determined and different.  The partial check after the
+    last row has every side of every tuple determined, so a complete table
+    that reaches the end is a solution.  Deterministic: solutions come out
+    in lexicographic table order.  Capped at base <= 3 and k <= 2; larger
+    instances must be user supplied.
     """
     in_arity, out_arity = polygon_signature(n, dual)
     k = (n - 1) // 2 if n % 2 else n // 2
@@ -268,9 +282,7 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
     def extend(row: int) -> None:
         if row == rows:
             # Rows drawn from product(range(base), ...) are valid by construction.
-            candidate = FiniteMap._trusted(base, in_arity, out_arity, tuple(table))
-            if check_polygon_set(candidate, n, dual).holds:
-                found.append(candidate)
+            found.append(FiniteMap._trusted(base, in_arity, out_arity, tuple(table)))
             return
         for out in outputs:
             table[row] = out

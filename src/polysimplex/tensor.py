@@ -29,9 +29,12 @@ has a compare mode, which runs both sides of an equation in one nest on
 total tables and returns the first column whose sides differ: the
 set-theoretic checks use it, and so do the tensor checks of
 :mod:`polysimplex.verify`, which decide a holding equation on total
-basis functions without building either side.  Those checks stream the
-pushed columns of other maps in exact rings, and build the sides with
-:func:`contract_staged` and compare them by :func:`deviation` otherwise.
+basis functions without building either side.  Both run it once per
+dependency cone (:func:`_cone_domains`): the column legs some final leg
+reads on either side, with every other leg pinned to 0.  The tensor
+checks stream the pushed columns of other maps in exact rings, and build
+the sides with :func:`contract_staged` and compare them by
+:func:`deviation` otherwise.
 Its partial variant skips the columns a partial table leaves undecided,
 and prunes the set enumeration.
 
@@ -46,11 +49,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 import json
 from math import lcm, prod
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .rings import RATIONAL, FloatRing, PrimeField, RationalRing, ScalarRing, ring_from_tag
 
@@ -538,6 +541,66 @@ def _staged_kernel(legs: int, sides: tuple, orders=None, partial: bool = False):
     namespace = {"product": product}
     exec(compile(_kernel_source(legs, sides, orders, partial), "<staged kernel>", "exec"), namespace)
     return namespace["kernel"]
+
+
+def _output_masks(table, d: int, k: int, l: int) -> tuple[int, ...]:
+    """For each output of a total table of V^k -> V^l (indexed by the rank
+    of the input digits, as the compare kernel reads it), the bitmask of
+    the inputs it depends on: bit i is set when changing input i alone
+    changes that output on some row.  On the product domain of a total
+    table an output is a function of exactly these inputs."""
+    rows = [table[r] for r in range(d**k)]
+    masks = [0] * l
+    for i in range(k):
+        weight = d ** (k - 1 - i)
+        for r, row in enumerate(rows):
+            # The row that differs from this one only in input i, set to 0.
+            pinned = rows[r - r // weight % d * weight]
+            for j, (a, b) in enumerate(zip(row, pinned)):
+                if a != b:
+                    masks[j] |= 1 << i
+    return tuple(masks)
+
+
+def _cone_domains(legs: int, sides: tuple, orders, tables, d: int) -> tuple:
+    """Kernel domains that decide a compare-mode equation on total tables.
+
+    ``tables`` are the kernel's tables, one per step, lhs steps first.
+    Final leg i of either side is a function of the column legs in its
+    dependency cone (the lhs and rhs dependencies of leg i together), so
+    the sides agree on every column iff they agree on the columns that
+    vary the cone's legs and pin every other leg to 0.  Returns one domain
+    tuple per maximal cone (``range(d)`` on its legs, ``range(1)`` on the
+    others), or the full domain when the cones together would run no
+    fewer columns.  Every pinned column is a real column, so a difference
+    found in any cone is genuine.
+    """
+    masks = {}
+    for (positions, out_count), table in zip((step for shape in sides for step in shape), tables):
+        if id(table) not in masks:
+            masks[id(table)] = _output_masks(table, d, len(positions), out_count)
+    return _cones(legs, sides, orders, tuple(masks[id(table)] for table in tables), d)
+
+
+@lru_cache(maxsize=256)
+def _cones(legs: int, sides: tuple, orders, step_masks: tuple, d: int) -> tuple:
+    """The domains of :func:`_cone_domains`, from each step's output masks;
+    cached, since the masks repeat across the many checks of one map."""
+    step_masks = iter(step_masks)
+    finals = []
+    for shape, order in zip(sides, orders or (None,) * len(sides)):
+        state = [1 << j for j in range(legs)]  # the column legs each leg depends on
+        for positions, _ in shape:
+            ins = [state[p - 1] for p in positions]
+            outs = [reduce(or_, (dep for i, dep in enumerate(ins) if mask >> i & 1), 0) for mask in next(step_masks)]
+            state = replace_slots(state, positions, outs)
+        finals.append(state if order is None else [state[m - 1] for m in order])
+    cones = set(map(or_, *finals))
+    cones = [c for c in cones if not any(c != other and c & other == c for other in cones)]
+    if sum(d ** bin(c).count("1") for c in cones) >= d**legs:
+        cones = [(1 << legs) - 1]
+    full, pinned = range(d), range(1)
+    return tuple(tuple(full if c >> j & 1 else pinned for j in range(legs)) for c in sorted(cones))
 
 
 def _function_table(f: Tensor):

@@ -8,10 +8,13 @@ legs, read out row by row in an output order.  When every map is a
 total basis function, both sides run in one compare-mode loop-nest
 kernel (:func:`polysimplex.tensor._staged_kernel`), on tables keyed by
 the rank of the input digits, and a holding equation is decided without
-building either side.  Other maps in an exact ring stream: both sides
-are pushed one column at a time on scaled integers
-(:func:`polysimplex.tensor._push_columns`), compared and discarded, so
-no side is built either.  In the float ring, and on a
+building either side.  The kernel runs once per dependency cone
+(:func:`polysimplex.tensor._cone_domains`): each final leg of either
+side reads only some column legs, so the legs outside a cone are pinned
+to 0 and the columns that vary them are never run.  Other maps in an
+exact ring stream: both sides are pushed one column at a time on scaled
+integers (:func:`polysimplex.tensor._push_columns`), compared and
+discarded, so no side is built either.  In the float ring, and on a
 difference the kernel pass finds, each side is contracted by
 :func:`polysimplex.tensor.contract_staged` and the two tensors are
 compared entrywise.  Every route reports the largest deviation at the
@@ -32,6 +35,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     _check_steps,
+    _cone_domains,
     _entry_value,
     _function_table,
     _push_columns,
@@ -110,7 +114,8 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
 
     When every map is a total basis function (``d**in_legs`` columns, each
     one entry equal to one, and one is not a zero of the ring), both sides
-    run in one compare-mode kernel pass and a holding equation is decided
+    run in one compare-mode kernel pass per dependency cone of the final
+    legs (:func:`_cone_domains`) and a holding equation is decided
     without building either side.  Otherwise an exact ring streams the
     columns (:func:`_stream_sides`) and builds no side either.  Floats, and
     any difference the kernel pass finds, contract both sides and compare
@@ -130,8 +135,10 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
     if not ring.is_zero(ring.one) and all(
         tables[id(f)] is not None and len(tables[id(f)]) == d**f.in_legs for f in maps
     ):
-        kernel = _staged_kernel(legs, (lhs_shape, rhs_shape), orders)
-        if kernel((range(d),) * legs, d, *(tables[id(f)] for f in maps)) is None:
+        sides_shape = (lhs_shape, rhs_shape)
+        kernel = _staged_kernel(legs, sides_shape, orders)
+        ranked = [tables[id(f)] for f in maps]
+        if all(kernel(domains, d, *ranked) is None for domains in _cone_domains(legs, sides_shape, orders, ranked, d)):
             return VerificationReport(equation, True, 0, (d, legs, n), (d, legs, n))
     elif not isinstance(ring, FloatRing):
         pushed = (

@@ -18,15 +18,43 @@ from polysimplex import cli
 from polysimplex.cli import MAX_COLUMNS, MAX_ORDER, build_catalog, main
 from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.construct import hopf_pentagon_pair
-from polysimplex.setmaps import FiniteMap
+from polysimplex.setmaps import FiniteMap, check_polygon_set
 from polysimplex.tensor import flip, from_function
-from polysimplex.verify import SelfCheckFailed
+from polysimplex.verify import SelfCheckFailed, check_polygon
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+
+def test_parser_outlives_a_usage_error(capsys, monkeypatch):
+    """main builds its parser once per process; a usage error, a help
+    request or a valid call leaves it as a fresh process finds it."""
+    monkeypatch.setenv("COLUMNS", "80")  # the width of the help text
+    calls = [
+        ["gen-eq", "--family", "polygon"],
+        ["gen-eq", "--family", "polygon", "--n", "5"],
+        ["verify", "--family", "nonagon", "--tensor", "t.json"],
+        ["catalog", "--max-n", "4"],
+        ["set-enumerate", "--help"],
+        ["set-enumerate", "--n", "3", "--base", "2"],
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    src = os.path.dirname(os.path.dirname(polysimplex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    separate = [
+        (proc.returncode, proc.stdout)
+        for proc in (
+            subprocess.run([sys.executable, "-m", "polysimplex.cli", *argv], env=env, capture_output=True, text=True)
+            for argv in calls
+        )
+    ]
+    assert [code for code, _ in in_process] == [2, 0, 2, 0, 0, 0]
+    assert cli.make_parser() is cli.make_parser()
+    assert in_process == separate
 
 
 class TestGenEq:
@@ -619,6 +647,19 @@ class TestDemoAndCatalog:
         assert code == 0
         assert len(checks) == 10 and all(line.endswith(": PASS") for line in checks)
         assert maxrss_kb < 100 * 1024
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["polygon", "dual-polygon"])
+    def test_z2_tower_13_gon_in_bounded_time(self, dual):
+        """The tensor and set checks of the z2 tower 13-gon, 2^21 columns
+        each, run only the dependency cones of their legs; over every
+        column they took about 3 s each."""
+        tower = construct.bialgebra_tower(13, group_algebra(cyclic_group(2)), dual=dual, verify=False).tensor
+        image = {inp: out for out, inp in tower.entries}
+        fmap = FiniteMap.from_callable(2, tower.in_legs, tower.out_legs, image.__getitem__)
+        for check in (lambda: check_polygon(tower, 13, dual), lambda: check_polygon_set(fmap, 13, dual)):
+            start = time.perf_counter()
+            assert check().holds
+            assert time.perf_counter() - start < 1
 
     def test_trace_descend_v4_in_bounded_memory(self, tmp_path):
         """The self-check of the descended v4 7-gon, whose maps are no basis

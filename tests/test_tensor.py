@@ -62,7 +62,15 @@ from polysimplex.tensor import (
     replace_slots,
     tensor_product,
 )
-from polysimplex.tensor import _MAX_LOOPS, _function_table, _invert_dense, _kernel_source, _staged_kernel
+from polysimplex.tensor import (
+    _MAX_LOOPS,
+    _cone_domains,
+    _function_table,
+    _invert_dense,
+    _kernel_source,
+    _output_masks,
+    _staged_kernel,
+)
 from regen_kernel_sources import GOLDEN, polygon_kernel_sources
 
 
@@ -523,6 +531,73 @@ class TestStagedKernel:
             if token.type == tokenize.NAME:
                 assert (keyword.iskeyword(token.string) or token.string in allowed
                         or generated.fullmatch(token.string)), token.string
+
+
+def masks_of(f):
+    return _output_masks(_function_table(f), f.dim, f.in_legs, f.out_legs)
+
+
+class TestDependencyCones:
+    """Output masks of total tables and the cone domains they give a compare kernel."""
+
+    def test_output_masks(self):
+        z3_t = from_function(3, 2, 2, lambda x: (x[0], (x[0] + x[1]) % 3))
+        constant = from_function(3, 2, 2, lambda x: (1, 2))
+        assert masks_of(identity_tensor(3, 2)) == (0b01, 0b10)
+        assert masks_of(flip(3)) == (0b10, 0b01)
+        assert masks_of(z3_t) == (0b01, 0b11)
+        assert masks_of(constant) == (0, 0)
+
+    def test_output_reading_one_row_depends_on_every_input(self):
+        # The last output is 1 on the row (1, 1, 1) alone.
+        f = from_function(2, 3, 2, lambda x: (x[2], int(all(x))))
+        assert masks_of(f) == (0b100, 0b111)
+
+    def test_full_dependence_yields_one_full_cone(self):
+        mix = from_function(3, 2, 2, lambda x: ((x[0] + x[1]) % 3, (x[0] + 2 * x[1]) % 3))
+        assert masks_of(mix) == (0b11, 0b11)
+        sides = ((((1, 2), 2), ((2, 3), 2)), (((2, 3), 2), ((1, 2), 2)))
+        table = _function_table(mix)
+        assert _cone_domains(3, sides, None, (table,) * 4, 3) == ((range(3),) * 3,)
+
+    def test_identity_legs_are_separate_cones(self):
+        sides = ((((1, 2), 2), ((2, 3), 2)), (((2, 3), 2),))
+        table = _function_table(identity_tensor(2, 2))
+        pinned, full = range(1), range(2)
+        assert _cone_domains(3, sides, None, (table,) * 3, 2) == (
+            (full, pinned, pinned),
+            (pinned, full, pinned),
+            (pinned, pinned, full),
+        )
+
+    def test_cone_joins_what_both_sides_read(self):
+        # The lhs flips legs 1 and 2, the rhs leaves them: final legs 1 and
+        # 2 each compare both column legs.
+        sides = ((((1, 2), 2),), ())
+        pinned, full = range(1), range(2)
+        assert _cone_domains(3, sides, None, (_function_table(flip(2)),), 2) == (
+            (full, full, pinned),
+            (pinned, pinned, full),
+        )
+        assert _cone_domains(3, sides[::-1], None, (_function_table(flip(2)),), 2) == (
+            (full, full, pinned),
+            (pinned, pinned, full),
+        )
+
+    def test_output_order_moves_the_cones(self):
+        # Either side is the identity on three legs; the rhs reads them out
+        # reversed, so final leg 1 compares column legs 1 and 3.
+        sides = ((), ())
+        pinned, full = range(1), range(2)
+        assert _cone_domains(3, sides, (None, (3, 2, 1)), (), 2) == (
+            (pinned, full, pinned),
+            (full, pinned, full),
+        )
+
+    def test_cones_covering_the_product_run_it_once(self):
+        # Cones {1, 2}, {2, 3} and {1, 3} would run 3 * 4 of the 8 columns.
+        sides = ((), ())
+        assert _cone_domains(3, sides, ((1, 2, 3), (2, 3, 1)), (), 2) == ((range(2),) * 3,)
 
 
 def test_contract_and_compare_sources_unchanged():

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -12,11 +13,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from polysimplex import verify
-from polysimplex.construct import SolutionDescriptor, conjugate, hopf_pentagon_pair, simplex_from_mixed
+from polysimplex import setmaps, verify
+from polysimplex.construct import (
+    SolutionDescriptor,
+    bialgebra_tower,
+    conjugate,
+    hopf_pentagon_pair,
+    simplex_from_mixed,
+)
 from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.rings import F64, RATIONAL, FloatRing, prime_field
-from polysimplex.setmaps import enumerate_set_solutions
+from polysimplex.setmaps import FiniteMap, check_polygon_set, enumerate_set_solutions
 from polysimplex.simplicial import compile_simplex, evaluate_program
 from polysimplex.tensor import ShapeError, Tensor, _function_table, flip, from_function, identity_tensor
 from polysimplex.verify import (
@@ -663,3 +670,109 @@ class TestStreamRoute:
         for name, (_, sides) in checks.items():
             report = reports[name]
             assert report.to_json_dict() == compare_sides(report.equation, *sides()).to_json_dict()
+
+
+@cache
+def tower_image(n, d, dual):
+    """The basis function of the k[Z_d] bialgebra-tower (dual) n-gon, as a table."""
+    tower = bialgebra_tower(n, group_algebra(cyclic_group(d)), dual=dual, verify=False).tensor
+    return {inp: out for out, inp in tower.entries}
+
+
+@st.composite
+def sparse_dependency_map(draw, ring, d, k, l, solutions=()):
+    """A total basis function whose outputs read few inputs: an affine map
+    over Z_d (output j is c_j + sum a_ji x_i mod d, so it reads the inputs
+    with a_ji != 0) or one of ``solutions``, with one row redrawn half of
+    the time, which makes a holding equation fail on some columns only."""
+    kind = draw(st.integers(0, len(solutions)))
+    if kind < len(solutions):
+        fn = solutions[kind]
+    else:
+        coeffs = [draw(st.lists(st.integers(0, d - 1), min_size=k + 1, max_size=k + 1)) for _ in range(l)]
+        fn = lambda x: tuple((row[k] + sum(a * v for a, v in zip(row, x))) % d for row in coeffs)
+    table = {inp: tuple(fn(inp)) for inp in product(range(d), repeat=k)}
+    if draw(st.booleans()):
+        table[draw(st.sampled_from(sorted(table)))] = draw(st.tuples(*[st.integers(0, d - 1)] * l))
+    return Tensor(d, k, l, {(out, inp): ring.one for inp, out in table.items()}, ring)
+
+
+@st.composite
+def cone_case(draw):
+    """A check on total basis functions with sparse dependencies, as a thunk."""
+    ring = draw(st.sampled_from(oracle.RINGS))
+    family = draw(st.sampled_from(["polygon", "set", "simplex", "mixed", "commutes", "relations"]))
+    d = draw(st.integers(1, 3))
+    if family in ("polygon", "set"):
+        dual = draw(st.booleans())
+        n = draw(st.integers(3, 9 if d < 3 else 7))
+        k, l = polygon_signature(n, dual)
+        solutions = [lambda x, table=tower_image(n, d, dual): table[x]] if d > 1 else []
+        t = draw(sparse_dependency_map(ring, d, k, l, solutions))
+        if family == "polygon":
+            return lambda: check_polygon(t, n, dual)
+        image = {inp: out for out, inp in t.entries}
+        fmap = FiniteMap.from_callable(d, k, l, image.__getitem__)
+        return lambda: check_polygon_set(fmap, n, dual)
+    if family == "simplex":
+        n = draw(st.integers(1, 3))
+        r = draw(sparse_dependency_map(ring, d, n, n, [identity, lambda x: x[::-1]]))
+        return lambda: check_simplex(r, n)
+    if family == "commutes":
+
+        def copy_or_affine(k):
+            # Copy maps (output leg m repeats input leg m mod k) commute with every basis function.
+            l = max(1, k + draw(st.sampled_from([-1, 0, 1])))
+            return draw(sparse_dependency_map(ring, d, k, l, [lambda x: tuple(x[m % k] for m in range(l))]))
+
+        f, g = copy_or_affine(draw(st.integers(1, 3))), copy_or_affine(draw(st.integers(1, 2)))
+        return lambda: check_commutes(f, g)
+    if family == "mixed":
+        n = draw(st.integers(3, 6))
+        (k, l), (ks, ls) = polygon_signature(n, False), polygon_signature(n, True)
+        pair = z_pair(d) if n == 5 else (identity, identity) if k == l else ()
+        t = draw(sparse_dependency_map(ring, d, k, l, pair[:1]))
+        s = draw(sparse_dependency_map(ring, d, ks, ls, pair[1:]))
+        return lambda: check_mixed(t, s, n)
+    t, s = (draw(sparse_dependency_map(ring, d, 2, 2, [f])) for f in z_pair(d))
+    return lambda: check_relations_1_6(t, s)
+
+
+def full_domains():
+    """Run every compare kernel over the full product of columns, not its cones."""
+    full = lambda legs, sides, orders, tables, d: ((range(d),) * legs,)
+    stack = contextlib.ExitStack()
+    for module in (verify, setmaps):
+        stack.enter_context(mock.patch.object(module, "_cone_domains", full))
+    return stack
+
+
+class TestConeRoute:
+    """Compare kernels run over dependency cones and report as over every column."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cone_case())
+    def test_reports_match_the_full_domain(self, check):
+        got = check()
+        with full_domains():
+            expect = check()
+        assert json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
+
+    def test_cones_pin_legs_of_the_tower(self):
+        """The z3 tower 9-gon runs six cones of at most 3^4 of its 3^10 columns."""
+        t = Tensor(3, 4, 4, {(out, inp): 1 for inp, out in tower_image(9, 3, False).items()})
+        calls = []
+        kernel = verify._staged_kernel
+
+        def record(*args):
+            run = kernel(*args)
+
+            def counted(domains, *rest):
+                calls.append(math.prod(map(len, domains)))
+                return run(domains, *rest)
+
+            return counted
+
+        with mock.patch.object(verify, "_staged_kernel", record):
+            assert check_polygon(t, 9).holds
+        assert len(calls) == 6 and max(calls) <= 3**4
