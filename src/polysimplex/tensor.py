@@ -21,22 +21,24 @@ When every map is a basis function (each column it has holds one entry,
 equal to one), the steps run as a generated loop-nest kernel with no
 ring arithmetic on tables keyed by the mixed-radix rank of their input
 digits, each lookup hoisted to the outermost loop that binds its inputs.
-Other maps push each column as a sparse vector through a plan of tuple
-getters, on native numbers (:func:`_push_columns`):
+Other maps run in the push mode of the same generator
+(:func:`_push_columns`), which pushes each column as a sparse vector of
+states through tables keyed by the same rank, on native numbers:
 rationals as integers scaled by each map's least common denominator,
-GF(p) as ``int`` reduced mod p, floats as floats.  The same generator
-has a compare mode, which runs both sides of an equation in one nest on
+GF(p) as ``int`` reduced mod p, floats as floats.  The generator
+also has a compare mode, which runs both sides of an equation in one nest on
 total tables and returns the first column whose sides differ: the
 set-theoretic checks use it, and so do the tensor checks of
 :mod:`polysimplex.verify`, which decide a holding equation on total
 basis functions without building either side.  Both run it once per
 dependency cone (:func:`_cone_domains`): the column legs some final leg
-reads on either side, with every other leg pinned to 0.  The tensor
-checks stream the pushed columns of other maps in exact rings, and build
-the sides with :func:`contract_staged` and compare them by
-:func:`deviation` otherwise.
+reads on either side, with every other leg pinned to 0.  In exact rings
+the tensor checks stream the pushed columns of other maps, and of a
+failing equation; in the float ring they build the sides with
+:func:`contract_staged` and compare them by :func:`deviation`.
 Its partial variant skips the columns a partial table leaves undecided,
-and prunes the set enumeration.
+and prunes the set enumeration.  So the slot rule, the output order and
+the table key each have one compiler, the generator.
 
 Validation sits at the trust boundary: ``Tensor(...)``, JSON input and
 :func:`from_function` check every key and coerce every value, while the
@@ -53,7 +55,7 @@ from functools import lru_cache, reduce
 from itertools import product
 import json
 from math import lcm, prod
-from operator import itemgetter, or_
+from operator import or_
 
 from .rings import RATIONAL, FloatRing, PrimeField, RationalRing, ScalarRing, ring_from_tag
 
@@ -340,16 +342,6 @@ def _check_slot_counts(k: int, l: int) -> None:
         raise ShapeError("cannot place an output without an anchor slot")
 
 
-def _tuple_getter(indices):
-    """``itemgetter`` that returns a tuple for any number of indices."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    if not indices:
-        return lambda seq: ()
-    return itemgetter(*indices)
-
-
 def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -379,27 +371,6 @@ def _check_shape(legs: int, shape, order=None) -> int:
     return n
 
 
-@lru_cache(maxsize=256)
-def _staged_plan(legs: int, shape: tuple, order) -> tuple[tuple, object]:
-    """Compile validated staged placements on ``legs`` legs into tuple getters.
-
-    ``shape`` lists ``(gather positions, output count)`` per step.  Each
-    plan step is ``(read, write)``: ``read(state)`` picks the map's inputs
-    from the current state, ``write(state + outputs)`` is the next state
-    laid out by the slot rule of :func:`replace_slots`.  Returns the plan
-    and ``arrange``, which reads the final state out in the output order
-    (or as it stands); built once per shape and order, and cached.
-    """
-    plan = []
-    n = legs
-    for positions, out_count in shape:
-        # New leg j takes old leg layout[j] < n, or map output layout[j] - n.
-        layout = replace_slots(list(range(n)), positions, list(range(n, n + out_count)))
-        plan.append((_tuple_getter([p - 1 for p in positions]), _tuple_getter(layout)))
-        n = len(layout)
-    return tuple(plan), _tuple_getter([m - 1 for m in order] if order else range(n))
-
-
 # CPython refuses more than 20 statically nested blocks; a kernel never
 # opens more loops than this, whatever its leg count.
 _MAX_LOOPS = 12
@@ -409,20 +380,20 @@ def _tuple_source(names) -> str:
     return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"  # "()" when empty
 
 
-def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) -> str:
+def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, push: bool = False) -> str:
     """Python source of the loop-nest kernel of staged placements.
 
-    ``sides`` holds one shape (contract mode) or two (compare mode), and
-    ``orders`` the output order of each side (None: the final state as it
-    stands).  Leg j of the column is the loop variable ``c<j>``, bound in
-    product order (first leg slowest); each map output is a fresh variable
-    ``v<i>``, so the slot rule of :func:`replace_slots` and the output
-    order are applied to variable names here, once, and no state tuple
-    exists at run time.  Step ``s`` looks its inputs up in ``T<s>`` inside
-    the outermost loop that binds all of them, so its work is shared by
-    every column of the inner loops.  Runs of legs with no lookup between
-    them share one ``product`` loop, and the outermost loop boundaries are
-    merged until at most ``_MAX_LOOPS`` remain.
+    ``sides`` holds one shape (contract and push mode) or two (compare
+    mode), and ``orders`` the output order of each side (None: the final
+    state as it stands).  Leg j of the column is the variable ``c<j>``,
+    bound in product order (first leg slowest); each map output is a fresh
+    variable ``v<i>``, so the slot rule of :func:`replace_slots` and the
+    output order are applied to variable names here, once, and no state
+    tuple is indexed at run time.  Step ``s`` looks its inputs up in
+    ``T<s>`` inside the outermost loop that binds all of them, so its work
+    is shared by every column of the inner loops.  Runs of legs with no
+    lookup between them share one ``product`` loop, and the outermost loop
+    boundaries are merged until at most ``_MAX_LOOPS`` remain.
 
     Every table is keyed by the mixed-radix rank of its inputs in base
     ``d`` (first input most significant, as :func:`digits_to_rank`), with
@@ -441,6 +412,17 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) 
     partial table is undecided), so a column counts only where both sides
     are fully determined.
 
+    Push mode is a generator over the columns in product order of
+    ``(column, {final legs in the output order: c})``, for maps that are
+    no basis functions.  ``T<s>`` are lists indexed by the same rank, of
+    ``(output digits, coefficient)`` pairs.  Each column starts as the
+    sparse vector ``{column: 1}``, and every step pushes each state of the
+    vector through its map's lookup, unpacking the state into the names of
+    the legs and packing the next state from them.  Colliding terms are
+    merged as they arrive, products take the map's coefficient first, and
+    ``settle`` drops the ring's zeros after each step, so the values are
+    those of the composed placed factors.
+
     The source is made only of generated names; tables, domains and ``d``
     are arguments of the kernel, never part of the text.
     """
@@ -452,7 +434,7 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) 
     columns = [f"c{j}" for j in range(legs)]
     # The level of a variable is the last leg its value depends on (-1: none).
     level = {c: j for j, c in enumerate(columns)}
-    lookups, states = [], []
+    lookups, states, moves = [], [], []
     for shape, order in zip(sides, orders):
         state = columns
         for positions, out_count in shape:
@@ -461,8 +443,33 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) 
             step_level = max((level[v] for v in ins), default=-1)
             level.update(dict.fromkeys(outs, step_level))
             lookups.append((step_level, ins, outs))
-            state = replace_slots(state, positions, outs)
+            before, state = state, replace_slots(state, positions, outs)
+            moves.append((before, state))
         states.append(state if order is None else [state[m - 1] for m in order])
+    head = "domains, d, settle" if push else "domains, d" if compare else "domains, d, sink, one"
+    lines = [f"def kernel({', '.join([head] + [f'T{s}' for s in range(len(lookups))])}):"]
+    if legs:
+        lines.append(f"    {', '.join(f'R{j}' for j in range(legs))}, = domains")
+    for w in range(1, max((len(ins) for _, ins, _ in lookups), default=0)):
+        lines.append(f"    D{w} = {'d' if w == 1 else f'D{w - 1} * d'}")
+
+    def rank_terms(ins):
+        """The terms of the mixed-radix rank of the inputs ``ins``."""
+        return [f"{v}*D{w}" if w else v for v, w in zip(ins, range(len(ins) - 1, -1, -1))]
+
+    if push:
+        lines.append(f"    for column in product({', '.join(f'R{j}' for j in range(legs))}):")
+        lines.append("        vec = {column: 1}")
+        for s, ((_, ins, outs), (before, after)) in enumerate(zip(lookups, moves)):
+            lines.append("        nxt = {}")
+            lines.append(f"        for {_tuple_source(before)}, x in vec.items():")
+            lines.append(f"            for {_tuple_source(outs)}, y in T{s}[{' + '.join(rank_terms(ins)) or '0'}]:")
+            lines.append(f"                k = {_tuple_source(after)}")
+            # 0 + x is x for every nonzero float, and a -0.0 sum is a zero either way.
+            lines.append("                nxt[k] = nxt.get(k, 0) + y * x")
+            lines.append("        vec = settle(nxt)")
+        lines.append(f"        yield column, {{{_tuple_source(states[0])}: x for {_tuple_source(state)}, x in vec.items()}}")
+        return "\n".join(lines) + "\n"
 
     # Loop boundaries: the last leg, and every leg that completes a lookup's inputs.
     ends = sorted({lvl for lvl, _, _ in lookups if lvl >= 0} | ({legs - 1} if legs else set()))
@@ -476,8 +483,7 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) 
     hoisted: dict[int, list] = {}
     for s, (lvl, ins, outs) in enumerate(lookups):
         loop = loop_of(lvl)
-        weights = range(len(ins) - 1, -1, -1)
-        terms = [(f"{v}*D{w}" if w else v, loop_of(level[v])) for v, w in zip(ins, weights)]
+        terms = [(term, loop_of(level[v])) for term, v in zip(rank_terms(ins), ins)]
         key = [term for term, bound in terms if bound == loop]
         outer = [(term, bound) for term, bound in terms if bound < loop]
         if outer:
@@ -485,12 +491,6 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) 
             hoisted.setdefault(sum_loop, []).append(f"h{s} = {' + '.join(term for term, _ in outer)}")
             key.insert(0, f"h{s}")
         placed.setdefault(loop, []).append((s, " + ".join(key) or "0", outs))
-    head = "domains, d" if compare else "domains, d, sink, one"
-    lines = [f"def kernel({', '.join([head] + [f'T{s}' for s in range(len(lookups))])}):"]
-    if legs:
-        lines.append(f"    {', '.join(f'R{j}' for j in range(legs))}, = domains")
-    for w in range(1, max((len(ins) for _, ins, _ in lookups), default=0)):
-        lines.append(f"    D{w} = {'d' if w == 1 else f'D{w - 1} * d'}")
 
     def emit_lookups(loop):
         pad = "    " * (loop + 2)
@@ -536,10 +536,10 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False) 
 
 
 @lru_cache(maxsize=256)
-def _staged_kernel(legs: int, sides: tuple, orders=None, partial: bool = False):
+def _staged_kernel(legs: int, sides: tuple, orders=None, partial: bool = False, push: bool = False):
     """The compiled kernel of :func:`_kernel_source`, built once per shape."""
     namespace = {"product": product}
-    exec(compile(_kernel_source(legs, sides, orders, partial), "<staged kernel>", "exec"), namespace)
+    exec(compile(_kernel_source(legs, sides, orders, partial, push), "<staged kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -657,9 +657,9 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     outermost loop that binds its inputs, so one lookup serves a whole
     block of columns and a missing input drops that block.  Runs of legs
     without a lookup share one loop and the nest depth is capped, so any
-    leg count compiles.  Other maps push each column through a plan of
-    tuple getters as a sparse vector on native numbers (see
-    :func:`_push_columns`), and a rational entry is built once, as
+    leg count compiles.  Other maps push each column as a sparse vector
+    on native numbers through the push-mode kernel of the same generator
+    (see :func:`_push_columns`), and a rational entry is built once, as
     ``Fraction(c, S)`` from the integer ``c`` and the side's scale ``S``.
     """
     maps, shape, n = _check_steps(steps, legs, d, ring, order)
@@ -681,17 +681,23 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     return Tensor._trusted(d, legs, n, entries, ring)
 
 
-def _native_map(f: Tensor) -> tuple[dict, int]:
-    """``{input digits: [(output digits, coefficient), ...]}`` of ``f`` on
-    native numbers, and its scale: rationals become integers times the
-    least common denominator of ``f``, which is the scale; GF(p) and float
-    entries are already ``int`` and ``float``, with scale 1."""
+def _native_map(f: Tensor) -> tuple[list, int]:
+    """The push table of ``f`` on native numbers, and its scale.
+
+    The table is indexed by the rank of the input digits (as
+    :func:`_function_table` ranks them) and holds the column's
+    ``[(output digits, coefficient), ...]``, or ``()`` where it has no
+    entry.  Rationals become integers times the least common denominator
+    of ``f``, which is the scale; GF(p) and float entries are already
+    ``int`` and ``float``, with scale 1."""
     rational = isinstance(f.ring, RationalRing)
     scale = lcm(*(v.denominator for v in f.entries.values())) if rational else 1
-    by_in: dict[Digits, list] = {}
+    by_rank: dict[int, list] = {}
     for (out, inp), v in f.entries.items():
-        by_in.setdefault(inp, []).append((out, v.numerator * (scale // v.denominator) if rational else v))
-    return by_in, scale
+        by_rank.setdefault(digits_to_rank(inp, f.dim), []).append(
+            (out, v.numerator * (scale // v.denominator) if rational else v)
+        )
+    return [by_rank.get(r, ()) for r in range(f.dim**f.in_legs)], scale
 
 
 def _entry_value(ring: ScalarRing, scale: int):
@@ -704,7 +710,8 @@ def _entry_value(ring: ScalarRing, scale: int):
 
 def _push_columns(maps, shape, legs: int, d: int, ring: ScalarRing, order=None):
     """Push every column of V^(x)legs through validated staged maps as a
-    sparse vector on native numbers.
+    sparse vector on native numbers, in the push-mode kernel of
+    :func:`_kernel_source`.
 
     Returns the side's scale S, the product of its steps' scales (see
     :func:`_native_map`), and an iterator over the columns in product
@@ -714,9 +721,7 @@ def _push_columns(maps, shape, legs: int, d: int, ring: ScalarRing, order=None):
     multiplied and added in the order of the composed placed factors;
     after each step values that are zero in the ring are dropped.
     """
-    plan, arrange = _staged_plan(legs, shape, order)
     native = {id(f): _native_map(f) for f in maps}
-    by_ins = [native[id(f)][0] for f in maps]
     scale = prod(native[id(f)][1] for f in maps)
     if isinstance(ring, FloatRing):
         tolerance = ring.tolerance
@@ -727,22 +732,8 @@ def _push_columns(maps, shape, legs: int, d: int, ring: ScalarRing, order=None):
         settle = lambda nxt: {key: r for key, c in nxt.items() if (r := c % p)}
     else:
         settle = lambda nxt: {key: c for key, c in nxt.items() if c}
-
-    def columns():
-        for column in product(range(d), repeat=legs):
-            vec = {column: 1}
-            for (read, write), by_in in zip(plan, by_ins):
-                nxt: dict[Digits, object] = {}
-                for state, c in vec.items():
-                    for out, v in by_in.get(read(state), ()):
-                        key = write(state + out)
-                        # 0 + x is x for every nonzero float, and a -0.0
-                        # sum is a zero either way.
-                        nxt[key] = nxt.get(key, 0) + v * c
-                vec = settle(nxt)
-            yield column, {arrange(state): c for state, c in vec.items()}
-
-    return scale, columns()
+    kernel = _staged_kernel(legs, (shape,), (order,), push=True)
+    return scale, kernel((range(d),) * legs, d, settle, *(native[id(f)][0] for f in maps))
 
 
 def _partial_trace(f: Tensor, leg: int) -> Tensor:

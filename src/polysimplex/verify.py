@@ -11,14 +11,14 @@ the rank of the input digits, and a holding equation is decided without
 building either side.  The kernel runs once per dependency cone
 (:func:`polysimplex.tensor._cone_domains`): each final leg of either
 side reads only some column legs, so the legs outside a cone are pinned
-to 0 and the columns that vary them are never run.  Other maps in an
-exact ring stream: both sides are pushed one column at a time on scaled
-integers (:func:`polysimplex.tensor._push_columns`), compared and
-discarded, so no side is built either.  In the float ring, and on a
-difference the kernel pass finds, each side is contracted by
-:func:`polysimplex.tensor.contract_staged` and the two tensors are
-compared entrywise.  Every route reports the largest deviation at the
-lexicographically first key as a witness.  Exact rings decide equality
+to 0 and the columns that vary them are never run.  In an exact ring,
+other maps, and a difference the kernel pass finds, stream: both sides
+are pushed one column at a time on native numbers by the push-mode
+kernel (:func:`polysimplex.tensor._push_columns`), compared and
+discarded, so no side is built either.  In the float ring each side is
+contracted by :func:`polysimplex.tensor.contract_staged` and the two
+tensors are compared entrywise.  Every route reports the largest
+deviation at the lexicographically first key as a witness.  Exact rings decide equality
 exactly; the float ring compares within its global absolute tolerance.
 """
 
@@ -116,13 +116,13 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
     one entry equal to one, and one is not a zero of the ring), both sides
     run in one compare-mode kernel pass per dependency cone of the final
     legs (:func:`_cone_domains`) and a holding equation is decided
-    without building either side.  Otherwise an exact ring streams the
-    columns (:func:`_stream_sides`) and builds no side either.  Floats, and
-    any difference the kernel pass finds, contract both sides and compare
-    them entrywise: the witness is the largest deviation at the
-    lexicographically first key, which the first differing column in
-    product order need not be.  Checks over more than ``MAX_COLUMNS``
-    columns are refused.
+    without building either side.  Other maps, and any difference the
+    kernel pass finds, stream in an exact ring: both sides are pushed
+    column by column (:func:`_stream_sides`), so no side is built.  Floats
+    contract both sides and compare them entrywise.  Either way the
+    witness is the largest deviation at the lexicographically first key,
+    which the first differing column in product order need not be.
+    Checks over more than ``MAX_COLUMNS`` columns are refused.
     """
     (lhs_maps, lhs_shape, n), (rhs_maps, rhs_shape, rhs_n) = (
         _check_steps(steps, legs, d, ring, order) for steps, order in zip(sides, orders)
@@ -140,7 +140,7 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
         ranked = [tables[id(f)] for f in maps]
         if all(kernel(domains, d, *ranked) is None for domains in _cone_domains(legs, sides_shape, orders, ranked, d)):
             return VerificationReport(equation, True, 0, (d, legs, n), (d, legs, n))
-    elif not isinstance(ring, FloatRing):
+    if not isinstance(ring, FloatRing):
         pushed = (
             _push_columns(side_maps, shape, legs, d, ring, order)
             for side_maps, shape, order in zip((lhs_maps, rhs_maps), (lhs_shape, rhs_shape), orders)

@@ -18,7 +18,8 @@ compositions, the Hopf pentagon pair, the legwise conjugation and the
 antipode-twisted product from maps padded with identity tensors.  Random sparse
 and function-like tensors over each scalar ring feed the property tests,
 and two maps whose composite cancels two paths on one key test the
-dropping of zeros.
+dropping of zeros, as do a few staged sides whose values rest on what is
+dropped after each step.
 """
 
 from itertools import product
@@ -97,6 +98,34 @@ def cancelling_maps(ring):
     g = Tensor(2, 1, 1, {((0,), (0,)): one, ((0,), (1,)): minus, ((1,), (1,)): one}, ring)
     h = Tensor(2, 1, 1, {((1,), (0,)): one, ((0,), (1,)): minus, ((1,), (1,)): one}, ring)
     return f, g, h
+
+
+def per_step_cases(ring):
+    """Staged sides ``(steps, legs, d, output order)`` by name, whose values
+    rest on what an evaluator does after each step: a float product
+    within tolerance after two steps (so a third does not bring it back),
+    paths that cancel mod 5 before another step, scalar steps on no legs,
+    a 1 -> 0 step, a partial map, and an output order."""
+    small, large = (1e-5, 1e10) if ring is F64 else (2, 3)
+
+    def m(k, l, entries):
+        return Tensor(2, k, l, {key: ring.coerce(v) for key, v in entries.items()}, ring)
+
+    mixing = m(2, 2, {((1, 0), (0, 1)): 2, ((1, 1), (0, 1)): -1, ((0, 0), (1, 1)): 3, ((0, 1), (0, 0)): 1,
+                      ((1, 1), (0, 0)): 1, ((0, 0), (1, 0)): -2})
+    return {
+        "within tolerance, then large": ([(m(1, 1, {((0,), (0,)): small}), (1,))] * 2
+                                         + [(m(1, 1, {((0,), (0,)): large}), (1,))], 1, 2, None),
+        "cancel mod 5, then a step": ([(m(1, 1, {((0,), (0,)): 1, ((1,), (0,)): 1, ((1,), (1,)): 1}), (1,)),
+                                       (m(1, 1, {((0,), (0,)): 2, ((0,), (1,)): 3}), (1,)),
+                                       (m(1, 1, {((1,), (0,)): 4}), (1,))], 1, 2, None),
+        "scalars on no legs": ([(m(0, 0, {((), ()): 3}), ()), (m(0, 0, {((), ()): -2}), ())], 0, 2, None),
+        "1 -> 0 step": ([(m(1, 0, {((), (0,)): 2, ((), (1,)): -1}), (2,)),
+                         (m(1, 1, {((1,), (0,)): 3, ((0,), (0,)): 1, ((0,), (1,)): 1}), (1,))], 2, 2, None),
+        "partial map": ([(m(2, 2, {((1, 0), (0, 1)): 2, ((1, 1), (0, 1)): -1, ((0, 0), (1, 1)): 3}), (2, 1))],
+                        2, 2, None),
+        "output order": ([(mixing, (3, 1)), (mixing, (2, 3))], 3, 2, (2, 3, 1)),
+    }
 
 
 def _move(image, digits):

@@ -19,8 +19,9 @@ from polysimplex.cli import MAX_COLUMNS, MAX_ORDER, build_catalog, main
 from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap, check_polygon_set
-from polysimplex.tensor import flip, from_function
-from polysimplex.verify import SelfCheckFailed, check_polygon
+from polysimplex.simplicial import compile_polygon, evaluate_program
+from polysimplex.tensor import Tensor, flip, from_function
+from polysimplex.verify import SelfCheckFailed, check_polygon, compare_sides
 
 
 def run(capsys, *argv):
@@ -683,6 +684,32 @@ class TestDemoAndCatalog:
         assert code == 0
         assert (data["family"], data["order"], data["tensor"]["dim"]) == ("polygon", 7, 4)
         assert maxrss_kb < 60 * 1024
+
+    def test_failing_z3_tower_9_gon_in_bounded_memory(self, tmp_path):
+        """A failing check on total basis functions streams both sides; it
+        once contracted them (70 MB) after the dependency cones found the
+        difference.  The report is the one of the built sides."""
+        tower = construct.bialgebra_tower(9, group_algebra(cyclic_group(3)), verify=False).tensor
+        swapped = dict(tower.entries)
+        (a, ia), (b, ib) = sorted(swapped)[1], sorted(swapped)[7]
+        del swapped[(a, ia)], swapped[(b, ib)]
+        swapped.update({(b, ia): 1, (a, ib): 1})
+        t = Tensor(3, 4, 4, swapped)
+        path, report = tmp_path / "t.json", tmp_path / "report.json"
+        path.write_text(t.to_json())
+        src = os.path.dirname(os.path.dirname(polysimplex.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("POLYSIMPLEX_SCALAR", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", MEASURE_CLI, "verify", "--family", "polygon", "--n", "9",
+             "--tensor", str(path), "--report", str(report)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, maxrss_kb = map(int, proc.stderr.split())
+        sides = (evaluate_program(side, {"T": t}, 3, t.ring) for side in compile_polygon(9))
+        assert code == 1
+        assert json.loads(report.read_text()) == compare_sides("9-gon", *sides).to_json_dict()
+        assert maxrss_kb < 40 * 1024
 
     def test_catalog_contains_ten_gon_rhs(self, capsys):
         code, out, _ = run(capsys, "catalog", "--max-n", "10")

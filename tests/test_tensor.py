@@ -320,8 +320,9 @@ class TestContractStaged:
         with mock.patch.object(tensor_module, "_staged_kernel", side_effect=kernel) as spy:
             got = contract_staged(steps, legs, d, ring)
         assert got.to_json_dict() == expect.to_json_dict()
-        # Only maps without entries are (empty) function tables.
-        assert spy.called == all(not f.entries for f, _ in steps)
+        # Only maps without entries are (empty) function tables; the others push.
+        pushed = [call.kwargs.get("push", False) for call in spy.call_args_list]
+        assert pushed == [any(f.entries for f, _ in steps)]
 
     @pytest.mark.parametrize("ring", RINGS, ids=["rational", "f64", "gfp5"])
     def test_cancelled_paths_leave_no_entry(self, ring):
@@ -330,6 +331,18 @@ class TestContractStaged:
         got = contract_staged(steps, 1, 2, ring)
         assert got.entries == h.entries
         assert got.to_json_dict() == staged(steps, 1, 2, ring).to_json_dict()
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["rational", "f64", "gfp5"])
+    @pytest.mark.parametrize("case", sorted(oracle.per_step_cases(F64)))
+    def test_per_step_cases_match_oracle(self, ring, case):
+        steps, legs, d, order = oracle.per_step_cases(ring)[case]
+        expect = staged(steps, legs, d, ring)
+        if order:
+            expect = permute_legs(expect, inverse(order), tuple(range(1, legs + 1)))
+        got = contract_staged(steps, legs, d, ring, order)
+        assert got.to_json_dict() == expect.to_json_dict()
+        # 1e-5 * 1e-5 is a float zero once its step ends; the exact rings keep 2 * 2 * 3.
+        assert bool(got.entries) == (case != "within tolerance, then large" or ring is not F64)
 
     @pytest.mark.parametrize("ring", RINGS + (FloatRing(2.0),), ids=["rational", "f64", "gfp5", "f64-tol2"])
     @pytest.mark.parametrize("count", [0, 1, 2])
@@ -517,17 +530,24 @@ class TestStagedKernel:
             with pytest.raises(ShapeError):
                 _kernel_source(legs, ((((1, 2), out_count),),))
 
-    @pytest.mark.parametrize("compare", [False, True])
-    def test_source_holds_only_generated_names(self, compare):
+    @pytest.mark.parametrize("compare, push", [(False, False), (True, False), (False, True)],
+                             ids=["False", "True", "push"])
+    def test_source_holds_only_generated_names(self, compare, push):
         shape = (((2, 1), 3), ((1, 3, 4), 3), ((4,), 0))
         sides = (shape, (((3, 4), 2), ((1, 2, 3), 3))) if compare else (shape,)
-        source = _kernel_source(5, sides)
+        source = _kernel_source(5, sides, push=push)
         allowed = {"kernel", "domains", "d", "sink", "one", "product", "o", "None"}
-        generated = re.compile(r"[cvRTDh][0-9]+")
         kinds = {tokenize.NAME, tokenize.OP, tokenize.NEWLINE, tokenize.NL,
                  tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+        if push:
+            # The push starts each column at 1 and sums from 0.
+            allowed |= {"settle", "column", "vec", "nxt", "items", "k", "x", "y", "get", "0", "1"}
+            kinds.add(tokenize.NUMBER)
+        generated = re.compile(r"[cvRTDh][0-9]+")
         for token in tokenize.generate_tokens(StringIO(source).readline):
             assert token.type in kinds, token
+            if token.type == tokenize.NUMBER:
+                assert token.string in allowed, token.string
             if token.type == tokenize.NAME:
                 assert (keyword.iskeyword(token.string) or token.string in allowed
                         or generated.fullmatch(token.string)), token.string

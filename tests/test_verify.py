@@ -648,6 +648,27 @@ class TestStreamRoute:
         expect = compare_sides("cancel", *(oracle.staged(steps, 1, 2, ring) for steps in (lhs, rhs)))
         assert got.to_json_dict() == expect.to_json_dict()
 
+    @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
+    @pytest.mark.parametrize("case", sorted(oracle.per_step_cases(F64)))
+    @pytest.mark.parametrize("holds", [True, False], ids=["holds", "fails"])
+    def test_per_step_cases_match_oracle(self, ring, case, holds):
+        """The left side pushed step by step against its oracle tensor,
+        placed on every leg as one step, or that tensor off by one at the
+        zero key."""
+        steps, legs, d, order = oracle.per_step_cases(ring)[case]
+        lhs = oracle.staged(steps, legs, d, ring)
+        if order:
+            lhs = oracle.permute_legs(lhs, oracle.inverse(order), tuple(range(1, legs + 1)))
+        rhs = lhs
+        if not holds:
+            key = ((0,) * lhs.out_legs, (0,) * legs)
+            rhs = Tensor(d, legs, lhs.out_legs, {**lhs.entries, key: ring.add(lhs.entry(*key), ring.one)}, ring)
+        sides = (steps, [(rhs, tuple(range(1, legs + 1)))])
+        with exact_route_only(ring):
+            got = verify._check_sides("steps", sides, legs, d, ring, (order, None))
+        assert got.holds == holds
+        assert got.to_json_dict() == compare_sides("steps", lhs, rhs).to_json_dict()
+
     @pytest.mark.parametrize("ring", [RATIONAL, prime_field(5)], ids=lambda ring: ring.tag)
     def test_exact_checks_build_no_side(self, ring, monkeypatch):
         t, s = (Tensor(3, 2, 2, m.entries, ring) for m in conjugated_z3_pair())
