@@ -10,10 +10,10 @@ raises :class:`SelfCheckFailed` (which would indicate a bug, not bad data).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 
+from ._record import record
 from .hopf import HopfInstance, check_axioms
 from .simplicial import pair_to_simplex_map
 from .tensor import (
@@ -47,7 +47,7 @@ from .verify import (
 FAMILIES = ("polygon", "dual-polygon", "simplex")
 
 
-@dataclass(frozen=True)
+@record
 class SolutionDescriptor:
     """A tensor tagged with the equation it solves and how it was built."""
 

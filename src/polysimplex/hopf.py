@@ -7,10 +7,9 @@ JSON format and are gated by :func:`check_axioms`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Optional
 
+from ._record import record
 from .rings import RATIONAL, ScalarRing
 from .tensor import (
     NotInvertible,
@@ -30,7 +29,7 @@ class InvalidGroup(ValueError):
     """The supplied Cayley table is not a group."""
 
 
-@dataclass(frozen=True)
+@record
 class GroupTable:
     """A finite group given by its Cayley table; identity is element 0."""
 
@@ -107,7 +106,7 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     return GroupTable(table)
 
 
-@dataclass(frozen=True)
+@record
 class HopfInstance:
     """Structure tensors of a finite-dimensional (Hopf) bialgebra."""
 
@@ -116,7 +115,7 @@ class HopfInstance:
     counit: Tensor
     product: Tensor
     coproduct: Tensor
-    antipode: Optional[Tensor] = None
+    antipode: Tensor | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -188,7 +187,18 @@ def dual_group_algebra(group: GroupTable, ring: ScalarRing = RATIONAL) -> HopfIn
 
 
 def check_axioms(h: HopfInstance) -> VerificationReport:
-    """Report on every (co)algebra, bialgebra and antipode identity."""
+    """Report on every (co)algebra, bialgebra and antipode identity.
+
+    The instance is immutable, so the report is computed once and kept in
+    its ``__dict__``; every later call returns that same report.
+    """
+    report = vars(h).get("_axioms")
+    if report is None:
+        report = vars(h)["_axioms"] = _axioms_report(h)
+    return report
+
+
+def _axioms_report(h: HopfInstance) -> VerificationReport:
     d, ring = h.dim, h.ring
     one = identity_tensor(d, 1, ring)
     sig = flip(d, ring)

@@ -7,14 +7,13 @@ the tensor factors each operator acts on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .tensor import ShapeError
 
 Row = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class MultiIndexMatrix:
     """Value object holding one of the A, B, D, E, F, G index matrices."""
 

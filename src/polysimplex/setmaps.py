@@ -21,16 +21,16 @@ implemented with their fixed-point criteria checked in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
+from ._record import record
 from .simplicial import compile_polygon
 from .tensor import ShapeError, _cone_domains, _is_count, _staged_kernel
 from .verify import PreconditionFailed, VerificationReport, polygon_signature, require_columns
 
 
-@dataclass(frozen=True)
+@record
 class FiniteMap:
     """A total function X^in_arity -> X^out_arity on X = {0..base-1}."""
 
@@ -179,7 +179,7 @@ def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> Verificati
     return VerificationReport(name, False, 1, shape, shape, witness)
 
 
-@dataclass(frozen=True)
+@record
 class LiftOutcome:
     """A lifted map together with the verification of its target equation."""
 

@@ -22,9 +22,9 @@ closed-form index recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
+from ._record import field, record
 from .rings import RATIONAL, ScalarRing
 from .tensor import ShapeError, Tensor, contract_staged, partial_trace_left, replace_slots
 
@@ -69,7 +69,7 @@ def pachner_split(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return evens, odds
 
 
-@dataclass(frozen=True)
+@record
 class Step:
     """One map placement: which map, on which simplex, reading/writing what."""
 
@@ -79,7 +79,7 @@ class Step:
     outputs: tuple[Face, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ContractionProgram:
     """One side of an equation; steps are stored in application order.
 

@@ -49,7 +49,6 @@ private ``Tensor._trusted`` without a second pass.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -57,6 +56,7 @@ import json
 from math import lcm, prod
 from operator import or_
 
+from ._record import field, record
 from .rings import RATIONAL, FloatRing, PrimeField, RationalRing, ScalarRing, ring_from_tag
 
 Digits = tuple[int, ...]
@@ -71,7 +71,7 @@ class NotInvertible(ValueError):
     """Raised when an operation requires an invertible tensor."""
 
 
-@dataclass(frozen=True)
+@record
 class Tensor:
     """A linear map V^(x)in_legs -> V^(x)out_legs, dim(V) = dim."""
 

@@ -24,10 +24,9 @@ exactly; the float ring compares within its global absolute tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional
 
+from ._record import field, record
 from .indices import mixed_sequences
 from .rings import FloatRing
 from .simplicial import _program_steps, _replay, compile_mixed, compile_polygon, compile_simplex, flatten
@@ -67,7 +66,7 @@ class SelfCheckFailed(RuntimeError):
     """A constructed solution failed its own verifier (internal error)."""
 
 
-@dataclass
+@record(frozen=False)
 class VerificationReport:
     """Outcome of one equation check."""
 
@@ -76,7 +75,7 @@ class VerificationReport:
     max_deviation: object
     lhs_dims: tuple[int, int, int]
     rhs_dims: tuple[int, int, int]
-    witness: Optional[dict] = None
+    witness: dict | None = None
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:

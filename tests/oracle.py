@@ -19,13 +19,17 @@ antipode-twisted product from maps padded with identity tensors.  Random sparse
 and function-like tensors over each scalar ring feed the property tests,
 and two maps whose composite cancels two paths on one key test the
 dropping of zeros, as do a few staged sides whose values rest on what is
-dropped after each step.
+dropped after each step.  The dataclass twins declare each value class
+of the package again, as the ``dataclasses`` module would build it from
+the same class body, for the record-semantics tests.
 """
 
+from dataclasses import dataclass, field
 from itertools import product
 
 from hypothesis import strategies as st
 
+from polysimplex import construct, hopf, indices, setmaps, simplicial, tensor, verify
 from polysimplex.indices import mixed_indices, polygon_recursion_rows, simplex_indices
 from polysimplex.rings import F64, RATIONAL, prime_field
 from polysimplex.setmaps import FiniteMap, check_polygon_set
@@ -450,3 +454,104 @@ def conjugate(t, phi, phi_inv):
 def twisted_product(h):
     """m o (S (x) id), the antipode-twisted product."""
     return compose(h.product, tensor_product(h.antipode, identity_tensor(h.dim, 1, h.ring)))
+
+
+# -- dataclass twins of the value classes ---------------------------------------
+#
+# Each twin subclasses its record so that it shares the class body (the
+# ``__post_init__``, properties and other methods) and lets ``dataclass``
+# generate the rest from the same field declarations.  Setting
+# ``__qualname__`` makes the generated repr name the record's class.
+# ``Tensor`` writes its own ``__eq__``, ``__hash__`` and ``__repr__``, which
+# a dataclass keeps, so its twin turns those off to inherit them.
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class TensorTwin(tensor.Tensor):
+    dim: int
+    in_legs: int
+    out_legs: int
+    entries: dict = field(default_factory=dict)
+    ring: object = RATIONAL
+
+
+@dataclass(frozen=True)
+class FiniteMapTwin(setmaps.FiniteMap):
+    __qualname__ = "FiniteMap"
+    base: int
+    in_arity: int
+    out_arity: int
+    table: tuple
+
+
+@dataclass(frozen=True)
+class LiftOutcomeTwin(setmaps.LiftOutcome):
+    __qualname__ = "LiftOutcome"
+    result: object
+    report: object
+    fixed_point_ok: bool = True
+
+
+@dataclass(frozen=True)
+class StepTwin(simplicial.Step):
+    __qualname__ = "Step"
+    tag: str
+    face: tuple
+    inputs: tuple
+    outputs: tuple
+
+
+@dataclass(frozen=True)
+class ContractionProgramTwin(simplicial.ContractionProgram):
+    __qualname__ = "ContractionProgram"
+    steps: tuple
+    free_inputs: tuple
+    free_outputs: tuple
+    _positions: tuple = field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class MultiIndexMatrixTwin(indices.MultiIndexMatrix):
+    __qualname__ = "MultiIndexMatrix"
+    rows: tuple
+    kind: str
+    order: int
+
+
+@dataclass(frozen=True)
+class GroupTableTwin(hopf.GroupTable):
+    __qualname__ = "GroupTable"
+    table: tuple
+
+
+@dataclass(frozen=True)
+class HopfInstanceTwin(hopf.HopfInstance):
+    __qualname__ = "HopfInstance"
+    dim: int
+    unit: object
+    counit: object
+    product: object
+    coproduct: object
+    antipode: object = None
+    name: str = ""
+
+
+@dataclass(frozen=True)
+class SolutionDescriptorTwin(construct.SolutionDescriptor):
+    __qualname__ = "SolutionDescriptor"
+    family: str
+    order: int
+    tensor: object
+    provenance: tuple = ()
+
+
+@dataclass
+class VerificationReportTwin(verify.VerificationReport):
+    __qualname__ = "VerificationReport"
+    equation: str
+    holds: bool
+    max_deviation: object
+    lhs_dims: tuple
+    rhs_dims: tuple
+    witness: object = None
+    details: dict = field(default_factory=dict)

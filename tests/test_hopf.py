@@ -5,6 +5,8 @@ from itertools import product
 
 import pytest
 
+from polysimplex import hopf
+from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.hopf import (
     GroupTable,
     HopfInstance,
@@ -65,6 +67,17 @@ class TestGroupAlgebra:
         assert report.holds
         assert report.details["commutative"] and report.details["cocommutative"]
         assert report.details["antipode_invertible"]
+
+    def test_axioms_checked_once_per_instance(self, monkeypatch):
+        calls = []
+        report_of = hopf._axioms_report
+        monkeypatch.setattr(hopf, "_axioms_report", lambda h: calls.append(h) or report_of(h))
+        h = group_algebra(cyclic_group(2))
+        first = check_axioms(h)
+        hopf_pentagon_pair(h, verify=False)  # requires the axioms again
+        assert check_axioms(h) is first
+        assert calls == [h]
+        assert check_axioms(group_algebra(cyclic_group(2))) is not first
 
     def test_s3_flagged_noncommutative(self):
         h = group_algebra(symmetric_group(3))
