@@ -16,7 +16,7 @@ import os
 import sys
 from functools import cache
 from itertools import product
-from math import prod
+from math import factorial, prod
 
 from . import construct as C
 from .hopf import (
@@ -92,10 +92,15 @@ def load_group(spec: str) -> GroupTable:
     named = {"v4": lambda: direct_product(cyclic_group(2), cyclic_group(2))}
     if spec in named:
         return named[spec]()
-    if spec.startswith("z") and spec[1:].isdigit():
-        return cyclic_group(int(spec[1:]))
-    if spec.startswith("s") and spec[1:].isdigit():
-        return symmetric_group(int(spec[1:]))
+    if spec[:1] in ("z", "s") and spec[1:].isdecimal():
+        # Refused before the Cayley table is built, and s_n (n! >= n) of a
+        # large n before n! is computed.
+        n, subject = int(spec[1:]), f"the associativity check of {spec} runs"
+        require_columns(n, 3, subject if spec[0] == "z" else f"{subject} at least")
+        if spec[0] == "z":
+            return cyclic_group(n)
+        require_columns(factorial(n), 3, subject)
+        return symmetric_group(n)
     return read_json(spec, GroupTable.from_json_dict, "group")
 
 

@@ -145,9 +145,9 @@ def _polygon_sides(n: int, dual: bool) -> tuple[int, tuple]:
 def _polygon_kernel(n: int, dual: bool, partial: bool = False) -> tuple[int, int, object]:
     """Free-input count, step count and compare kernel of the compiled (dual) n-gon.
 
-    The partial kernel takes the tables as ``dict.get`` of partial tables
-    and returns the first tuple whose sides are both determined and
-    differ, or None.
+    The kernel yields every tuple whose sides differ; the partial kernel
+    takes the tables as ``dict.get`` of partial tables and yields every
+    tuple whose sides are both determined and differ.
     """
     legs, sides = _polygon_sides(n, dual)
     return legs, sum(map(len, sides)), _staged_kernel(legs, sides, partial=partial)
@@ -172,9 +172,9 @@ def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> Verificati
     shape = (fmap.base, fmap.in_arity, fmap.out_arity)
     tables = (fmap.table,) * steps
     cones = _cone_domains(legs, _polygon_sides(n, dual)[1], None, tables, fmap.base)
-    if all(kernel(domains, fmap.base, *tables) is None for domains in cones):
+    if all(next(kernel(domains, fmap.base, *tables), None) is None for domains in cones):
         return VerificationReport(name, True, 0, shape, shape)
-    values, lhs, rhs = kernel((range(fmap.base),) * legs, fmap.base, *tables)
+    values, lhs, rhs = next(kernel((range(fmap.base),) * legs, fmap.base, *tables))
     witness = {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
     return VerificationReport(name, False, 1, shape, shape, witness)
 
@@ -286,7 +286,7 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
             return
         for out in outputs:
             table[row] = out
-            if kernel(domains, base, *(lookup,) * steps) is None:
+            if next(kernel(domains, base, *(lookup,) * steps), None) is None:
                 extend(row + 1)
         table[row] = None
 

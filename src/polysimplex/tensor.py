@@ -27,15 +27,14 @@ states through tables keyed by the same rank, on native numbers:
 rationals as integers scaled by each map's least common denominator,
 GF(p) as ``int`` reduced mod p, floats as floats.  The generator
 also has a compare mode, which runs both sides of an equation in one nest on
-total tables and returns the first column whose sides differ: the
+total tables and yields every column whose sides differ: the
 set-theoretic checks use it, and so do the tensor checks of
-:mod:`polysimplex.verify`, which decide a holding equation on total
-basis functions without building either side.  Both run it once per
+:mod:`polysimplex.verify`, which decide an equation on total basis
+functions without building either side.  Both run it once per
 dependency cone (:func:`_cone_domains`): the column legs some final leg
-reads on either side, with every other leg pinned to 0.  In exact rings
-the tensor checks stream the pushed columns of other maps, and of a
-failing equation; in the float ring they build the sides with
-:func:`contract_staged` and compare them by :func:`deviation`.
+reads on either side, with every other leg pinned to 0.  On other maps
+the tensor checks stream the pushed columns of both sides, in every
+ring, so neither route builds a side.
 Its partial variant skips the columns a partial table leaves undecided,
 and prunes the set enumeration.  So the slot rule, the output order and
 the table key each have one compiler, the generator.
@@ -406,11 +405,12 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
     column whose lookups all hit (``T<s>`` return None on a miss, as
     ``dict.get`` does; a miss skips the whole block of columns under that
     loop).  Compare mode runs both sides on total tables (``T<s>`` are
-    indexed by rank) and returns the first ``(column, lhs, rhs)`` in
-    product order whose final legs differ, or None.  Partial compare mode
-    takes its lookups from contract mode (``T<s>`` return None where a
-    partial table is undecided), so a column counts only where both sides
-    are fully determined.
+    indexed by rank) and is a generator of ``(column, lhs, rhs)`` for
+    every column, in product order, whose final legs differ; an equation
+    holds iff it yields nothing.  Partial compare mode takes its lookups
+    from contract mode (``T<s>`` return None where a partial table is
+    undecided), so a column counts only where both sides are fully
+    determined.
 
     Push mode is a generator over the columns in product order of
     ``(column, {final legs in the output order: c})``, for maps that are
@@ -459,7 +459,8 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
 
     if push:
         lines.append(f"    for column in product({', '.join(f'R{j}' for j in range(legs))}):")
-        lines.append("        vec = {column: 1}")
+        # With no step the value is one, which a float tolerance >= 1 makes a zero.
+        lines.append(f"        vec = {'{column: 1}' if lookups else 'settle({column: 1})'}")
         for s, ((_, ins, outs), (before, after)) in enumerate(zip(lookups, moves)):
             lines.append("        nxt = {}")
             lines.append(f"        for {_tuple_source(before)}, x in vec.items():")
@@ -525,13 +526,11 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
         lines.append(f"{pad}sink[({final}, {column})] = one")
     else:
         lhs, rhs = (_tuple_source(state) for state in states)
+        # Only the legs that can differ are compared; "() != ()" when none can.
         differ = [(a, b) for a, b in zip(*states) if a != b]
-        if differ:
-            left, right = (_tuple_source([pair[i] for pair in differ]) for i in (0, 1))
-            lines.append(f"{pad}if {left} != {right}:")
-            lines.append(f"{pad}    return {column}, {lhs}, {rhs}")
-        else:
-            lines.append(f"{pad}pass")
+        left, right = (_tuple_source([pair[i] for pair in differ]) for i in (0, 1))
+        lines.append(f"{pad}if {left} != {right}:")
+        lines.append(f"{pad}    yield {column}, {lhs}, {rhs}")
     return "\n".join(lines) + "\n"
 
 
@@ -670,9 +669,6 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
         kernel = _staged_kernel(legs, (shape,), (order,))
         kernel((range(d),) * legs, d, entries, ring.one, *(by_map[id(f)].get for f in maps))
         return Tensor._trusted(d, legs, n, entries, ring)
-    if not maps:
-        # One is a zero of the ring, so the permutation has no entries.
-        return Tensor._trusted(d, legs, n, entries, ring)
     scale, pushed = _push_columns(maps, shape, legs, d, ring, order)
     value = _entry_value(ring, scale)
     for column, vec in pushed:
@@ -705,7 +701,8 @@ def _entry_value(ring: ScalarRing, scale: int):
     side of scale ``scale``."""
     if isinstance(ring, RationalRing):
         return lambda c: Fraction(c, scale)
-    return lambda c: c
+    # A side of no steps, and a column the compare kernel yields, hold the integer 1.
+    return float if isinstance(ring, FloatRing) else lambda c: c
 
 
 def _push_columns(maps, shape, legs: int, d: int, ring: ScalarRing, order=None):

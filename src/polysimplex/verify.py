@@ -11,14 +11,12 @@ the rank of the input digits, and a holding equation is decided without
 building either side.  The kernel runs once per dependency cone
 (:func:`polysimplex.tensor._cone_domains`): each final leg of either
 side reads only some column legs, so the legs outside a cone are pinned
-to 0 and the columns that vary them are never run.  In an exact ring,
-other maps, and a difference the kernel pass finds, stream: both sides
-are pushed one column at a time on native numbers by the push-mode
-kernel (:func:`polysimplex.tensor._push_columns`), compared and
-discarded, so no side is built either.  In the float ring each side is
-contracted by :func:`polysimplex.tensor.contract_staged` and the two
-tensors are compared entrywise.  Every route reports the largest
-deviation at the lexicographically first key as a witness.  Exact rings decide equality
+to 0 and the columns that vary them are never run.  On a difference it
+yields every differing column.  Other maps, in every ring, push both
+sides one column at a time on native numbers
+(:func:`polysimplex.tensor._push_columns`).  One comparator reads either
+stream, so no side is built, and reports the largest deviation at the
+lexicographically first key as a witness.  Exact rings decide equality
 exactly; the float ring compares within its global absolute tolerance.
 """
 
@@ -39,7 +37,6 @@ from .tensor import (
     _function_table,
     _push_columns,
     _staged_kernel,
-    contract_staged,
     deviation,
 )
 
@@ -109,19 +106,20 @@ def compare_sides(equation: str, lhs: Tensor, rhs: Tensor) -> VerificationReport
 
 def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, None)) -> VerificationReport:
     """Compare two staged sides on V^(x)legs, each a list of ``(map, positions)``
-    steps read out in its output order (see :func:`contract_staged`).
+    steps read out in its output order (see :func:`tensor.contract_staged`).
 
-    When every map is a total basis function (``d**in_legs`` columns, each
-    one entry equal to one, and one is not a zero of the ring), both sides
-    run in one compare-mode kernel pass per dependency cone of the final
-    legs (:func:`_cone_domains`) and a holding equation is decided
-    without building either side.  Other maps, and any difference the
-    kernel pass finds, stream in an exact ring: both sides are pushed
-    column by column (:func:`_stream_sides`), so no side is built.  Floats
-    contract both sides and compare them entrywise.  Either way the
-    witness is the largest deviation at the lexicographically first key,
-    which the first differing column in product order need not be.
-    Checks over more than ``MAX_COLUMNS`` columns are refused.
+    The maps alone pick the route, and no route builds a side.  When every
+    map is a total basis function (``d**in_legs`` columns, each one entry
+    equal to one, and one is not a zero of the ring), both sides run in one
+    compare-mode kernel pass per dependency cone of the final legs
+    (:func:`_cone_domains`), which decides a holding equation.  On a
+    difference the kernel runs every column and yields the differing ones,
+    each side one entry equal to one, to :func:`_stream_sides`.  Other maps
+    push both sides column by column (:func:`_push_columns`) into the same
+    comparator.  The witness is the largest deviation at the
+    lexicographically first key, which the first differing column in
+    product order need not be.  Checks over more than ``MAX_COLUMNS``
+    columns are refused.
     """
     (lhs_maps, lhs_shape, n), (rhs_maps, rhs_shape, rhs_n) = (
         _check_steps(steps, legs, d, ring, order) for steps, order in zip(sides, orders)
@@ -129,6 +127,7 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
     require_columns(d, legs)
     if n != rhs_n:
         raise ShapeError(f"cannot compare shapes {(d, legs, n)} and {(d, legs, rhs_n)}")
+    shape = (d, legs, n)
     maps = lhs_maps + rhs_maps
     tables = {id(f): _function_table(f) for f in maps}
     if not ring.is_zero(ring.one) and all(
@@ -137,48 +136,56 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
         sides_shape = (lhs_shape, rhs_shape)
         kernel = _staged_kernel(legs, sides_shape, orders)
         ranked = [tables[id(f)] for f in maps]
-        if all(kernel(domains, d, *ranked) is None for domains in _cone_domains(legs, sides_shape, orders, ranked, d)):
-            return VerificationReport(equation, True, 0, (d, legs, n), (d, legs, n))
-    if not isinstance(ring, FloatRing):
-        pushed = (
-            _push_columns(side_maps, shape, legs, d, ring, order)
-            for side_maps, shape, order in zip((lhs_maps, rhs_maps), (lhs_shape, rhs_shape), orders)
-        )
-        return _stream_sides(equation, *pushed, ring, (d, legs, n))
-    lhs, rhs = (contract_staged(steps, legs, d, ring, order) for steps, order in zip(sides, orders))
-    return compare_sides(equation, lhs, rhs)
+        cones = _cone_domains(legs, sides_shape, orders, ranked, d)
+        if all(next(kernel(domains, d, *ranked), None) is None for domains in cones):
+            return VerificationReport(equation, True, 0, shape, shape)
+        differing = kernel((range(d),) * legs, d, *ranked)
+        return _stream_sides(equation, ((col, {lhs: 1}, {rhs: 1}) for col, lhs, rhs in differing), (1, 1), ring, shape)
+    (lhs_scale, lhs_columns), (rhs_scale, rhs_columns) = (
+        _push_columns(side_maps, side_shape, legs, d, ring, order)
+        for side_maps, side_shape, order in zip((lhs_maps, rhs_maps), (lhs_shape, rhs_shape), orders)
+    )
+    columns = ((col, lv, rv) for (col, lv), (_, rv) in zip(lhs_columns, rhs_columns))
+    return _stream_sides(equation, columns, (lhs_scale, rhs_scale), ring, shape)
 
 
-def _stream_sides(equation: str, lhs, rhs, ring, shape) -> VerificationReport:
-    """:func:`compare_sides` on two sides pushed column by column, each a
-    ``(scale, columns)`` pair of :func:`_push_columns` in an exact ring.
-
-    A column's sides agree where ``lhs * S_rhs == rhs * S_lhs`` on every
-    key; each column is discarded once compared.  The witness is the
-    minimum of ``(-magnitude, (out, in))`` over the differing keys, with
-    the magnitude taken as :func:`deviation` takes it, so the report is
-    the one of the built sides.
+def _stream_sides(equation: str, columns, scales, ring, shape) -> VerificationReport:
+    """:func:`compare_sides` on ``(column, lhs, rhs)`` columns, each side a
+    ``{final legs: c}`` dict of native numbers as :func:`_push_columns`
+    pushes them: the entry is ``c / S`` in the rationals, with ``S`` the
+    side's scale, and ``c`` in the other rings.  Each column is discarded
+    once compared.  Exact rings count a key where ``lhs * S_rhs != rhs *
+    S_lhs``; floats compare every key, since ``inf - inf`` is NaN.  The
+    witness is the one :func:`deviation` picks on the built sides: a NaN
+    magnitude at the first differing key, else the largest at its first key.
     """
-    (lhs_scale, lhs_columns), (rhs_scale, rhs_columns) = lhs, rhs
-    lhs_value, rhs_value = _entry_value(ring, lhs_scale), _entry_value(ring, rhs_scale)
+    (lhs_scale, rhs_scale), exact = scales, not isinstance(ring, FloatRing)
+    lhs_value, rhs_value = (_entry_value(ring, scale) for scale in scales)
     common = gcd(lhs_scale, rhs_scale)
     lhs_factor, rhs_factor = rhs_scale // common, lhs_scale // common
-    worst = None
-    for (column, lv), (_, rv) in zip(lhs_columns, rhs_columns):
-        if lhs_factor == rhs_factor and lv == rv:
+    first = worst = None  # (key, magnitude, lhs, rhs)
+    for column, lv, rv in columns:
+        if exact and lhs_factor == rhs_factor and lv == rv:
             continue
         for out in lv.keys() | rv.keys():
             a, b = lv.get(out, 0), rv.get(out, 0)
-            if a * lhs_factor != b * rhs_factor:
-                a, b = lhs_value(a), rhs_value(b)
-                rank = (-ring.magnitude(ring.add(a, ring.neg(b))), (out, column))
-                if worst is None or rank < worst[0]:
-                    worst = (rank, a, b)
-    if worst is None:
+            if exact and a * lhs_factor == b * rhs_factor:
+                continue
+            a, b = lhs_value(a), rhs_value(b)
+            diff = ring.add(a, ring.neg(b))
+            if ring.is_zero(diff):
+                continue
+            found = ((out, column), ring.magnitude(diff), a, b)
+            if first is None or found[0] < first[0]:
+                first = found
+            mag = found[1]
+            if mag == mag and (worst is None or mag > worst[1] or (mag == worst[1] and found[0] < worst[0])):
+                worst = found
+    if first is None:
         return VerificationReport(equation, True, 0, shape, shape)
-    (neg_mag, (out, inp)), a, b = worst
+    (out, inp), mag, a, b = first if first[1] != first[1] else worst
     witness = {"out": list(out), "in": list(inp), "lhs": ring.format(a), "rhs": ring.format(b)}
-    return VerificationReport(equation, False, -neg_mag, shape, shape, witness)
+    return VerificationReport(equation, False, mag, shape, shape, witness)
 
 
 def _check_programs(equation: str, programs, maps, d: int, ring) -> VerificationReport:

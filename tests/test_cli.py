@@ -16,10 +16,11 @@ import polysimplex
 from polysimplex import construct
 from polysimplex import cli
 from polysimplex.cli import MAX_COLUMNS, MAX_ORDER, build_catalog, main
-from polysimplex.hopf import cyclic_group, group_algebra
+from polysimplex.hopf import cyclic_group, direct_product, group_algebra
+from polysimplex.rings import F64
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap, check_polygon_set
-from polysimplex.simplicial import compile_polygon, evaluate_program
+from polysimplex.simplicial import compile_polygon, evaluate_program, pair_to_simplex_map
 from polysimplex.tensor import Tensor, flip, from_function
 from polysimplex.verify import SelfCheckFailed, check_polygon, compare_sides
 
@@ -606,11 +607,35 @@ class TestConstruct:
 # test process's peak: Linux keeps the old address space's high-water mark
 # across exec.
 MEASURE_CLI = """
-import os, sys
+import os, resource, sys
+# A regression then fails its test with the child killed, not the machine exhausted.
+for limit, value in ((resource.RLIMIT_AS, 2 << 30), (resource.RLIMIT_CPU, 120)):
+    resource.setrlimit(limit, (value, value))
 argv = [sys.executable, "-m", "polysimplex.cli", *sys.argv[1:]]
 _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
 """
+
+
+def measure_cli(*argv):
+    """Exit code, peak RSS (kB) and wall seconds of the CLI run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(polysimplex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("POLYSIMPLEX_SCALAR", None)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", MEASURE_CLI, *argv], env=env, capture_output=True, text=True, check=True)
+    seconds = time.perf_counter() - start
+    code, maxrss_kb = map(int, proc.stderr.split())
+    return code, maxrss_kb, seconds
+
+
+def swap_two_outputs(t):
+    """``t`` with the outputs of two of its columns swapped."""
+    swapped = dict(t.entries)
+    (a, ia), (b, ib) = sorted(swapped)[1], sorted(swapped)[7]
+    del swapped[(a, ia)], swapped[(b, ib)]
+    swapped.update({(b, ia): t.ring.one, (a, ib): t.ring.one})
+    return Tensor(t.dim, t.in_legs, t.out_legs, swapped, t.ring)
 
 
 class TestDemoAndCatalog:
@@ -633,6 +658,37 @@ class TestDemoAndCatalog:
         code, out, err = run(capsys, "demo", "--group", "z5")
         assert code == 2 and out == ""
         assert err == f"error: the check runs 5^10 = {5**10} columns, over the cap of {MAX_COLUMNS}\n"
+
+    @pytest.mark.parametrize("group", ["z200", "z5000", "s6", "s10", "json"])
+    def test_oversized_group_refused_before_it_is_built(self, capsys, tmp_path, group):
+        """Validating a Cayley table checks order^3 products, and s_n lists
+        n! permutations first: z200 once took 3.7 s to be refused, s6 more
+        than 100 s."""
+        order = {"z200": 200, "z5000": 5000, "s6": 720, "s10": 3628800, "json": 200}[group]
+        subject = f"the associativity check of {group} runs"
+        if group == "json":
+            group = str(tmp_path / "z200.json")
+            table = [[(a + b) % order for b in range(order)] for a in range(order)]
+            (tmp_path / "z200.json").write_text(json.dumps({"order": order, "table": table}))
+            subject = "the associativity check of the group runs"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "demo", "--group", group)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.endswith(f"{subject} {order}^3 = {order**3} columns, over the cap of {MAX_COLUMNS}\n")
+
+    def test_hopf_pentagon_pair_z100_in_bounded_time_and_memory(self, tmp_path):
+        """The bialgebra axioms of k[Z100] once built placed factors of
+        d^4 = 10^8 entries: the build ran for more than 120 s."""
+        path = tmp_path / "pair.json"
+        code, maxrss_kb, seconds = measure_cli(
+            "construct", "--recipe", "hopf-pentagon-pair", "--group", "z100", "--no-verify", "--out", str(path)
+        )
+        data = json.loads(path.read_text())
+        assert code == 0
+        assert (data["first"]["family"], data["first"]["tensor"]["dim"]) == ("polygon", 100)
+        assert seconds < 15
+        assert maxrss_kb < 60 * 1024
 
     def test_demo_v4_in_bounded_memory(self):
         """Both 4^10-column sides of the 4-simplex check were once built (781 MB)."""
@@ -690,25 +746,47 @@ class TestDemoAndCatalog:
         once contracted them (70 MB) after the dependency cones found the
         difference.  The report is the one of the built sides."""
         tower = construct.bialgebra_tower(9, group_algebra(cyclic_group(3)), verify=False).tensor
-        swapped = dict(tower.entries)
-        (a, ia), (b, ib) = sorted(swapped)[1], sorted(swapped)[7]
-        del swapped[(a, ia)], swapped[(b, ib)]
-        swapped.update({(b, ia): 1, (a, ib): 1})
-        t = Tensor(3, 4, 4, swapped)
+        t = swap_two_outputs(tower)
         path, report = tmp_path / "t.json", tmp_path / "report.json"
         path.write_text(t.to_json())
-        src = os.path.dirname(os.path.dirname(polysimplex.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.pop("POLYSIMPLEX_SCALAR", None)
-        proc = subprocess.run(
-            [sys.executable, "-c", MEASURE_CLI, "verify", "--family", "polygon", "--n", "9",
-             "--tensor", str(path), "--report", str(report)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        code, maxrss_kb = map(int, proc.stderr.split())
+        code, maxrss_kb, _ = measure_cli("verify", "--family", "polygon", "--n", "9", "--tensor", str(path), "--report", str(report))
         sides = (evaluate_program(side, {"T": t}, 3, t.ring) for side in compile_polygon(9))
         assert code == 1
         assert json.loads(report.read_text()) == compare_sides("9-gon", *sides).to_json_dict()
+        assert maxrss_kb < 40 * 1024
+
+    def test_failing_f64_z3_tower_9_gon_in_bounded_memory(self, tmp_path):
+        """The f64 check once contracted both sides (66-71 MB) after the
+        dependency cones found the difference."""
+        tower = construct.bialgebra_tower(9, group_algebra(cyclic_group(3), F64), verify=False).tensor
+        t = swap_two_outputs(tower)
+        path, report = tmp_path / "t.json", tmp_path / "report.json"
+        path.write_text(t.to_json())
+        code, maxrss_kb, _ = measure_cli("verify", "--family", "polygon", "--n", "9", "--tensor", str(path), "--report", str(report))
+        sides = (evaluate_program(side, {"T": t}, 3, t.ring) for side in compile_polygon(9))
+        assert code == 1
+        assert json.loads(report.read_text()) == compare_sides("9-gon", *sides).to_json_dict()
+        assert maxrss_kb < 30 * 1024
+
+    def test_failing_v4_4_simplex_in_bounded_time_and_memory(self, tmp_path):
+        """The v4 4-simplex map with two outputs swapped: once all 4^10
+        columns of both sides were pushed (18-22 s), and before that
+        contracted (973 MB)."""
+        g = direct_product(cyclic_group(2), cyclic_group(2))
+        t_desc, s_desc = hopf_pentagon_pair(group_algebra(g), verify=False)
+        r = swap_two_outputs(pair_to_simplex_map(t_desc.tensor, s_desc.tensor))
+        path, report = tmp_path / "r.json", tmp_path / "report.json"
+        path.write_text(r.to_json())
+        code, maxrss_kb, seconds = measure_cli(
+            "verify", "--family", "simplex", "--n", "4", "--tensor", str(path), "--report", str(report)
+        )
+        # compare_sides of the two built sides, which take about 1 GB.
+        witness = {"out": [0] * 8 + [1, 0], "in": [0] * 8 + [1, 0], "lhs": "1/1", "rhs": "0/1"}
+        expect = {"equation": "4-simplex", "holds": False, "max_deviation": "1",
+                  "lhs_dims": [4, 10, 10], "rhs_dims": [4, 10, 10], "witness": witness}
+        assert code == 1
+        assert json.loads(report.read_text()) == expect
+        assert seconds < 6
         assert maxrss_kb < 40 * 1024
 
     def test_catalog_contains_ten_gon_rhs(self, capsys):

@@ -25,7 +25,7 @@ from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.rings import F64, RATIONAL, FloatRing, prime_field
 from polysimplex.setmaps import FiniteMap, check_polygon_set, enumerate_set_solutions
 from polysimplex.simplicial import compile_simplex, evaluate_program
-from polysimplex.tensor import ShapeError, Tensor, _function_table, flip, from_function, identity_tensor
+from polysimplex.tensor import ShapeError, Tensor, _function_table, contract_staged, flip, from_function, identity_tensor
 from polysimplex.verify import (
     RELATIONS_1_6,
     VerificationReport,
@@ -537,7 +537,6 @@ class TestCompareRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("a side tensor was built")
 
-        monkeypatch.setattr(verify, "contract_staged", refuse)
         monkeypatch.setattr(verify, "compare_sides", refuse)
         monkeypatch.setattr(Tensor, "_trusted", refuse)
         monkeypatch.setattr(Tensor, "__post_init__", refuse)
@@ -606,11 +605,12 @@ def two_sided_case(draw, ring):
     return sides, legs, d, expect
 
 
-def exact_route_only(ring):
-    """In an exact ring, patch out the contraction of sides."""
-    if isinstance(ring, FloatRing):
-        return contextlib.nullcontext()
-    return mock.patch.object(verify, "contract_staged", side_effect=AssertionError("a side was contracted"))
+def no_side_built():
+    """Patch out every construction of a tensor, in any ring."""
+    stack = contextlib.ExitStack()
+    for name in ("_trusted", "__post_init__"):
+        stack.enter_context(mock.patch.object(Tensor, name, side_effect=AssertionError("a side was built")))
+    return stack
 
 
 @cache
@@ -624,14 +624,14 @@ def conjugated_z3_pair():
 
 
 class TestStreamRoute:
-    """Exact checks on other maps stream their columns and match the oracle."""
+    """Checks on other maps stream their columns, in every ring, and match the oracle."""
 
     @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_sides_of_other_scales_match_oracle(self, ring, data):
         sides, legs, d, expect = data.draw(two_sided_case(ring))
-        with exact_route_only(ring):
+        with no_side_built():
             got = verify._check_sides("sides", sides, legs, d, ring)
         assert got.to_json_dict() == expect.to_json_dict()
 
@@ -642,7 +642,7 @@ class TestStreamRoute:
         if rhs_entry is not None:
             h = Tensor(2, 1, 1, {**h.entries, ((0,), (0,)): ring.coerce(rhs_entry)}, ring)
         lhs, rhs = [(f, (1,)), (g, (1,))], [(h, (1,))]
-        with exact_route_only(ring):
+        with no_side_built():
             got = verify._check_sides("cancel", (lhs, rhs), 1, 2, ring)
         assert got.holds == (rhs_entry is None)
         expect = compare_sides("cancel", *(oracle.staged(steps, 1, 2, ring) for steps in (lhs, rhs)))
@@ -664,10 +664,31 @@ class TestStreamRoute:
             key = ((0,) * lhs.out_legs, (0,) * legs)
             rhs = Tensor(d, legs, lhs.out_legs, {**lhs.entries, key: ring.add(lhs.entry(*key), ring.one)}, ring)
         sides = (steps, [(rhs, tuple(range(1, legs + 1)))])
-        with exact_route_only(ring):
+        with no_side_built():
             got = verify._check_sides("steps", sides, legs, d, ring, (order, None))
         assert got.holds == holds
         assert got.to_json_dict() == compare_sides("steps", lhs, rhs).to_json_dict()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_float_specials_match_the_built_sides(self, data):
+        """NaN and infinite entries, within tolerances below and above one:
+        inf - inf is NaN and a deviation, and a NaN magnitude wins only at
+        the first differing key, as :func:`deviation` scans the built sides."""
+        ring = FloatRing(data.draw(st.sampled_from([1e-9, 0.5, 1.5])))
+        d = data.draw(st.integers(1, 3))
+        special = st.sampled_from([math.inf, -math.inf, math.nan, 1.0, 2.0, -3.0])
+
+        def side(least):
+            count = data.draw(st.integers(least, 2))
+            return [(data.draw(oracle.sparse_tensor(ring, d, 1, 1, values=lambda _: special)), (1,)) for _ in range(count)]
+
+        sides = (side(0), side(1))
+        expect = compare_sides("sides", *(contract_staged(steps, 1, d, ring) for steps in sides))
+        with no_side_built():
+            got = verify._check_sides("sides", sides, 1, d, ring)
+        # NaN is unequal to itself, so compare the serialized reports.
+        assert json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
 
     @pytest.mark.parametrize("ring", [RATIONAL, prime_field(5)], ids=lambda ring: ring.tag)
     def test_exact_checks_build_no_side(self, ring, monkeypatch):
@@ -684,7 +705,6 @@ class TestStreamRoute:
             raise AssertionError("a side tensor was built")
 
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "contract_staged", refuse)
             patch.setattr(Tensor, "_trusted", refuse)
             reports = {name: check() for name, (check, _) in checks.items()}
         assert [name for name, report in reports.items() if report.holds] == ["5-gon", "dual 5-gon", "mixed"]
