@@ -57,6 +57,7 @@ from .verify import (
     check_polygon,
     check_relations_1_6,
     check_simplex,
+    compare_sides,
     polygon_signature,
     require_columns,
 )
@@ -88,20 +89,27 @@ def read_json(path: str | None, parse, what: str):
             raise UsageError(f"malformed {what} in {path}: {exc}") from exc
 
 
-def load_group(spec: str) -> GroupTable:
-    named = {"v4": lambda: direct_product(cyclic_group(2), cyclic_group(2))}
-    if spec in named:
-        return named[spec]()
+def load_group(spec: str, admit=lambda order: None) -> GroupTable:
+    """The group ``spec`` names.  ``admit(order)`` may refuse it once its
+    order is known: a named group before its Cayley table is built and
+    validated, a JSON group once it is read."""
+    if spec == "v4":
+        admit(4)
+        return direct_product(cyclic_group(2), cyclic_group(2))
     if spec[:1] in ("z", "s") and spec[1:].isdecimal():
         # Refused before the Cayley table is built, and s_n (n! >= n) of a
         # large n before n! is computed.
         n, subject = int(spec[1:]), f"the associativity check of {spec} runs"
         require_columns(n, 3, subject if spec[0] == "z" else f"{subject} at least")
         if spec[0] == "z":
+            admit(n)
             return cyclic_group(n)
         require_columns(factorial(n), 3, subject)
+        admit(factorial(n))
         return symmetric_group(n)
-    return read_json(spec, GroupTable.from_json_dict, "group")
+    group = read_json(spec, GroupTable.from_json_dict, "group")
+    admit(group.order)
+    return group
 
 
 def load_tensor(path: str | None) -> Tensor:
@@ -419,9 +427,9 @@ def _basis_action_lines(name: str, t: Tensor) -> list[str]:
 
 def cmd_demo(args) -> int:
     ring = default_ring()
-    group = load_group(args.group)
     # The 4-simplex check on V^(x)10 is the widest; orders above 4 exceed the cap.
-    require_columns(group.order, len(compile_simplex(4)[0].free_inputs))
+    legs = len(compile_simplex(4)[0].free_inputs)
+    group = load_group(args.group, lambda order: require_columns(order, legs))
     h = group_algebra(group, ring)
     lines: list[str] = [f"pipeline over k[G] with |G| = {group.order}", ""]
     axioms = check_axioms(h)
@@ -441,7 +449,7 @@ def cmd_demo(args) -> int:
         ("3-simplex for R3", check_simplex(r3_desc.tensor, 3)),
         (
             "R3 equals left trace of R4",
-            _equality_report(r3_desc.tensor, partial_trace_left(r4.tensor)),
+            compare_sides("tensor equality", r3_desc.tensor, partial_trace_left(r4.tensor)),
         ),
         ("Yang-Baxter for S o T", check_simplex(yb.tensor, 2)),
         ("Yang-Baxter for the four-factor map", check_simplex(yb4.tensor, 2)),
@@ -468,12 +476,6 @@ def cmd_demo(args) -> int:
     if args.report:
         write_json(args.report, {name: rep.to_json_dict() for name, rep in results})
     return 0 if all_hold else CHECK_FAILED
-
-
-def _equality_report(a: Tensor, b: Tensor) -> VerificationReport:
-    from .verify import compare_sides
-
-    return compare_sides("tensor equality", a, b)
 
 
 # -- catalog -------------------------------------------------------------------

@@ -12,11 +12,13 @@ Conventions, fixed once here and relied on everywhere:
 * dense exports are row-major with the FIRST leg slowest.
 
 :func:`contract_staged` is the one evaluator of staged placements: the
-compiled polygon, simplex and mixed sides, the relation words and the
-closed-form constructions are lists of ``(map, gather positions)`` steps
-pushed through it column by column, with outputs written by the slot
-rule of :func:`replace_slots` and the final legs optionally read out in
-another output order.  No placed factor is ever materialized.
+compiled polygon, simplex and mixed sides, the relation and Hopf-axiom
+words, :func:`compose`, :func:`tensor_product` and the closed-form
+constructions are lists of ``(map, gather positions)`` steps pushed
+through it column by column, with outputs written by the slot rule of
+:func:`replace_slots`, which places a map of any leg counts, and the
+final legs optionally read out in another output order.  No placed
+factor is ever materialized.
 When every map is a basis function (each column it has holds one entry,
 equal to one), the steps run as a generated loop-nest kernel with no
 ring arithmetic on tables keyed by the mixed-radix rank of their input
@@ -37,7 +39,9 @@ the tensor checks stream the pushed columns of both sides, in every
 ring, so neither route builds a side.
 Its partial variant skips the columns a partial table leaves undecided,
 and prunes the set enumeration.  So the slot rule, the output order and
-the table key each have one compiler, the generator.
+the table key each have one compiler, the generator.  Every comparison,
+of two streamed sides or of two built tensors (``==``), runs in one
+comparator, :func:`_stream_sides`.
 
 Validation sits at the trust boundary: ``Tensor(...)``, JSON input and
 :func:`from_function` check every key and coerce every value, while the
@@ -52,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
 import json
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import or_
 
 from ._record import field, record
@@ -114,7 +118,7 @@ class Tensor:
         return (
             self.shape == other.shape
             and self.ring == other.ring
-            and deviation(self, other) is None
+            and _stream_sides(_paired_columns(self, other), (1, 1), self.ring)[1] is None
         )
 
     def __hash__(self):
@@ -194,31 +198,6 @@ def rank_to_digits(rank: int, d: int, legs: int) -> Digits:
     return tuple(reversed(out))
 
 
-def deviation(f: Tensor, g: Tensor):
-    """Largest entrywise |f - g|, or None when equal within the ring.
-
-    Exact rings treat any nonzero difference as a deviation; the float ring
-    applies its absolute tolerance.  Returns ``(magnitude, key)`` with the
-    lexicographically first offending key for reproducible witnesses.
-    """
-    if f.shape != g.shape or f.ring != g.ring:
-        raise ShapeError(f"cannot compare shapes {f.shape} and {g.shape}")
-    ring = f.ring
-    # Entries are zero-free, so equal dicts mean no deviation in an exact
-    # ring.  Floats keep the scan: a NaN entry is a deviation there, while
-    # dict equality calls the same NaN object equal to itself.
-    if f.entries == g.entries and not isinstance(ring, FloatRing):
-        return None
-    worst = None
-    for key in sorted(set(f.entries) | set(g.entries)):
-        diff = ring.add(f.entry(*key), ring.neg(g.entry(*key)))
-        if not ring.is_zero(diff):
-            mag = ring.magnitude(diff)
-            if worst is None or mag > worst[0]:
-                worst = (mag, key)
-    return worst
-
-
 def identity_tensor(d: int, legs: int, ring: ScalarRing = RATIONAL) -> Tensor:
     entries = {(t, t): ring.one for t in product(range(d), repeat=legs)}
     return Tensor(d, legs, legs, entries, ring)
@@ -233,13 +212,9 @@ def from_function(d: int, in_legs: int, out_legs: int, fn, ring: ScalarRing = RA
     return Tensor(d, in_legs, out_legs, entries, ring)
 
 
-def flip(d: int, ring: ScalarRing = RATIONAL) -> Tensor:
-    """The transposition x(x)y -> y(x)x on two legs."""
-    return from_function(d, 2, 2, lambda x: (x[1], x[0]), ring)
-
-
 def compose(f: Tensor, g: Tensor) -> Tensor:
-    """f after g; the shared legs are summed over."""
+    """f after g; the shared legs are summed over.  Two staged steps on
+    g's input legs: g on all of them, then f on all of g's outputs."""
     if f.dim != g.dim:
         raise ShapeError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if f.in_legs != g.out_legs:
@@ -248,32 +223,25 @@ def compose(f: Tensor, g: Tensor) -> Tensor:
         )
     if f.ring != g.ring:
         raise ShapeError(f"ring mismatch: {f.ring.tag} vs {g.ring.tag}")
-    ring = f.ring
-    by_in: dict[Digits, list] = {}
-    for (out, inp), v in f.entries.items():
-        by_in.setdefault(inp, []).append((out, v))
-    entries: dict[EntryKey, object] = {}
-    for (mid, inp), gv in g.entries.items():
-        for out, fv in by_in.get(mid, ()):
-            key = (out, inp)
-            acc = entries.get(key)
-            term = ring.mul(fv, gv)
-            entries[key] = term if acc is None else ring.add(acc, term)
-    return Tensor(f.dim, g.in_legs, f.out_legs, entries, ring)
+    steps = [(g, range(1, g.in_legs + 1)), (f, range(1, f.in_legs + 1))]
+    return contract_staged(steps, g.in_legs, f.dim, f.ring)
 
 
 def tensor_product(f: Tensor, g: Tensor) -> Tensor:
-    """Side-by-side product; f's legs come first."""
+    """Side-by-side product; f's legs come first.  Two staged steps: f on
+    its leading input legs, then g on the rest.  A 0-input f opens its
+    outputs after the last leg, behind g's, so the output order moves
+    them first."""
     if f.dim != g.dim:
         raise ShapeError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if f.ring != g.ring:
         raise ShapeError(f"ring mismatch: {f.ring.tag} vs {g.ring.tag}")
-    ring = f.ring
-    entries = {}
-    for (fo, fi), fv in f.entries.items():
-        for (go, gi), gv in g.entries.items():
-            entries[(fo + go, fi + gi)] = ring.mul(fv, gv)
-    return Tensor(f.dim, f.in_legs + g.in_legs, f.out_legs + g.out_legs, entries, ring)
+    first = f.out_legs + 1 if f.in_legs else 1
+    steps = [(f, range(1, f.in_legs + 1)), (g, range(first, first + g.in_legs))]
+    order = None
+    if not f.in_legs and g.in_legs:
+        order = tuple(range(g.out_legs + 1, g.out_legs + f.out_legs + 1)) + tuple(range(1, g.out_legs + 1))
+    return contract_staged(steps, f.in_legs + g.in_legs, f.dim, f.ring, order)
 
 
 def _place_entries(f: Tensor, a: tuple[int, ...], b: tuple[int, ...], n: int) -> Tensor:
@@ -312,33 +280,28 @@ def replace_slots(seq: list, positions, new_items) -> list:
     """The slot rule of staged placement, applied to a list of legs.
 
     Removes the (possibly unsorted) ``positions`` and writes ``new_items``
-    into the sorted slots, with the last slot opening or closing when the
-    item count differs by one.
+    into the sorted slots: the first min(k, l) items fill the first slots,
+    the items beyond the slot count open right after the last slot (after
+    the last leg when there is none), and the slots beyond the item count
+    close.
     """
     k, l = len(positions), len(new_items)
-    _check_slot_counts(k, l)
     slots = {}
     for i, p in enumerate(sorted(positions)):
         slots.setdefault(p, i)
     out = []
     for p, item in enumerate(seq, start=1):
         i = slots.get(p)
-        if i is not None:
-            if i < min(k, l):
-                out.append(new_items[i])
-            if i == k - 1 and l == k + 1:
-                out.append(new_items[k])
-        else:
+        if i is None:
             out.append(item)
+            continue
+        if i < l:
+            out.append(new_items[i])
+        if i == k - 1:
+            out.extend(new_items[k:])
+    if not k:
+        out.extend(new_items)
     return out
-
-
-def _check_slot_counts(k: int, l: int) -> None:
-    """Refuse k -> l slot replacements that the slot rule cannot place."""
-    if abs(l - k) > 1:
-        raise ShapeError(f"slot replacement needs |out-in| <= 1, got {k}->{l}")
-    if k == 0 and l == 1:
-        raise ShapeError("cannot place an output without an anchor slot")
 
 
 def _is_count(x) -> bool:
@@ -361,7 +324,6 @@ def _check_shape(legs: int, shape, order=None) -> int:
             raise ShapeError(f"gather positions {positions} must be {len(positions)} distinct legs")
         if any(p < 1 or p > n for p in positions):
             raise ShapeError(f"gather positions {positions} out of range 1..{n}")
-        _check_slot_counts(len(positions), out_count)
         n += out_count - len(positions)
     if order is not None and not (
         isinstance(order, tuple) and all(map(_is_count, order)) and sorted(order) == list(range(1, n + 1))
@@ -733,6 +695,60 @@ def _push_columns(maps, shape, legs: int, d: int, ring: ScalarRing, order=None):
     return scale, kernel((range(d),) * legs, d, settle, *(native[id(f)][0] for f in maps))
 
 
+def _paired_columns(f: Tensor, g: Tensor):
+    """The entries of two tensors of one shape, column by column, as
+    ``(column, f's {out digits: value}, g's {out digits: value})`` for
+    :func:`_stream_sides` at scales 1."""
+    by_column: dict[Digits, tuple[dict, dict]] = {}
+    for side, t in enumerate((f, g)):
+        for (out, inp), v in t.entries.items():
+            by_column.setdefault(inp, ({}, {}))[side][out] = v
+    return ((column, lv, rv) for column, (lv, rv) in by_column.items())
+
+
+def _stream_sides(columns, scales, ring: ScalarRing):
+    """The one comparator of two sides, fed column by column.
+
+    ``columns`` yields ``(column, lhs, rhs)``, each side a ``{final legs:
+    c}`` dict of native numbers as :func:`_push_columns` pushes them: the
+    entry is ``c / S`` in the rationals, with ``S`` the side's scale from
+    ``scales``, and ``c`` in the other rings.  Each column is discarded
+    once compared.  A key ranks by the ring magnitude of ``lhs * S_rhs -
+    rhs * S_lhs`` (the scales divided by their gcd), on native numbers,
+    and ring values are built for the witness only.  Returns ``(0, None)``
+    when the sides agree in the ring (floats within the tolerance, where
+    ``inf - inf`` is NaN and a difference), else ``(magnitude, witness)``
+    of the key of largest magnitude, the lexicographically first among
+    equals, except that a NaN magnitude wins at the lexicographically
+    first differing key.
+    """
+    lhs_scale, rhs_scale = scales
+    common = gcd(lhs_scale, rhs_scale)
+    lhs_factor, rhs_factor = rhs_scale // common, lhs_scale // common
+    # Zero-free equal columns cannot differ, but a NaN equals itself in a dict.
+    prefilter = lhs_factor == rhs_factor and not isinstance(ring, FloatRing)
+    first = worst = None  # (key, rank, lhs, rhs)
+    for column, lv, rv in columns:
+        if prefilter and lv == rv:
+            continue
+        for out in lv.keys() | rv.keys():
+            a, b = lv.get(out, 0), rv.get(out, 0)
+            diff = ring.add(a * lhs_factor, ring.neg(b * rhs_factor))
+            if ring.is_zero(diff):
+                continue
+            r, key = ring.magnitude(diff), (out, column)
+            if first is None or key < first[0]:
+                first = (key, r, a, b)
+            if r == r and (worst is None or r > worst[1] or (r == worst[1] and key < worst[0])):
+                worst = (key, r, a, b)
+    if first is None:
+        return 0, None
+    (out, inp), _, a, b = first if first[1] != first[1] else worst
+    a, b = _entry_value(ring, lhs_scale)(a), _entry_value(ring, rhs_scale)(b)
+    witness = {"out": list(out), "in": list(inp), "lhs": ring.format(a), "rhs": ring.format(b)}
+    return ring.magnitude(ring.add(a, ring.neg(b))), witness
+
+
 def _partial_trace(f: Tensor, leg: int) -> Tensor:
     """Close the loop between input and output ``leg`` (0: first, -1: last)."""
     if f.in_legs < 1 or f.out_legs < 1:
@@ -766,6 +782,9 @@ def partial_compose_left(x: Tensor, y: Tensor, overlap: int = 1) -> Tensor:
     """
     if overlap < 0 or overlap > min(x.in_legs, y.out_legs):
         raise ShapeError(f"overlap {overlap} impossible for {x.shape} o_l {y.shape}")
+    if not x.in_legs:
+        # Staged, x would open its outputs behind y's.
+        return tensor_product(x, y)
     first = x.in_legs - overlap + 1
     steps = [(y, range(first, first + y.in_legs)), (x, range(1, x.in_legs + 1))]
     return contract_staged(steps, first - 1 + y.in_legs, x.dim, x.ring)
@@ -777,6 +796,10 @@ def partial_compose_right(x: Tensor, y: Tensor, overlap: int = 1) -> Tensor:
     if overlap < 0 or overlap > min(x.out_legs, y.in_legs):
         raise ShapeError(f"overlap {overlap} impossible for {x.shape} o_r {y.shape}")
     first = x.out_legs - overlap + 1
+    if not x.in_legs:
+        # Staged, x would open its outputs behind the legs that y reads after them.
+        top = tensor_product(identity_tensor(x.dim, first - 1, x.ring), y)
+        return compose(top, tensor_product(x, identity_tensor(x.dim, y.in_legs - overlap, x.ring)))
     steps = [(x, range(1, x.in_legs + 1)), (y, range(first, first + y.in_legs))]
     return contract_staged(steps, x.in_legs + y.in_legs - overlap, x.dim, x.ring)
 

@@ -14,30 +14,29 @@ side reads only some column legs, so the legs outside a cone are pinned
 to 0 and the columns that vary them are never run.  On a difference it
 yields every differing column.  Other maps, in every ring, push both
 sides one column at a time on native numbers
-(:func:`polysimplex.tensor._push_columns`).  One comparator reads either
-stream, so no side is built, and reports the largest deviation at the
-lexicographically first key as a witness.  Exact rings decide equality
-exactly; the float ring compares within its global absolute tolerance.
+(:func:`polysimplex.tensor._push_columns`).  One comparator
+(:func:`polysimplex.tensor._stream_sides`) reads either stream, so no side
+is built, and reports the largest deviation at the lexicographically
+first key as a witness; :func:`compare_sides` feeds it the entries of two
+built tensors.  Exact rings decide equality exactly; the float ring
+compares within its global absolute tolerance.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from ._record import field, record
 from .indices import mixed_sequences
-from .rings import FloatRing
 from .simplicial import _program_steps, _replay, compile_mixed, compile_polygon, compile_simplex, flatten
 from .tensor import (
     ShapeError,
     Tensor,
     _check_steps,
     _cone_domains,
-    _entry_value,
     _function_table,
+    _paired_columns,
     _push_columns,
     _staged_kernel,
-    deviation,
+    _stream_sides,
 )
 
 
@@ -91,17 +90,11 @@ class VerificationReport:
 
 
 def compare_sides(equation: str, lhs: Tensor, rhs: Tensor) -> VerificationReport:
-    worst = deviation(lhs, rhs)
-    if worst is None:
-        return VerificationReport(equation, True, 0, lhs.shape, rhs.shape)
-    mag, (out, inp) = worst
-    witness = {
-        "out": list(out),
-        "in": list(inp),
-        "lhs": lhs.ring.format(lhs.entry(out, inp)),
-        "rhs": rhs.ring.format(rhs.entry(out, inp)),
-    }
-    return VerificationReport(equation, False, mag, lhs.shape, rhs.shape, witness)
+    """Compare two built tensors entry by entry, in the comparator of the checks."""
+    if lhs.shape != rhs.shape or lhs.ring != rhs.ring:
+        raise ShapeError(f"cannot compare shapes {lhs.shape} and {rhs.shape}")
+    mag, witness = _stream_sides(_paired_columns(lhs, rhs), (1, 1), lhs.ring)
+    return VerificationReport(equation, witness is None, mag, lhs.shape, rhs.shape, witness)
 
 
 def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, None)) -> VerificationReport:
@@ -140,52 +133,16 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
         if all(next(kernel(domains, d, *ranked), None) is None for domains in cones):
             return VerificationReport(equation, True, 0, shape, shape)
         differing = kernel((range(d),) * legs, d, *ranked)
-        return _stream_sides(equation, ((col, {lhs: 1}, {rhs: 1}) for col, lhs, rhs in differing), (1, 1), ring, shape)
-    (lhs_scale, lhs_columns), (rhs_scale, rhs_columns) = (
-        _push_columns(side_maps, side_shape, legs, d, ring, order)
-        for side_maps, side_shape, order in zip((lhs_maps, rhs_maps), (lhs_shape, rhs_shape), orders)
-    )
-    columns = ((col, lv, rv) for (col, lv), (_, rv) in zip(lhs_columns, rhs_columns))
-    return _stream_sides(equation, columns, (lhs_scale, rhs_scale), ring, shape)
-
-
-def _stream_sides(equation: str, columns, scales, ring, shape) -> VerificationReport:
-    """:func:`compare_sides` on ``(column, lhs, rhs)`` columns, each side a
-    ``{final legs: c}`` dict of native numbers as :func:`_push_columns`
-    pushes them: the entry is ``c / S`` in the rationals, with ``S`` the
-    side's scale, and ``c`` in the other rings.  Each column is discarded
-    once compared.  Exact rings count a key where ``lhs * S_rhs != rhs *
-    S_lhs``; floats compare every key, since ``inf - inf`` is NaN.  The
-    witness is the one :func:`deviation` picks on the built sides: a NaN
-    magnitude at the first differing key, else the largest at its first key.
-    """
-    (lhs_scale, rhs_scale), exact = scales, not isinstance(ring, FloatRing)
-    lhs_value, rhs_value = (_entry_value(ring, scale) for scale in scales)
-    common = gcd(lhs_scale, rhs_scale)
-    lhs_factor, rhs_factor = rhs_scale // common, lhs_scale // common
-    first = worst = None  # (key, magnitude, lhs, rhs)
-    for column, lv, rv in columns:
-        if exact and lhs_factor == rhs_factor and lv == rv:
-            continue
-        for out in lv.keys() | rv.keys():
-            a, b = lv.get(out, 0), rv.get(out, 0)
-            if exact and a * lhs_factor == b * rhs_factor:
-                continue
-            a, b = lhs_value(a), rhs_value(b)
-            diff = ring.add(a, ring.neg(b))
-            if ring.is_zero(diff):
-                continue
-            found = ((out, column), ring.magnitude(diff), a, b)
-            if first is None or found[0] < first[0]:
-                first = found
-            mag = found[1]
-            if mag == mag and (worst is None or mag > worst[1] or (mag == worst[1] and found[0] < worst[0])):
-                worst = found
-    if first is None:
-        return VerificationReport(equation, True, 0, shape, shape)
-    (out, inp), mag, a, b = first if first[1] != first[1] else worst
-    witness = {"out": list(out), "in": list(inp), "lhs": ring.format(a), "rhs": ring.format(b)}
-    return VerificationReport(equation, False, mag, shape, shape, witness)
+        columns, scales = ((col, {lhs: 1}, {rhs: 1}) for col, lhs, rhs in differing), (1, 1)
+    else:
+        (lhs_scale, lhs_columns), (rhs_scale, rhs_columns) = (
+            _push_columns(side_maps, side_shape, legs, d, ring, order)
+            for side_maps, side_shape, order in zip((lhs_maps, rhs_maps), (lhs_shape, rhs_shape), orders)
+        )
+        columns = ((col, lv, rv) for (col, lv), (_, rv) in zip(lhs_columns, rhs_columns))
+        scales = (lhs_scale, rhs_scale)
+    mag, witness = _stream_sides(columns, scales, ring)
+    return VerificationReport(equation, witness is None, mag, shape, shape, witness)
 
 
 def _check_programs(equation: str, programs, maps, d: int, ring) -> VerificationReport:
@@ -260,8 +217,7 @@ def check_commutes(f: Tensor, g: Tensor) -> VerificationReport:
     V^(ki) form i rows of k.  One side applies f to every row then g to
     every column, the other applies g to every column then f to every
     row; both end on the j x l grid read row by row, maps V^(ki) -> V^(lj).
-    Each map is placed by the slot rule, so its leg counts may differ by
-    at most one.
+    Maps whose leg counts differ by more than one are refused.
     """
     if f.dim != g.dim or f.ring != g.ring:
         raise ShapeError("commutation check needs matching dimension and ring")

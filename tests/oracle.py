@@ -12,8 +12,11 @@ leg counts of the published equations, independently of the simplicial
 compiler.  The set-theoretic check reruns the slot rule of
 ``replace_slots`` on every value tuple, the brute-force enumerator tries
 every table in lexicographic order, and ``deviation_scan`` compares
-every key.  The commutation sides and the simplex map of a polygon pair
-are composed from tensor powers and permutation tensors, and the partial
+every key.  ``compose``, ``tensor_product`` and ``compare_sides`` are the
+dense calculus the package replaced by staged words and one streaming
+comparator: sums over shared legs, products of every pair of entries,
+and a report built from ``deviation_scan``.  The commutation sides and
+the simplex map of a polygon pair are composed from tensor powers and permutation tensors, and the partial
 compositions, the Hopf pentagon pair, the legwise conjugation and the
 antipode-twisted product from maps padded with identity tensors.  Random sparse
 and function-like tensors over each scalar ring feed the property tests,
@@ -34,17 +37,8 @@ from polysimplex.indices import mixed_indices, polygon_recursion_rows, simplex_i
 from polysimplex.rings import F64, RATIONAL, prime_field
 from polysimplex.setmaps import FiniteMap, check_polygon_set
 from polysimplex.simplicial import compile_mixed
-from polysimplex.tensor import (
-    Tensor,
-    _place_entries,
-    compose,
-    flip,
-    from_function,
-    identity_tensor,
-    replace_slots,
-    tensor_product,
-)
-from polysimplex.verify import RELATIONS_1_6, polygon_signature
+from polysimplex.tensor import ShapeError, Tensor, _place_entries, from_function, identity_tensor, replace_slots
+from polysimplex.verify import RELATIONS_1_6, VerificationReport, polygon_signature
 
 RINGS = (RATIONAL, F64, prime_field(5))
 
@@ -161,6 +155,40 @@ def bar_sigma(k, d, ring=RATIONAL):
     return from_function(d, k, k, lambda x: x[::-1], ring)
 
 
+def compose(f, g):
+    """f after g as the dense sum over the shared legs."""
+    if f.dim != g.dim or f.in_legs != g.out_legs or f.ring != g.ring:
+        raise ShapeError(f"cannot compose {f.shape} after {g.shape}")
+    ring = f.ring
+    by_in = {}
+    for (out, inp), v in f.entries.items():
+        by_in.setdefault(inp, []).append((out, v))
+    entries = {}
+    for (mid, inp), gv in g.entries.items():
+        for out, fv in by_in.get(mid, ()):
+            key = (out, inp)
+            acc = entries.get(key)
+            term = ring.mul(fv, gv)
+            entries[key] = term if acc is None else ring.add(acc, term)
+    return Tensor(f.dim, g.in_legs, f.out_legs, entries, ring)
+
+
+def tensor_product(f, g):
+    """Every product of an entry of f and an entry of g; f's legs first."""
+    if f.dim != g.dim or f.ring != g.ring:
+        raise ShapeError(f"cannot multiply {f.shape} and {g.shape}")
+    entries = {}
+    for (fo, fi), fv in f.entries.items():
+        for (go, gi), gv in g.entries.items():
+            entries[(fo + go, fi + gi)] = f.ring.mul(fv, gv)
+    return Tensor(f.dim, f.in_legs + g.in_legs, f.out_legs + g.out_legs, entries, f.ring)
+
+
+def flip(d, ring=RATIONAL):
+    """The transposition x(x)y -> y(x)x on two legs."""
+    return from_function(d, 2, 2, lambda x: (x[1], x[0]), ring)
+
+
 def sweep(i, j, n, d, ring=RATIONAL):
     """Move factor j to position i, shifting factors i..j-1 right by one."""
     return from_function(d, n, n, lambda x: x[: i - 1] + (x[j - 1],) + x[i - 1 : j - 1] + x[j:], ring)
@@ -182,8 +210,9 @@ def place(f, a, b, n):
 def place_gathered(f, positions, n):
     """Place f reading legs ``positions`` in its own leg order.
 
-    Outputs fill the sorted consumed slots; one extra output opens a slot
-    right after the last of them, one missing output closes it.
+    The first min(k, l) outputs fill the sorted consumed slots; the
+    outputs beyond them open slots right after the last of them (after
+    leg n when f reads none), and the slots beyond them close.
     """
     k, l = f.in_legs, f.out_legs
     positions = tuple(positions)
@@ -192,12 +221,8 @@ def place_gathered(f, positions, n):
     # Pre-permute f so that gathering the sorted slots feeds each map leg its wire.
     perm = inverse(tuple(order[p] + 1 for p in slots))
     reordered = permute_legs(f, tuple(range(1, l + 1)), perm)
-    if l == k:
-        outputs = slots
-    elif l == k + 1:
-        outputs = slots + (slots[-1] + 1,)
-    else:
-        outputs = slots[:-1]
+    last = slots[-1] if slots else n
+    outputs = slots[:l] + tuple(range(last + 1, last + 1 + l - k))
     return place(reordered, slots, outputs, n)
 
 
@@ -370,6 +395,24 @@ def deviation_scan(f, g):
             if worst is None or mag > worst[0]:
                 worst = (mag, key)
     return worst
+
+
+def compare_sides(equation, lhs, rhs):
+    """The report of two built sides by :func:`deviation_scan`, with the
+    witness entries read off the tensors."""
+    if lhs.shape != rhs.shape or lhs.ring != rhs.ring:
+        raise ShapeError(f"cannot compare shapes {lhs.shape} and {rhs.shape}")
+    worst = deviation_scan(lhs, rhs)
+    if worst is None:
+        return VerificationReport(equation, True, 0, lhs.shape, rhs.shape)
+    mag, (out, inp) = worst
+    witness = {
+        "out": list(out),
+        "in": list(inp),
+        "lhs": lhs.ring.format(lhs.entry(out, inp)),
+        "rhs": rhs.ring.format(rhs.entry(out, inp)),
+    }
+    return VerificationReport(equation, False, mag, lhs.shape, rhs.shape, witness)
 
 
 def apply_gathers(fmap, gathers, values):

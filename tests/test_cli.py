@@ -12,17 +12,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle
 import polysimplex
 from polysimplex import construct
 from polysimplex import cli
 from polysimplex.cli import MAX_COLUMNS, MAX_ORDER, build_catalog, main
-from polysimplex.hopf import cyclic_group, direct_product, group_algebra
+from polysimplex.hopf import GroupTable, cyclic_group, direct_product, group_algebra
 from polysimplex.rings import F64
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap, check_polygon_set
 from polysimplex.simplicial import compile_polygon, evaluate_program, pair_to_simplex_map
-from polysimplex.tensor import Tensor, flip, from_function
-from polysimplex.verify import SelfCheckFailed, check_polygon, compare_sides
+from polysimplex.tensor import Tensor, from_function
+from polysimplex.verify import SelfCheckFailed, check_polygon
 
 
 def run(capsys, *argv):
@@ -134,7 +135,7 @@ class TestCompile:
 class TestVerify:
     def test_flip_solves_yang_baxter(self, capsys, tmp_path):
         path = tmp_path / "flip.json"
-        path.write_text(flip(2).to_json())
+        path.write_text(oracle.flip(2).to_json())
         code, out, _ = run(capsys, "verify", "--family", "simplex", "--n", "2", "--tensor", str(path))
         assert code == 0
         assert "holds" in out
@@ -142,7 +143,7 @@ class TestVerify:
     def test_failing_tensor_exits_one_with_report(self, capsys, tmp_path):
         path = tmp_path / "flip.json"
         report_path = tmp_path / "report.json"
-        path.write_text(flip(2).to_json())
+        path.write_text(oracle.flip(2).to_json())
         code, out, _ = run(
             capsys,
             "verify", "--family", "polygon", "--n", "5",
@@ -155,13 +156,13 @@ class TestVerify:
 
     def test_shape_error_exits_two(self, capsys, tmp_path):
         path = tmp_path / "flip.json"
-        path.write_text(flip(2).to_json())
+        path.write_text(oracle.flip(2).to_json())
         code, _, err = run(capsys, "verify", "--family", "polygon", "--n", "7", "--tensor", str(path))
         assert code == 2 and "error" in err
 
     def test_mixed_needs_second_tensor(self, capsys, tmp_path):
         path = tmp_path / "t.json"
-        path.write_text(flip(2).to_json())
+        path.write_text(oracle.flip(2).to_json())
         code, _, err = run(capsys, "verify", "--family", "mixed", "--n", "5", "--tensor", str(path))
         assert code == 2
 
@@ -202,7 +203,7 @@ class TestVerify:
 
     def test_tolerance_rejected_for_exact_tensors(self, capsys, tmp_path):
         path = tmp_path / "flip.json"
-        path.write_text(flip(2).to_json())
+        path.write_text(oracle.flip(2).to_json())
         code, _, err = run(
             capsys, "verify", "--family", "simplex", "--n", "2",
             "--tensor", str(path), "--tolerance", "1e-6",
@@ -217,7 +218,7 @@ def test_malformed_input_exits_two(capsys, tmp_path, case):
     elif case == "params-not-object":
         argv = ["construct", "--recipe", "bialgebra-tower", "--group", "z2", "--params", "[1]"]
     else:
-        data = json.loads(flip(2).to_json())
+        data = json.loads(oracle.flip(2).to_json())
         data["scalar"] = "gfp:x"
         path = tmp_path / "bad-ring.json"
         path.write_text(json.dumps(data))
@@ -231,7 +232,7 @@ def test_tensor_with_non_integer_shape_or_digit_exits_two(capsys, tmp_path, case
     """Digits index rank-keyed tables, so a bool or float is no integer
     here, even where it equals one: ``"dim": true`` once verified as dim 1."""
     shaped = case.startswith(("dim", "legs"))
-    data = json.loads((from_function(1, 1, 1, lambda x: x) if shaped else flip(2)).to_json())
+    data = json.loads((from_function(1, 1, 1, lambda x: x) if shaped else oracle.flip(2)).to_json())
     if case == "dim-true":
         data["dim"] = True
     elif case == "dim-float":
@@ -659,6 +660,20 @@ class TestDemoAndCatalog:
         assert code == 2 and out == ""
         assert err == f"error: the check runs 5^10 = {5**10} columns, over the cap of {MAX_COLUMNS}\n"
 
+    @pytest.mark.parametrize("group", ["z161", "s5"])
+    def test_demo_over_the_column_cap_refused_before_the_table_is_built(self, capsys, monkeypatch, group):
+        """z161 once spent 1.2-1.8 s, and s5 about 1 s, validating its
+        Cayley table before the 4-simplex cap refused it."""
+        order = {"z161": 161, "s5": 120}[group]
+
+        def refuse(self):
+            raise AssertionError("a Cayley table was built")
+
+        monkeypatch.setattr(GroupTable, "__post_init__", refuse)
+        code, out, err = run(capsys, "demo", "--group", group)
+        assert code == 2 and out == ""
+        assert err == f"error: the check runs {order}^10 = {order**10} columns, over the cap of {MAX_COLUMNS}\n"
+
     @pytest.mark.parametrize("group", ["z200", "z5000", "s6", "s10", "json"])
     def test_oversized_group_refused_before_it_is_built(self, capsys, tmp_path, group):
         """Validating a Cayley table checks order^3 products, and s_n lists
@@ -752,7 +767,7 @@ class TestDemoAndCatalog:
         code, maxrss_kb, _ = measure_cli("verify", "--family", "polygon", "--n", "9", "--tensor", str(path), "--report", str(report))
         sides = (evaluate_program(side, {"T": t}, 3, t.ring) for side in compile_polygon(9))
         assert code == 1
-        assert json.loads(report.read_text()) == compare_sides("9-gon", *sides).to_json_dict()
+        assert json.loads(report.read_text()) == oracle.compare_sides("9-gon", *sides).to_json_dict()
         assert maxrss_kb < 40 * 1024
 
     def test_failing_f64_z3_tower_9_gon_in_bounded_memory(self, tmp_path):
@@ -765,7 +780,7 @@ class TestDemoAndCatalog:
         code, maxrss_kb, _ = measure_cli("verify", "--family", "polygon", "--n", "9", "--tensor", str(path), "--report", str(report))
         sides = (evaluate_program(side, {"T": t}, 3, t.ring) for side in compile_polygon(9))
         assert code == 1
-        assert json.loads(report.read_text()) == compare_sides("9-gon", *sides).to_json_dict()
+        assert json.loads(report.read_text()) == oracle.compare_sides("9-gon", *sides).to_json_dict()
         assert maxrss_kb < 30 * 1024
 
     def test_failing_v4_4_simplex_in_bounded_time_and_memory(self, tmp_path):

@@ -33,7 +33,6 @@ from polysimplex.simplicial import pair_to_simplex_map
 from polysimplex.tensor import (
     ShapeError,
     Tensor,
-    compose,
     from_function,
     identity_tensor,
     invert,
@@ -184,7 +183,7 @@ class TestBarSigmaConjugate:
         k, l = polygon_signature(n, dual)
         t = data.draw(st.one_of(oracle.sparse_tensor(ring, 2, k, l), oracle.function_tensor(ring, 2, k, l)))
         out = bar_sigma_conjugate(SolutionDescriptor("dual-polygon" if dual else "polygon", n, t), verify=False)
-        expect = compose(oracle.bar_sigma(l, 2, ring), compose(t, oracle.bar_sigma(k, 2, ring)))
+        expect = oracle.compose(oracle.bar_sigma(l, 2, ring), oracle.compose(t, oracle.bar_sigma(k, 2, ring)))
         assert out.tensor.to_json_dict() == expect.to_json_dict()
 
 
@@ -606,10 +605,8 @@ class TestYangBaxter:
         assert out.tensor == one
 
     def test_non_pair_rejected(self):
-        from polysimplex.tensor import flip
-
         with pytest.raises(PreconditionFailed):
-            yang_baxter_from_pair(flip(2), S2.tensor, "compose")
+            yang_baxter_from_pair(oracle.flip(2), S2.tensor, "compose")
 
 
 class TestDescriptorPlumbing:

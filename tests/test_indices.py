@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from oracle import bar_sigma, permutation_tensor
+from oracle import bar_sigma, compose, flip, permutation_tensor
 from polysimplex.indices import (
     MultiIndexMatrix,
     format_subscript,
@@ -16,7 +16,7 @@ from polysimplex.indices import (
     simplex_equation,
     simplex_indices,
 )
-from polysimplex.tensor import ShapeError, compose, flip, identity_tensor
+from polysimplex.tensor import ShapeError, identity_tensor
 
 # The 3- through 10-gon equations exactly as published.
 KNOWN_POLYGON_EQUATIONS = {

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from oracle import polygon_sides, start_legs
+from oracle import flip, polygon_sides, start_legs
 from polysimplex.indices import mixed_indices, polygon_recursion_rows, simplex_indices
 from polysimplex.simplicial import (
     ContractionProgram,
@@ -36,7 +36,6 @@ from polysimplex.simplicial import (
 from polysimplex.tensor import (
     ShapeError,
     Tensor,
-    flip,
     from_function,
     identity_tensor,
     partial_trace_left,

@@ -28,6 +28,7 @@ from oracle import (
     RINGS,
     deviation_scan,
     dyadic_value,
+    flip,
     function_tensor,
     inverse,
     partial_function_tensor,
@@ -48,8 +49,6 @@ from polysimplex.tensor import (
     Tensor,
     compose,
     contract_staged,
-    deviation,
-    flip,
     from_function,
     identity_tensor,
     invert,
@@ -71,6 +70,7 @@ from polysimplex.tensor import (
     _output_masks,
     _staged_kernel,
 )
+from polysimplex.verify import compare_sides
 from regen_kernel_sources import GOLDEN, polygon_kernel_sources
 
 
@@ -93,10 +93,10 @@ def oracle_place_via_sweeps(f, a, b, n):
     k, l = f.in_legs, f.out_legs
     result = identity_tensor(d, n, ring)
     for pos, target in enumerate(a, start=1):
-        result = compose(sweep(pos, target, n, d, ring), result)
-    result = compose(tensor_product(f, identity_tensor(d, n - k, ring)), result)
+        result = oracle.compose(sweep(pos, target, n, d, ring), result)
+    result = oracle.compose(oracle.tensor_product(f, identity_tensor(d, n - k, ring)), result)
     for pos, target in reversed(list(enumerate(b, start=1))):
-        result = compose(sweep_inverse(pos, target, n - k + l, d, ring), result)
+        result = oracle.compose(sweep_inverse(pos, target, n - k + l, d, ring), result)
     return result
 
 
@@ -166,6 +166,13 @@ class TestCompose:
         with pytest.raises(ShapeError):
             compose(identity_tensor(2, 1), identity_tensor(3, 1))
 
+    @pytest.mark.parametrize("ring", RINGS, ids=["rational", "f64", "gfp5"])
+    def test_scalar_unit_and_counit_match_oracle(self, ring):
+        maps = scalar_unit_counit(ring)
+        for f, g in product(maps, repeat=2):
+            if f.in_legs == g.out_legs:
+                assert compose(f, g).to_json_dict() == oracle.compose(f, g).to_json_dict()
+
 
 class TestTensorProduct:
     def test_identities_concatenate(self):
@@ -188,6 +195,11 @@ class TestTensorProduct:
         with pytest.raises(ShapeError):
             tensor_product(identity_tensor(2, 1), identity_tensor(3, 1))
 
+    @pytest.mark.parametrize("ring", RINGS, ids=["rational", "f64", "gfp5"])
+    def test_scalar_unit_and_counit_match_oracle(self, ring):
+        for f, g in product(scalar_unit_counit(ring), repeat=2):
+            assert tensor_product(f, g).to_json_dict() == oracle.tensor_product(f, g).to_json_dict()
+
 
 class TestSweep:
     def test_identity_when_equal(self):
@@ -206,7 +218,7 @@ class TestSweep:
         for n in range(1, 7):
             for i in range(1, n + 1):
                 for j in range(i, n + 1):
-                    got = compose(sweep(i, j, n, 2), sweep_inverse(i, j, n, 2))
+                    got = oracle.compose(sweep(i, j, n, 2), sweep_inverse(i, j, n, 2))
                     assert got == identity_tensor(2, n)
 
 
@@ -217,7 +229,7 @@ class TestPlace:
 
     def test_contiguous_suffix(self):
         got = place(Z2_T, [2, 3], [2, 3], 3)
-        assert got == tensor_product(identity_tensor(2, 1), Z2_T)
+        assert got == oracle.tensor_product(identity_tensor(2, 1), Z2_T)
 
     def test_split_placement_on_basis(self):
         got = place(Z2_T, [1, 3], [1, 3], 3)
@@ -291,6 +303,38 @@ def function_program():
     return staged_program(maps=partial_function_tensor, dims=(1, 2, 3))
 
 
+@st.composite
+def any_leg_count_program(draw):
+    """Random steps k -> l with k, l in 0..3 (at most 6 legs at any time),
+    unsorted gathers and an output order."""
+    ring = draw(st.sampled_from(RINGS))
+    d = draw(st.sampled_from((1, 2)))
+    start = legs = draw(st.integers(0, 3))
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, min(legs, 3)))
+        l = draw(st.integers(0, min(3, 6 - legs + k)))
+        positions = tuple(draw(st.permutations(range(1, legs + 1)))[:k])
+        f = draw(st.one_of(sparse_tensor(ring, d, k, l), function_tensor(ring, d, k, l)))
+        steps.append((f, positions))
+        legs += l - k
+    return steps, start, d, ring, tuple(draw(st.permutations(range(1, legs + 1))))
+
+
+def scalar_unit_counit(ring):
+    """A scalar (0 -> 0), a unit (0 -> 1), a counit (1 -> 0) and a 1 -> 1
+    map on two basis vectors."""
+    def m(k, l, entries):
+        return Tensor(2, k, l, {key: ring.coerce(v) for key, v in entries.items()}, ring)
+
+    return [
+        m(0, 0, {((), ()): 3}),
+        m(0, 1, {((0,), ()): 1, ((1,), ()): 2}),
+        m(1, 0, {((), (0,)): -1, ((), (1,)): 1}),
+        m(1, 1, {((1,), (0,)): 2, ((0,), (1,)): 1, ((1,), (1,)): -1}),
+    ]
+
+
 class TestContractStaged:
     @settings(max_examples=150, deadline=None)
     @given(staged_program())
@@ -299,6 +343,17 @@ class TestContractStaged:
         got = contract_staged(steps, legs, d, ring)
         expect = staged(steps, legs, d, ring)
         assert got.to_json_dict() == expect.to_json_dict()
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_leg_count_program())
+    def test_any_leg_counts_match_oracle(self, program):
+        """The total slot rule: outputs beyond the slot count open after the
+        last slot (after the last leg for a 0-input map), slots beyond the
+        output count close, whatever the difference."""
+        steps, legs, d, ring, order = program
+        expect = staged(steps, legs, d, ring)
+        expect = permute_legs(expect, inverse(order), tuple(range(1, legs + 1)))
+        assert contract_staged(steps, legs, d, ring, order).to_json_dict() == expect.to_json_dict()
 
     @settings(max_examples=150, deadline=None)
     @given(function_program())
@@ -649,13 +704,21 @@ def nan_tensor(entries):
     ).map(lambda e: Tensor(2, 1, 1, e, F64))
 
 
+def same_report(f, g):
+    """``compare_sides`` of two built tensors, which streams their columns
+    into the comparator of the checks, against the oracle's full scan.
+    NaN is unequal to itself, so the serialized reports are compared."""
+    got, expect = compare_sides("eq", f, g), oracle.compare_sides("eq", f, g)
+    return json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
+
+
 class TestDeviationVerdicts:
     @settings(max_examples=150, deadline=None)
     @given(nan_tensor(4), nan_tensor(4))
     def test_float_nan_verdicts_match_full_scan(self, a, b):
         twin = Tensor(2, 1, 1, dict(a.entries), F64)
         for f, g in ((a, twin), (a, b), (b, a)):
-            assert repr(deviation(f, g)) == repr(deviation_scan(f, g))
+            assert same_report(f, g)
             assert (f == g) == (deviation_scan(f, g) is None)
 
     @settings(max_examples=100, deadline=None)
@@ -664,8 +727,9 @@ class TestDeviationVerdicts:
     ))
     def test_exact_shortcut_matches_full_scan(self, pair):
         a, b = pair
-        for f, g in ((a, a), (a, b)):
-            assert repr(deviation(f, g)) == repr(deviation_scan(f, g))
+        for f, g in ((a, a), (a, b), (b, a)):
+            assert same_report(f, g)
+            assert (f == g) == (deviation_scan(f, g) is None)
 
 
 class TestTraces:
@@ -701,12 +765,12 @@ class TestPermuteLegs:
 
     def test_output_flip_is_postcomposition(self):
         got = permute_legs(Z2_T, (2, 1), (1, 2))
-        assert got == compose(flip(2), Z2_T)
+        assert got == oracle.compose(flip(2), Z2_T)
 
     def test_input_permutation_is_precomposition_with_inverse(self):
         perm = (2, 1)
         got = permute_legs(Z2_T, (1, 2), perm)
-        assert got == compose(Z2_T, permutation_tensor(2, inverse(perm)))
+        assert got == oracle.compose(Z2_T, permutation_tensor(2, inverse(perm)))
 
     def test_size_mismatch(self):
         with pytest.raises(ShapeError):
@@ -769,8 +833,7 @@ class TestPartialComposition:
         d = data.draw(st.integers(1, 3))
 
         def placeable():
-            k = data.draw(st.integers(0, 3))
-            l = data.draw(st.sampled_from([m for m in (k - 1, k, k + 1) if m >= 0 and (k, m) != (0, 1)]))
+            k, l = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
             return data.draw(st.one_of(
                 sparse_tensor(ring, d, k, l, values=dyadic_value), function_tensor(ring, d, k, l)
             ))
@@ -783,14 +846,18 @@ class TestPartialComposition:
             want = oracle.partial_compose_right(x, y, overlap)
             assert partial_compose_right(x, y, overlap).to_json_dict() == want.to_json_dict()
 
-    def test_maps_the_slot_rule_cannot_place_refused(self):
+    def test_maps_beyond_one_leg_difference_match_padded_compositions(self):
+        """1 -> 3 and 0 -> 1 maps, which the slot rule once refused."""
         one = identity_tensor(2, 1)
         spread = from_function(2, 1, 3, lambda x: x * 3)
-        unit = Tensor(2, 0, 1, {((0,), ()): 1})
-        for x, y in ((spread, one), (one, spread), (one, unit), (unit, one)):
-            for compose_partially in (partial_compose_left, partial_compose_right):
-                with pytest.raises(ShapeError):
-                    compose_partially(x, y, overlap=0)
+        unit = Tensor(2, 0, 1, {((0,), ()): 1, ((1,), ()): 2})
+        for x, y in ((spread, one), (one, spread), (one, unit), (unit, one), (unit, spread), (spread, unit)):
+            for overlap in range(min(x.in_legs, y.out_legs) + 1):
+                want = oracle.partial_compose_left(x, y, overlap)
+                assert partial_compose_left(x, y, overlap).to_json_dict() == want.to_json_dict()
+            for overlap in range(min(x.out_legs, y.in_legs) + 1):
+                want = oracle.partial_compose_right(x, y, overlap)
+                assert partial_compose_right(x, y, overlap).to_json_dict() == want.to_json_dict()
 
 
 class TestInverseAndRegroup:
@@ -852,6 +919,20 @@ class TestReplaceSlots:
     def test_unsorted_positions_fill_sorted_slots(self):
         assert replace_slots(["a", "b", "c"], (3, 1), ["x", "y"]) == ["x", "b", "y"]
 
+    def test_no_slot_opens_after_the_last_leg(self):
+        assert replace_slots(["a", "b"], (), ["x"]) == ["a", "b", "x"]
+        assert replace_slots(["a", "b"], (), ["x", "y"]) == ["a", "b", "x", "y"]
+        assert replace_slots([], (), ["x"]) == ["x"]
+        assert replace_slots(["a"], (), []) == ["a"]
+
+    def test_two_extra_outputs_open_after_the_last_slot(self):
+        assert replace_slots(["a", "b"], (1,), ["x", "y", "z"]) == ["x", "y", "z", "b"]
+        assert replace_slots(["a", "b", "c"], (3, 1), ["w", "x", "y", "z"]) == ["w", "b", "x", "y", "z"]
+
+    def test_two_missing_outputs_close_the_last_slots(self):
+        assert replace_slots(["a", "b", "c"], (1, 3), []) == ["b"]
+        assert replace_slots(["a", "b", "c", "d"], (4, 2, 1), ["x"]) == ["x", "c"]
+
 
 class TestRingsAndSerialization:
     def test_json_round_trip_rational(self):
@@ -875,8 +956,8 @@ class TestRingsAndSerialization:
         c = Tensor(2, 1, 1, {((0,), (0,)): 1.0 + 1e-6}, ring=F64)
         assert a == b
         assert a != c
-        mag, key = deviation(a, c)
-        assert key == ((0,), (0,))
+        witness = compare_sides("eq", a, c).witness
+        assert (witness["out"], witness["in"]) == ([0], [0])
 
     def test_prime_field_requires_prime(self):
         with pytest.raises(RingError):

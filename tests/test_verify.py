@@ -25,7 +25,7 @@ from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.rings import F64, RATIONAL, FloatRing, prime_field
 from polysimplex.setmaps import FiniteMap, check_polygon_set, enumerate_set_solutions
 from polysimplex.simplicial import compile_simplex, evaluate_program
-from polysimplex.tensor import ShapeError, Tensor, _function_table, contract_staged, flip, from_function, identity_tensor
+from polysimplex.tensor import ShapeError, Tensor, _function_table, contract_staged, from_function, identity_tensor
 from polysimplex.verify import (
     RELATIONS_1_6,
     VerificationReport,
@@ -34,7 +34,6 @@ from polysimplex.verify import (
     check_polygon,
     check_relations_1_6,
     check_simplex,
-    compare_sides,
     polygon_signature,
 )
 
@@ -57,7 +56,7 @@ class TestCheckPolygon:
         assert check_polygon(Z3_S, 5, dual=True).holds
 
     def test_flip_fails_pentagon_with_witness(self):
-        report = check_polygon(flip(2), 5)
+        report = check_polygon(oracle.flip(2), 5)
         assert not report.holds
         assert report.witness is not None
         assert report.max_deviation > 0
@@ -83,7 +82,7 @@ class TestCheckPolygon:
 
 class TestCheckSimplex:
     def test_flip_solves_yang_baxter(self):
-        assert check_simplex(flip(2), 2).holds
+        assert check_simplex(oracle.flip(2), 2).holds
 
     def test_identity_solves_everything(self):
         for n in range(1, 5):
@@ -151,11 +150,11 @@ class TestCheckCommutes:
         assert check_commutes(delta, Z2_S).holds
         assert check_commutes(delta, Z2_T).holds
         assert check_commutes(delta, mult).holds
-        assert check_commutes(delta, flip(2)).holds
+        assert check_commutes(delta, oracle.flip(2)).holds
 
     def test_diagonal_vs_flip_reported(self):
         delta = from_function(2, 1, 2, lambda x: (x[0], x[0]))
-        report = check_commutes(delta, flip(2))
+        report = check_commutes(delta, oracle.flip(2))
         assert report.holds  # brute force says they commute
 
     def test_pinned_diagonal_needs_fixed_point(self):
@@ -241,7 +240,7 @@ class TestOtherRings:
 
 class TestReportShape:
     def test_json_dict_round_trips_fields(self):
-        report = check_polygon(flip(2), 5)
+        report = check_polygon(oracle.flip(2), 5)
         data = report.to_json_dict()
         assert data["equation"] == "5-gon"
         assert data["holds"] is False
@@ -256,7 +255,7 @@ class TestReportShape:
 def expected_relations_report(t, s):
     """check_relations_1_6's aggregate, rebuilt from the oracle's sides."""
     reports = {
-        name: compare_sides(f"relation ({name})", *oracle.relation_sides(t, s, name))
+        name: oracle.compare_sides(f"relation ({name})", *oracle.relation_sides(t, s, name))
         for name in RELATIONS_1_6
     }
     failing = [r for r in reports.values() if not r.holds]
@@ -290,16 +289,16 @@ def equation_case(draw, ring):
         dual = family == "dual-polygon"
         t = tensor(*polygon_signature(n, dual))
         name = f"dual {n}-gon" if dual else f"{n}-gon"
-        return check_polygon(t, n, dual), compare_sides(name, *oracle.polygon_sides(t, n, dual))
+        return check_polygon(t, n, dual), oracle.compare_sides(name, *oracle.polygon_sides(t, n, dual))
     if family == "simplex":
         n = draw(st.integers(1, 3))
         r = tensor(n, n)
-        return check_simplex(r, n), compare_sides(f"{n}-simplex", *oracle.simplex_sides(r, n))
+        return check_simplex(r, n), oracle.compare_sides(f"{n}-simplex", *oracle.simplex_sides(r, n))
     if family == "mixed":
         n = draw(st.integers(3, 6))
         t = tensor(*polygon_signature(n, False))
         s = tensor(*polygon_signature(n, True))
-        expect = compare_sides(f"{n}-gon mixed relation", *oracle.mixed_sides(t, s, n))
+        expect = oracle.compare_sides(f"{n}-gon mixed relation", *oracle.mixed_sides(t, s, n))
         return check_mixed(t, s, n), expect
     t, s = tensor(2, 2), tensor(2, 2)
     return check_relations_1_6(t, s), expected_relations_report(t, s)
@@ -345,7 +344,7 @@ def total_function_case(draw, ring):
         fmap = draw(st.sampled_from(set_solutions(n, dual)))
         t = draw(total_function(ring, fmap.base, fmap.in_arity, fmap.out_arity, fmap))
         name = f"dual {n}-gon" if dual else f"{n}-gon"
-        return check_polygon(t, n, dual), compare_sides(name, *oracle.polygon_sides(t, n, dual))
+        return check_polygon(t, n, dual), oracle.compare_sides(name, *oracle.polygon_sides(t, n, dual))
     d = draw(st.integers(1, 3))
     if family == "simplex":
         n = draw(st.integers(1, 3))
@@ -355,13 +354,13 @@ def total_function_case(draw, ring):
         if n == 3 and d == 2:
             solutions.append(lambda v: (v[0], (v[2] - v[0]) % 2, (v[0] + v[1]) % 2))
         r = draw(total_function(ring, d, n, n, draw(st.sampled_from(solutions))))
-        return check_simplex(r, n), compare_sides(f"{n}-simplex", *oracle.simplex_sides(r, n))
+        return check_simplex(r, n), oracle.compare_sides(f"{n}-simplex", *oracle.simplex_sides(r, n))
     pair = draw(st.sampled_from([(identity, identity), z_pair(d)]))
     if family == "mixed":
         n = 5 if pair[0] is not identity else 3
         k = polygon_signature(n, False)[0]
         t, s = (draw(total_function(ring, d, k, k, f)) for f in pair)
-        expect = compare_sides(f"{n}-gon mixed relation", *oracle.mixed_sides(t, s, n))
+        expect = oracle.compare_sides(f"{n}-gon mixed relation", *oracle.mixed_sides(t, s, n))
         return check_mixed(t, s, n), expect
     t, s = (draw(total_function(ring, d, 2, 2, f)) for f in pair)
     return check_relations_1_6(t, s), expected_relations_report(t, s)
@@ -394,7 +393,7 @@ class TestWitnessContract:
         else:
             got, sides = check_simplex(t, n), oracle.simplex_sides(t, n)
         assert oracle.start_legs(family, n) == 21
-        assert got.to_json_dict() == compare_sides(got.equation, *sides).to_json_dict()
+        assert got.to_json_dict() == oracle.compare_sides(got.equation, *sides).to_json_dict()
 
     @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
     @settings(max_examples=60, deadline=None)
@@ -415,7 +414,7 @@ class TestWitnessContract:
         assume(len(t.entries) < 2**k)
         with compare_route_refused():
             got = check_polygon(t, n, dual)
-        assert got.to_json_dict() == compare_sides(got.equation, *oracle.polygon_sides(t, n, dual)).to_json_dict()
+        assert got.to_json_dict() == oracle.compare_sides(got.equation, *oracle.polygon_sides(t, n, dual)).to_json_dict()
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -428,7 +427,7 @@ class TestWitnessContract:
             got = check_polygon(t, 5)
         assert not got.holds
         # NaN is unequal to itself, so compare the serialized reports.
-        expect = compare_sides("5-gon", *oracle.polygon_sides(t, 5))
+        expect = oracle.compare_sides("5-gon", *oracle.polygon_sides(t, 5))
         assert json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
 
     @pytest.mark.parametrize("tolerance", [1.0, 2.5])
@@ -443,7 +442,7 @@ class TestWitnessContract:
         with compare_route_refused():
             got = check_polygon(t, 5)
         assert got.holds
-        assert got.to_json_dict() == compare_sides("5-gon", *oracle.polygon_sides(t, 5)).to_json_dict()
+        assert got.to_json_dict() == oracle.compare_sides("5-gon", *oracle.polygon_sides(t, 5)).to_json_dict()
 
 
 @st.composite
@@ -478,7 +477,7 @@ def commutation_pair(draw, ring, total):
 
 
 def expected_commutation(f, g):
-    return compare_sides("commutation", *oracle.commutation_sides(f, g)).to_json_dict()
+    return oracle.compare_sides("commutation", *oracle.commutation_sides(f, g)).to_json_dict()
 
 
 class TestCommutationContract:
@@ -517,7 +516,7 @@ class TestCompareRoute:
     def holding_checks(self):
         r4, r3 = z3_simplex_maps()
         delta = from_function(2, 1, 2, lambda x: (x[0], x[0]))
-        swap2, swap3 = flip(2), flip(3)
+        swap2, swap3 = oracle.flip(2), oracle.flip(3)
         return [
             lambda: check_polygon(Z3_T, 5),
             lambda: check_polygon(Z3_S, 5, dual=True),
@@ -549,7 +548,7 @@ class TestCompareRoute:
         got = check_simplex(r4, 4)
         assert got.lhs_dims == got.rhs_dims == (3, 10, 10)
         sides = (evaluate_program(side, {"R": r4}, 3, r4.ring) for side in compile_simplex(4))
-        assert got.to_json_dict() == compare_sides("4-simplex", *sides).to_json_dict()
+        assert got.to_json_dict() == oracle.compare_sides("4-simplex", *sides).to_json_dict()
 
     def test_failing_check_returns_the_oracle_witness(self):
         """The first differing column in product order is not the witness key."""
@@ -560,7 +559,7 @@ class TestCompareRoute:
         t = Tensor(3, 2, 2, swapped)
         got = check_polygon(t, 5)
         assert not got.holds
-        assert got.to_json_dict() == compare_sides("5-gon", *oracle.polygon_sides(t, 5)).to_json_dict()
+        assert got.to_json_dict() == oracle.compare_sides("5-gon", *oracle.polygon_sides(t, 5)).to_json_dict()
 
 
 def inverse_pairs(ring):
@@ -601,7 +600,7 @@ def two_sided_case(draw, ring):
         rhs[j] = (draw(oracle.sparse_tensor(ring, d, f.in_legs, f.out_legs, values=oracle.dyadic_value)), positions)
     rhs.insert(0, (identity_tensor(d, 1, ring).scale(inverse), (1,)))
     sides = (lhs, rhs)
-    expect = compare_sides("sides", *(oracle.staged(steps, legs, d, ring) for steps in sides))
+    expect = oracle.compare_sides("sides", *(oracle.staged(steps, legs, d, ring) for steps in sides))
     return sides, legs, d, expect
 
 
@@ -645,7 +644,7 @@ class TestStreamRoute:
         with no_side_built():
             got = verify._check_sides("cancel", (lhs, rhs), 1, 2, ring)
         assert got.holds == (rhs_entry is None)
-        expect = compare_sides("cancel", *(oracle.staged(steps, 1, 2, ring) for steps in (lhs, rhs)))
+        expect = oracle.compare_sides("cancel", *(oracle.staged(steps, 1, 2, ring) for steps in (lhs, rhs)))
         assert got.to_json_dict() == expect.to_json_dict()
 
     @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
@@ -667,14 +666,14 @@ class TestStreamRoute:
         with no_side_built():
             got = verify._check_sides("steps", sides, legs, d, ring, (order, None))
         assert got.holds == holds
-        assert got.to_json_dict() == compare_sides("steps", lhs, rhs).to_json_dict()
+        assert got.to_json_dict() == oracle.compare_sides("steps", lhs, rhs).to_json_dict()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_float_specials_match_the_built_sides(self, data):
         """NaN and infinite entries, within tolerances below and above one:
         inf - inf is NaN and a deviation, and a NaN magnitude wins only at
-        the first differing key, as :func:`deviation` scans the built sides."""
+        the first differing key, as ``oracle.deviation_scan`` scans the built sides."""
         ring = FloatRing(data.draw(st.sampled_from([1e-9, 0.5, 1.5])))
         d = data.draw(st.integers(1, 3))
         special = st.sampled_from([math.inf, -math.inf, math.nan, 1.0, 2.0, -3.0])
@@ -684,7 +683,7 @@ class TestStreamRoute:
             return [(data.draw(oracle.sparse_tensor(ring, d, 1, 1, values=lambda _: special)), (1,)) for _ in range(count)]
 
         sides = (side(0), side(1))
-        expect = compare_sides("sides", *(contract_staged(steps, 1, d, ring) for steps in sides))
+        expect = oracle.compare_sides("sides", *(contract_staged(steps, 1, d, ring) for steps in sides))
         with no_side_built():
             got = verify._check_sides("sides", sides, 1, d, ring)
         # NaN is unequal to itself, so compare the serialized reports.
@@ -710,7 +709,7 @@ class TestStreamRoute:
         assert [name for name, report in reports.items() if report.holds] == ["5-gon", "dual 5-gon", "mixed"]
         for name, (_, sides) in checks.items():
             report = reports[name]
-            assert report.to_json_dict() == compare_sides(report.equation, *sides()).to_json_dict()
+            assert report.to_json_dict() == oracle.compare_sides(report.equation, *sides()).to_json_dict()
 
 
 @cache
