@@ -355,6 +355,12 @@ def cmd_construct(args) -> int:
             raise UsageError(f"params.{name} must be true or false, got {value!r}")
         return value
 
+    def string(name: str, default: str) -> str:
+        value = params.get(name, default)
+        if not isinstance(value, str):
+            raise UsageError(f"params.{name} must be a string, got {value!r}")
+        return value
+
     if recipe == "hopf-pentagon-pair":
         return _descriptor_out(args, C.hopf_pentagon_pair(group_algebra(group(), ring), verify))
     if recipe == "bialgebra-tower":
@@ -370,16 +376,19 @@ def cmd_construct(args) -> int:
         instances = [group_algebra(g, ring) for g in tables]
         return _descriptor_out(args, C.multi_bialgebra_tower(k, instances, even, verify))
     if recipe == "hopf-mixed-pair-antipode":
-        k = integer("k", 2)
-        return _descriptor_out(args, C.hopf_mixed_pair_antipode(k, group_algebra(group(), ring), verify))
+        k, g = integer("k", 2), group()
+        require_tower(2 * k + 1, False, g.order, verify)
+        return _descriptor_out(args, C.hopf_mixed_pair_antipode(k, group_algebra(g, ring), verify))
     if recipe == "higher-mixed-pair":
         t = load_tensor(args.input)
         s = load_tensor(args.input2)
-        return _descriptor_out(args, C.higher_mixed_pair(integer("k", 2), t, s, verify))
+        k = integer("k", 2)
+        require_tower(2 * k + 3, False, t.dim, verify)
+        return _descriptor_out(args, C.higher_mixed_pair(k, t, s, verify))
     if recipe == "yang-baxter":
         t = load_tensor(args.input)
         s = load_tensor(args.input2)
-        out = C.yang_baxter_from_pair(t, s, params.get("mode", "compose"), verify)
+        out = C.yang_baxter_from_pair(t, s, string("mode", "compose"), verify)
         return _descriptor_out(args, out)
     # descriptor-consuming transforms
     if not args.input:
@@ -394,17 +403,17 @@ def cmd_construct(args) -> int:
     if recipe == "bar-sigma-conjugate":
         return _descriptor_out(args, C.bar_sigma_conjugate(first, verify))
     if recipe == "trace-descend":
-        return _descriptor_out(args, C.trace_descend(first, params.get("side", "left"), verify))
+        return _descriptor_out(args, C.trace_descend(first, string("side", "left"), verify))
     if recipe == "trace-descend-mixed":
         second = load_descriptor(args.input2)
-        out = C.trace_descend_mixed(first, second, params.get("side", "left"), verify)
+        out = C.trace_descend_mixed(first, second, string("side", "left"), verify)
         return _descriptor_out(args, out)
     if recipe == "stack":
         second = load_descriptor(args.input2)
-        return _descriptor_out(args, C.stack(first, second, params.get("mode", "compose_left"), verify))
+        return _descriptor_out(args, C.stack(first, second, string("mode", "compose_left"), verify))
     if recipe == "simplex-from-mixed":
         second = load_descriptor(args.input2)
-        out = C.simplex_from_mixed(first, second, params.get("drop", "one"), verify)
+        out = C.simplex_from_mixed(first, second, string("drop", "one"), verify)
         return _descriptor_out(args, out)
     raise UsageError(f"unknown recipe {recipe!r}")
 

@@ -20,6 +20,7 @@ from .tensor import (
     NotInvertible,
     ShapeError,
     Tensor,
+    _is_count,
     compose,
     contract_staged,
     identity_tensor,
@@ -59,6 +60,8 @@ class SolutionDescriptor:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ShapeError(f"unknown family {self.family!r}")
+        if not _is_count(self.order):
+            raise ShapeError(f"order {self.order!r} must be an integer")
         if self.family == "simplex":
             want = (self.order, self.order)
         else:
@@ -82,11 +85,11 @@ class SolutionDescriptor:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SolutionDescriptor":
+        provenance = data.get("provenance", [])
+        if not isinstance(provenance, list) or not all(isinstance(note, str) for note in provenance):
+            raise ShapeError(f"provenance {provenance!r} must be a list of strings")
         return SolutionDescriptor(
-            data["family"],
-            data["order"],
-            Tensor.from_json_dict(data["tensor"]),
-            tuple(data.get("provenance", ())),
+            data["family"], data["order"], Tensor.from_json_dict(data["tensor"]), tuple(provenance)
         )
 
 
@@ -253,10 +256,8 @@ def stack(
         tensor = partial_compose_left(x.tensor, y.tensor)
     elif mode == "compose_right":
         tensor = partial_compose_right(x.tensor, y.tensor)
-    elif mode == "tensor":
+    else:  # "tensor"; stack_arithmetic refuses every other mode
         tensor = tensor_product(x.tensor, y.tensor)
-    else:
-        raise ShapeError(f"unknown stacking mode {mode!r}")
     out = SolutionDescriptor(
         family, order, tensor, x.provenance + y.provenance + (f"stack-{mode}",)
     )

@@ -9,23 +9,39 @@ rational (in fact 0/1) entries and exact equality avoids tolerance disputes.
 from __future__ import annotations
 
 from fractions import Fraction
+import re
 
 
 class RingError(ValueError):
     """Raised for invalid ring parameters or impossible divisions."""
 
 
+# Miller-Rabin on the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015); larger moduli are refused.
+PRIME_CAP = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic Miller-Rabin, exact for every ``p`` below ``PRIME_CAP``."""
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    n = p - 1
+    s = (n & -n).bit_length() - 1  # n = d * 2**s with d odd
+    # p passes base a when a**d is 1, or a**(d * 2**i) is -1 for some i < s.
+    powers = (pow(a, n >> s, p) for a in _BASES)
+    return all(x == 1 or n in (pow(x, 1 << i, p) for i in range(s)) for x in powers)
+
+
+# The only scalar strings the exact rings read: no exponent, no zero denominator.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _parse_rational(value) -> Fraction:
+    """A JSON integer (not a bool) or a ``[-]digits[/nonzero digits]`` string."""
+    if type(value) is int or (type(value) is str and _RATIONAL.fullmatch(value)):
+        return Fraction(value)
+    raise RingError(f"scalar {value!r} must be an integer or a string of the form [-]digits[/nonzero digits]")
 
 
 class ScalarRing:
@@ -66,7 +82,8 @@ class ScalarRing:
         raise NotImplementedError
 
     def parse(self, text):
-        raise NotImplementedError
+        """A JSON scalar of this ring; the exact rings read :func:`_parse_rational`."""
+        return self.coerce(_parse_rational(text))
 
     def __repr__(self):
         return f"<ring {self.tag}>"
@@ -95,9 +112,6 @@ class RationalRing(ScalarRing):
     def format(self, a):
         return f"{a.numerator}/{a.denominator}"
 
-    def parse(self, text):
-        return Fraction(text)
-
     def __eq__(self, other):
         return isinstance(other, RationalRing)
 
@@ -109,6 +123,8 @@ class PrimeField(ScalarRing):
     """Integers mod p for a prime p; values are ints in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= PRIME_CAP:
+            raise RingError(f"modulus {p} is over the cap of {PRIME_CAP}")
         if not _is_prime(p):
             raise RingError(f"modulus {p} is not prime")
         self.p = p
@@ -143,9 +159,6 @@ class PrimeField(ScalarRing):
 
     def format(self, a):
         return str(a % self.p)
-
-    def parse(self, text):
-        return int(text) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -7,10 +7,10 @@ instead of basis digits, with ``FiniteMap.table`` as it stands as the
 lookup table, since its rows are in the rank order of the argument tuples:
 both sides of an equation run in one nest over the tuples in product
 order, each lookup in the outermost loop that binds its inputs.  The
-nest runs once per dependency cone of the final legs
-(:func:`polysimplex.tensor._cone_domains`), with the legs outside the
-cone pinned to 0; only on a difference does it run every tuple, and the
-first tuple whose sides differ is the witness.  Runs of legs without a
+compare driver of the tensor checks (:func:`polysimplex.tensor._differing_columns`)
+runs the nest once per dependency cone of the final legs, with the legs
+outside the cone pinned to 0; only on a difference does it run every
+tuple, and the first tuple whose sides differ is the witness.  Runs of legs without a
 lookup share one loop and the depth is capped, so the 28 free legs of a
 15-gon compile as well as the 10 of a 9-gon.  Enumeration is a
 depth-first search over table rows, pruned by the same nest run on the
@@ -21,12 +21,12 @@ implemented with their fixed-point criteria checked in both directions.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cached_property
 from itertools import product
 
 from ._record import record
 from .simplicial import compile_polygon
-from .tensor import ShapeError, _cone_domains, _is_count, _staged_kernel
+from .tensor import ShapeError, _differing_columns, _is_count, _output_masks, _staged_kernel, digits_to_rank
 from .verify import PreconditionFailed, VerificationReport, polygon_signature, require_columns
 
 
@@ -70,17 +70,16 @@ class FiniteMap:
         )
         return FiniteMap(base, in_arity, out_arity, table)
 
-    def _rank(self, args: tuple[int, ...]) -> int:
-        r = 0
-        for x in args:
-            r = r * self.base + x
-        return r
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """The output masks of ``table``, derived once and kept on the instance."""
+        return _output_masks(self.table, self.base, self.in_arity, self.out_arity)
 
     def __call__(self, args) -> tuple[int, ...]:
         args = tuple(args)
         if len(args) != self.in_arity:
             raise ShapeError(f"expected {self.in_arity} arguments, got {args}")
-        return self.table[self._rank(args)]
+        return self.table[digits_to_rank(args, self.base)]
 
     def to_json_dict(self) -> dict:
         table = {}
@@ -101,11 +100,10 @@ class FiniteMap:
             raise ShapeError("base and arities must be integers")
         entries = {}
         for key, value in data["table"].items():
-            args = tuple(int(p) for p in key.split(",") if p != "")
-            if len(args) != k or not all(0 <= x < base for x in args):
+            args = tuple(int(p) for p in key.split(",") if p.isdecimal()) if key else ()
+            # Only the spelling to_json_dict writes, so no two keys name one input.
+            if key != ",".join(map(str, args)) or len(args) != k or not all(0 <= x < base for x in args):
                 raise ShapeError(f"table key {key!r} is not an input of arity {k} over base {base}")
-            if args in entries:
-                raise ShapeError(f"table key {key!r} repeats input {args}")
             entries[args] = tuple(value)
         # The keys are distinct inputs, so the table is total when there are
         # base**k of them, and a missing input is among the first len + 1.
@@ -129,7 +127,6 @@ def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
     return next((state for state, _ in sink), None)
 
 
-@cache
 def _polygon_sides(n: int, dual: bool) -> tuple[int, tuple]:
     """Free-input count and the two kernel shapes (``(gather positions,
     output count)`` per step) of the compiled (dual) n-gon."""
@@ -139,18 +136,6 @@ def _polygon_sides(n: int, dual: bool) -> tuple[int, tuple]:
         tuple((positions, out_arity) for _, positions in side.gather_positions()) for side in (lhs, rhs)
     )
     return len(lhs.free_inputs), sides
-
-
-@cache
-def _polygon_kernel(n: int, dual: bool, partial: bool = False) -> tuple[int, int, object]:
-    """Free-input count, step count and compare kernel of the compiled (dual) n-gon.
-
-    The kernel yields every tuple whose sides differ; the partial kernel
-    takes the tables as ``dict.get`` of partial tables and yields every
-    tuple whose sides are both determined and differ.
-    """
-    legs, sides = _polygon_sides(n, dual)
-    return legs, sum(map(len, sides)), _staged_kernel(legs, sides, partial=partial)
 
 
 def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> VerificationReport:
@@ -166,15 +151,15 @@ def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> Verificati
             f"{'dual ' if dual else ''}{n}-gon needs arity {want[0]}->{want[1]}, "
             f"got {fmap.in_arity}->{fmap.out_arity}"
         )
-    legs, steps, kernel = _polygon_kernel(n, dual)
+    legs, sides = _polygon_sides(n, dual)
     require_columns(fmap.base, legs)
     name = f"set-theoretic {'dual ' if dual else ''}{n}-gon"
     shape = (fmap.base, fmap.in_arity, fmap.out_arity)
-    tables = (fmap.table,) * steps
-    cones = _cone_domains(legs, _polygon_sides(n, dual)[1], None, tables, fmap.base)
-    if all(next(kernel(domains, fmap.base, *tables), None) is None for domains in cones):
+    steps = sum(map(len, sides))
+    differing = _differing_columns(legs, sides, None, (fmap.table,) * steps, (fmap._masks,) * steps, fmap.base)
+    if differing is None:
         return VerificationReport(name, True, 0, shape, shape)
-    values, lhs, rhs = next(kernel((range(fmap.base),) * legs, fmap.base, *tables))
+    values, lhs, rhs = next(differing)
     witness = {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
     return VerificationReport(name, False, 1, shape, shape, witness)
 
@@ -273,7 +258,9 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
         )
     rows = base**in_arity
     outputs = list(product(range(base), repeat=out_arity))
-    legs, steps, kernel = _polygon_kernel(n, dual, partial=True)
+    legs, sides = _polygon_sides(n, dual)
+    steps = sum(map(len, sides))
+    kernel = _staged_kernel(legs, sides, partial=True)
     domains = (range(base),) * legs
     table = [None] * rows  # indexed by row rank; None where unassigned
     lookup = table.__getitem__

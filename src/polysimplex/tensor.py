@@ -32,9 +32,10 @@ also has a compare mode, which runs both sides of an equation in one nest on
 total tables and yields every column whose sides differ: the
 set-theoretic checks use it, and so do the tensor checks of
 :mod:`polysimplex.verify`, which decide an equation on total basis
-functions without building either side.  Both run it once per
-dependency cone (:func:`_cone_domains`): the column legs some final leg
-reads on either side, with every other leg pinned to 0.  On other maps
+functions without building either side.  Both go through one compare
+driver (:func:`_differing_columns`), which runs it once per dependency
+cone: the column legs some final leg reads on either side, with every
+other leg pinned to 0.  On other maps
 the tensor checks stream the pushed columns of both sides, in every
 ring, so neither route builds a side.
 Its partial variant skips the columns a partial table leaves undecided,
@@ -46,14 +47,18 @@ comparator, :func:`_stream_sides`.
 Validation sits at the trust boundary: ``Tensor(...)``, JSON input and
 :func:`from_function` check every key and coerce every value, while the
 evaluator's results, already clean and zero-free, are wrapped by the
-private ``Tensor._trusted`` without a second pass.
+private ``Tensor._trusted`` without a second pass.  What the evaluator
+reads of a map, its prepared form (the rank table, the output masks of a
+total one, and the push table), is derived on first use and kept on the
+instance, as ``hopf.check_axioms`` keeps its report, so a tensor's
+entries must not change after construction.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 import json
 from math import gcd, lcm, prod
@@ -181,6 +186,40 @@ class Tensor:
             f"Tensor(dim={self.dim}, in_legs={self.in_legs}, "
             f"out_legs={self.out_legs}, nnz={len(self.entries)}, ring={self.ring.tag})"
         )
+
+    @cached_property
+    def _table(self):
+        """``{rank of input digits: output digits}`` when every column that
+        has entries holds exactly one, equal to ``ring.one``; else None."""
+        one, table = self.ring.one, {}
+        for (out, inp), v in self.entries.items():
+            rank = digits_to_rank(inp, self.dim)
+            if rank in table or v != one:
+                return None
+            table[rank] = out
+        return table
+
+    @cached_property
+    def _masks(self):
+        """The output masks (:func:`_output_masks`) of the rank table when
+        it is total, with all ``dim**in_legs`` columns; else None."""
+        if self._table is not None and len(self._table) == self.dim**self.in_legs:
+            return _output_masks(self._table, self.dim, self.in_legs, self.out_legs)
+
+    @cached_property
+    def _push(self) -> tuple[list, int]:
+        """The push table, indexed by input rank, of each column's
+        ``[(output digits, coefficient), ...]`` (``()`` where it has no
+        entry), and its scale: rationals become integers times their least
+        common denominator, the scale; GF(p) and floats keep scale 1."""
+        rational = isinstance(self.ring, RationalRing)
+        scale = lcm(*(v.denominator for v in self.entries.values())) if rational else 1
+        by_rank: dict[int, list] = {}
+        for (out, inp), v in self.entries.items():
+            by_rank.setdefault(digits_to_rank(inp, self.dim), []).append(
+                (out, v.numerator * (scale // v.denominator) if rational else v)
+            )
+        return [by_rank.get(r, ()) for r in range(self.dim**self.in_legs)], scale
 
 
 def digits_to_rank(digits: Digits, d: int) -> int:
@@ -523,10 +562,24 @@ def _output_masks(table, d: int, k: int, l: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _cone_domains(legs: int, sides: tuple, orders, tables, d: int) -> tuple:
-    """Kernel domains that decide a compare-mode equation on total tables.
+def _differing_columns(legs: int, sides: tuple, orders, tables, masks: tuple, d: int):
+    """The compare driver of an equation on total tables: ``tables`` and
+    their output masks ``masks``, one per step, lhs steps first.  None when
+    the sides agree over every cone of :func:`_cones`, else the kernel
+    over every column, yielding ``(column, lhs, rhs)`` where they differ."""
+    kernel = _staged_kernel(legs, sides, orders)
+    cones = _cones(legs, sides, orders, masks, d)
+    if all(next(kernel(domains, d, *tables), None) is None for domains in cones):
+        return None
+    return kernel((range(d),) * legs, d, *tables)
 
-    ``tables`` are the kernel's tables, one per step, lhs steps first.
+
+@lru_cache(maxsize=256)
+def _cones(legs: int, sides: tuple, orders, step_masks: tuple, d: int) -> tuple:
+    """Kernel domains that decide a compare-mode equation on total tables,
+    from each step's output masks; cached, since the masks repeat across
+    the many checks of one map.
+
     Final leg i of either side is a function of the column legs in its
     dependency cone (the lhs and rhs dependencies of leg i together), so
     the sides agree on every column iff they agree on the columns that
@@ -536,17 +589,6 @@ def _cone_domains(legs: int, sides: tuple, orders, tables, d: int) -> tuple:
     fewer columns.  Every pinned column is a real column, so a difference
     found in any cone is genuine.
     """
-    masks = {}
-    for (positions, out_count), table in zip((step for shape in sides for step in shape), tables):
-        if id(table) not in masks:
-            masks[id(table)] = _output_masks(table, d, len(positions), out_count)
-    return _cones(legs, sides, orders, tuple(masks[id(table)] for table in tables), d)
-
-
-@lru_cache(maxsize=256)
-def _cones(legs: int, sides: tuple, orders, step_masks: tuple, d: int) -> tuple:
-    """The domains of :func:`_cone_domains`, from each step's output masks;
-    cached, since the masks repeat across the many checks of one map."""
     step_masks = iter(step_masks)
     finals = []
     for shape, order in zip(sides, orders or (None,) * len(sides)):
@@ -562,19 +604,6 @@ def _cones(legs: int, sides: tuple, orders, step_masks: tuple, d: int) -> tuple:
         cones = [(1 << legs) - 1]
     full, pinned = range(d), range(1)
     return tuple(tuple(full if c >> j & 1 else pinned for j in range(legs)) for c in sorted(cones))
-
-
-def _function_table(f: Tensor):
-    """``{rank of input digits: output digits}`` when every column of ``f``
-    that has entries holds exactly one, equal to ``ring.one``; else None."""
-    one = f.ring.one
-    table = {}
-    for (out, inp), v in f.entries.items():
-        rank = digits_to_rank(inp, f.dim)
-        if rank in table or v != one:
-            return None
-        table[rank] = out
-    return table
 
 
 def _check_steps(steps, legs: int, d: int, ring: ScalarRing, order=None) -> tuple[list, tuple, int]:
@@ -614,7 +643,7 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     When every map is a basis function on the columns it has, the steps
     run as a generated loop nest over the columns in product order, with
     every leg a local variable and each map's lookup table, keyed by the
-    rank of its input digits (:func:`_function_table`), read in the
+    rank of its input digits (``Tensor._table``), read in the
     outermost loop that binds its inputs, so one lookup serves a whole
     block of columns and a missing input drops that block.  Runs of legs
     without a lookup share one loop and the nest depth is capped, so any
@@ -625,11 +654,11 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     """
     maps, shape, n = _check_steps(steps, legs, d, ring, order)
     entries: dict[EntryKey, object] = {}
-    by_map = {id(f): _function_table(f) for f in maps}
+    tables = [f._table for f in maps]
     # A float tolerance >= 1 makes one a zero, which the sparse path drops.
-    if None not in by_map.values() and not ring.is_zero(ring.one):
+    if None not in tables and not ring.is_zero(ring.one):
         kernel = _staged_kernel(legs, (shape,), (order,))
-        kernel((range(d),) * legs, d, entries, ring.one, *(by_map[id(f)].get for f in maps))
+        kernel((range(d),) * legs, d, entries, ring.one, *(table.get for table in tables))
         return Tensor._trusted(d, legs, n, entries, ring)
     scale, pushed = _push_columns(maps, shape, legs, d, ring, order)
     value = _entry_value(ring, scale)
@@ -637,25 +666,6 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
         for out, c in vec.items():
             entries[(out, column)] = value(c)
     return Tensor._trusted(d, legs, n, entries, ring)
-
-
-def _native_map(f: Tensor) -> tuple[list, int]:
-    """The push table of ``f`` on native numbers, and its scale.
-
-    The table is indexed by the rank of the input digits (as
-    :func:`_function_table` ranks them) and holds the column's
-    ``[(output digits, coefficient), ...]``, or ``()`` where it has no
-    entry.  Rationals become integers times the least common denominator
-    of ``f``, which is the scale; GF(p) and float entries are already
-    ``int`` and ``float``, with scale 1."""
-    rational = isinstance(f.ring, RationalRing)
-    scale = lcm(*(v.denominator for v in f.entries.values())) if rational else 1
-    by_rank: dict[int, list] = {}
-    for (out, inp), v in f.entries.items():
-        by_rank.setdefault(digits_to_rank(inp, f.dim), []).append(
-            (out, v.numerator * (scale // v.denominator) if rational else v)
-        )
-    return [by_rank.get(r, ()) for r in range(f.dim**f.in_legs)], scale
 
 
 def _entry_value(ring: ScalarRing, scale: int):
@@ -673,15 +683,14 @@ def _push_columns(maps, shape, legs: int, d: int, ring: ScalarRing, order=None):
     :func:`_kernel_source`.
 
     Returns the side's scale S, the product of its steps' scales (see
-    :func:`_native_map`), and an iterator over the columns in product
+    ``Tensor._push``), and an iterator over the columns in product
     order of ``(column, {final legs in the output order: c})``, where the
     entry is ``c / S`` in the rationals and ``c`` in the other rings.
     GF(p) values are reduced mod p after each step, and floats are
     multiplied and added in the order of the composed placed factors;
     after each step values that are zero in the ring are dropped.
     """
-    native = {id(f): _native_map(f) for f in maps}
-    scale = prod(native[id(f)][1] for f in maps)
+    scale = prod(f._push[1] for f in maps)
     if isinstance(ring, FloatRing):
         tolerance = ring.tolerance
         # Not ``> tolerance``: a NaN is no zero, and stays.
@@ -692,7 +701,7 @@ def _push_columns(maps, shape, legs: int, d: int, ring: ScalarRing, order=None):
     else:
         settle = lambda nxt: {key: c for key, c in nxt.items() if c}
     kernel = _staged_kernel(legs, (shape,), (order,), push=True)
-    return scale, kernel((range(d),) * legs, d, settle, *(native[id(f)][0] for f in maps))
+    return scale, kernel((range(d),) * legs, d, settle, *(f._push[0] for f in maps))
 
 
 def _paired_columns(f: Tensor, g: Tensor):
@@ -824,7 +833,7 @@ def invert(f: Tensor) -> Tensor:
     else Gaussian elimination on the dense matrix."""
     if f.in_legs != f.out_legs:
         raise NotInvertible(f"non-square signature {f.in_legs}->{f.out_legs}")
-    table = _function_table(f)
+    table = f._table
     if table is None:
         return _invert_dense(f)
     # A basis function missing a column or repeating an image has a zero

@@ -8,12 +8,12 @@ legs, read out row by row in an output order.  When every map is a
 total basis function, both sides run in one compare-mode loop-nest
 kernel (:func:`polysimplex.tensor._staged_kernel`), on tables keyed by
 the rank of the input digits, and a holding equation is decided without
-building either side.  The kernel runs once per dependency cone
-(:func:`polysimplex.tensor._cone_domains`): each final leg of either
-side reads only some column legs, so the legs outside a cone are pinned
-to 0 and the columns that vary them are never run.  On a difference it
-yields every differing column.  Other maps, in every ring, push both
-sides one column at a time on native numbers
+building either side.  The compare driver of every table check
+(:func:`polysimplex.tensor._differing_columns`) runs it once per
+dependency cone: each final leg of either side reads only some column
+legs, so the legs outside a cone are pinned to 0 and the columns that vary
+them are never run.  On a difference it yields every differing column.
+Other maps, in every ring, push both sides one column at a time on native numbers
 (:func:`polysimplex.tensor._push_columns`).  One comparator
 (:func:`polysimplex.tensor._stream_sides`) reads either stream, so no side
 is built, and reports the largest deviation at the lexicographically
@@ -31,11 +31,9 @@ from .tensor import (
     ShapeError,
     Tensor,
     _check_steps,
-    _cone_domains,
-    _function_table,
+    _differing_columns,
     _paired_columns,
     _push_columns,
-    _staged_kernel,
     _stream_sides,
 )
 
@@ -103,13 +101,12 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
 
     The maps alone pick the route, and no route builds a side.  When every
     map is a total basis function (``d**in_legs`` columns, each one entry
-    equal to one, and one is not a zero of the ring), both sides run in one
-    compare-mode kernel pass per dependency cone of the final legs
-    (:func:`_cone_domains`), which decides a holding equation.  On a
-    difference the kernel runs every column and yields the differing ones,
-    each side one entry equal to one, to :func:`_stream_sides`.  Other maps
-    push both sides column by column (:func:`_push_columns`) into the same
-    comparator.  The witness is the largest deviation at the
+    equal to one, and one is not a zero of the ring), the compare driver
+    (:func:`_differing_columns`) decides a holding equation in one kernel
+    pass per dependency cone; on a difference it runs every column and
+    yields the differing ones, each side one entry equal to one, to
+    :func:`_stream_sides`.  Other maps push both sides column by column
+    (:func:`_push_columns`) into the same comparator.  The witness is the largest deviation at the
     lexicographically first key, which the first differing column in
     product order need not be.  Checks over more than ``MAX_COLUMNS``
     columns are refused.
@@ -122,17 +119,12 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
         raise ShapeError(f"cannot compare shapes {(d, legs, n)} and {(d, legs, rhs_n)}")
     shape = (d, legs, n)
     maps = lhs_maps + rhs_maps
-    tables = {id(f): _function_table(f) for f in maps}
-    if not ring.is_zero(ring.one) and all(
-        tables[id(f)] is not None and len(tables[id(f)]) == d**f.in_legs for f in maps
-    ):
-        sides_shape = (lhs_shape, rhs_shape)
-        kernel = _staged_kernel(legs, sides_shape, orders)
-        ranked = [tables[id(f)] for f in maps]
-        cones = _cone_domains(legs, sides_shape, orders, ranked, d)
-        if all(next(kernel(domains, d, *ranked), None) is None for domains in cones):
+    masks = tuple(f._masks for f in maps)
+    if not ring.is_zero(ring.one) and None not in masks:
+        tables = [f._table for f in maps]
+        differing = _differing_columns(legs, (lhs_shape, rhs_shape), orders, tables, masks, d)
+        if differing is None:
             return VerificationReport(equation, True, 0, shape, shape)
-        differing = kernel((range(d),) * legs, d, *ranked)
         columns, scales = ((col, {lhs: 1}, {rhs: 1}) for col, lhs, rhs in differing), (1, 1)
     else:
         (lhs_scale, lhs_columns), (rhs_scale, rhs_columns) = (

@@ -16,13 +16,14 @@ import oracle
 import polysimplex
 from polysimplex import construct
 from polysimplex import cli
+from polysimplex import tensor as tensor_module
 from polysimplex.cli import MAX_COLUMNS, MAX_ORDER, build_catalog, main
 from polysimplex.hopf import GroupTable, cyclic_group, direct_product, group_algebra
-from polysimplex.rings import F64
+from polysimplex.rings import F64, prime_field
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap, check_polygon_set
 from polysimplex.simplicial import compile_polygon, evaluate_program, pair_to_simplex_map
-from polysimplex.tensor import Tensor, from_function
+from polysimplex.tensor import Tensor, from_function, identity_tensor
 from polysimplex.verify import SelfCheckFailed, check_polygon
 
 
@@ -183,7 +184,7 @@ class TestVerify:
         assert code == 2
 
     def test_tolerance_flag_on_float_tensors(self, capsys, tmp_path):
-        from polysimplex.rings import F64
+        from polysimplex.rings import F64, prime_field
 
         noisy = dict(from_function(2, 2, 2, lambda x: (x[1], x[0]), F64).entries)
         noisy[((1, 0), (0, 1))] += 1e-7  # single perturbed entry
@@ -246,6 +247,125 @@ def test_tensor_with_non_integer_shape_or_digit_exits_two(capsys, tmp_path, case
     argv = ["--family", "polygon", "--n", "3"] if shaped else ["--family", "simplex", "--n", "2"]
     code, out, err = run(capsys, "verify", *argv, "--tensor", str(path))
     assert (code, out) == (2, "") and err.startswith("error: malformed tensor")
+
+
+# A prime above rings.PRIME_CAP (2^89 - 1), whose trial division never ended.
+BIG_PRIME = "gfp:618970019642690137449562111"
+SCALAR_SYNTAX = "must be an integer or a string of the form [-]digits[/nonzero digits]"
+OUTSIDE_INPUTS = {
+    "rational-zero-denominator": SCALAR_SYNTAX,
+    "rational-json-overflow": SCALAR_SYNTAX,
+    "rational-huge-exponent": SCALAR_SYNTAX,
+    "rational-exponent-past-the-digit-limit": SCALAR_SYNTAX,
+    "rational-json-float": SCALAR_SYNTAX,
+    "rational-json-bool": SCALAR_SYNTAX,
+    "gfp-json-float": SCALAR_SYNTAX,
+    "gfp-json-bool": SCALAR_SYNTAX,
+    "conjugate-zero-denominator": SCALAR_SYNTAX,
+    "higher-mixed-pair-zero-denominator": SCALAR_SYNTAX,
+    "env-prime-over-the-cap": "over the cap of 3317044064679887385961981",
+    "json-prime-over-the-cap": "over the cap of 3317044064679887385961981",
+    "trace-descend-float-order": "order 5.0 must be an integer",
+    "invert-to-dual-float-order": "order 5.0 must be an integer",
+    "bar-sigma-conjugate-float-order": "order 5.0 must be an integer",
+    "bool-order": "order True must be an integer",
+    "provenance-string": "provenance 'abc' must be a list of strings",
+    "map-key-empty-part": "table key '0,,1'",
+    "stack-mode-list": "params.mode must be a string, got []",
+    "hopf-mixed-pair-antipode-k-100": "equation order 201 is over the cap",
+    "hopf-mixed-pair-antipode-k-40": "equation order 81 is over the cap",
+    "higher-mixed-pair-k-100": "equation order 203 is over the cap",
+}
+
+
+def outside_input(tmp_path, case):
+    """argv and environment of one malformed input from outside the program."""
+    t_desc, s_desc = hopf_pentagon_pair(group_algebra(cyclic_group(2)))
+    env = {}
+
+    def write(data, name="input.json", value=None):
+        # ``value`` is spliced in as raw JSON, so that it may be a literal JSON cannot write.
+        path = tmp_path / name
+        path.write_text(json.dumps(data).replace('"@value"', value or '"@value"'))
+        return str(path)
+
+    def tensor_with(value, t=oracle.flip(2), name="input.json"):
+        data = t.to_json_dict()
+        data["entries"][-1][2] = "@value"
+        return write(data, name, value)
+
+    def descriptor(**fields):
+        return write(dict(t_desc.to_json_dict(), **fields))
+
+    value = {
+        "zero-denominator": '"1/0"', "json-overflow": "1e400", "huge-exponent": '"1e9999999"',
+        "exponent-past-the-digit-limit": '"1e999999"', "json-float": "0.5", "json-bool": "true",
+    }
+    if case.startswith("rational-"):
+        argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", tensor_with(value[case[9:]])]
+    elif case.startswith("gfp-"):
+        t = oracle.flip(2, prime_field(5))
+        argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", tensor_with(value[case[4:]], t)]
+    elif case == "conjugate-zero-denominator":
+        phi = tensor_with('"1/0"', identity_tensor(2, 1), "phi.json")
+        argv = ["construct", "--recipe", "conjugate", "--input", descriptor(), "--input2", phi]
+    elif case == "higher-mixed-pair-zero-denominator":
+        t = tensor_with('"1/0"', t_desc.tensor, "t.json")
+        argv = ["construct", "--recipe", "higher-mixed-pair", "--input", t, "--input2", write(s_desc.tensor.to_json_dict())]
+    elif case == "env-prime-over-the-cap":
+        argv, env = ["demo", "--group", "z2"], {"POLYSIMPLEX_SCALAR": BIG_PRIME}
+    elif case == "json-prime-over-the-cap":
+        argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", write(dict(oracle.flip(2).to_json_dict(), scalar=BIG_PRIME))]
+    elif case.endswith("-float-order"):
+        argv = ["construct", "--recipe", case[: -len("-float-order")], "--input", descriptor(order=5.0)]
+    elif case == "bool-order":
+        simplex = construct.SolutionDescriptor("simplex", 1, identity_tensor(2, 1)).to_json_dict()
+        argv = ["construct", "--recipe", "trace-descend", "--input", write(dict(simplex, order=True))]
+    elif case == "provenance-string":
+        argv = ["construct", "--recipe", "invert-to-dual", "--input", descriptor(provenance="abc")]
+    elif case == "map-key-empty-part":
+        data = FiniteMap.from_callable(2, 2, 2, lambda a: (a[0], (a[0] + a[1]) % 2)).to_json_dict()
+        data["table"]["0,,1"] = data["table"].pop("0,1")
+        argv = ["set-verify", "--n", "5", "--map", write(data)]
+    elif case == "stack-mode-list":
+        tower = write(construct.bialgebra_tower(5, group_algebra(cyclic_group(2))).to_json_dict())
+        argv = ["construct", "--recipe", "stack", "--input", tower, "--input2", tower, "--params", '{"mode": []}']
+    elif case.startswith("hopf-mixed-pair-antipode"):
+        argv = ["construct", "--recipe", "hopf-mixed-pair-antipode", "--group", "z2", "--no-verify",
+                "--params", json.dumps({"k": int(case.rsplit("-", 1)[1])})]
+    else:
+        t, s = write(t_desc.tensor.to_json_dict(), "t.json"), write(s_desc.tensor.to_json_dict(), "s.json")
+        argv = ["construct", "--recipe", "higher-mixed-pair", "--input", t, "--input2", s, "--no-verify",
+                "--params", '{"k": 100}']
+    return argv, env
+
+
+def limit_memory():
+    """A regression then fails its test with a MemoryError, not the machine exhausted."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_INPUTS))
+def test_outside_input_exits_two_at_once(tmp_path, case):
+    """Scalars, moduli, descriptor fields, map keys and recipe parameters
+    from outside are refused with exit 2, each once a traceback, a hang or
+    a build that ran out of memory, or read as something else."""
+    argv, env = outside_input(tmp_path, case)
+    src = os.path.dirname(os.path.dirname(polysimplex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
+    if case != "env-prime-over-the-cap":
+        env.pop("POLYSIMPLEX_SCALAR", None)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polysimplex.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=5, preexec_fn=limit_memory,
+    )
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert OUTSIDE_INPUTS[case] in proc.stderr
 
 
 @pytest.mark.parametrize("family, n, legs", [("polygon", 13, 21), ("simplex", 6, 21), ("mixed", 13, 36)])
@@ -648,6 +768,18 @@ class TestDemoAndCatalog:
         assert "FAIL" not in out
         data = json.loads(report_path.read_text())
         assert data["4-simplex for R4"]["holds"] is True
+
+    def test_demo_derives_each_table_once(self, capsys, monkeypatch):
+        """Every check reads a map's rank table and output masks from the
+        map; over k[Z3] they were once derived anew by each check, 187 table
+        scans for about 12 maps."""
+        tables, masks = [], []
+        table_of, derive_masks = vars(Tensor)["_table"], tensor_module._output_masks
+        monkeypatch.setattr(table_of, "func", lambda f, derive=table_of.func: tables.append(f) or derive(f))
+        monkeypatch.setattr(tensor_module, "_output_masks", lambda table, *shape: masks.append(table) or derive_masks(table, *shape))
+        assert run(capsys, "demo", "--group", "z3")[0] == 0
+        for derived in (tables, masks):
+            assert derived and len(set(map(id, derived))) == len(derived)
 
     def test_demo_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "demo", "--group", "z2")

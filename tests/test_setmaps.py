@@ -25,7 +25,7 @@ from polysimplex.setmaps import (
     lift_dual_odd_to_even_pinned,
     lift_odd_to_even,
     lift_odd_to_even_pinned,
-    _polygon_kernel,
+    _polygon_sides,
 )
 from polysimplex.tensor import ShapeError, _staged_kernel
 from polysimplex.verify import PreconditionFailed, check_polygon, polygon_signature
@@ -284,14 +284,16 @@ SMALL_POLYGONS = [(3, False), (3, True), (4, False), (4, True), (5, False), (5, 
 class TestPartialPolygonKernel:
     @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
     def test_empty_table_is_undecided(self, n, dual):
-        legs, steps, kernel = _polygon_kernel(n, dual, partial=True)
-        assert next(kernel((range(2),) * legs, 2, *({}.get,) * steps), None) is None
+        legs, sides = _polygon_sides(n, dual)
+        kernel = _staged_kernel(legs, sides, partial=True)
+        assert next(kernel((range(2),) * legs, 2, *({}.get,) * sum(map(len, sides))), None) is None
 
     @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
     def test_complete_tables_match_total_kernel(self, n, dual):
         in_arity, out_arity = polygon_signature(n, dual)
-        legs, steps, partial = _polygon_kernel(n, dual, partial=True)
-        _, _, total = _polygon_kernel(n, dual)
+        legs, sides = _polygon_sides(n, dual)
+        steps = sum(map(len, sides))
+        partial, total = _staged_kernel(legs, sides, partial=True), _staged_kernel(legs, sides)
         rows = 2**in_arity
         outputs = list(product(range(2), repeat=out_arity))
         failures = 0

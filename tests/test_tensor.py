@@ -42,7 +42,7 @@ from oracle import (
     sweep_inverse,
 )
 from polysimplex import tensor as tensor_module
-from polysimplex.rings import F64, RATIONAL, FloatRing, RingError, prime_field
+from polysimplex.rings import F64, PRIME_CAP, RATIONAL, FloatRing, RingError, _is_prime, prime_field
 from polysimplex.tensor import (
     NotInvertible,
     ShapeError,
@@ -63,11 +63,9 @@ from polysimplex.tensor import (
 )
 from polysimplex.tensor import (
     _MAX_LOOPS,
-    _cone_domains,
-    _function_table,
+    _cones,
     _invert_dense,
     _kernel_source,
-    _output_masks,
     _staged_kernel,
 )
 from polysimplex.verify import compare_sides
@@ -506,7 +504,7 @@ class TestRankedKernel:
         source = _kernel_source(legs, shapes)
         # Some key sums terms of two outer loops before its own loop adds the rest.
         assert any(line.lstrip().startswith("h") and line.count("+") for line in source.splitlines())
-        tables = [_function_table(f) for steps in sides for f, _ in steps]
+        tables = [f._table for steps in sides for f, _ in steps]
         if partial:
             tables = [table.get for table in tables]
         return list(_staged_kernel(legs, shapes, partial=partial)((range(d),) * legs, d, *tables))
@@ -610,7 +608,7 @@ class TestStagedKernel:
 
 
 def masks_of(f):
-    return _output_masks(_function_table(f), f.dim, f.in_legs, f.out_legs)
+    return f._masks
 
 
 class TestDependencyCones:
@@ -633,14 +631,13 @@ class TestDependencyCones:
         mix = from_function(3, 2, 2, lambda x: ((x[0] + x[1]) % 3, (x[0] + 2 * x[1]) % 3))
         assert masks_of(mix) == (0b11, 0b11)
         sides = ((((1, 2), 2), ((2, 3), 2)), (((2, 3), 2), ((1, 2), 2)))
-        table = _function_table(mix)
-        assert _cone_domains(3, sides, None, (table,) * 4, 3) == ((range(3),) * 3,)
+        assert _cones(3, sides, None, (masks_of(mix),) * 4, 3) == ((range(3),) * 3,)
 
     def test_identity_legs_are_separate_cones(self):
         sides = ((((1, 2), 2), ((2, 3), 2)), (((2, 3), 2),))
-        table = _function_table(identity_tensor(2, 2))
+        masks = masks_of(identity_tensor(2, 2))
         pinned, full = range(1), range(2)
-        assert _cone_domains(3, sides, None, (table,) * 3, 2) == (
+        assert _cones(3, sides, None, (masks,) * 3, 2) == (
             (full, pinned, pinned),
             (pinned, full, pinned),
             (pinned, pinned, full),
@@ -651,11 +648,11 @@ class TestDependencyCones:
         # 2 each compare both column legs.
         sides = ((((1, 2), 2),), ())
         pinned, full = range(1), range(2)
-        assert _cone_domains(3, sides, None, (_function_table(flip(2)),), 2) == (
+        assert _cones(3, sides, None, (masks_of(flip(2)),), 2) == (
             (full, full, pinned),
             (pinned, pinned, full),
         )
-        assert _cone_domains(3, sides[::-1], None, (_function_table(flip(2)),), 2) == (
+        assert _cones(3, sides[::-1], None, (masks_of(flip(2)),), 2) == (
             (full, full, pinned),
             (pinned, pinned, full),
         )
@@ -665,7 +662,7 @@ class TestDependencyCones:
         # reversed, so final leg 1 compares column legs 1 and 3.
         sides = ((), ())
         pinned, full = range(1), range(2)
-        assert _cone_domains(3, sides, (None, (3, 2, 1)), (), 2) == (
+        assert _cones(3, sides, (None, (3, 2, 1)), (), 2) == (
             (pinned, full, pinned),
             (full, pinned, full),
         )
@@ -673,7 +670,7 @@ class TestDependencyCones:
     def test_cones_covering_the_product_run_it_once(self):
         # Cones {1, 2}, {2, 3} and {1, 3} would run 3 * 4 of the 8 columns.
         sides = ((), ())
-        assert _cone_domains(3, sides, ((1, 2, 3), (2, 3, 1)), (), 2) == ((range(2),) * 3,)
+        assert _cones(3, sides, ((1, 2, 3), (2, 3, 1)), (), 2) == ((range(2),) * 3,)
 
 
 def test_contract_and_compare_sources_unchanged():
@@ -962,6 +959,20 @@ class TestRingsAndSerialization:
     def test_prime_field_requires_prime(self):
         with pytest.raises(RingError):
             prime_field(6)
+
+    def test_primality_exact_below_the_cap(self):
+        """Trial division once hung on an 18-digit prime; a modulus Miller-Rabin
+        on the first 13 prime bases cannot decide is refused."""
+        trial = [p for p in range(3000) if p > 1 and all(p % f for f in range(2, math.isqrt(p) + 1))]
+        assert [p for p in range(3000) if _is_prime(p)] == trial
+        # Carmichael numbers and strong pseudoprimes to the first 1, 4, 9 and 12 prime bases.
+        for composite in (561, 2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not _is_prime(composite)
+        assert prime_field(1000000000000000003).p == 1000000000000000003
+        # PRIME_CAP itself is a strong pseudoprime to all 13 bases; 2^89 - 1 is prime.
+        for modulus in (PRIME_CAP, 2**89 - 1):
+            with pytest.raises(RingError, match="over the cap"):
+                prime_field(modulus)
 
     def test_rational_refuses_floats(self):
         with pytest.raises(RingError):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from polysimplex import setmaps, verify
+from polysimplex import tensor as tensor_module, verify
 from polysimplex.construct import (
     SolutionDescriptor,
     bialgebra_tower,
@@ -25,7 +25,7 @@ from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.rings import F64, RATIONAL, FloatRing, prime_field
 from polysimplex.setmaps import FiniteMap, check_polygon_set, enumerate_set_solutions
 from polysimplex.simplicial import compile_simplex, evaluate_program
-from polysimplex.tensor import ShapeError, Tensor, _function_table, contract_staged, from_function, identity_tensor
+from polysimplex.tensor import ShapeError, Tensor, contract_staged, from_function, identity_tensor
 from polysimplex.verify import (
     RELATIONS_1_6,
     VerificationReport,
@@ -367,8 +367,8 @@ def total_function_case(draw, ring):
 
 
 def compare_route_refused():
-    """Patch out the compare-mode kernel of the checks."""
-    return mock.patch.object(verify, "_staged_kernel", side_effect=AssertionError("compare route taken"))
+    """Patch out the compare driver of the checks."""
+    return mock.patch.object(verify, "_differing_columns", side_effect=AssertionError("compare route taken"))
 
 
 class TestWitnessContract:
@@ -496,8 +496,7 @@ class TestCommutationContract:
     @given(data=st.data())
     def test_other_maps_take_the_fallback(self, ring, data):
         f, g = data.draw(commutation_pair(ring, total=False))
-        tables = [_function_table(m) for m in (f, g)]
-        assume(not all(table is not None and len(table) == f.dim**m.in_legs for table, m in zip(tables, (f, g))))
+        assume(f._masks is None or g._masks is None)
         with compare_route_refused():
             got = check_commutes(f, g)
         assert json.dumps(got.to_json_dict()) == json.dumps(expected_commutation(f, g))
@@ -780,11 +779,8 @@ def cone_case(draw):
 
 def full_domains():
     """Run every compare kernel over the full product of columns, not its cones."""
-    full = lambda legs, sides, orders, tables, d: ((range(d),) * legs,)
-    stack = contextlib.ExitStack()
-    for module in (verify, setmaps):
-        stack.enter_context(mock.patch.object(module, "_cone_domains", full))
-    return stack
+    full = lambda legs, sides, orders, step_masks, d: ((range(d),) * legs,)
+    return mock.patch.object(tensor_module, "_cones", full)
 
 
 class TestConeRoute:
@@ -802,7 +798,7 @@ class TestConeRoute:
         """The z3 tower 9-gon runs six cones of at most 3^4 of its 3^10 columns."""
         t = Tensor(3, 4, 4, {(out, inp): 1 for inp, out in tower_image(9, 3, False).items()})
         calls = []
-        kernel = verify._staged_kernel
+        kernel = tensor_module._staged_kernel
 
         def record(*args):
             run = kernel(*args)
@@ -813,6 +809,6 @@ class TestConeRoute:
 
             return counted
 
-        with mock.patch.object(verify, "_staged_kernel", record):
+        with mock.patch.object(tensor_module, "_staged_kernel", record):
             assert check_polygon(t, 9).holds
         assert len(calls) == 6 and max(calls) <= 3**4
