@@ -6,6 +6,12 @@ matching checker before returning, unless ``verify=False`` is passed for
 performance experiments.  Inputs failing a precondition raise
 :class:`PreconditionFailed`; a constructed solution failing its verifier
 raises :class:`SelfCheckFailed` (which would indicate a bug, not bad data).
+
+The towers and stacked mixed pairs are chains of maps joined by partial
+composition: :func:`_tower_tensor` lays out every alternating chain and
+:func:`_fold_chain` folds every chain, pair by pair, left to right.  A
+chain is not evaluated as one staged word, since that would reassociate
+the products and sums of its entries and so change ``f64`` results.
 """
 
 from __future__ import annotations
@@ -280,6 +286,8 @@ def _require_axioms(h: HopfInstance, commutative: bool, antipode: bool) -> None:
 
 
 def _fold_chain(maps, connectors) -> Tensor:
+    """Fold ``maps`` left to right, pair by pair: connector ``r`` joins the
+    next map by ``partial_compose_right``, ``l`` by ``partial_compose_left``."""
     result = maps[0]
     for conn, nxt in zip(connectors, maps[1:]):
         if conn == "r":
@@ -289,18 +297,16 @@ def _fold_chain(maps, connectors) -> Tensor:
     return result
 
 
-def _tower_tensor(n: int, delta: Tensor, mult: Tensor, dual: bool) -> Tensor:
-    """The alternating coproduct/product chain solving the (dual) n-gon."""
+def _tower_tensor(n: int, blocks, dual: bool) -> Tensor:
+    """The alternating chain solving the (dual) n-gon, from one (coproduct,
+    product) pair per block: map i is ``blocks[i // 2][(i + dual) % 2]``,
+    joined by ``r`` and ``l`` in turn (``l`` and ``r`` when dual)."""
     if n == 3:
+        delta = blocks[0][0]
         return identity_tensor(delta.dim, 1, delta.ring)
     count = n - 3  # 2k-2 maps for n=2k+1, 2k-3 maps for n=2k
-    if dual:
-        maps = [mult if i % 2 == 0 else delta for i in range(count)]
-        connectors = ["l" if i % 2 == 0 else "r" for i in range(count - 1)]
-    else:
-        maps = [delta if i % 2 == 0 else mult for i in range(count)]
-        connectors = ["r" if i % 2 == 0 else "l" for i in range(count - 1)]
-    return _fold_chain(maps, connectors)
+    maps = [blocks[i // 2][(i + dual) % 2] for i in range(count)]
+    return _fold_chain(maps, ("lr" if dual else "rl") * count)
 
 
 def bialgebra_tower(
@@ -311,7 +317,7 @@ def bialgebra_tower(
     if n < 3:
         raise PreconditionFailed(f"no {n}-gon equation")
     _require_axioms(h, commutative=True, antipode=False)
-    tensor = _tower_tensor(n, h.coproduct, h.product, dual)
+    tensor = _tower_tensor(n, [(h.coproduct, h.product)] * n, dual)
     family = "dual-polygon" if dual else "polygon"
     out = SolutionDescriptor(family, n, tensor, (f"tower({h.name or 'H'},{n})",))
     return _self_check(out, verify)
@@ -390,20 +396,9 @@ def multi_bialgebra_tower(
     start = 1 if len(instances) >= k else 0
     if start == 0:
         _require_axioms(instances[0], commutative=True, antipode=False)
-    indices = list(range(start, start + k - 1))
-    pairs = [_hat_structure(instances, i) for i in indices]
-    maps: list[Tensor] = []
-    connectors: list[str] = []
-    for m, (cop, mult) in enumerate(pairs):
-        last = m == len(pairs) - 1
-        maps.append(cop)
-        if not (even and last):
-            connectors.append("r")
-            maps.append(mult)
-        if not last:
-            connectors.append("l")
-    tensor = _fold_chain(maps, connectors)
     order = 2 * k if even else 2 * k + 1
+    blocks = [_hat_structure(instances, i) for i in range(start, start + k - 1)]
+    tensor = _tower_tensor(order, blocks, False)
     out = SolutionDescriptor(
         "polygon", order, tensor, (f"multi-tower(k={k},factors={len(instances)})",)
     )
@@ -424,14 +419,17 @@ def _require_mixed_pair(t_desc: SolutionDescriptor, s_desc: SolutionDescriptor) 
 
 
 def _self_check_pair(
-    t_desc: SolutionDescriptor, s_desc: SolutionDescriptor, verify: bool, failure: str
+    n: int, t: Tensor, s: Tensor, notes: tuple[str, str], verify: bool, failure: str
 ) -> tuple[SolutionDescriptor, SolutionDescriptor]:
-    """Check a constructed mixed pair: each map its own equation, then the
-    pair the mixed relation, raising ``SelfCheckFailed(failure)`` on that."""
+    """The mixed n-gon pair (t, s) with provenance ``notes``, checked: each
+    map its own equation, then the pair the mixed relation, raising
+    ``SelfCheckFailed(failure)`` on that."""
+    t_desc = SolutionDescriptor("polygon", n, t, (notes[0],))
+    s_desc = SolutionDescriptor("dual-polygon", n, s, (notes[1],))
     if verify:
         _self_check(t_desc, True)
         _self_check(s_desc, True)
-        if not check_mixed(t_desc.tensor, s_desc.tensor, t_desc.order).holds:
+        if not check_mixed(t, s, n).holds:
             raise SelfCheckFailed(failure)
     return t_desc, s_desc
 
@@ -448,9 +446,8 @@ def hopf_pentagon_pair(
     t_tensor = partial_compose_right(h.coproduct, h.product)
     steps = [(h.coproduct, (1,)), (h.antipode_inverse(), (2,)), (h.product, (3, 2))]
     s_tensor = contract_staged(steps, 2, h.dim, h.ring)
-    t_desc = SolutionDescriptor("polygon", 5, t_tensor, (f"hopf-T({h.name or 'H'})",))
-    s_desc = SolutionDescriptor("dual-polygon", 5, s_tensor, (f"hopf-S({h.name or 'H'})",))
-    return _self_check_pair(t_desc, s_desc, verify, "hopf pair fails the mixed relation")
+    notes = (f"hopf-T({h.name or 'H'})", f"hopf-S({h.name or 'H'})")
+    return _self_check_pair(5, t_tensor, s_tensor, notes, verify, "hopf pair fails the mixed relation")
 
 
 def higher_mixed_pair(
@@ -468,14 +465,11 @@ def higher_mixed_pair(
     failing = [name for name in needed if not report.details[name]]
     if failing:
         raise PreconditionFailed(f"pair fails relations {failing}")
-    t_tower, s_tower = t, s
-    for _ in range(k - 1):
-        t_tower = partial_compose_left(t_tower, t)
-        s_tower = partial_compose_right(s_tower, s)
+    t_tower = _fold_chain([t] * k, "l" * (k - 1))
+    s_tower = _fold_chain([s] * k, "r" * (k - 1))
     n = 2 * k + 3
-    t_desc = SolutionDescriptor("polygon", n, t_tower, (f"mixed-tower-T(k={k})",))
-    s_desc = SolutionDescriptor("dual-polygon", n, s_tower, (f"mixed-tower-S(k={k})",))
-    return _self_check_pair(t_desc, s_desc, verify, f"stacked pair fails the {n}-gon mixed relation")
+    notes = (f"mixed-tower-T(k={k})", f"mixed-tower-S(k={k})")
+    return _self_check_pair(n, t_tower, s_tower, notes, verify, f"stacked pair fails the {n}-gon mixed relation")
 
 
 def hopf_mixed_pair_antipode(
@@ -498,17 +492,11 @@ def hopf_mixed_pair_antipode(
         rel = check_relations_1_6(t_block, s_block)
         if not rel.holds:
             raise PreconditionFailed(f"twisted pair fails relations ({rel.details})")
-    t_tower = t_block
-    s_tower = s_block
-    for _ in range(k - 2):
-        t_tower = partial_compose_left(t_tower, t_block)
-        s_tower = partial_compose_right(s_tower, s_block)
+    t_tower = _fold_chain([t_block] * (k - 1), "l" * (k - 2))
+    s_tower = _fold_chain([s_block] * (k - 1), "r" * (k - 2))
     n = 2 * k + 1
-    t_desc = SolutionDescriptor("polygon", n, t_tower, (f"tower({h.name or 'H'},{n})",))
-    s_desc = SolutionDescriptor(
-        "dual-polygon", n, s_tower, (f"antipode-tower({h.name or 'H'},{n})",)
-    )
-    return _self_check_pair(t_desc, s_desc, verify, f"antipode pair fails the {n}-gon mixed relation")
+    notes = (f"tower({h.name or 'H'},{n})", f"antipode-tower({h.name or 'H'},{n})")
+    return _self_check_pair(n, t_tower, s_tower, notes, verify, f"antipode pair fails the {n}-gon mixed relation")
 
 
 # -- simplex solutions from mixed pairs ----------------------------------------

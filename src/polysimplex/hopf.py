@@ -14,7 +14,7 @@ from itertools import permutations
 
 from ._record import record
 from .rings import RATIONAL, ScalarRing
-from .tensor import NotInvertible, ShapeError, Tensor, from_function, invert, is_invertible
+from .tensor import NotInvertible, ShapeError, Tensor, _is_count, from_function, invert, is_invertible
 from .verify import VerificationReport, _check_sides, require_columns
 
 
@@ -32,6 +32,8 @@ class GroupTable:
         n = self.order
         if any(len(row) != n for row in self.table):
             raise InvalidGroup("Cayley table is not square")
+        if not all(_is_count(x) for row in self.table for x in row):
+            raise InvalidGroup("Cayley table entries must be integers")
         if any(x < 0 or x >= n for row in self.table for x in row):
             raise InvalidGroup("Cayley table entry out of range")
         if any(self.table[0][g] != g or self.table[g][0] != g for g in range(n)):
@@ -70,7 +72,10 @@ class GroupTable:
     @staticmethod
     def from_json_dict(data: dict) -> "GroupTable":
         table = tuple(tuple(row) for row in data["table"])
-        if len(table) != data.get("order", len(table)):
+        order = data.get("order", len(table))
+        if not _is_count(order):
+            raise InvalidGroup(f"order {order!r} must be an integer")
+        if len(table) != order:
             raise InvalidGroup("declared order disagrees with the table")
         require_columns(len(table), 3, "the associativity check of the group runs")
         return GroupTable(table)

@@ -44,6 +44,18 @@ def _parse_rational(value) -> Fraction:
     raise RingError(f"scalar {value!r} must be an integer or a string of the form [-]digits[/nonzero digits]")
 
 
+def exact_str(x) -> str:
+    """``str(x)`` of an int or Fraction past the int-to-str digit limit,
+    which bounds the time to parse outside input, not to print results."""
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal  # converts from binary with no digit limit
+
+        n, d = x.as_integer_ratio()
+        return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
+
+
 class ScalarRing:
     """Arithmetic context shared by all entries of one tensor."""
 
@@ -110,7 +122,7 @@ class RationalRing(ScalarRing):
         return abs(a)
 
     def format(self, a):
-        return f"{a.numerator}/{a.denominator}"
+        return f"{exact_str(a.numerator)}/{exact_str(a.denominator)}"
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -196,8 +208,14 @@ class FloatRing(ScalarRing):
     def format(self, a):
         return float(a)
 
-    def parse(self, text):
-        return float(text)
+    def parse(self, value):
+        """A JSON number, not a bool, ``NaN`` and ``Infinity`` included."""
+        if type(value) not in (int, float):
+            raise RingError(f"f64 scalar {value!r} must be a JSON number")
+        try:
+            return float(value)
+        except OverflowError:
+            raise RingError("f64 scalar integer is out of the binary64 range") from None
 
     def __eq__(self, other):
         # Tolerance is a comparison setting, not part of the ring identity.

@@ -90,11 +90,18 @@ class Tensor:
     ring: ScalarRing = RATIONAL
 
     def __post_init__(self):
+        # Digits become the ranks that index the kernel's tables, so a bool
+        # or float must not pass for an int, even where it equals one.
+        shape = self.dim, self.in_legs, self.out_legs
+        if not all(map(_is_count, shape)):
+            raise ShapeError(f"dim and leg counts {list(shape)} must be integers")
         if self.dim < 1 or self.in_legs < 0 or self.out_legs < 0:
             raise ShapeError("dim must be >= 1 and leg counts >= 0")
         clean = {}
         for (out, inp), value in self.entries.items():
             out, inp = tuple(out), tuple(inp)
+            if not all(map(_is_count, out + inp)):
+                raise ShapeError(f"entry key {[list(out), list(inp)]} must hold integer digits")
             if len(out) != self.out_legs or len(inp) != self.in_legs:
                 raise ShapeError(f"entry key {(out, inp)} has wrong leg counts")
             if any(d < 0 or d >= self.dim for d in out + inp):
@@ -162,20 +169,9 @@ class Tensor:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Tensor":
-        # Digits become the ranks that index the kernel's tables, so a bool
-        # or float must not pass for an int.  Checked here, at the JSON
-        # boundary, to keep internal construction fast.
         ring = ring_from_tag(data["scalar"])
-        shape = data["dim"], data["in_legs"], data["out_legs"]
-        if not all(map(_is_count, shape)):
-            raise ShapeError(f"dim and leg counts {list(shape)} must be integers")
-        entries = {}
-        for out, inp, v in data["entries"]:
-            key = (tuple(out), tuple(inp))
-            if not all(map(_is_count, key[0] + key[1])):
-                raise ShapeError(f"entry key {[out, inp]} must hold integer digits")
-            entries[key] = ring.parse(v)
-        return Tensor(*shape, entries, ring)
+        entries = {(tuple(out), tuple(inp)): ring.parse(v) for out, inp, v in data["entries"]}
+        return Tensor(data["dim"], data["in_legs"], data["out_legs"], entries, ring)
 
     @staticmethod
     def from_json(text: str) -> "Tensor":

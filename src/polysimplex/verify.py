@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from ._record import field, record
 from .indices import mixed_sequences
+from .rings import exact_str
 from .simplicial import _program_steps, _replay, compile_mixed, compile_polygon, compile_simplex, flatten
 from .tensor import (
     ShapeError,
@@ -76,7 +77,7 @@ class VerificationReport:
         data = {
             "equation": self.equation,
             "holds": self.holds,
-            "max_deviation": str(self.max_deviation),
+            "max_deviation": exact_str(self.max_deviation),
             "lhs_dims": list(self.lhs_dims),
             "rhs_dims": list(self.rhs_dims),
         }

@@ -261,6 +261,11 @@ OUTSIDE_INPUTS = {
     "rational-json-bool": SCALAR_SYNTAX,
     "gfp-json-float": SCALAR_SYNTAX,
     "gfp-json-bool": SCALAR_SYNTAX,
+    "f64-json-bool": "f64 scalar True must be a JSON number",
+    "f64-padded-string": "f64 scalar ' 1 ' must be a JSON number",
+    "f64-int-overflow": "f64 scalar integer is out of the binary64 range",
+    "group-bool-table": "Cayley table entries must be integers",
+    "group-float-order": "order 2.0 must be an integer",
     "conjugate-zero-denominator": SCALAR_SYNTAX,
     "higher-mixed-pair-zero-denominator": SCALAR_SYNTAX,
     "env-prime-over-the-cap": "over the cap of 3317044064679887385961981",
@@ -300,12 +305,19 @@ def outside_input(tmp_path, case):
     value = {
         "zero-denominator": '"1/0"', "json-overflow": "1e400", "huge-exponent": '"1e9999999"',
         "exponent-past-the-digit-limit": '"1e999999"', "json-float": "0.5", "json-bool": "true",
+        "padded-string": '" 1 "', "int-overflow": "1" + "0" * 400,
     }
     if case.startswith("rational-"):
         argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", tensor_with(value[case[9:]])]
     elif case.startswith("gfp-"):
         t = oracle.flip(2, prime_field(5))
         argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", tensor_with(value[case[4:]], t)]
+    elif case.startswith("f64-"):
+        argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", tensor_with(value[case[4:]], oracle.flip(2, F64))]
+    elif case == "group-bool-table":
+        argv = ["demo", "--group", write({"order": 2, "table": [[False, True], [True, False]]})]
+    elif case == "group-float-order":
+        argv = ["demo", "--group", write({"order": 2.0, "table": [[0, 1], [1, 0]]})]
     elif case == "conjugate-zero-denominator":
         phi = tensor_with('"1/0"', identity_tensor(2, 1), "phi.json")
         argv = ["construct", "--recipe", "conjugate", "--input", descriptor(), "--input2", phi]
@@ -353,9 +365,17 @@ def test_outside_input_exits_two_at_once(tmp_path, case):
     from outside are refused with exit 2, each once a traceback, a hang or
     a build that ran out of memory, or read as something else."""
     argv, env = outside_input(tmp_path, case)
+    proc = run_fresh(argv, env, keep_scalar=case == "env-prime-over-the-cap")
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert OUTSIDE_INPUTS[case] in proc.stderr
+
+
+def run_fresh(argv, env=None, keep_scalar=False):
+    """The CLI on ``argv`` in a fresh interpreter, which must end within 5 s."""
     src = os.path.dirname(os.path.dirname(polysimplex.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
-    if case != "env-prime-over-the-cap":
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **(env or {}))
+    if not keep_scalar:
         env.pop("POLYSIMPLEX_SCALAR", None)
     start = time.perf_counter()
     proc = subprocess.run(
@@ -363,9 +383,25 @@ def test_outside_input_exits_two_at_once(tmp_path, case):
         env=env, capture_output=True, text=True, timeout=5, preexec_fn=limit_memory,
     )
     assert time.perf_counter() - start < 5
-    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert OUTSIDE_INPUTS[case] in proc.stderr
+    return proc
+
+
+def test_huge_exact_witness_printed_in_full(tmp_path):
+    """A witness past the interpreter's int-to-str digit limit (4300) is
+    printed in full, in the text output and the report, once a traceback."""
+    big = "1" + "0" * 3000
+    keys = [((0, 0), (0, 0)), ((0, 1), (0, 1)), ((1, 0), (1, 0)), ((1, 1), (1, 1)), ((0, 0), (1, 1))]
+    entries = [[list(out), list(inp), big] for out, inp in keys] + [[[1, 0], [0, 1], "2"]]
+    path, report = tmp_path / "r.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"dim": 2, "in_legs": 2, "out_legs": 2, "scalar": "rational", "entries": entries}))
+    proc = run_fresh(["verify", "--family", "simplex", "--n", "2", "--tensor", str(path), "--report", str(report)])
+    assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
+    head, witness_line = proc.stdout.splitlines()
+    assert head == "2-simplex: FAILS" and witness_line.startswith("witness: ")
+    witness, written = json.loads(witness_line[len("witness: "):]), json.loads(report.read_text())
+    assert witness == written["witness"] and len(written["max_deviation"]) > 4300
+    assert max(len(witness["lhs"]), len(witness["rhs"])) > 4300
+    assert all(part.isdecimal() for side in ("lhs", "rhs") for part in witness[side].split("/"))
 
 
 @pytest.mark.parametrize("family, n, legs", [("polygon", 13, 21), ("simplex", 6, 21), ("mixed", 13, 36)])

@@ -496,6 +496,76 @@ def _shift_automorphism(d):
     return Tensor(d, 1, 1, entries)
 
 
+def _pairwise_fold(maps, connectors):
+    """The chain folded left to right through the identity-padded oracle
+    compositions: ``r`` is ``partial_compose_right``, ``l`` ``partial_compose_left``."""
+    result = maps[0]
+    for conn, nxt in zip(connectors, maps[1:]):
+        compose_pair = oracle.partial_compose_right if conn == "r" else oracle.partial_compose_left
+        result = compose_pair(result, nxt)
+    return result
+
+
+class TestChainRecipesMatchPairwiseFolds:
+    """Every chain recipe equals its chain folded pair by pair in ``oracle``."""
+
+    @pytest.mark.parametrize("h", [H2, H3], ids=["z2", "z3"])
+    @pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_towers(self, h, dual, n):
+        if n == 3:
+            want = identity_tensor(h.dim, 1)
+        else:
+            maps = [h.product, h.coproduct] if dual else [h.coproduct, h.product]
+            connectors = "lr" if dual else "rl"
+            want = _pairwise_fold([maps[i % 2] for i in range(n - 3)], [connectors[i % 2] for i in range(n - 4)])
+        assert bialgebra_tower(n, h, dual, verify=False).tensor == want
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("even", [False, True], ids=["odd", "even"])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_multi_towers(self, k, even, start):
+        from polysimplex.construct import _hat_structure
+
+        instances = [H2] * (k - 1 + start)
+        maps, connectors = [], []
+        for index in range(start, start + k - 1):
+            cop, mult = _hat_structure(instances, index)
+            last = index == start + k - 2
+            maps.append(cop)
+            if not (even and last):
+                connectors.append("r")
+                maps.append(mult)
+            if not last:
+                connectors.append("l")
+        out = multi_bialgebra_tower(k, instances, even, verify=False)
+        assert out.order == (2 * k if even else 2 * k + 1)
+        assert out.tensor == _pairwise_fold(maps, connectors)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("phi", [None, _shift_automorphism(2)], ids=["basis", "conjugated"])
+    def test_higher_mixed_pair(self, k, phi):
+        t, s = T2.tensor, S2.tensor
+        if phi is not None:
+            t, s = conjugate(T2, phi).tensor, conjugate(S2, phi).tensor
+        t_out, s_out = higher_mixed_pair(k, t, s, verify=False)
+        assert t_out.tensor == _pairwise_fold([t] * k, ["l"] * (k - 1))
+        assert s_out.tensor == _pairwise_fold([s] * k, ["r"] * (k - 1))
+
+    @pytest.mark.parametrize("h", [H2, H3], ids=["z2", "z3"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_antipode_mixed_pair(self, h, k):
+        t_out, s_out = hopf_mixed_pair_antipode(k, h, verify=False)
+        if k == 1:
+            t_want = s_want = identity_tensor(h.dim, 1)
+        else:
+            t_block = oracle.partial_compose_right(h.coproduct, h.product)
+            s_block = oracle.partial_compose_right(h.coproduct, oracle.twisted_product(h))
+            t_want = _pairwise_fold([t_block] * (k - 1), ["l"] * (k - 2))
+            s_want = _pairwise_fold([s_block] * (k - 1), ["r"] * (k - 2))
+        assert (t_out.tensor, s_out.tensor) == (t_want, s_want)
+
+
 GROUPS = {
     "z2": cyclic_group(2),
     "z3": cyclic_group(3),

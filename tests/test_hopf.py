@@ -19,6 +19,7 @@ from polysimplex.hopf import (
     settheoretic_lift,
     symmetric_group,
 )
+from polysimplex.rings import F64, RATIONAL, prime_field
 from polysimplex.setmaps import FiniteMap
 from polysimplex.tensor import Tensor, compose, identity_tensor
 
@@ -48,6 +49,9 @@ class TestGroupTable:
             GroupTable(((0, 1), (1, 1)))  # not a latin square
         with pytest.raises(InvalidGroup):
             GroupTable(((1, 0), (0, 1)))  # identity not element 0
+        for table in (((False, True), (True, False)), ((0.0, 1.0), (1.0, 0.0))):
+            with pytest.raises(InvalidGroup, match="entries must be integers"):
+                GroupTable(table)
 
     def test_json_round_trip(self):
         g = cyclic_group(3)
@@ -93,6 +97,18 @@ class TestGroupAlgebra:
             report = check_axioms(group_algebra(g))
             assert report.holds
             assert report.details["commutative"] and report.details["cocommutative"]
+
+    @pytest.mark.parametrize("ring", [RATIONAL, F64, prime_field(5)], ids=lambda ring: ring.tag)
+    def test_negated_unit_or_counit_fails_its_law(self, ring):
+        """The two unit (counit) laws are checked apart: one word running
+        both side by side is blind to a sign shared by both, (-1)^2 = 1."""
+        h = group_algebra(cyclic_group(3), ring)
+        minus = ring.neg(ring.one)
+        eta = Tensor(3, 0, 1, {((0,), ()): minus}, ring)
+        eps = Tensor(3, 1, 0, {((), (g,)): minus for g in range(3)}, ring)
+        for unit, counit, law in ((eta, h.counit, "unit"), (h.unit, eps, "counit")):
+            report = check_axioms(HopfInstance(3, unit, counit, h.product, h.coproduct, h.antipode))
+            assert not report.details[law] and law in report.witness["failing"]
 
     def test_corrupted_product_fails_associativity(self):
         h = group_algebra(cyclic_group(3))

@@ -946,6 +946,31 @@ class TestRingsAndSerialization:
     def test_json_round_trip_float(self):
         t = Tensor(2, 1, 1, {((0,), (1,)): 0.5}, ring=F64)
         assert Tensor.from_json(t.to_json()) == t
+        # NaN is unequal to itself, so the texts are compared.
+        special = Tensor(2, 1, 1, {((0,), (0,)): math.nan, ((0,), (1,)): math.inf, ((1,), (0,)): -math.inf}, F64)
+        text = special.to_json()
+        assert "NaN" in text and "-Infinity" in text and Tensor.from_json(text).to_json() == text
+
+    def test_rational_past_the_digit_limit_written_in_full(self):
+        """The interpreter's int-to-str digit limit (4300) guards parsing:
+        a computed value is written in full, and refused on reading."""
+        t = Tensor(2, 1, 1, {((0,), (0,)): Fraction(10**5000, 3)})
+        assert t.to_json_dict()["entries"][0][2] == "1" + "0" * 5000 + "/3"
+        with pytest.raises(ValueError):
+            Tensor.from_json(t.to_json())
+
+    @pytest.mark.parametrize("build", [
+        lambda: Tensor(2, 1, 1, {((True,), (0,)): 1}),
+        lambda: Tensor(2, 1, 1, {((0,), (1.0,)): 1}),
+        lambda: Tensor(True, 1, 1),
+        lambda: Tensor(2, 1.0, 1),
+        lambda: from_function(2, 1, 1, lambda x: (x[0] == 1,)),
+    ], ids=["bool-digit", "float-digit", "bool-dim", "float-legs", "from-function-bool"])
+    def test_digits_and_shape_must_be_integers(self, build):
+        """Digits index rank-keyed tables: no constructor takes a bool or
+        float for an int, even where it equals one."""
+        with pytest.raises(ShapeError, match="must (be|hold) integer"):
+            build()
 
     def test_float_tolerance_comparison(self):
         a = Tensor(2, 1, 1, {((0,), (0,)): 1.0}, ring=F64)
