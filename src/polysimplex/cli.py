@@ -142,8 +142,8 @@ GEN_EQ_MAX_N = 1000
 # a map of a commutation check may have on each side.  Compiling grows faster
 # than the cube of the order whatever the dimension, so the column cap never
 # stops a 1-dimensional map: verifying the widest family, the simplex
-# equation, takes about 0.5 s at n = 60 (1830 legs), 2.4 s at n = 100 and
-# 30 s at n = 200 (2 vCPU Xeon, Python 3.11).
+# equation, compile included, takes about 0.26 s at n = 60 (1830 legs),
+# 1.4 s at n = 100 and 18 s at n = 200 (2 vCPU Xeon, Python 3.11.7).
 MAX_ORDER = 60
 
 def require_order(n: int) -> None:

@@ -30,6 +30,8 @@ class GroupTable:
 
     def __post_init__(self):
         n = self.order
+        if not n:
+            raise InvalidGroup("Cayley table is empty; a group has at least its identity")
         if any(len(row) != n for row in self.table):
             raise InvalidGroup("Cayley table is not square")
         if not all(_is_count(x) for row in self.table for x in row):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import re
+import sys
 
 
 class RingError(ValueError):
@@ -38,8 +39,15 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
 def _parse_rational(value) -> Fraction:
-    """A JSON integer (not a bool) or a ``[-]digits[/nonzero digits]`` string."""
-    if type(value) is int or (type(value) is str and _RATIONAL.fullmatch(value)):
+    """A JSON integer (not a bool) or a ``[-]digits[/nonzero digits]`` string
+    whose parts are within the interpreter's int-string digit limit."""
+    if type(value) is str and _RATIONAL.fullmatch(value):
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        digits = max(map(len, value.lstrip("-").split("/")))
+        if limit and digits > limit:
+            raise RingError(f"scalar has {digits} digits, over the interpreter's int-string limit of {limit}")
+        return Fraction(value)
+    if type(value) is int:
         return Fraction(value)
     raise RingError(f"scalar {value!r} must be an integer or a string of the form [-]digits[/nonzero digits]")
 
@@ -187,8 +195,8 @@ class FloatRing(ScalarRing):
     one = 1.0
 
     def __init__(self, tolerance: float = 1e-9):
-        if tolerance < 0:
-            raise RingError("tolerance must be non-negative")
+        if not tolerance >= 0:  # refuses NaN too, under which no value is a zero
+            raise RingError(f"tolerance must be a number >= 0, got {tolerance!r}")
         self.tolerance = tolerance
 
     def coerce(self, value):

@@ -1,9 +1,13 @@
 """Equation generation from the face combinatorics of the standard simplex.
 
-Every equation family is compiled to a :class:`ContractionProgram` by the
-same three-step recipe: attach a map to each facet of a simplex, wire
+Every equation family is compiled to a :class:`ContractionProgram` by one
+compiler, :func:`_compile`: attach a map to each facet of a simplex, wire
 matching face labels between maps in a fixed stacking order, and arrange
-the free legs.  Free inputs are sorted in reverse lexicographic order of
+the free legs.  One face rule serves every family: T maps read the odd
+faces of their facet and write the even ones, S maps the reverse, and R
+maps read and write all of them; a public compiler only lists its facets
+in stacking order.  Each compiled side is staged once, and the program is
+filled from that replay.  Free inputs are sorted in reverse lexicographic order of
 their vertex tuples, implemented as descending tuple order (this is the
 ordering that lists the (n-2)-faces of the n-simplex equation as
 d(0,1), d(0,2), ..., d(n-1,n)).  Free outputs keep the order the staged
@@ -25,6 +29,7 @@ from __future__ import annotations
 from functools import cache
 
 from ._record import field, record
+from .indices import mixed_sequences
 from .rings import RATIONAL, ScalarRing
 from .tensor import ShapeError, Tensor, contract_staged, partial_trace_left, replace_slots
 
@@ -83,11 +88,12 @@ class Step:
 class ContractionProgram:
     """One side of an equation; steps are stored in application order.
 
-    Construction replays the wiring: the stored free inputs must be the
-    labels read before any step writes them, in reverse lexicographic
-    order, and the staged placements must end in the stored free outputs,
-    else :class:`ProgramError`.  The gather positions of the replay are
-    kept for :meth:`gather_positions`.
+    Construction from outside replays the wiring: the stored free inputs
+    must be the labels read before any step writes them, in reverse
+    lexicographic order, and the staged placements must end in the stored
+    free outputs, else :class:`ProgramError`.  The gather positions of the
+    replay are kept for :meth:`gather_positions`.  The compilers fill a
+    program from their own replay instead (:func:`_program`).
     """
 
     steps: tuple[Step, ...]
@@ -123,29 +129,32 @@ def _replay(state, placements) -> tuple[list[tuple[int, ...]], list]:
     labels by the slot rule of :func:`replace_slots`.
 
     Returns the 1-based positions each placement reads (the first leg with
-    that label) and the final state; a label missing from the state is a
-    :class:`ProgramError`.
+    that label) and the final state; a label missing from the state, or a
+    placement reading one leg twice, is a :class:`ProgramError`.
     """
     state = list(state)
     reads = []
     for inputs, outputs in placements:
-        where = {}
-        for p, label in enumerate(state, start=1):
-            where.setdefault(label, p)
+        where = dict(zip(reversed(state), range(len(state), 0, -1)))
         try:
             positions = tuple(where[label] for label in inputs)
         except KeyError as exc:
             raise ProgramError(f"no leg labelled {exc.args[0]} to read") from None
+        if len(set(positions)) < len(positions):
+            raise ProgramError(f"a placement reads one leg twice: positions {positions}")
         reads.append(positions)
-        state = replace_slots(state, positions, list(outputs))
+        state = replace_slots(state, positions, outputs)
     return reads, state
 
 
 def _program(steps: list[Step]) -> ContractionProgram:
+    """The program of compiled steps, filled from its one replay."""
     steps = tuple(steps)
     free_inputs = _free_inputs(steps)
-    _, state = _replay(free_inputs, [(step.inputs, step.outputs) for step in steps])
-    return ContractionProgram(steps, free_inputs, tuple(state))
+    positions, state = _replay(free_inputs, [(step.inputs, step.outputs) for step in steps])
+    program = object.__new__(ContractionProgram)
+    vars(program).update(steps=steps, free_inputs=free_inputs, free_outputs=tuple(state), _positions=tuple(positions))
+    return program
 
 
 def flatten(program: ContractionProgram) -> list[tuple[str, tuple[int, ...]]]:
@@ -159,31 +168,41 @@ def flatten(program: ContractionProgram) -> list[tuple[str, tuple[int, ...]]]:
     return list(reversed(program.gather_positions()))
 
 
+# The faces each tag's map reads and writes on its facet p.
+_FACES = {"T": (odd_faces, even_faces), "S": (even_faces, odd_faces), "R": (facets, facets)}
+
+
+def _compile(dim: int, lhs, rhs, what: str) -> tuple[ContractionProgram, ContractionProgram]:
+    """Both sides of an equation on the facets of the dim-simplex; each side
+    lists its ``(facet index, tag)`` placements in application order."""
+    simplex = standard_simplex(dim)
+    programs = []
+    for side in (lhs, rhs):
+        steps = []
+        for i, tag in side:
+            p = face_delete(simplex, i)
+            reads, writes = _FACES[tag]
+            steps.append(Step(tag, p, tuple(reads(p)), tuple(writes(p))))
+        programs.append(_program(steps))
+    lhs, rhs = programs
+    if lhs.free_inputs != rhs.free_inputs or lhs.free_outputs != rhs.free_outputs:
+        raise ProgramError(f"sides of the {what} do not share their free legs")
+    return lhs, rhs
+
+
 @cache
 def compile_polygon(n: int, dual: bool = False) -> tuple[ContractionProgram, ContractionProgram]:
     """Both sides of the (dual) n-gon equation from the facets of the
     (n-1)-simplex, split by vertex parity."""
     if n < 3:
         raise ShapeError(f"no {n}-gon equation; n must be >= 3")
-    simplex = standard_simplex(n - 1)
     evens, odds = pachner_split(n - 2)
     tag = "S" if dual else "T"
-
-    def step_for(i: int) -> Step:
-        p = face_delete(simplex, i)
-        if dual:
-            return Step(tag, p, tuple(even_faces(p)), tuple(odd_faces(p)))
-        return Step(tag, p, tuple(odd_faces(p)), tuple(even_faces(p)))
-
     # Within one side, the map on the larger facet index feeds the smaller
     # for T, and conversely for S; the stacking order is forced.
-    lhs_order = sorted(evens) if dual else sorted(evens, reverse=True)
-    rhs_order = sorted(odds, reverse=True) if dual else sorted(odds)
-    lhs = _program([step_for(i) for i in lhs_order])
-    rhs = _program([step_for(i) for i in rhs_order])
-    if lhs.free_inputs != rhs.free_inputs or lhs.free_outputs != rhs.free_outputs:
-        raise ProgramError(f"sides of the {n}-gon do not share their free legs")
-    return lhs, rhs
+    lhs = sorted(evens, reverse=not dual)
+    rhs = sorted(odds, reverse=dual)
+    return _compile(n - 1, [(i, tag) for i in lhs], [(i, tag) for i in rhs], f"{n}-gon")
 
 
 @cache
@@ -191,18 +210,7 @@ def compile_simplex(n: int) -> tuple[ContractionProgram, ContractionProgram]:
     """Both sides of the n-simplex equation on the faces of the n-simplex."""
     if n < 1:
         raise ShapeError(f"no {n}-simplex equation; n must be >= 1")
-    simplex = standard_simplex(n)
-
-    def step_for(i: int) -> Step:
-        p = face_delete(simplex, i)
-        legs = tuple(facets(p))
-        return Step("R", p, legs, legs)
-
-    lhs = _program([step_for(i) for i in range(n, -1, -1)])
-    rhs = _program([step_for(i) for i in range(n + 1)])
-    if lhs.free_inputs != rhs.free_inputs or lhs.free_outputs != rhs.free_outputs:
-        raise ProgramError(f"sides of the {n}-simplex equation disagree")
-    return lhs, rhs
+    return _compile(n, [(i, "R") for i in range(n, -1, -1)], [(i, "R") for i in range(n + 1)], f"{n}-simplex equation")
 
 
 @cache
@@ -213,25 +221,24 @@ def compile_mixed(n: int) -> tuple[ContractionProgram, ContractionProgram]:
     One side stacks T(d_0), S(d_1), T(d_2), ... bottom to top; the other
     stacks S(d_0), T(d_1), ... top to bottom.  Matching labels are wired
     only forward in stacking order; the remaining pairs become the ambient
-    legs, which both sides traverse identically.
+    legs, which both sides traverse identically.  For odd n the placements
+    must coincide with the closed-form index matrices, else
+    :class:`ShapeError`; even n only exists through the compiled program.
     """
     if n < 3:
         raise ShapeError(f"no mixed relation below the 3-gon, got {n}")
-    simplex = standard_simplex(n - 1)
-
-    def step_for(i: int, tag: str) -> Step:
-        p = face_delete(simplex, i)
-        if tag == "T":
-            return Step(tag, p, tuple(odd_faces(p)), tuple(even_faces(p)))
-        return Step(tag, p, tuple(even_faces(p)), tuple(odd_faces(p)))
-
-    t_first = [step_for(i, "T" if i % 2 == 0 else "S") for i in range(n)]
-    s_first = [step_for(i, "S" if i % 2 == 0 else "T") for i in range(n - 1, -1, -1)]
-    lhs = _program(t_first)
-    rhs = _program(s_first)
-    if lhs.free_inputs != rhs.free_inputs or lhs.free_outputs != rhs.free_outputs:
-        raise ProgramError(f"sides of the {n}-gon mixed relation disagree")
-    return lhs, rhs
+    programs = _compile(
+        n - 1,
+        [(i, "TS"[i % 2]) for i in range(n)],
+        [(i, "ST"[i % 2]) for i in range(n - 1, -1, -1)],
+        f"{n}-gon mixed relation",
+    )
+    if n % 2 and [flatten(side) for side in programs] != list(mixed_sequences(n)):
+        raise ShapeError(
+            "internal disagreement between index-matrix and compiled "
+            f"placements of the {n}-gon mixed relation"
+        )
+    return programs
 
 
 # -- non-constant solution families (simplex solutions from mixed pairs) ------

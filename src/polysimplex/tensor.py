@@ -314,28 +314,21 @@ def _place_entries(f: Tensor, a: tuple[int, ...], b: tuple[int, ...], n: int) ->
 def replace_slots(seq: list, positions, new_items) -> list:
     """The slot rule of staged placement, applied to a list of legs.
 
-    Removes the (possibly unsorted) ``positions`` and writes ``new_items``
-    into the sorted slots: the first min(k, l) items fill the first slots,
-    the items beyond the slot count open right after the last slot (after
-    the last leg when there is none), and the slots beyond the item count
-    close.
+    Removes the (possibly unsorted, distinct) ``positions`` and writes
+    ``new_items`` into the sorted slots: the first min(k, l) items fill the
+    first slots, the items beyond the slot count open right after the last
+    slot (after the last leg when there is none), and the slots beyond the
+    item count close.
     """
-    k, l = len(positions), len(new_items)
-    slots = {}
-    for i, p in enumerate(sorted(positions)):
-        slots.setdefault(p, i)
-    out = []
-    for p, item in enumerate(seq, start=1):
-        i = slots.get(p)
-        if i is None:
-            out.append(item)
-            continue
-        if i < l:
-            out.append(new_items[i])
-        if i == k - 1:
-            out.extend(new_items[k:])
-    if not k:
-        out.extend(new_items)
+    slots = sorted(positions)
+    k, l = len(slots), len(new_items)
+    out = list(seq)
+    for p, item in zip(slots, new_items):
+        out[p - 1] = item
+    for p in reversed(slots[l:]):
+        del out[p - 1]
+    at = slots[-1] if k else len(out)
+    out[at:at] = new_items[k:]
     return out
 
 

@@ -9,8 +9,9 @@ entries (``permute_legs``) or 0/1 operators (``permutation_tensor``), and
 ``place`` after ``permute_legs``, and the factors are composed one by one.
 The equation sides are taken from the closed-form index matrices with the
 leg counts of the published equations, independently of the simplicial
-compiler.  The set-theoretic check reruns the slot rule of
-``replace_slots`` on every value tuple, the brute-force enumerator tries
+compiler.  ``replace_slots`` is the slot rule as the package once wrote
+it, one leg at a time, and the set-theoretic check reruns it on every
+value tuple; the brute-force enumerator tries
 every table in lexicographic order, and ``deviation_scan`` compares
 every key.  ``compose``, ``tensor_product`` and ``compare_sides`` are the
 dense calculus the package replaced by staged words and one streaming
@@ -37,7 +38,7 @@ from polysimplex.indices import mixed_indices, polygon_recursion_rows, simplex_i
 from polysimplex.rings import F64, RATIONAL, prime_field
 from polysimplex.setmaps import FiniteMap, check_polygon_set
 from polysimplex.simplicial import compile_mixed
-from polysimplex.tensor import ShapeError, Tensor, _place_entries, from_function, identity_tensor, replace_slots
+from polysimplex.tensor import ShapeError, Tensor, _place_entries, from_function, identity_tensor
 from polysimplex.verify import RELATIONS_1_6, VerificationReport, polygon_signature
 
 RINGS = (RATIONAL, F64, prime_field(5))
@@ -413,6 +414,30 @@ def compare_sides(equation, lhs, rhs):
         "rhs": rhs.ring.format(rhs.entry(out, inp)),
     }
     return VerificationReport(equation, False, mag, lhs.shape, rhs.shape, witness)
+
+
+def replace_slots(seq: list, positions, new_items) -> list:
+    """The slot rule, leg by leg: the first min(k, l) items fill the first
+    sorted slots, the items beyond the slot count open right after the last
+    slot (after the last leg when there is none), and the slots beyond the
+    item count close."""
+    k, l = len(positions), len(new_items)
+    slots = {}
+    for i, p in enumerate(sorted(positions)):
+        slots.setdefault(p, i)
+    out = []
+    for p, item in enumerate(seq, start=1):
+        i = slots.get(p)
+        if i is None:
+            out.append(item)
+            continue
+        if i < l:
+            out.append(new_items[i])
+        if i == k - 1:
+            out.extend(new_items[k:])
+    if not k:
+        out.extend(new_items)
+    return out
 
 
 def apply_gathers(fmap, gathers, values):

@@ -280,6 +280,13 @@ OUTSIDE_INPUTS = {
     "hopf-mixed-pair-antipode-k-100": "equation order 201 is over the cap",
     "hopf-mixed-pair-antipode-k-40": "equation order 81 is over the cap",
     "higher-mixed-pair-k-100": "equation order 203 is over the cap",
+    "rational-past-the-digit-limit": "scalar has 5001 digits, over the interpreter's int-string limit",
+    "nan-tolerance-half-flip": "tolerance must be a number >= 0, got nan",
+    "nan-tolerance-flip": "tolerance must be a number >= 0, got nan",
+    "group-empty-table": "Cayley table is empty",
+    "demo-z0": "Cayley table is empty",
+    "bialgebra-tower-z0": "Cayley table is empty",
+    "simplex-order-zero": "no 0-simplex equation; n must be >= 1",
 }
 
 
@@ -305,7 +312,7 @@ def outside_input(tmp_path, case):
     value = {
         "zero-denominator": '"1/0"', "json-overflow": "1e400", "huge-exponent": '"1e9999999"',
         "exponent-past-the-digit-limit": '"1e999999"', "json-float": "0.5", "json-bool": "true",
-        "padded-string": '" 1 "', "int-overflow": "1" + "0" * 400,
+        "padded-string": '" 1 "', "int-overflow": "1" + "0" * 400, "past-the-digit-limit": '"1' + "0" * 5000 + '"',
     }
     if case.startswith("rational-"):
         argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", tensor_with(value[case[9:]])]
@@ -314,6 +321,18 @@ def outside_input(tmp_path, case):
         argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", tensor_with(value[case[4:]], t)]
     elif case.startswith("f64-"):
         argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", tensor_with(value[case[4:]], oracle.flip(2, F64))]
+    elif case.startswith("nan-tolerance"):
+        t = oracle.flip(2, F64)
+        path = write((t.scale(0.5) if case == "nan-tolerance-half-flip" else t).to_json_dict())
+        argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", path, "--tolerance", "nan"]
+    elif case == "group-empty-table":
+        argv = ["demo", "--group", write({"table": []})]
+    elif case == "demo-z0":
+        argv = ["demo", "--group", "z0"]
+    elif case == "bialgebra-tower-z0":
+        argv = ["construct", "--recipe", "bialgebra-tower", "--group", "z0"]
+    elif case == "simplex-order-zero":
+        argv = ["verify", "--family", "simplex", "--n", "0", "--tensor", write(oracle.flip(2).to_json_dict())]
     elif case == "group-bool-table":
         argv = ["demo", "--group", write({"order": 2, "table": [[False, True], [True, False]]})]
     elif case == "group-float-order":

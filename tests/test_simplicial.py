@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracle
 from oracle import flip, polygon_sides, start_legs
+from polysimplex import simplicial
 from polysimplex.indices import mixed_indices, polygon_recursion_rows, simplex_indices
 from polysimplex.simplicial import (
     ContractionProgram,
@@ -157,6 +158,33 @@ class TestCrossGeneratorEquivalence:
 
 
 class TestProgramStructure:
+    # Taken from the three compilers this module once had; even orders have
+    # no closed form to compare against.
+    EVEN_MIXED = {
+        4: (
+            [("S", (3, 2)), ("T", (1,)), ("S", (1, 3)), ("T", (1,))],
+            [("S", (1, 3)), ("T", (1,)), ("S", (1, 3)), ("T", (2,))],
+        ),
+        6: (
+            [("S", (3, 7, 6)), ("T", (4, 5)), ("S", (2, 5, 7)), ("T", (1, 5)), ("S", (1, 4, 5)), ("T", (1, 2))],
+            [("S", (1, 4, 5)), ("T", (1, 2)), ("S", (1, 5, 7)), ("T", (3, 5)), ("S", (2, 5, 7)), ("T", (4, 6))],
+        ),
+        8: (
+            [
+                ("S", (4, 9, 13, 12)), ("T", (6, 10, 11)), ("S", (3, 8, 11, 13)), ("T", (5, 7, 11)),
+                ("S", (2, 7, 10, 11)), ("T", (1, 7, 8)), ("S", (1, 5, 6, 7)), ("T", (1, 2, 3)),
+            ],
+            [
+                ("S", (1, 5, 6, 7)), ("T", (1, 2, 3)), ("S", (1, 7, 10, 11)), ("T", (4, 7, 8)),
+                ("S", (2, 7, 11, 13)), ("T", (5, 9, 11)), ("S", (3, 8, 11, 13)), ("T", (6, 10, 12)),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("n", sorted(EVEN_MIXED))
+    def test_mixed_even_placements_pinned(self, n):
+        assert tuple(flatten(side) for side in compile_mixed(n)) == self.EVEN_MIXED[n]
+
     def test_mixed_even_step_counts_and_signatures(self):
         lhs, rhs = compile_mixed(4)
         assert len(lhs.steps) == 4 and len(rhs.steps) == 4
@@ -192,6 +220,31 @@ class TestProgramStructure:
         step = Step("T", (0, 1), ((9, 9),), ((1, 2),))
         with pytest.raises(ProgramError):
             ContractionProgram((step,), ((0, 1),), ((1, 2),))
+
+    def test_placement_reading_one_leg_twice(self):
+        step = Step("T", (0, 1), ((0,), (0,)), ((1,),))
+        with pytest.raises(ProgramError, match="reads one leg twice"):
+            ContractionProgram((step,), ((0,), (0,)), ((1,),))
+
+    def test_each_compiled_side_replayed_once(self, monkeypatch):
+        calls = []
+
+        def counted(state, placements):
+            calls.append(len(placements))
+            return replay(state, placements)
+
+        replay = simplicial._replay
+        monkeypatch.setattr(simplicial, "_replay", counted)
+        for compiler, n in ((compile_polygon, 7), (compile_simplex, 4), (compile_mixed, 6)):
+            calls.clear()
+            lhs, rhs = compiler.__wrapped__(n)
+            assert calls == [len(lhs.steps), len(rhs.steps)]
+
+    def test_mixed_cross_check_in_the_compiler(self, monkeypatch):
+        monkeypatch.setattr(simplicial, "mixed_sequences", lambda n: ([], []))
+        with pytest.raises(ShapeError, match="internal disagreement"):
+            compile_mixed.__wrapped__(5)
+        assert compile_mixed.__wrapped__(6)  # even orders have no closed form
 
     def test_single_step_flatten(self):
         p = face_delete(standard_simplex(2), 0)

@@ -930,6 +930,15 @@ class TestReplaceSlots:
         assert replace_slots(["a", "b", "c"], (1, 3), []) == ["b"]
         assert replace_slots(["a", "b", "c", "d"], (4, 2, 1), ["x"]) == ["x", "c"]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_leg_by_leg_rule(self, data):
+        k, l = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        seq = [f"a{i}" for i in range(data.draw(st.integers(k, k + 5)))]
+        slots = data.draw(st.lists(st.integers(1, len(seq)), min_size=k, max_size=k, unique=True)) if k else []
+        items = [f"x{i}" for i in range(l)]
+        assert replace_slots(seq, tuple(slots), items) == oracle.replace_slots(seq, tuple(slots), items)
+
 
 class TestRingsAndSerialization:
     def test_json_round_trip_rational(self):
