@@ -113,11 +113,19 @@ def load_group(spec: str, admit=lambda order: None) -> GroupTable:
 
 
 def load_tensor(path: str | None) -> Tensor:
-    return read_json(path, Tensor.from_json_dict, "tensor")
+    """The tensor at ``path``, refused over ``dim ** in_legs`` columns above
+    the cap: every use of a map runs at least its columns."""
+    t = read_json(path, Tensor.from_json_dict, "tensor")
+    require_columns(t.dim, t.in_legs, f"the tensor in {path} has")
+    return t
 
 
 def load_descriptor(path: str | None) -> C.SolutionDescriptor:
-    return read_json(path, C.SolutionDescriptor.from_json_dict, "solution descriptor")
+    """The solution descriptor at ``path``, with its tensor capped as by
+    :func:`load_tensor`."""
+    desc = read_json(path, C.SolutionDescriptor.from_json_dict, "solution descriptor")
+    require_columns(desc.tensor.dim, desc.tensor.in_legs, f"the tensor of the descriptor in {path} has")
+    return desc
 
 
 def write_json(path: str, data: dict) -> None:

@@ -4,10 +4,10 @@ Solutions here are plain functions X^k -> X^l evaluated pointwise, with no
 linearization.  The checks run the loop-nest kernel generator of the
 function path of :func:`polysimplex.tensor.contract_staged`, on values
 instead of basis digits, with ``FiniteMap.table`` as it stands as the
-lookup table, since its rows are in the rank order of the argument tuples:
-both sides of an equation run in one nest over the tuples in product
-order, each lookup in the outermost loop that binds its inputs.  The
-compare driver of the tensor checks (:func:`polysimplex.tensor._differing_columns`)
+lookup table, since it has the form of a tensor's rank table
+(``Tensor._table``): both sides of an equation run in one nest over the
+tuples in product order, each lookup in the outermost loop that binds
+its inputs.  The compare driver of the tensor checks (:func:`polysimplex.tensor._differing_columns`)
 runs the nest once per dependency cone of the final legs, with the legs
 outside the cone pinned to 0; only on a difference does it run every
 tuple, and the first tuple whose sides differ is the witness.  Runs of legs without a
@@ -123,7 +123,7 @@ def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
         raise ShapeError(f"values {values} must be integers in 0..{fmap.base - 1}")
     kernel = _staged_kernel(len(values), (tuple((gather, fmap.out_arity) for gather in gathers),))
     sink: dict = {}
-    kernel(tuple((v,) for v in values), fmap.base, sink, True, *(fmap.table.__getitem__,) * len(gathers))
+    kernel(tuple((v,) for v in values), fmap.base, sink, True, *(fmap.table,) * len(gathers))
     return next((state for state, _ in sink), None)
 
 
@@ -263,7 +263,6 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
     kernel = _staged_kernel(legs, sides, partial=True)
     domains = (range(base),) * legs
     table = [None] * rows  # indexed by row rank; None where unassigned
-    lookup = table.__getitem__
     found = []
 
     def extend(row: int) -> None:
@@ -273,7 +272,7 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
             return
         for out in outputs:
             table[row] = out
-            if next(kernel(domains, base, *(lookup,) * steps), None) is None:
+            if next(kernel(domains, base, *(table,) * steps), None) is None:
                 extend(row + 1)
         table[row] = None
 

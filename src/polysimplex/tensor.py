@@ -21,11 +21,11 @@ final legs optionally read out in another output order.  No placed
 factor is ever materialized.
 When every map is a basis function (each column it has holds one entry,
 equal to one), the steps run as a generated loop-nest kernel with no
-ring arithmetic on tables keyed by the mixed-radix rank of their input
+ring arithmetic on tables indexed by the mixed-radix rank of their input
 digits, each lookup hoisted to the outermost loop that binds its inputs.
 Other maps run in the push mode of the same generator
 (:func:`_push_columns`), which pushes each column as a sparse vector of
-states through tables keyed by the same rank, on native numbers:
+states through tables indexed by the same rank, on native numbers:
 rationals as integers scaled by each map's least common denominator,
 GF(p) as ``int`` reduced mod p, floats as floats.  The generator
 also has a compare mode, which runs both sides of an equation in one nest on
@@ -185,12 +185,12 @@ class Tensor:
 
     @cached_property
     def _table(self):
-        """``{rank of input digits: output digits}`` when every column that
-        has entries holds exactly one, equal to ``ring.one``; else None."""
-        one, table = self.ring.one, {}
+        """Output digits indexed by input rank (None: no entry) when every
+        column that has entries holds exactly one, ``ring.one``; else None."""
+        one, table = self.ring.one, [None] * self.dim**self.in_legs
         for (out, inp), v in self.entries.items():
             rank = digits_to_rank(inp, self.dim)
-            if rank in table or v != one:
+            if table[rank] is not None or v != one:
                 return None
             table[rank] = out
         return table
@@ -198,8 +198,8 @@ class Tensor:
     @cached_property
     def _masks(self):
         """The output masks (:func:`_output_masks`) of the rank table when
-        it is total, with all ``dim**in_legs`` columns; else None."""
-        if self._table is not None and len(self._table) == self.dim**self.in_legs:
+        it is total, with an entry in every column; else None."""
+        if self._table is not None and None not in self._table:
             return _output_masks(self._table, self.dim, self.in_legs, self.out_legs)
 
     @cached_property
@@ -384,34 +384,33 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
     lookup between them share one ``product`` loop, and the outermost loop
     boundaries are merged until at most ``_MAX_LOOPS`` remain.
 
-    Every table is keyed by the mixed-radix rank of its inputs in base
-    ``d`` (first input most significant, as :func:`digits_to_rank`), with
-    the weights ``D<w> = d**w`` computed once at kernel entry.  The terms
-    of a key bound in outer loops are summed into ``h<s>`` once, in the
-    innermost loop that binds them, so the lookup itself adds only the
-    terms of its own loop: ``T<s>[h<s> + v7*D1 + c9]``.
+    Every table is a sequence indexed by the mixed-radix rank of its inputs
+    in base ``d`` (first input most significant, as :func:`digits_to_rank`),
+    with the weights ``D<w> = d**w`` computed once at kernel entry.  The
+    terms of a key bound in outer loops are summed into ``h<s>`` once, in
+    the innermost loop that binds them, so every mode's lookup adds only
+    the terms of its own loop: ``T<s>[h<s> + v7*D1 + c9]``.
 
     Contract mode writes ``sink[(final legs, column)] = one`` for every
-    column whose lookups all hit (``T<s>`` return None on a miss, as
-    ``dict.get`` does; a miss skips the whole block of columns under that
-    loop).  Compare mode runs both sides on total tables (``T<s>`` are
-    indexed by rank) and is a generator of ``(column, lhs, rhs)`` for
-    every column, in product order, whose final legs differ; an equation
-    holds iff it yields nothing.  Partial compare mode takes its lookups
-    from contract mode (``T<s>`` return None where a partial table is
-    undecided), so a column counts only where both sides are fully
-    determined.
+    column whose lookups all hit (a table holds None where it has no
+    entry; a miss skips the whole block of columns under that loop).
+    Compare mode runs both sides on total tables, unpacking each lookup
+    unchecked, and is a generator of ``(column, lhs, rhs)`` for every
+    column, in product order, whose final legs differ; an equation holds
+    iff it yields nothing.  Partial compare mode takes its lookups from
+    contract mode (None where a partial table is undecided), so a column
+    counts only where both sides are fully determined.
 
     Push mode is a generator over the columns in product order of
     ``(column, {final legs in the output order: c})``, for maps that are
-    no basis functions.  ``T<s>`` are lists indexed by the same rank, of
-    ``(output digits, coefficient)`` pairs.  Each column starts as the
-    sparse vector ``{column: 1}``, and every step pushes each state of the
-    vector through its map's lookup, unpacking the state into the names of
-    the legs and packing the next state from them.  Colliding terms are
-    merged as they arrive, products take the map's coefficient first, and
-    ``settle`` drops the ring's zeros after each step, so the values are
-    those of the composed placed factors.
+    no basis functions; its tables hold ``(output digits, coefficient)``
+    pairs.  Each column starts as the sparse vector ``{column: 1}``, and
+    every step pushes each state of the vector through its map's lookup,
+    unpacking the state into the names of the legs and packing the next
+    state from them.  Colliding terms are merged as they arrive, products
+    take the map's coefficient first, and ``settle`` drops the ring's
+    zeros after each step, so the values are those of the composed placed
+    factors.
 
     The source is made only of generated names; tables, domains and ``d``
     are arguments of the kernel, never part of the text.
@@ -490,7 +489,7 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
             if compare and not partial:
                 lines.append(f"{pad}{target}T{s}[{key}]")
             else:
-                lines.append(f"{pad}o = T{s}({key})")
+                lines.append(f"{pad}o = T{s}[{key}]")
                 lines.append(f"{pad}if o is None:")
                 lines.append(f"{pad}    {'continue' if loop >= 0 else 'return'}")
                 if outs:
@@ -538,13 +537,12 @@ def _output_masks(table, d: int, k: int, l: int) -> tuple[int, ...]:
     the inputs it depends on: bit i is set when changing input i alone
     changes that output on some row.  On the product domain of a total
     table an output is a function of exactly these inputs."""
-    rows = [table[r] for r in range(d**k)]
     masks = [0] * l
     for i in range(k):
         weight = d ** (k - 1 - i)
-        for r, row in enumerate(rows):
+        for r, row in enumerate(table):
             # The row that differs from this one only in input i, set to 0.
-            pinned = rows[r - r // weight % d * weight]
+            pinned = table[r - r // weight % d * weight]
             for j, (a, b) in enumerate(zip(row, pinned)):
                 if a != b:
                     masks[j] |= 1 << i
@@ -631,7 +629,7 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
 
     When every map is a basis function on the columns it has, the steps
     run as a generated loop nest over the columns in product order, with
-    every leg a local variable and each map's lookup table, keyed by the
+    every leg a local variable and each map's lookup table, indexed by the
     rank of its input digits (``Tensor._table``), read in the
     outermost loop that binds its inputs, so one lookup serves a whole
     block of columns and a missing input drops that block.  Runs of legs
@@ -647,7 +645,7 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     # A float tolerance >= 1 makes one a zero, which the sparse path drops.
     if None not in tables and not ring.is_zero(ring.one):
         kernel = _staged_kernel(legs, (shape,), (order,))
-        kernel((range(d),) * legs, d, entries, ring.one, *(table.get for table in tables))
+        kernel((range(d),) * legs, d, entries, ring.one, *tables)
         return Tensor._trusted(d, legs, n, entries, ring)
     scale, pushed = _push_columns(maps, shape, legs, d, ring, order)
     value = _entry_value(ring, scale)
@@ -817,17 +815,31 @@ def regroup(f: Tensor, block: int) -> Tensor:
     return Tensor(f.dim**block, f.in_legs // block, f.out_legs // block, entries, f.ring)
 
 
+# Columns of the largest matrix :func:`invert` eliminates densely.  At 243
+# (3^5) a map of two entries per column takes 1.3 s in the rationals and a
+# fully dense one 4-6 s in GF(5) or f64 (2 vCPU Xeon, Python 3.11.7); the
+# cube law makes 729 columns take minutes.
+MAX_DENSE_COLUMNS = 243
+
+
 def invert(f: Tensor) -> Tensor:
     """Exact inverse: the swapped table of a bijective basis function,
-    else Gaussian elimination on the dense matrix."""
+    else Gaussian elimination on the dense matrix, refused above
+    ``MAX_DENSE_COLUMNS`` columns."""
     if f.in_legs != f.out_legs:
         raise NotInvertible(f"non-square signature {f.in_legs}->{f.out_legs}")
+    # Fewer entries than columns leave a zero column; no table is built.
+    size = f.dim**f.in_legs
+    if len(f.entries) < size:
+        raise NotInvertible("tensor is singular")
     table = f._table
     if table is None:
+        if size > MAX_DENSE_COLUMNS:
+            raise ShapeError(f"inverting densely takes {size} columns, over the cap of {MAX_DENSE_COLUMNS}")
         return _invert_dense(f)
-    # A basis function missing a column or repeating an image has a zero
-    # column or two equal ones.
-    if len(table) != f.dim**f.in_legs or len(set(table.values())) != len(table):
+    # A basis function with an entry in every column is singular when it
+    # repeats an image, which makes two equal columns.
+    if len(set(table)) != size:
         raise NotInvertible("tensor is singular")
     entries = {(inp, out): f.ring.one for out, inp in sorted(f.entries, key=lambda key: key[1])}
     return Tensor._trusted(f.dim, f.in_legs, f.out_legs, entries, f.ring)

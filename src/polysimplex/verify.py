@@ -6,7 +6,7 @@ the relations (1)-(6) are fixed placement words, and the commutation that
 licenses stacking places its maps on the rows and columns of a grid of
 legs, read out row by row in an output order.  When every map is a
 total basis function, both sides run in one compare-mode loop-nest
-kernel (:func:`polysimplex.tensor._staged_kernel`), on tables keyed by
+kernel (:func:`polysimplex.tensor._staged_kernel`), on tables indexed by
 the rank of the input digits, and a holding equation is decided without
 building either side.  The compare driver of every table check
 (:func:`polysimplex.tensor._differing_columns`) runs it once per

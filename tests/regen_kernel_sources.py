@@ -1,10 +1,11 @@
 """Write tests/kernel_sources.json, the golden kernel sources.
 
-The golden file holds the contract-mode source of each side, and the
-compare-mode source of both sides, of the (dual) n-gon for n <= 9, as
-the set checks shape them; ``test_contract_and_compare_sources_unchanged``
-compares the generator against it.  Regenerate it on purpose, after a
-change to the generator, and review the diff:
+The golden file holds, for the (dual) n-gon with n <= 9 as the set checks
+shape it, the source of every generator mode: contract and push mode of
+each side, and compare and partial-compare mode of both sides;
+``test_contract_and_compare_sources_unchanged`` compares the generator
+against it.  Regenerate it on purpose, after a change to the generator,
+and review the diff:
 
     PYTHONPATH=src python tests/regen_kernel_sources.py
 
@@ -30,9 +31,11 @@ def polygon_kernel_sources() -> dict:
             sides = tuple(tuple((p, out_arity) for _, p in side.gather_positions()) for side in (lhs, rhs))
             legs = len(lhs.free_inputs)
             tag = f"{'dual ' if dual else ''}{n}-gon"
-            sources[f"{tag} lhs contract"] = _kernel_source(legs, sides[:1])
-            sources[f"{tag} rhs contract"] = _kernel_source(legs, sides[1:])
+            for name, side in (("lhs", sides[:1]), ("rhs", sides[1:])):
+                sources[f"{tag} {name} contract"] = _kernel_source(legs, side)
+                sources[f"{tag} {name} push"] = _kernel_source(legs, side, push=True)
             sources[f"{tag} compare"] = _kernel_source(legs, sides)
+            sources[f"{tag} partial compare"] = _kernel_source(legs, sides, partial=True)
     return sources
 
 

@@ -23,7 +23,7 @@ from polysimplex.rings import F64, prime_field
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap, check_polygon_set
 from polysimplex.simplicial import compile_polygon, evaluate_program, pair_to_simplex_map
-from polysimplex.tensor import Tensor, from_function, identity_tensor
+from polysimplex.tensor import Tensor, from_function, identity_tensor, rank_to_digits
 from polysimplex.verify import SelfCheckFailed, check_polygon
 
 
@@ -287,7 +287,19 @@ OUTSIDE_INPUTS = {
     "demo-z0": "Cayley table is empty",
     "bialgebra-tower-z0": "Cayley table is empty",
     "simplex-order-zero": "no 0-simplex equation; n must be >= 1",
+    "trace-descend-sparse-order-17": "trace descent is stated for invertible solutions",
+    "invert-to-dual-sparse-order-17": "tensor is singular",
+    "invert-to-dual-dense-order-13": "inverting densely takes 729 columns, over the cap of 243",
+    "conjugate-order-41": f"has 3^20 = {3**20} columns, over the cap of {MAX_COLUMNS}",
 }
+
+
+def rank_descriptor(order, entries):
+    """A d = 3 descriptor of the odd ``order``-gon whose tensor has the
+    entries ``{(output rank, input rank): value}``."""
+    k = (order - 1) // 2
+    t = Tensor(3, k, k, {(rank_to_digits(o, 3, k), rank_to_digits(i, 3, k)): v for (o, i), v in entries.items()})
+    return construct.SolutionDescriptor("polygon", order, t).to_json_dict()
 
 
 def outside_input(tmp_path, case):
@@ -352,6 +364,19 @@ def outside_input(tmp_path, case):
     elif case == "bool-order":
         simplex = construct.SolutionDescriptor("simplex", 1, identity_tensor(2, 1)).to_json_dict()
         argv = ["construct", "--recipe", "trace-descend", "--input", write(dict(simplex, order=True))]
+    elif case.endswith("-sparse-order-17"):
+        # Two entries of 3^8 columns, so singular; not a basis function, so
+        # dense elimination once built the 6561-column matrix (6 s, 1 GB).
+        path = write(rank_descriptor(17, {(0, 0): 2, (1, 1): 2}))
+        argv = ["construct", "--recipe", case[: -len("-sparse-order-17")], "--input", path]
+    elif case == "invert-to-dual-dense-order-13":
+        # Two entries per column of 3^6: dense elimination once took 16 s and 325 MB.
+        entries = {(o, i): 1 for i in range(729) for o in (i, (i + 1) % 729)}
+        argv = ["construct", "--recipe", "invert-to-dual", "--input", write(rank_descriptor(13, entries))]
+    elif case == "conjugate-order-41":
+        # One entry of 3^20 columns, each of which conjugation once ran.
+        phi = write(identity_tensor(3, 1).to_json_dict(), "phi.json")
+        argv = ["construct", "--recipe", "conjugate", "--input", write(rank_descriptor(41, {(0, 0): 1})), "--input2", phi]
     elif case == "provenance-string":
         argv = ["construct", "--recipe", "invert-to-dual", "--input", descriptor(provenance="abc")]
     elif case == "map-key-empty-part":
@@ -431,6 +456,15 @@ def test_verify_over_the_column_cap_refused(capsys, tmp_path, family, n, legs):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: the check runs 3^{legs} = {3**legs} columns, over the cap of {MAX_COLUMNS}\n"
+
+
+def test_tensor_over_the_column_cap_refused_as_it_is_read(capsys, tmp_path):
+    # Every use of a map runs at least its dim ** in_legs columns.
+    path = tmp_path / "t.json"
+    path.write_text(Tensor(2, 23, 23, {((0,) * 23, (0,) * 23): 1}).to_json())
+    code, out, err = run(capsys, "verify", "--family", "polygon", "--n", "47", "--tensor", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: the tensor in {path} has 2^23 = {2**23} columns, over the cap of {MAX_COLUMNS}\n"
 
 
 def test_verify_commutes_over_the_column_cap_refused(capsys, tmp_path):

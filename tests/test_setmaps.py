@@ -241,13 +241,13 @@ class TestEnumeration:
 
 # Every capped instance except the two base-3 5-gons, which brute force
 # would take hours on (9^9 tables each).
-CAPPED_BRUTE = [
-    (n, base, dual)
-    for n in (3, 4, 5)
-    for base in range(1, ENUMERATION_CAP["base"] + 1)
-    for dual in (False, True)
-    if (n, base) != (5, 3)
-]
+CAPPED = [(n, base, dual) for n in (3, 4, 5) for base in range(1, ENUMERATION_CAP["base"] + 1) for dual in (False, True)]
+CAPPED_BRUTE = [(n, base, dual) for n, base, dual in CAPPED if (n, base) != (5, 3)]
+
+
+@cache
+def capped_solutions(n, base, dual):
+    return enumerate_set_solutions(n, base, dual)
 
 
 def relabel(fmap, perm):
@@ -270,12 +270,27 @@ class TestBacktrackingEnumeration:
 
     @pytest.mark.parametrize("dual", [False, True])
     def test_base3_pentagon(self, dual):
-        found = enumerate_set_solutions(5, 3, dual)
+        found = capped_solutions(5, 3, dual)
         tables = [f.table for f in found]
         assert len(tables) == 1115 and tables == sorted(tables)
         assert all(check_polygon_set(f, 5, dual).holds for f in found)
         for perm in permutations(range(3)):
             assert {relabel(f, perm).table for f in found} == set(tables)
+
+
+@pytest.mark.parametrize("n, base, dual", CAPPED)
+def test_lift_reads_the_same_table(n, base, dual):
+    """A set map and its 0/1 lift are one object: the lift's rank table is
+    the map's table, and the tensor and set checks agree on it and on a
+    neighbour that differs in row 0."""
+    outputs = list(product(range(base), repeat=polygon_signature(n, dual)[1]))
+    for f in capped_solutions(n, base, dual):
+        rows = list(f.table)
+        rows[0] = outputs[(outputs.index(rows[0]) + 1) % len(outputs)]
+        for g in (f, FiniteMap(base, f.in_arity, f.out_arity, tuple(rows))):
+            lift = settheoretic_lift(g)
+            assert lift._table == list(g.table)
+            assert check_polygon(lift, n, dual).holds == check_polygon_set(g, n, dual).holds
 
 
 SMALL_POLYGONS = [(3, False), (3, True), (4, False), (4, True), (5, False), (5, True)]
@@ -286,7 +301,8 @@ class TestPartialPolygonKernel:
     def test_empty_table_is_undecided(self, n, dual):
         legs, sides = _polygon_sides(n, dual)
         kernel = _staged_kernel(legs, sides, partial=True)
-        assert next(kernel((range(2),) * legs, 2, *({}.get,) * sum(map(len, sides))), None) is None
+        empty = [None] * 2 ** polygon_signature(n, dual)[0]
+        assert next(kernel((range(2),) * legs, 2, *(empty,) * sum(map(len, sides))), None) is None
 
     @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
     def test_complete_tables_match_total_kernel(self, n, dual):
@@ -299,7 +315,7 @@ class TestPartialPolygonKernel:
         failures = 0
         for table in product(outputs, repeat=rows):  # rows in rank order
             expect = list(total((range(2),) * legs, 2, *(table,) * steps))
-            assert list(partial((range(2),) * legs, 2, *(dict(enumerate(table)).get,) * steps)) == expect
+            assert list(partial((range(2),) * legs, 2, *(table,) * steps)) == expect
             failures += bool(expect)
         assert 0 < failures < len(outputs) ** rows
 

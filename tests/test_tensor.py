@@ -505,8 +505,6 @@ class TestRankedKernel:
         # Some key sums terms of two outer loops before its own loop adds the rest.
         assert any(line.lstrip().startswith("h") and line.count("+") for line in source.splitlines())
         tables = [f._table for steps in sides for f, _ in steps]
-        if partial:
-            tables = [table.get for table in tables]
         return list(_staged_kernel(legs, shapes, partial=partial)((range(d),) * legs, d, *tables))
 
     @staticmethod
@@ -546,7 +544,7 @@ class TestStagedKernel:
         steps, legs, d, ring = program
         source = _kernel_source(legs, (kernel_shape(steps),)).splitlines()
         loops = [i for i, line in enumerate(source) if line.lstrip().startswith("for ")]
-        first_lookup = next(i for i, line in enumerate(source) if "T0(" in line)
+        first_lookup = next(i for i, line in enumerate(source) if "T0[" in line)
         assert first_lookup < loops[-1]
         got = contract_staged(steps, legs, d, ring)
         assert got.to_json_dict() == staged(steps, legs, d, ring).to_json_dict()
@@ -674,8 +672,8 @@ class TestDependencyCones:
 
 
 def test_contract_and_compare_sources_unchanged():
-    # kernel_sources.json holds the rank-keyed sources that the tensor and
-    # set checks run; regen_kernel_sources.py rewrites it on purpose.
+    # kernel_sources.json holds the sources of all four generator modes that
+    # the tensor and set checks run; regen_kernel_sources.py rewrites it on purpose.
     golden = json.loads(GOLDEN.read_text())
     assert polygon_kernel_sources() == golden
 
@@ -891,6 +889,24 @@ class TestInverseAndRegroup:
                 got = outcome(invert, f)
                 assert is_invertible(f) == (not isinstance(got, str))
             assert got == outcome(_invert_dense, f), images
+
+    @pytest.mark.parametrize("value", [1, 2])
+    def test_fewer_entries_than_columns_singular_before_any_table(self, value):
+        # One entry of 3^12 columns: neither a rank table nor a dense matrix is built.
+        f = Tensor(3, 12, 12, {((0,) * 12, (0,) * 12): value})
+        with mock.patch.object(tensor_module, "_invert_dense", side_effect=AssertionError("dense")):
+            with pytest.raises(NotInvertible, match="singular"):
+                invert(f)
+            assert not is_invertible(f)
+        assert "_table" not in vars(f)
+
+    def test_dense_elimination_capped(self):
+        at_cap = from_function(3, 5, 5, lambda x: x).scale(2)
+        assert invert(at_cap) == from_function(3, 5, 5, lambda x: x).scale(Fraction(1, 2))
+        over = from_function(3, 6, 6, lambda x: x).scale(2)
+        with mock.patch.object(tensor_module, "_invert_dense", side_effect=AssertionError("dense")):
+            with pytest.raises(ShapeError, match="729 columns, over the cap of 243"):
+                invert(over)
 
     def test_regroup_pairs(self):
         u = tensor_product(Z2_T, Z2_T)
