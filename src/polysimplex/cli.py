@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache
 from itertools import product
 from math import factorial, prod
@@ -46,7 +47,7 @@ from .simplicial import (
     flatten,
     program_to_dot,
 )
-from .tensor import NotInvertible, ShapeError, Tensor, partial_trace_left
+from .tensor import NotInvertible, ShapeError, Tensor, _is_count, partial_trace_left
 from .verify import (
     MAX_COLUMNS as MAX_COLUMNS,
     PreconditionFailed,
@@ -74,19 +75,24 @@ def default_ring():
     return ring_from_tag(os.environ.get("POLYSIMPLEX_SCALAR", "rational"))
 
 
-def read_json(path: str | None, parse, what: str):
-    """``parse`` applied to the JSON document at ``path``.
+@contextmanager
+def malformed(what: str, source: str):
+    """Outside data is read in this context: undecodable bytes, nesting past
+    the interpreter's recursion limit or a document of the wrong structure
+    is a usage error, not a crash."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, AttributeError, IndexError, RecursionError) as exc:
+        raise UsageError(f"malformed {what} in {source}: {exc}") from exc
 
-    Input files are outside data: a missing path, undecodable bytes or a
-    document of the wrong structure is a usage error, not a crash.
-    """
+
+def read_json(path: str | None, parse, what: str):
+    """``parse`` applied to the JSON document at ``path``; a missing path
+    or a malformed document is a usage error."""
     if path is None:
         raise UsageError(f"missing {what} path")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse(json.load(fh))
-        except (TypeError, ValueError, KeyError, AttributeError, IndexError) as exc:
-            raise UsageError(f"malformed {what} in {path}: {exc}") from exc
+    with open(path, encoding="utf-8") as fh, malformed(what, path):
+        return parse(json.load(fh))
 
 
 def load_group(spec: str, admit=lambda order: None) -> GroupTable:
@@ -120,12 +126,23 @@ def load_tensor(path: str | None) -> Tensor:
     return t
 
 
-def load_descriptor(path: str | None) -> C.SolutionDescriptor:
+def load_descriptor(path: str | None, admit=lambda family, order, dim: None) -> C.SolutionDescriptor:
     """The solution descriptor at ``path``, with its tensor capped as by
-    :func:`load_tensor`."""
-    desc = read_json(path, C.SolutionDescriptor.from_json_dict, "solution descriptor")
-    require_columns(desc.tensor.dim, desc.tensor.in_legs, f"the tensor of the descriptor in {path} has")
-    return desc
+    :func:`load_tensor`.  The cap and ``admit(family, order, dim)``, which
+    may refuse the descriptor, run on its header, before its tensor is
+    built; a header of the wrong types is left to the full parse, which
+    names the field."""
+    what = "solution descriptor"
+    data = read_json(path, lambda data: data, what)
+    with malformed(what, path):
+        family, order, tensor = data["family"], data["order"], data["tensor"]
+        dim, in_legs = tensor["dim"], tensor["in_legs"]
+    if _is_count(dim) and _is_count(in_legs):
+        require_columns(dim, in_legs, f"the tensor of the descriptor in {path} has")
+        if family in C.FAMILIES and _is_count(order):
+            admit(family, order, dim)
+    with malformed(what, path):
+        return C.SolutionDescriptor.from_json_dict(data)
 
 
 def write_json(path: str, data: dict) -> None:
@@ -160,20 +177,23 @@ def require_order(n: int) -> None:
         raise UsageError(f"equation order {n} is over the cap of {MAX_ORDER}")
 
 
-def require_tower(order: int, dual: bool, dim: int, verify: bool) -> None:
-    """Refuse a tower over the caps before it is built: an order over the
-    order cap (a 1-dimensional tower has one column at every order, and
-    building it grows with about the cube of the order); with ``verify``,
-    its self-check, the (dual) order-gon on ``dim``, over the column cap;
-    without, the tower itself, ``dim ** in_legs`` columns.  Orders below 3
-    are left to the recipe, which refuses them."""
-    if order < 3:
+def require_recipe(family: str, order: int, dim: int, verify: bool, what: str = "recipe") -> None:
+    """Refuse a recipe over the caps before it builds: an order over the
+    order cap (a 1-dimensional map has one column at every order, and
+    building or checking it grows with about the cube of the order); with
+    ``verify``, its self-check, the ``family`` equation of ``order`` on
+    ``dim`` (``"mixed"``: the mixed relation), over the column cap;
+    without, the map it builds, ``dim ** in_legs`` columns.  Orders below
+    the family's first are left to the recipe, which refuses them."""
+    simplex, dual = family == "simplex", family == "dual-polygon"
+    if order < (1 if simplex else 3):
         return
     require_order(order)
     if verify:
-        require_columns(dim, len(compile_polygon(order, dual)[0].free_inputs))
+        compiled = {"simplex": compile_simplex, "mixed": compile_mixed}.get(family, lambda n: compile_polygon(n, dual))
+        require_columns(dim, len(compiled(order)[0].free_inputs))
     else:
-        require_columns(dim, polygon_signature(order, dual)[0], "the tower maps")
+        require_columns(dim, order if simplex else polygon_signature(order, dual)[0], f"the {what} maps")
 
 
 def cmd_gen_eq(args) -> int:
@@ -339,7 +359,8 @@ def _descriptor_out(args, desc_or_pair) -> int:
 
 
 def cmd_construct(args) -> int:
-    params = json.loads(args.params) if args.params else {}
+    with malformed("JSON", "--params"):
+        params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise UsageError("--params must be a JSON object")
     verify = not args.no_verify
@@ -373,35 +394,52 @@ def cmd_construct(args) -> int:
         return _descriptor_out(args, C.hopf_pentagon_pair(group_algebra(group(), ring), verify))
     if recipe == "bialgebra-tower":
         n, dual, g = integer("n", 5), boolean("dual"), group()
-        require_tower(n, dual, g.order, verify)
+        require_recipe("dual-polygon" if dual else "polygon", n, g.order, verify, "tower")
         return _descriptor_out(args, C.bialgebra_tower(n, group_algebra(g, ring), dual, verify))
     if recipe == "multi-bialgebra-tower":
         groups = params.get("groups")
         if not (isinstance(groups, list) and groups and all(isinstance(g, str) for g in groups)):
             raise UsageError("multi-bialgebra-tower needs params.groups, a list of group names")
         k, even, tables = integer("k", 2), boolean("even"), [load_group(g) for g in groups]
-        require_tower(2 * k if even else 2 * k + 1, False, prod(g.order for g in tables), verify)
+        require_recipe("polygon", 2 * k if even else 2 * k + 1, prod(g.order for g in tables), verify, "tower")
         instances = [group_algebra(g, ring) for g in tables]
         return _descriptor_out(args, C.multi_bialgebra_tower(k, instances, even, verify))
     if recipe == "hopf-mixed-pair-antipode":
         k, g = integer("k", 2), group()
-        require_tower(2 * k + 1, False, g.order, verify)
+        require_recipe("polygon", 2 * k + 1, g.order, verify, "tower")
         return _descriptor_out(args, C.hopf_mixed_pair_antipode(k, group_algebra(g, ring), verify))
     if recipe == "higher-mixed-pair":
         t = load_tensor(args.input)
         s = load_tensor(args.input2)
         k = integer("k", 2)
-        require_tower(2 * k + 3, False, t.dim, verify)
+        require_recipe("polygon", 2 * k + 3, t.dim, verify, "tower")
         return _descriptor_out(args, C.higher_mixed_pair(k, t, s, verify))
     if recipe == "yang-baxter":
         t = load_tensor(args.input)
         s = load_tensor(args.input2)
-        out = C.yang_baxter_from_pair(t, s, string("mode", "compose"), verify)
-        return _descriptor_out(args, out)
-    # descriptor-consuming transforms
+        mode = string("mode", "compose")
+        # The self-check is the 2-simplex on V, or on V(x)V for the four-factor map.
+        require_recipe("simplex", 2, t.dim**2 if mode == "four_factor" else t.dim, verify)
+        return _descriptor_out(args, C.yang_baxter_from_pair(t, s, mode, verify))
+    # descriptor-consuming transforms, each gated on the (family, order) it checks
     if not args.input:
         raise UsageError(f"recipe {recipe} needs --input (a descriptor JSON)")
-    first = load_descriptor(args.input)
+    swap = {"polygon": "dual-polygon", "dual-polygon": "polygon"}
+    drop = string("drop", "one") if recipe == "simplex-from-mixed" else None
+    checks = {
+        "invert-to-dual": lambda family, n: (swap.get(family, family), n),
+        "conjugate": lambda family, n: (family, n),
+        "bar-sigma-conjugate": lambda family, n: (swap.get(family, family) if n % 2 else family, n),
+        "trace-descend": lambda family, n: (family, n - 1 if family == "simplex" else n - 2),
+        "trace-descend-mixed": lambda family, n: ("mixed", n - 2),
+        "simplex-from-mixed": lambda family, n: ("simplex", n - 1 if drop == "one" else n - 2),
+    }
+
+    def admit(family: str, order: int, dim: int) -> None:
+        if recipe in checks:
+            require_recipe(*checks[recipe](family, order), dim, verify)
+
+    first = load_descriptor(args.input, admit)
     if recipe == "invert-to-dual":
         return _descriptor_out(args, C.invert_to_dual(first, verify))
     if recipe == "conjugate":
@@ -417,11 +455,13 @@ def cmd_construct(args) -> int:
         out = C.trace_descend_mixed(first, second, string("side", "left"), verify)
         return _descriptor_out(args, out)
     if recipe == "stack":
-        second = load_descriptor(args.input2)
-        return _descriptor_out(args, C.stack(first, second, string("mode", "compose_left"), verify))
+        second, mode = load_descriptor(args.input2), string("mode", "compose_left")
+        family, order = C.stack_arithmetic(first.family, first.order, second.family, second.order, mode)
+        require_recipe(family, order, first.tensor.dim, verify)
+        return _descriptor_out(args, C.stack(first, second, mode, verify))
     if recipe == "simplex-from-mixed":
         second = load_descriptor(args.input2)
-        out = C.simplex_from_mixed(first, second, string("drop", "one"), verify)
+        out = C.simplex_from_mixed(first, second, drop, verify)
         return _descriptor_out(args, out)
     raise UsageError(f"unknown recipe {recipe!r}")
 
@@ -430,15 +470,14 @@ def cmd_construct(args) -> int:
 
 
 def _basis_action_lines(name: str, t: Tensor) -> list[str]:
+    """Each basis column of ``t`` and its image, the terms in output order."""
+    terms: dict = {}
+    for (out, inp), v in sorted(t.entries.items()):
+        scale = "" if t.ring.eq(v, t.ring.one) else f" * {t.ring.format(v)}"
+        terms.setdefault(inp, []).append("(x)".join(f"e{d}" for d in out) + scale)
     lines = [f"{name} on basis vectors:"]
     for inp in product(range(t.dim), repeat=t.in_legs):
-        terms = sorted(out for (out, i) in t.entries if i == inp)
-        rendered = " + ".join(
-            "(x)".join(f"e{d}" for d in out)
-            + ("" if t.ring.eq(t.entry(out, inp), t.ring.one) else f" * {t.ring.format(t.entry(out, inp))}")
-            for out in terms
-        )
-        lines.append("  " + "(x)".join(f"e{d}" for d in inp) + " -> " + (rendered or "0"))
+        lines.append("  " + "(x)".join(f"e{d}" for d in inp) + " -> " + (" + ".join(terms.get(inp, ())) or "0"))
     return lines
 
 

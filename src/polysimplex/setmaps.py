@@ -1,20 +1,22 @@
 """Set-theoretic polygon equations over a finite base set.
 
 Solutions here are plain functions X^k -> X^l evaluated pointwise, with no
-linearization.  The checks run the loop-nest kernel generator of the
-function path of :func:`polysimplex.tensor.contract_staged`, on values
-instead of basis digits, with ``FiniteMap.table`` as it stands as the
-lookup table, since it has the form of a tensor's rank table
-(``Tensor._table``): both sides of an equation run in one nest over the
-tuples in product order, each lookup in the outermost loop that binds
-its inputs.  The compare driver of the tensor checks (:func:`polysimplex.tensor._differing_columns`)
-runs the nest once per dependency cone of the final legs, with the legs
-outside the cone pinned to 0; only on a difference does it run every
-tuple, and the first tuple whose sides differ is the witness.  Runs of legs without a
-lookup share one loop and the depth is capped, so the 28 free legs of a
-15-gon compile as well as the 10 of a 9-gon.  Enumeration is a
-depth-first search over table rows, pruned by the same nest run on the
-partial table, a list indexed by row rank with None where unassigned.
+linearization.  The checks run the table-mode kernel of both sides of the
+equation, the one the tensor check of a basis function compiles, on
+values instead of basis digits, with ``FiniteMap.table`` as it stands as
+the lookup table, since it has the form of a tensor's rank table
+(``Tensor._table``): both sides run in one nest over the tuples in
+product order, each lookup in the outermost loop that binds its inputs.
+Like the tensor checks, they run it through
+:func:`polysimplex.tensor._differing_columns`, once per dependency cone
+of the final legs, with the legs outside the cone pinned to 0; only on a
+difference does that run every tuple, and the first tuple whose sides
+differ is the witness.  Runs of
+legs without a lookup share one loop and the depth is capped, so the 28
+free legs of a 15-gon compile as well as the 10 of a 9-gon.  Enumeration
+is a depth-first search over table rows, pruned by the same kernel run
+on the partial table, a list indexed by row rank with None where
+unassigned, whose misses skip the undecided tuples.
 The six lifting constructions between neighbouring polygon orders are
 implemented with their fixed-point criteria checked in both directions.
 """
@@ -121,10 +123,9 @@ def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
         raise ShapeError(f"every gather must name {fmap.in_arity} legs, got {gathers}")
     if not all(_is_count(v) and 0 <= v < fmap.base for v in values):
         raise ShapeError(f"values {values} must be integers in 0..{fmap.base - 1}")
-    kernel = _staged_kernel(len(values), (tuple((gather, fmap.out_arity) for gather in gathers),))
-    sink: dict = {}
-    kernel(tuple((v,) for v in values), fmap.base, sink, True, *(fmap.table,) * len(gathers))
-    return next((state for state, _ in sink), None)
+    kernel = _staged_kernel(len(values), (tuple((gather, fmap.out_arity) for gather in gathers),), (None,))
+    state, _ = next(kernel(tuple((v,) for v in values), fmap.base, *(fmap.table,) * len(gathers)))
+    return state
 
 
 def _polygon_sides(n: int, dual: bool) -> tuple[int, tuple]:
@@ -156,7 +157,7 @@ def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> Verificati
     name = f"set-theoretic {'dual ' if dual else ''}{n}-gon"
     shape = (fmap.base, fmap.in_arity, fmap.out_arity)
     steps = sum(map(len, sides))
-    differing = _differing_columns(legs, sides, None, (fmap.table,) * steps, (fmap._masks,) * steps, fmap.base)
+    differing = _differing_columns(legs, sides, (None, None), (fmap.table,) * steps, (fmap._masks,) * steps, fmap.base)
     if differing is None:
         return VerificationReport(name, True, 0, shape, shape)
     values, lhs, rhs = next(differing)
@@ -260,7 +261,7 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
     outputs = list(product(range(base), repeat=out_arity))
     legs, sides = _polygon_sides(n, dual)
     steps = sum(map(len, sides))
-    kernel = _staged_kernel(legs, sides, partial=True)
+    kernel = _staged_kernel(legs, sides, (None, None))
     domains = (range(base),) * legs
     table = [None] * rows  # indexed by row rank; None where unassigned
     found = []

@@ -15,10 +15,10 @@ placements produce; both sides of an equation always agree on it.
 
 The compiled programs are what the checks in :mod:`polysimplex.verify`
 evaluate: :func:`_program_steps` pairs their gather positions with the
-maps, which the checks run through the compare-mode kernel or
+maps, which the checks run through the two-sided table kernel or
 :func:`polysimplex.tensor.contract_staged` (as :func:`evaluate_program`
-does), and the set-theoretic checks run the same gathers through the
-evaluator's kernel generator.  The closed-form index
+does), and the set-theoretic check and search of an equation run the
+same compiled kernel.  The closed-form index
 matrices are tied to these programs by the cross-generator tests.  This
 module is the only generator of the even-gon mixed relation, which has no
 closed-form index recursion.

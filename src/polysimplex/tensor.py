@@ -20,29 +20,27 @@ through it column by column, with outputs written by the slot rule of
 final legs optionally read out in another output order.  No placed
 factor is ever materialized.
 When every map is a basis function (each column it has holds one entry,
-equal to one), the steps run as a generated loop-nest kernel with no
-ring arithmetic on tables indexed by the mixed-radix rank of their input
-digits, each lookup hoisted to the outermost loop that binds its inputs.
-Other maps run in the push mode of the same generator
-(:func:`_push_columns`), which pushes each column as a sparse vector of
-states through tables indexed by the same rank, on native numbers:
-rationals as integers scaled by each map's least common denominator,
-GF(p) as ``int`` reduced mod p, floats as floats.  The generator
-also has a compare mode, which runs both sides of an equation in one nest on
-total tables and yields every column whose sides differ: the
-set-theoretic checks use it, and so do the tensor checks of
-:mod:`polysimplex.verify`, which decide an equation on total basis
-functions without building either side.  Both go through one compare
-driver (:func:`_differing_columns`), which runs it once per dependency
-cone: the column legs some final leg reads on either side, with every
-other leg pinned to 0.  On other maps
-the tensor checks stream the pushed columns of both sides, in every
-ring, so neither route builds a side.
-Its partial variant skips the columns a partial table leaves undecided,
-and prunes the set enumeration.  So the slot rule, the output order and
-the table key each have one compiler, the generator.  Every comparison,
-of two streamed sides or of two built tensors (``==``), runs in one
-comparator, :func:`_stream_sides`.
+equal to one), the steps run as a generated loop-nest kernel in table
+mode, with no ring arithmetic, on tables indexed by the mixed-radix rank
+of their input digits, each lookup hoisted to the outermost loop that
+binds its inputs and tested for a miss.  Other maps run in the push mode
+of the same generator (:func:`_push_columns`), which pushes each column
+as a sparse vector of states through tables indexed by the same rank, on
+native numbers: rationals as integers scaled by each map's least common
+denominator, GF(p) as ``int`` reduced mod p, floats as floats.  A table
+kernel of both sides of an equation runs them in one nest and yields
+every column whose sides are both decided and differ, so one compiled
+kernel serves the equation's tensor check in :mod:`polysimplex.verify`,
+which decides it on total basis functions without building either side,
+its set-theoretic check, and the set enumeration, which prunes on a
+partial table.  Both checks run it through :func:`_differing_columns`,
+once per dependency cone: the column legs some final leg reads on either side, with every
+other leg pinned to 0.  On other maps the tensor checks stream the
+pushed columns of both sides, in every ring, so neither route builds a
+side.  So the slot rule, the output order and the table key each have
+one compiler, the generator.  Every comparison, of two streamed sides or
+of two built tensors (``==``), runs in one comparator,
+:func:`_stream_sides`.
 
 Validation sits at the trust boundary: ``Tensor(...)``, JSON input and
 :func:`from_function` check every key and coerce every value, while the
@@ -369,16 +367,17 @@ def _tuple_source(names) -> str:
     return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"  # "()" when empty
 
 
-def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, push: bool = False) -> str:
+def _kernel_source(legs: int, sides: tuple, orders: tuple, push: bool = False) -> str:
     """Python source of the loop-nest kernel of staged placements.
 
-    ``sides`` holds one shape (contract and push mode) or two (compare
-    mode), and ``orders`` the output order of each side (None: the final
-    state as it stands).  Leg j of the column is the variable ``c<j>``,
-    bound in product order (first leg slowest); each map output is a fresh
-    variable ``v<i>``, so the slot rule of :func:`replace_slots` and the
-    output order are applied to variable names here, once, and no state
-    tuple is indexed at run time.  Step ``s`` looks its inputs up in
+    ``sides`` holds one shape (push mode, and table mode on one side) or
+    two (table mode on both sides of an equation), and ``orders`` the
+    output order of each side (None: the final state as it stands).  Leg
+    j of the column is the variable ``c<j>``, bound in product order
+    (first leg slowest); each map output is a fresh variable ``v<i>``, so
+    the slot rule of :func:`replace_slots` and the output order are
+    applied to variable names here, once, and no state tuple is indexed
+    at run time.  Step ``s`` looks its inputs up in
     ``T<s>`` inside the outermost loop that binds all of them, so its work
     is shared by every column of the inner loops.  Runs of legs with no
     lookup between them share one ``product`` loop, and the outermost loop
@@ -391,15 +390,15 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
     the innermost loop that binds them, so every mode's lookup adds only
     the terms of its own loop: ``T<s>[h<s> + v7*D1 + c9]``.
 
-    Contract mode writes ``sink[(final legs, column)] = one`` for every
-    column whose lookups all hit (a table holds None where it has no
-    entry; a miss skips the whole block of columns under that loop).
-    Compare mode runs both sides on total tables, unpacking each lookup
-    unchecked, and is a generator of ``(column, lhs, rhs)`` for every
-    column, in product order, whose final legs differ; an equation holds
-    iff it yields nothing.  Partial compare mode takes its lookups from
-    contract mode (None where a partial table is undecided), so a column
-    counts only where both sides are fully determined.
+    Table mode reads tables of each column's output digits, with None
+    where a map has no entry.  Every lookup tests for a miss, which skips
+    the whole block of columns under its loop.  With one side the kernel
+    is a generator of ``(final legs, column)`` for every column whose
+    lookups all hit; with two it runs both sides in one nest and yields
+    ``(column, lhs, rhs)`` for every column, in product order, where both
+    sides are decided and their final legs differ.  On total tables an
+    equation holds iff it yields nothing; on the search's partial table a
+    column counts only where both sides are decided.
 
     Push mode is a generator over the columns in product order of
     ``(column, {final legs in the output order: c})``, for maps that are
@@ -415,7 +414,6 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
     The source is made only of generated names; tables, domains and ``d``
     are arguments of the kernel, never part of the text.
     """
-    orders = orders or (None,) * len(sides)
     finals = [_check_shape(legs, shape, order) for shape, order in zip(sides, orders)]
     compare = len(sides) == 2
     if compare and finals[0] != finals[1]:
@@ -435,7 +433,7 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
             before, state = state, replace_slots(state, positions, outs)
             moves.append((before, state))
         states.append(state if order is None else [state[m - 1] for m in order])
-    head = "domains, d, settle" if push else "domains, d" if compare else "domains, d, sink, one"
+    head = "domains, d, settle" if push else "domains, d"
     lines = [f"def kernel({', '.join([head] + [f'T{s}' for s in range(len(lookups))])}):"]
     if legs:
         lines.append(f"    {', '.join(f'R{j}' for j in range(legs))}, = domains")
@@ -485,15 +483,11 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
     def emit_lookups(loop):
         pad = "    " * (loop + 2)
         for s, key, outs in placed.get(loop, ()):
-            target = f"{', '.join(outs)}, = " if outs else ""
-            if compare and not partial:
-                lines.append(f"{pad}{target}T{s}[{key}]")
-            else:
-                lines.append(f"{pad}o = T{s}[{key}]")
-                lines.append(f"{pad}if o is None:")
-                lines.append(f"{pad}    {'continue' if loop >= 0 else 'return'}")
-                if outs:
-                    lines.append(f"{pad}{target}o")
+            lines.append(f"{pad}o = T{s}[{key}]")
+            lines.append(f"{pad}if o is None:")
+            lines.append(f"{pad}    {'continue' if loop >= 0 else 'return'}")
+            if outs:
+                lines.append(f"{pad}{', '.join(outs)}, = o")
         lines.extend(pad + line for line in hoisted.get(loop, ()))
 
     emit_lookups(-1)
@@ -511,8 +505,7 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
     pad = "    " * (len(ends) + 1)
     column = _tuple_source(columns)
     if not compare:
-        final = _tuple_source(states[0])
-        lines.append(f"{pad}sink[({final}, {column})] = one")
+        lines.append(f"{pad}yield {_tuple_source(states[0])}, {column}")
     else:
         lhs, rhs = (_tuple_source(state) for state in states)
         # Only the legs that can differ are compared; "() != ()" when none can.
@@ -524,16 +517,16 @@ def _kernel_source(legs: int, sides: tuple, orders=None, partial: bool = False, 
 
 
 @lru_cache(maxsize=256)
-def _staged_kernel(legs: int, sides: tuple, orders=None, partial: bool = False, push: bool = False):
+def _staged_kernel(legs: int, sides: tuple, orders: tuple, push: bool = False):
     """The compiled kernel of :func:`_kernel_source`, built once per shape."""
     namespace = {"product": product}
-    exec(compile(_kernel_source(legs, sides, orders, partial, push), "<staged kernel>", "exec"), namespace)
+    exec(compile(_kernel_source(legs, sides, orders, push), "<staged kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
 def _output_masks(table, d: int, k: int, l: int) -> tuple[int, ...]:
     """For each output of a total table of V^k -> V^l (indexed by the rank
-    of the input digits, as the compare kernel reads it), the bitmask of
+    of the input digits, as the table kernel reads it), the bitmask of
     the inputs it depends on: bit i is set when changing input i alone
     changes that output on some row.  On the product domain of a total
     table an output is a function of exactly these inputs."""
@@ -563,7 +556,7 @@ def _differing_columns(legs: int, sides: tuple, orders, tables, masks: tuple, d:
 
 @lru_cache(maxsize=256)
 def _cones(legs: int, sides: tuple, orders, step_masks: tuple, d: int) -> tuple:
-    """Kernel domains that decide a compare-mode equation on total tables,
+    """Kernel domains that decide a two-sided table kernel on total tables,
     from each step's output masks; cached, since the masks repeat across
     the many checks of one map.
 
@@ -578,7 +571,7 @@ def _cones(legs: int, sides: tuple, orders, step_masks: tuple, d: int) -> tuple:
     """
     step_masks = iter(step_masks)
     finals = []
-    for shape, order in zip(sides, orders or (None,) * len(sides)):
+    for shape, order in zip(sides, orders):
         state = [1 << j for j in range(legs)]  # the column legs each leg depends on
         for positions, _ in shape:
             ins = [state[p - 1] for p in positions]
@@ -640,15 +633,14 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     ``Fraction(c, S)`` from the integer ``c`` and the side's scale ``S``.
     """
     maps, shape, n = _check_steps(steps, legs, d, ring, order)
-    entries: dict[EntryKey, object] = {}
     tables = [f._table for f in maps]
     # A float tolerance >= 1 makes one a zero, which the sparse path drops.
     if None not in tables and not ring.is_zero(ring.one):
         kernel = _staged_kernel(legs, (shape,), (order,))
-        kernel((range(d),) * legs, d, entries, ring.one, *tables)
-        return Tensor._trusted(d, legs, n, entries, ring)
+        return Tensor._trusted(d, legs, n, dict.fromkeys(kernel((range(d),) * legs, d, *tables), ring.one), ring)
     scale, pushed = _push_columns(maps, shape, legs, d, ring, order)
     value = _entry_value(ring, scale)
+    entries: dict[EntryKey, object] = {}
     for column, vec in pushed:
         for out, c in vec.items():
             entries[(out, column)] = value(c)
@@ -660,7 +652,7 @@ def _entry_value(ring: ScalarRing, scale: int):
     side of scale ``scale``."""
     if isinstance(ring, RationalRing):
         return lambda c: Fraction(c, scale)
-    # A side of no steps, and a column the compare kernel yields, hold the integer 1.
+    # A side of no steps, and a column a table kernel yields, hold the integer 1.
     return float if isinstance(ring, FloatRing) else lambda c: c
 
 

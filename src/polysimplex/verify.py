@@ -5,11 +5,12 @@ from the simplicial compiler as staged ``(map, gather positions)`` steps;
 the relations (1)-(6) are fixed placement words, and the commutation that
 licenses stacking places its maps on the rows and columns of a grid of
 legs, read out row by row in an output order.  When every map is a
-total basis function, both sides run in one compare-mode loop-nest
-kernel (:func:`polysimplex.tensor._staged_kernel`), on tables indexed by
-the rank of the input digits, and a holding equation is decided without
-building either side.  The compare driver of every table check
-(:func:`polysimplex.tensor._differing_columns`) runs it once per
+total basis function, both sides run in one table-mode loop-nest kernel
+(:func:`polysimplex.tensor._staged_kernel`), on tables indexed by the
+rank of the input digits, and a holding equation is decided without
+building either side; the set-theoretic check and search of the same
+equation run the same compiled kernel.  Every table check runs it through
+:func:`polysimplex.tensor._differing_columns`, once per
 dependency cone: each final leg of either side reads only some column
 legs, so the legs outside a cone are pinned to 0 and the columns that vary
 them are never run.  On a difference it yields every differing column.

@@ -1,8 +1,9 @@
 """Write tests/kernel_sources.json, the golden kernel sources.
 
 The golden file holds, for the (dual) n-gon with n <= 9 as the set checks
-shape it, the source of every generator mode: contract and push mode of
-each side, and compare and partial-compare mode of both sides;
+shape it, the source of both generator modes: table and push mode of each
+side, and table mode of both sides, which the tensor check, the set check
+and the search of an equation share;
 ``test_contract_and_compare_sources_unchanged`` compares the generator
 against it.  Regenerate it on purpose, after a change to the generator,
 and review the diff:
@@ -32,10 +33,9 @@ def polygon_kernel_sources() -> dict:
             legs = len(lhs.free_inputs)
             tag = f"{'dual ' if dual else ''}{n}-gon"
             for name, side in (("lhs", sides[:1]), ("rhs", sides[1:])):
-                sources[f"{tag} {name} contract"] = _kernel_source(legs, side)
-                sources[f"{tag} {name} push"] = _kernel_source(legs, side, push=True)
-            sources[f"{tag} compare"] = _kernel_source(legs, sides)
-            sources[f"{tag} partial compare"] = _kernel_source(legs, sides, partial=True)
+                sources[f"{tag} {name} contract"] = _kernel_source(legs, side, (None,))
+                sources[f"{tag} {name} push"] = _kernel_source(legs, side, (None,), push=True)
+            sources[f"{tag} compare"] = _kernel_source(legs, sides, (None, None))
     return sources
 
 

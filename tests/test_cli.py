@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -252,6 +253,11 @@ def test_tensor_with_non_integer_shape_or_digit_exits_two(capsys, tmp_path, case
 # A prime above rings.PRIME_CAP (2^89 - 1), whose trial division never ended.
 BIG_PRIME = "gfp:618970019642690137449562111"
 SCALAR_SYNTAX = "must be an integer or a string of the form [-]digits[/nonzero digits]"
+# Nested about 3000 deep, past the interpreter's recursion limit; argv
+# bounds the size of a --params string.
+DEEP_JSON = "[" * 3000 + "]" * 3000
+DEEP = "maximum recursion depth exceeded"
+
 OUTSIDE_INPUTS = {
     "rational-zero-denominator": SCALAR_SYNTAX,
     "rational-json-overflow": SCALAR_SYNTAX,
@@ -291,6 +297,11 @@ OUTSIDE_INPUTS = {
     "invert-to-dual-sparse-order-17": "tensor is singular",
     "invert-to-dual-dense-order-13": "inverting densely takes 729 columns, over the cap of 243",
     "conjugate-order-41": f"has 3^20 = {3**20} columns, over the cap of {MAX_COLUMNS}",
+    "verify-deep-json": DEEP,
+    "set-verify-deep-json": DEEP,
+    "demo-deep-json": DEEP,
+    "construct-deep-json": DEEP,
+    "params-deep-json": DEEP,
 }
 
 
@@ -367,12 +378,15 @@ def outside_input(tmp_path, case):
     elif case.endswith("-sparse-order-17"):
         # Two entries of 3^8 columns, so singular; not a basis function, so
         # dense elimination once built the 6561-column matrix (6 s, 1 GB).
+        # Unverified: with the self-check on, the 17-gon over d = 3 is refused first.
         path = write(rank_descriptor(17, {(0, 0): 2, (1, 1): 2}))
-        argv = ["construct", "--recipe", case[: -len("-sparse-order-17")], "--input", path]
+        argv = ["construct", "--recipe", case[: -len("-sparse-order-17")], "--input", path, "--no-verify"]
     elif case == "invert-to-dual-dense-order-13":
         # Two entries per column of 3^6: dense elimination once took 16 s and 325 MB.
+        # Unverified: with the self-check on, the 13-gon over d = 3 is refused first.
         entries = {(o, i): 1 for i in range(729) for o in (i, (i + 1) % 729)}
-        argv = ["construct", "--recipe", "invert-to-dual", "--input", write(rank_descriptor(13, entries))]
+        path = write(rank_descriptor(13, entries))
+        argv = ["construct", "--recipe", "invert-to-dual", "--input", path, "--no-verify"]
     elif case == "conjugate-order-41":
         # One entry of 3^20 columns, each of which conjugation once ran.
         phi = write(identity_tensor(3, 1).to_json_dict(), "phi.json")
@@ -386,6 +400,16 @@ def outside_input(tmp_path, case):
     elif case == "stack-mode-list":
         tower = write(construct.bialgebra_tower(5, group_algebra(cyclic_group(2))).to_json_dict())
         argv = ["construct", "--recipe", "stack", "--input", tower, "--input2", tower, "--params", '{"mode": []}']
+    elif case.endswith("-deep-json"):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        argv = {
+            "verify": ["verify", "--family", "simplex", "--n", "2", "--tensor", str(path)],
+            "set-verify": ["set-verify", "--n", "5", "--map", str(path)],
+            "demo": ["demo", "--group", str(path)],
+            "construct": ["construct", "--recipe", "invert-to-dual", "--input", str(path)],
+            "params": ["construct", "--recipe", "bialgebra-tower", "--group", "z2", "--params", DEEP_JSON],
+        }[case[: -len("-deep-json")]]
     elif case.startswith("hopf-mixed-pair-antipode"):
         argv = ["construct", "--recipe", "hopf-mixed-pair-antipode", "--group", "z2", "--no-verify",
                 "--params", json.dumps({"k": int(case.rsplit("-", 1)[1])})]
@@ -415,8 +439,8 @@ def test_outside_input_exits_two_at_once(tmp_path, case):
     assert OUTSIDE_INPUTS[case] in proc.stderr
 
 
-def run_fresh(argv, env=None, keep_scalar=False):
-    """The CLI on ``argv`` in a fresh interpreter, which must end within 5 s."""
+def run_fresh(argv, env=None, keep_scalar=False, seconds=5):
+    """The CLI on ``argv`` in a fresh interpreter, which must end within ``seconds``."""
     src = os.path.dirname(os.path.dirname(polysimplex.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **(env or {}))
     if not keep_scalar:
@@ -424,10 +448,61 @@ def run_fresh(argv, env=None, keep_scalar=False):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "polysimplex.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=5, preexec_fn=limit_memory,
+        env=env, capture_output=True, text=True, timeout=seconds, preexec_fn=limit_memory,
     )
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < seconds
     return proc
+
+
+def identity_descriptor(order, dim, legs):
+    """The JSON text of the identity polygon descriptor, written without building its tensor."""
+    entries = [[list(t), list(t), "1"] for t in product(range(dim), repeat=legs)]
+    tensor = {"dim": dim, "in_legs": legs, "out_legs": legs, "scalar": "rational", "entries": entries}
+    return json.dumps({"family": "polygon", "order": order, "provenance": [], "tensor": tensor})
+
+
+RECIPES_OVER_THE_CAPS = {
+    # Each once built its map and then ran out of memory, or ran for
+    # seconds to minutes, before the self-check was refused.
+    "invert-to-dual-order-1001": ("invert-to-dual", "equation order 1001 is over the cap"),
+    "bar-sigma-conjugate-order-1001": ("bar-sigma-conjugate", "equation order 1001 is over the cap"),
+    "trace-descend-order-1001": ("trace-descend", "equation order 999 is over the cap"),
+    "invert-to-dual-order-401": ("invert-to-dual", "equation order 401 is over the cap"),
+    "conjugate-order-1001": ("conjugate", "equation order 1001 is over the cap"),
+    "trace-descend-mixed-order-1001": ("trace-descend-mixed", "equation order 999 is over the cap"),
+    "simplex-from-mixed-order-1001": ("simplex-from-mixed", "equation order 1000 is over the cap"),
+    "stack-tensor-order-161": ("stack", "equation order 321 is over the cap"),
+    "yang-baxter-four-factor-d-24": ("yang-baxter", f"the check runs 576^3 = {576**3} columns"),
+    "yang-baxter-four-factor-d-40": ("yang-baxter", f"the check runs 1600^3 = {1600**3} columns"),
+    "invert-to-dual-identity-23-gon": ("invert-to-dual", f"the check runs 3^66 = {3**66} columns"),
+    "bar-sigma-conjugate-identity-23-gon": ("bar-sigma-conjugate", f"the check runs 3^66 = {3**66} columns"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECIPES_OVER_THE_CAPS))
+def test_recipe_over_the_caps_exits_two_at_once(tmp_path, case):
+    """Every recipe refuses its self-check over the order or column cap
+    before it builds: at once, or, for the 10 MB identity 23-gon, as soon
+    as its header is read, before its tensor is built."""
+    recipe, message = RECIPES_OVER_THE_CAPS[case]
+    first, seconds = tmp_path / "first.json", 1
+    if recipe == "yang-baxter":
+        d = int(case.rsplit("-", 1)[1])
+        first.write_text(identity_tensor(d, 2).to_json())
+        argv = ["--input", str(first), "--input2", str(first), "--params", '{"mode": "four_factor"}']
+    elif case.endswith("identity-23-gon"):
+        # 10 MB, which takes about a second to read; building its tensor took 4 s more.
+        first.write_text(identity_descriptor(23, 3, 11))
+        argv, seconds = ["--input", str(first)], 3
+    else:
+        order = int(case.rsplit("-", 1)[1])
+        first.write_text(identity_descriptor(order, 1, order // 2))
+        argv = ["--input", str(first)]
+        if recipe == "stack":
+            argv += ["--input2", str(first), "--params", '{"mode": "tensor"}']
+    proc = run_fresh(["construct", "--recipe", recipe, *argv], seconds=seconds)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
 
 
 def test_huge_exact_witness_printed_in_full(tmp_path):

@@ -160,7 +160,7 @@ class TestSetOracle:
                 expect = (values, *sides)
                 break
         shapes = tuple(tuple((gather, fmap.out_arity) for gather in side) for side in (lhs, rhs))
-        kernel = _staged_kernel(legs, shapes)
+        kernel = _staged_kernel(legs, shapes, (None, None))
         tables = (fmap.table,) * (len(lhs) + len(rhs))  # rows in rank order
         assert next(kernel((range(fmap.base),) * legs, fmap.base, *tables), None) == expect
 
@@ -300,24 +300,40 @@ class TestPartialPolygonKernel:
     @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
     def test_empty_table_is_undecided(self, n, dual):
         legs, sides = _polygon_sides(n, dual)
-        kernel = _staged_kernel(legs, sides, partial=True)
+        kernel = _staged_kernel(legs, sides, (None, None))
         empty = [None] * 2 ** polygon_signature(n, dual)[0]
         assert next(kernel((range(2),) * legs, 2, *(empty,) * sum(map(len, sides))), None) is None
 
     @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
     def test_complete_tables_match_total_kernel(self, n, dual):
+        """On a complete table the search's kernel yields first the witness of
+        the total check, the oracle's."""
         in_arity, out_arity = polygon_signature(n, dual)
         legs, sides = _polygon_sides(n, dual)
         steps = sum(map(len, sides))
-        partial, total = _staged_kernel(legs, sides, partial=True), _staged_kernel(legs, sides)
+        kernel = _staged_kernel(legs, sides, (None, None))
         rows = 2**in_arity
         outputs = list(product(range(2), repeat=out_arity))
         failures = 0
         for table in product(outputs, repeat=rows):  # rows in rank order
-            expect = list(total((range(2),) * legs, 2, *(table,) * steps))
-            assert list(partial((range(2),) * legs, 2, *(table,) * steps)) == expect
-            failures += bool(expect)
+            holds, witness = set_check(FiniteMap(2, in_arity, out_arity, table), n, dual)
+            expect = None if holds else (tuple(witness["in"]), tuple(witness["lhs"]), tuple(witness["rhs"]))
+            assert next(kernel((range(2),) * legs, 2, *(table,) * steps), None) == expect
+            failures += not holds
         assert 0 < failures < len(outputs) ** rows
+
+
+@pytest.mark.parametrize("n, dual", [(4, True), (5, False)])
+def test_tensor_check_set_check_and_search_share_one_kernel(n, dual):
+    """The tensor check of a total basis function, the set check and the
+    search of one (dual) n-gon compile one table kernel between them."""
+    k, l = polygon_signature(n, dual)
+    fmap = FiniteMap.from_callable(2, k, l, lambda a: tuple((a[0] + i) % 2 for i in range(l)))
+    _staged_kernel.cache_clear()
+    check_polygon(settheoretic_lift(fmap), n, dual)
+    check_polygon_set(fmap, n, dual)
+    enumerate_set_solutions(n, 2, dual)
+    assert _staged_kernel.cache_info().misses == 1
 
 
 class TestLifts:

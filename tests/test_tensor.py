@@ -499,13 +499,13 @@ class TestRankedKernel:
     """Tables keyed by mixed-radix rank, with keys summed across loops."""
 
     @staticmethod
-    def run_compare(sides, legs, d, partial):
+    def run_compare(sides, legs, d):
         shapes = tuple(kernel_shape(steps) for steps in sides)
-        source = _kernel_source(legs, shapes)
+        source = _kernel_source(legs, shapes, (None, None))
         # Some key sums terms of two outer loops before its own loop adds the rest.
         assert any(line.lstrip().startswith("h") and line.count("+") for line in source.splitlines())
         tables = [f._table for steps in sides for f, _ in steps]
-        return list(_staged_kernel(legs, shapes, partial=partial)((range(d),) * legs, d, *tables))
+        return list(_staged_kernel(legs, shapes, (None, None))((range(d),) * legs, d, *tables))
 
     @staticmethod
     def differences(sides, legs, d, ring):
@@ -526,13 +526,13 @@ class TestRankedKernel:
     @given(spanning_sides(function_tensor))
     def test_compare_matches_oracle(self, program):
         sides, legs, d, ring = program
-        assert self.run_compare(sides, legs, d, False) == self.differences(sides, legs, d, ring)
+        assert self.run_compare(sides, legs, d) == self.differences(sides, legs, d, ring)
 
     @settings(max_examples=60, deadline=None)
     @given(spanning_sides(partial_function_tensor))
     def test_partial_compare_matches_oracle(self, program):
         sides, legs, d, ring = program
-        assert self.run_compare(sides, legs, d, True) == self.differences(sides, legs, d, ring)
+        assert self.run_compare(sides, legs, d) == self.differences(sides, legs, d, ring)
 
 
 class TestStagedKernel:
@@ -542,7 +542,7 @@ class TestStagedKernel:
     @given(hoisted_program())
     def test_miss_at_hoisted_lookup_matches_oracle(self, program):
         steps, legs, d, ring = program
-        source = _kernel_source(legs, (kernel_shape(steps),)).splitlines()
+        source = _kernel_source(legs, (kernel_shape(steps),), (None,)).splitlines()
         loops = [i for i, line in enumerate(source) if line.lstrip().startswith("for ")]
         first_lookup = next(i for i, line in enumerate(source) if "T0[" in line)
         assert first_lookup < loops[-1]
@@ -563,7 +563,7 @@ class TestStagedKernel:
         # Step j reads leg j alone, so every leg ends a lookup's inputs.
         f = from_function(d, 1, 1, lambda x: ((x[0] + 1) % d,))
         steps = [(f, (j,)) for j in range(1, legs + 1)]
-        source = _kernel_source(legs, (kernel_shape(steps),))
+        source = _kernel_source(legs, (kernel_shape(steps),), (None,))
         assert 1 < sum(line.lstrip().startswith("for ") for line in source.splitlines()) <= _MAX_LOOPS
         # Each leg is mapped once: the product map, in closed form.
         expect = from_function(d, legs, legs, lambda col: tuple((x + 1) % d for x in col))
@@ -572,7 +572,7 @@ class TestStagedKernel:
     @pytest.mark.parametrize("position", ["1", 1.0, True, None, (1,)])
     def test_non_integer_gather_rejected_before_generation(self, position):
         with pytest.raises(ShapeError):
-            _kernel_source(3, ((((position, 2), 2),),))
+            _kernel_source(3, ((((position, 2), 2),),), (None,))
         with mock.patch.object(tensor_module, "_kernel_source", side_effect=AssertionError("generated")):
             with pytest.raises(ShapeError):
                 contract_staged([(Z2_T, (position, 2))], 3, 2)
@@ -580,15 +580,15 @@ class TestStagedKernel:
     def test_non_integer_counts_rejected(self):
         for legs, out_count in (("3", 2), (3, "2"), (-1, 2)):
             with pytest.raises(ShapeError):
-                _kernel_source(legs, ((((1, 2), out_count),),))
+                _kernel_source(legs, ((((1, 2), out_count),),), (None,))
 
     @pytest.mark.parametrize("compare, push", [(False, False), (True, False), (False, True)],
                              ids=["False", "True", "push"])
     def test_source_holds_only_generated_names(self, compare, push):
         shape = (((2, 1), 3), ((1, 3, 4), 3), ((4,), 0))
         sides = (shape, (((3, 4), 2), ((1, 2, 3), 3))) if compare else (shape,)
-        source = _kernel_source(5, sides, push=push)
-        allowed = {"kernel", "domains", "d", "sink", "one", "product", "o", "None"}
+        source = _kernel_source(5, sides, (None,) * len(sides), push=push)
+        allowed = {"kernel", "domains", "d", "product", "o", "None"}
         kinds = {tokenize.NAME, tokenize.OP, tokenize.NEWLINE, tokenize.NL,
                  tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
         if push:
@@ -629,13 +629,13 @@ class TestDependencyCones:
         mix = from_function(3, 2, 2, lambda x: ((x[0] + x[1]) % 3, (x[0] + 2 * x[1]) % 3))
         assert masks_of(mix) == (0b11, 0b11)
         sides = ((((1, 2), 2), ((2, 3), 2)), (((2, 3), 2), ((1, 2), 2)))
-        assert _cones(3, sides, None, (masks_of(mix),) * 4, 3) == ((range(3),) * 3,)
+        assert _cones(3, sides, (None, None), (masks_of(mix),) * 4, 3) == ((range(3),) * 3,)
 
     def test_identity_legs_are_separate_cones(self):
         sides = ((((1, 2), 2), ((2, 3), 2)), (((2, 3), 2),))
         masks = masks_of(identity_tensor(2, 2))
         pinned, full = range(1), range(2)
-        assert _cones(3, sides, None, (masks,) * 3, 2) == (
+        assert _cones(3, sides, (None, None), (masks,) * 3, 2) == (
             (full, pinned, pinned),
             (pinned, full, pinned),
             (pinned, pinned, full),
@@ -646,11 +646,11 @@ class TestDependencyCones:
         # 2 each compare both column legs.
         sides = ((((1, 2), 2),), ())
         pinned, full = range(1), range(2)
-        assert _cones(3, sides, None, (masks_of(flip(2)),), 2) == (
+        assert _cones(3, sides, (None, None), (masks_of(flip(2)),), 2) == (
             (full, full, pinned),
             (pinned, pinned, full),
         )
-        assert _cones(3, sides[::-1], None, (masks_of(flip(2)),), 2) == (
+        assert _cones(3, sides[::-1], (None, None), (masks_of(flip(2)),), 2) == (
             (full, full, pinned),
             (pinned, pinned, full),
         )
@@ -672,8 +672,8 @@ class TestDependencyCones:
 
 
 def test_contract_and_compare_sources_unchanged():
-    # kernel_sources.json holds the sources of all four generator modes that
-    # the tensor and set checks run; regen_kernel_sources.py rewrites it on purpose.
+    # kernel_sources.json holds the sources of both generator modes that the
+    # tensor and set checks run; regen_kernel_sources.py rewrites it on purpose.
     golden = json.loads(GOLDEN.read_text())
     assert polygon_kernel_sources() == golden
 
