@@ -74,6 +74,7 @@ from .verify import (
     PreconditionFailed,
     VerificationReport,
     check_commutes,
+    check_equation,
     check_mixed,
     check_polygon,
     check_relations_1_6,

@@ -29,37 +29,20 @@ from .hopf import (
     group_algebra,
     symmetric_group,
 )
-from .indices import (
-    mixed_equation,
-    mixed_indices,
-    polygon_equation,
-    polygon_indices,
-    simplex_equation,
-    simplex_indices,
-)
 from .rings import RingError, ring_from_tag
 from .setmaps import FiniteMap, check_polygon_set, enumerate_set_solutions
-from .simplicial import (
-    ProgramError,
-    compile_mixed,
-    compile_polygon,
-    compile_simplex,
-    flatten,
-    program_to_dot,
-)
+from .simplicial import ProgramError, flatten, program_to_dot
 from .tensor import NotInvertible, ShapeError, Tensor, _is_count, partial_trace_left
 from .verify import (
+    EQUATIONS,
     MAX_COLUMNS as MAX_COLUMNS,
     PreconditionFailed,
     SelfCheckFailed,
     VerificationReport,
     check_commutes,
-    check_mixed,
-    check_polygon,
+    check_equation,
     check_relations_1_6,
-    check_simplex,
     compare_sides,
-    polygon_signature,
     require_columns,
 )
 
@@ -103,10 +86,15 @@ def load_group(spec: str, admit=lambda order: None) -> GroupTable:
         admit(4)
         return direct_product(cyclic_group(2), cyclic_group(2))
     if spec[:1] in ("z", "s") and spec[1:].isdecimal():
-        # Refused before the Cayley table is built, and s_n (n! >= n) of a
-        # large n before n! is computed.
-        n, subject = int(spec[1:]), f"the associativity check of {spec} runs"
-        require_columns(n, 3, subject if spec[0] == "z" else f"{subject} at least")
+        # Refused before the Cayley table is built, s_n (n! >= n) of a large
+        # n before n! is computed, and a number of more than 3000 digits,
+        # plainly over the cap, before it is converted.
+        digits, subject = spec[1:].lstrip("0"), f"the associativity check of {spec} runs"
+        at_least = subject if spec[0] == "z" else f"{subject} at least"
+        if len(digits) > 3000:
+            raise ShapeError(f"{at_least} {spec[1:]}^3 columns, over the cap of {MAX_COLUMNS}")
+        n = int(digits or "0")
+        require_columns(n, 3, at_least)
         if spec[0] == "z":
             admit(n)
             return cyclic_group(n)
@@ -182,42 +170,25 @@ def require_recipe(family: str, order: int, dim: int, verify: bool, what: str = 
     order cap (a 1-dimensional map has one column at every order, and
     building or checking it grows with about the cube of the order); with
     ``verify``, its self-check, the ``family`` equation of ``order`` on
-    ``dim`` (``"mixed"``: the mixed relation), over the column cap;
-    without, the map it builds, ``dim ** in_legs`` columns.  Orders below
+    ``dim``, over the column cap; without, the map it builds, the
+    ``dim ** in_legs`` columns of the equation's first map.  Orders below
     the family's first are left to the recipe, which refuses them."""
-    simplex, dual = family == "simplex", family == "dual-polygon"
-    if order < (1 if simplex else 3):
+    equation = EQUATIONS[family]
+    if order < equation.first:
         return
     require_order(order)
     if verify:
-        compiled = {"simplex": compile_simplex, "mixed": compile_mixed}.get(family, lambda n: compile_polygon(n, dual))
-        require_columns(dim, len(compiled(order)[0].free_inputs))
+        require_columns(dim, len(equation.compile(order)[0].free_inputs))
     else:
-        require_columns(dim, order if simplex else polygon_signature(order, dual)[0], f"the {what} maps")
+        require_columns(dim, equation.signatures(order)[0][0], f"the {what} maps")
 
 
 def cmd_gen_eq(args) -> int:
     n = args.n
     if n > GEN_EQ_MAX_N:
         raise UsageError(f"gen-eq is limited to n <= {GEN_EQ_MAX_N}")
-    if args.family == "polygon" or args.family == "dual-polygon":
-        a, b = polygon_indices(n)
-        matrices = {"A": a.as_lists(), "B": b.as_lists()}
-        line = polygon_equation(n, dual=args.family == "dual-polygon")
-    elif args.family == "simplex":
-        matrices = {"A": simplex_indices(n).as_lists()}
-        line = simplex_equation(n)
-    elif args.family == "mixed":
-        d, e, f, g = mixed_indices(n)
-        matrices = {
-            "D": d.as_lists(),
-            "E": e.as_lists(),
-            "F": f.as_lists(),
-            "G": g.as_lists(),
-        }
-        line = mixed_equation(n)
-    else:
-        raise UsageError(f"unknown family {args.family}")
+    indices, line = EQUATIONS[args.family].written(n)
+    matrices = {name: m.as_lists() for name, m in indices.items()}
     if args.format == "json":
         print(json.dumps({"family": args.family, "n": n, "equation": line, "matrices": matrices}, sort_keys=True))
     else:
@@ -232,40 +203,23 @@ def cmd_gen_eq(args) -> int:
 
 def cmd_compile(args) -> int:
     require_order(args.n)
-    if args.family in ("polygon", "dual-polygon"):
-        lhs, rhs = compile_polygon(args.n, dual=args.family == "dual-polygon")
-    elif args.family == "simplex":
-        lhs, rhs = compile_simplex(args.n)
-    elif args.family == "mixed":
-        lhs, rhs = compile_mixed(args.n)
-    else:
-        raise UsageError(f"unknown family {args.family}")
+    lhs, rhs = EQUATIONS[args.family].compile(args.n)
     if args.emit == "dot":
         print(program_to_dot(lhs, "lhs"))
         print(program_to_dot(rhs, "rhs"))
         return 0
+    # JSON writes the tuples of faces and rows as lists.
     if args.emit == "placements":
-        data = {
-            "lhs": [[tag, list(row)] for tag, row in flatten(lhs)],
-            "rhs": [[tag, list(row)] for tag, row in flatten(rhs)],
-        }
-        print(json.dumps(data, sort_keys=True))
+        print(json.dumps({"lhs": flatten(lhs), "rhs": flatten(rhs)}, sort_keys=True))
         return 0
-    data = {}
-    for name, side in (("lhs", lhs), ("rhs", rhs)):
-        data[name] = {
-            "steps": [
-                {
-                    "map": step.tag,
-                    "simplex": list(step.face),
-                    "inputs": [list(l) for l in step.inputs],
-                    "outputs": [list(l) for l in step.outputs],
-                }
-                for step in side.steps
-            ],
-            "free_inputs": [list(l) for l in side.free_inputs],
-            "free_outputs": [list(l) for l in side.free_outputs],
+    data = {
+        name: {
+            "steps": [{"map": s.tag, "simplex": s.face, "inputs": s.inputs, "outputs": s.outputs} for s in side.steps],
+            "free_inputs": side.free_inputs,
+            "free_outputs": side.free_outputs,
         }
+        for name, side in (("lhs", lhs), ("rhs", rhs))
+    }
     print(json.dumps(data, sort_keys=True))
     return 0
 
@@ -283,6 +237,20 @@ def _with_tolerance(tensor: Tensor, tolerance: float) -> Tensor:
     )
 
 
+def _check_commutes(f: Tensor, g: Tensor) -> VerificationReport:
+    widest = max(f.in_legs, f.out_legs, g.in_legs, g.out_legs)
+    if widest > MAX_ORDER:
+        raise UsageError(f"commutation maps have up to {widest} legs on a side, over the cap of {MAX_ORDER}")
+    return check_commutes(f, g)
+
+
+# The checks verify offers beside the equation families, each of two maps.
+PAIR_CHECKS = {
+    "commutes": ("commutation check", _check_commutes),
+    "relations": ("relations check", check_relations_1_6),
+}
+
+
 def cmd_verify(args) -> int:
     first = load_tensor(args.tensor)
     second = load_tensor(args.tensor2) if args.tensor2 else None
@@ -290,29 +258,16 @@ def cmd_verify(args) -> int:
         first = _with_tolerance(first, args.tolerance)
         if second is not None:
             second = _with_tolerance(second, args.tolerance)
-    if args.family in ("polygon", "dual-polygon", "simplex", "mixed"):
+    if args.family in EQUATIONS:
         require_order(args.n)
-    if args.family in ("polygon", "dual-polygon"):
-        report = check_polygon(first, args.n, args.family == "dual-polygon")
-    elif args.family == "simplex":
-        report = check_simplex(first, args.n)
-    elif args.family == "mixed":
-        if second is None:
-            raise UsageError("mixed verification needs --tensor2 for the dual solution")
-        report = check_mixed(first, second, args.n)
-    elif args.family == "commutes":
-        if second is None:
-            raise UsageError("commutation check needs --tensor2")
-        widest = max(first.in_legs, first.out_legs, second.in_legs, second.out_legs)
-        if widest > MAX_ORDER:
-            raise UsageError(f"commutation maps have up to {widest} legs on a side, over the cap of {MAX_ORDER}")
-        report = check_commutes(first, second)
-    elif args.family == "relations":
-        if second is None:
-            raise UsageError("relations check needs --tensor2")
-        report = check_relations_1_6(first, second)
+        if second is None and len(EQUATIONS[args.family].tags) > 1:
+            raise UsageError(f"{args.family} verification needs --tensor2 for the dual solution")
+        report = check_equation(args.family, args.n, first, second)
     else:
-        raise UsageError(f"unknown family {args.family}")
+        what, check = PAIR_CHECKS[args.family]
+        if second is None:
+            raise UsageError(f"{what} needs --tensor2")
+        report = check(first, second)
     emit_report(report, args.report)
     print(f"{report.equation}: {'holds' if report.holds else 'FAILS'}")
     if not report.holds and report.witness:
@@ -367,10 +322,13 @@ def cmd_construct(args) -> int:
     ring = default_ring()
     recipe = args.recipe
 
-    def group():
+    def group(family: str, order: int, what: str) -> GroupTable:
+        """The --group of a recipe whose self-check is the ``family``
+        equation of ``order`` over it, refused by :func:`require_recipe`
+        before it is built."""
         if not args.group:
             raise UsageError(f"recipe {recipe} needs --group")
-        return load_group(args.group)
+        return load_group(args.group, lambda size: require_recipe(family, order, size, verify, what))
 
     def integer(name: str, default: int) -> int:
         value = params.get(name, default)
@@ -391,10 +349,12 @@ def cmd_construct(args) -> int:
         return value
 
     if recipe == "hopf-pentagon-pair":
-        return _descriptor_out(args, C.hopf_pentagon_pair(group_algebra(group(), ring), verify))
+        # Its widest check is the mixed 5-gon; unchecked, it builds two maps of two inputs.
+        g = group("mixed", 5, "pair")
+        return _descriptor_out(args, C.hopf_pentagon_pair(group_algebra(g, ring), verify))
     if recipe == "bialgebra-tower":
-        n, dual, g = integer("n", 5), boolean("dual"), group()
-        require_recipe("dual-polygon" if dual else "polygon", n, g.order, verify, "tower")
+        n, dual = integer("n", 5), boolean("dual")
+        g = group("dual-polygon" if dual else "polygon", n, "tower")
         return _descriptor_out(args, C.bialgebra_tower(n, group_algebra(g, ring), dual, verify))
     if recipe == "multi-bialgebra-tower":
         groups = params.get("groups")
@@ -405,8 +365,8 @@ def cmd_construct(args) -> int:
         instances = [group_algebra(g, ring) for g in tables]
         return _descriptor_out(args, C.multi_bialgebra_tower(k, instances, even, verify))
     if recipe == "hopf-mixed-pair-antipode":
-        k, g = integer("k", 2), group()
-        require_recipe("polygon", 2 * k + 1, g.order, verify, "tower")
+        k = integer("k", 2)
+        g = group("polygon", 2 * k + 1, "tower")
         return _descriptor_out(args, C.hopf_mixed_pair_antipode(k, group_algebra(g, ring), verify))
     if recipe == "higher-mixed-pair":
         t = load_tensor(args.input)
@@ -484,8 +444,7 @@ def _basis_action_lines(name: str, t: Tensor) -> list[str]:
 def cmd_demo(args) -> int:
     ring = default_ring()
     # The 4-simplex check on V^(x)10 is the widest; orders above 4 exceed the cap.
-    legs = len(compile_simplex(4)[0].free_inputs)
-    group = load_group(args.group, lambda order: require_columns(order, legs))
+    group = load_group(args.group, lambda order: require_recipe("simplex", 4, order, True))
     h = group_algebra(group, ring)
     lines: list[str] = [f"pipeline over k[G] with |G| = {group.order}", ""]
     axioms = check_axioms(h)
@@ -497,18 +456,18 @@ def cmd_demo(args) -> int:
 
     results = [
         ("bialgebra axioms", axioms),
-        ("pentagon for T", check_polygon(t_desc.tensor, 5)),
-        ("dual pentagon for S", check_polygon(s_desc.tensor, 5, dual=True)),
+        ("pentagon for T", check_equation("polygon", 5, t_desc.tensor)),
+        ("dual pentagon for S", check_equation("dual-polygon", 5, s_desc.tensor)),
         ("relations (1)-(6)", check_relations_1_6(t_desc.tensor, s_desc.tensor)),
-        ("mixed relation at 5", check_mixed(t_desc.tensor, s_desc.tensor, 5)),
-        ("4-simplex for R4", check_simplex(r4.tensor, 4)),
-        ("3-simplex for R3", check_simplex(r3_desc.tensor, 3)),
+        ("mixed relation at 5", check_equation("mixed", 5, t_desc.tensor, s_desc.tensor)),
+        ("4-simplex for R4", check_equation("simplex", 4, r4.tensor)),
+        ("3-simplex for R3", check_equation("simplex", 3, r3_desc.tensor)),
         (
             "R3 equals left trace of R4",
             compare_sides("tensor equality", r3_desc.tensor, partial_trace_left(r4.tensor)),
         ),
-        ("Yang-Baxter for S o T", check_simplex(yb.tensor, 2)),
-        ("Yang-Baxter for the four-factor map", check_simplex(yb4.tensor, 2)),
+        ("Yang-Baxter for S o T", check_equation("simplex", 2, yb.tensor)),
+        ("Yang-Baxter for the four-factor map", check_equation("simplex", 2, yb4.tensor)),
     ]
     all_hold = True
     for name, report in results:
@@ -542,17 +501,10 @@ def build_catalog(max_n: int) -> dict:
         raise UsageError("catalog is limited to max-n <= 12")
     if max_n < 3:
         raise UsageError("catalog needs max-n >= 3")
-    catalog = {"polygon": {}, "dual-polygon": {}, "simplex": {}, "mixed": {}}
-    for n in range(3, max_n + 1):
-        catalog["polygon"][str(n)] = polygon_equation(n)
-        catalog["dual-polygon"][str(n)] = polygon_equation(n, dual=True)
-    n = 1
-    while 2 * n + 1 <= max_n:
-        catalog["simplex"][str(n)] = simplex_equation(n)
-        n += 1
-    for n in range(3, max_n + 1, 2):
-        catalog["mixed"][str(n)] = mixed_equation(n)
-    return catalog
+    return {
+        family: {str(n): equation.written(n)[1] for n in equation.catalog(max_n)}
+        for family, equation in EQUATIONS.items()
+    }
 
 
 def cmd_catalog(args) -> int:
@@ -560,11 +512,9 @@ def cmd_catalog(args) -> int:
     if args.format == "json":
         print(json.dumps(catalog, sort_keys=True))
         return 0
-    for family in ("polygon", "dual-polygon", "simplex", "mixed"):
-        for n, line in catalog[family].items():
-            label = f"{n}-gon" if family != "simplex" else f"{n}-simplex"
-            prefix = "dual " if family == "dual-polygon" else ("mixed " if family == "mixed" else "")
-            print(f"{prefix}{label}: {line}")
+    for family, lines in catalog.items():
+        for n, line in lines.items():
+            print(f"{EQUATIONS[family].label.format(n)}: {line}")
     return 0
 
 
@@ -582,23 +532,19 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-eq", help="print index matrices and the rendered equation")
-    p.add_argument("--family", required=True, choices=["polygon", "dual-polygon", "simplex", "mixed"])
+    p.add_argument("--family", required=True, choices=list(EQUATIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=cmd_gen_eq)
 
     p = sub.add_parser("compile", help="compile an equation from simplex face combinatorics")
-    p.add_argument("--family", required=True, choices=["polygon", "dual-polygon", "simplex", "mixed"])
+    p.add_argument("--family", required=True, choices=list(EQUATIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit", default="program", choices=["program", "placements", "dot"])
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("verify", help="check tensors against an equation family")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["polygon", "dual-polygon", "simplex", "mixed", "commutes", "relations"],
-    )
+    p.add_argument("--family", required=True, choices=[*EQUATIONS, *PAIR_CHECKS])
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--tensor", required=True)
     p.add_argument("--tensor2")

@@ -44,11 +44,10 @@ from .verify import (
     SelfCheckFailed,
     VerificationReport,
     check_commutes,
+    check_equation,
     check_mixed,
-    check_polygon,
     check_relations_1_6,
-    check_simplex,
-    polygon_signature,
+    require_signatures,
 )
 
 FAMILIES = ("polygon", "dual-polygon", "simplex")
@@ -68,15 +67,7 @@ class SolutionDescriptor:
             raise ShapeError(f"unknown family {self.family!r}")
         if not _is_count(self.order):
             raise ShapeError(f"order {self.order!r} must be an integer")
-        if self.family == "simplex":
-            want = (self.order, self.order)
-        else:
-            want = polygon_signature(self.order, self.family == "dual-polygon")
-        if (self.tensor.in_legs, self.tensor.out_legs) != want:
-            raise ShapeError(
-                f"{self.family} order {self.order} needs signature "
-                f"{want[0]}->{want[1]}, got {self.tensor.in_legs}->{self.tensor.out_legs}"
-            )
+        require_signatures(self.family, self.order, (self.tensor,))
 
     def derived(self, family: str, order: int, tensor: Tensor, note: str) -> "SolutionDescriptor":
         return SolutionDescriptor(family, order, tensor, self.provenance + (note,))
@@ -100,9 +91,7 @@ class SolutionDescriptor:
 
 
 def verify_descriptor(desc: SolutionDescriptor) -> VerificationReport:
-    if desc.family == "simplex":
-        return check_simplex(desc.tensor, desc.order)
-    return check_polygon(desc.tensor, desc.order, dual=desc.family == "dual-polygon")
+    return check_equation(desc.family, desc.order, desc.tensor)
 
 
 def _self_check(desc: SolutionDescriptor, verify: bool) -> SolutionDescriptor:

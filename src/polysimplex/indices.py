@@ -169,20 +169,20 @@ def format_subscript(row) -> str:
     return "".join(parts)
 
 
-def _factors(symbol: str, rows) -> str:
-    return "".join(f"{symbol}_{{{format_subscript(r)}}}" for r in rows)
+def _written(lhs, rhs) -> str:
+    """The equation of the ``(map, row)`` factors of each side, in written order."""
+    return "=".join("".join(f"{s}_{{{format_subscript(r)}}}" for s, r in side) for side in (lhs, rhs))
 
 
 def polygon_equation(n: int, dual: bool = False) -> str:
     a_rows, b_rows = polygon_recursion_rows(n)
-    if dual:
-        return _factors("T", list(reversed(a_rows))) + "=" + _factors("T", b_rows)
-    return _factors("T", a_rows) + "=" + _factors("T", list(reversed(b_rows)))
+    lhs, rhs = (a_rows[::-1], b_rows) if dual else (a_rows, b_rows[::-1])
+    return _written([("T", r) for r in lhs], [("T", r) for r in rhs])
 
 
 def simplex_equation(n: int) -> str:
-    rows = list(simplex_indices(n).rows)
-    return _factors("R", rows) + "=" + _factors("R", list(reversed(rows)))
+    rows = simplex_indices(n).rows
+    return _written([("R", r) for r in rows], [("R", r) for r in reversed(rows)])
 
 
 def mixed_sequences(n: int) -> tuple[list, list]:
@@ -204,9 +204,4 @@ def mixed_sequences(n: int) -> tuple[list, list]:
 
 
 def mixed_equation(n: int) -> str:
-    lhs, rhs = mixed_sequences(n)
-
-    def render(seq):
-        return "".join(f"{s}_{{{format_subscript(r)}}}" for s, r in seq)
-
-    return render(lhs) + "=" + render(rhs)
+    return _written(*mixed_sequences(n))

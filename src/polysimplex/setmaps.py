@@ -97,9 +97,11 @@ class FiniteMap:
     @staticmethod
     def from_json_dict(data: dict) -> "FiniteMap":
         base, k, l = data["base"], data["in"], data["out"]
-        # Also checked by __init__, but a float arity must not reach base**k.
+        # Also checked by __init__, but a float arity must not reach base**k,
+        # nor a table of more rows than the cap.
         if not all(map(_is_count, (base, k, l))):
             raise ShapeError("base and arities must be integers")
+        require_columns(base, k, "the finite map has")
         entries = {}
         for key, value in data["table"].items():
             args = tuple(int(p) for p in key.split(",") if p.isdecimal()) if key else ()

@@ -1,10 +1,15 @@
 """Decision procedures for every equation family.
 
-The polygon, simplex and mixed checks take both sides of their equation
-from the simplicial compiler as staged ``(map, gather positions)`` steps;
-the relations (1)-(6) are fixed placement words, and the commutation that
-licenses stacking places its maps on the rows and columns of a grid of
-legs, read out row by row in an output order.  When every map is a
+One table, :data:`EQUATIONS`, states each family once: the tags and
+signatures of its maps, its compiler, its index matrices and rendering,
+and its names; the commands and the solution descriptors look families
+up there.  :func:`check_equation` checks every family (``check_polygon``,
+``check_simplex`` and ``check_mixed`` are its wrappers): it refuses a map
+of the wrong signature before anything is compiled, then takes both
+sides from the simplicial compiler as staged ``(map, gather positions)``
+steps.  The relations (1)-(6) are fixed placement words, and the
+commutation that licenses stacking places its maps on the rows and
+columns of a grid of legs, read out row by row in an output order.  When every map is a
 total basis function, both sides run in one table-mode loop-nest kernel
 (:func:`polysimplex.tensor._staged_kernel`), on tables indexed by the
 rank of the input digits, and a holding equation is decided without
@@ -26,6 +31,7 @@ compares within its global absolute tolerance.
 from __future__ import annotations
 
 from ._record import field, record
+from .indices import mixed_equation, mixed_indices, polygon_equation, polygon_indices, simplex_equation, simplex_indices
 from .rings import exact_str
 from .simplicial import _program_steps, _replay, compile_mixed, compile_polygon, compile_simplex
 from .tensor import (
@@ -45,12 +51,21 @@ from .tensor import (
 MAX_COLUMNS = 2**22
 
 
+# Numbers of at most this many bits are written out in decimal: about 3000
+# digits, under the interpreter's int-to-str limit of 4300.
+_PRINTABLE_BITS = 10_000
+
+
 def require_columns(dim: int, legs: int, subject: str = "the check runs") -> None:
     """Refuse a check (or what ``subject`` names) on ``dim ** legs`` columns
-    above the cap."""
-    columns = dim**legs
-    if columns > MAX_COLUMNS:
-        raise ShapeError(f"{subject} {dim}^{legs} = {columns} columns, over the cap of {MAX_COLUMNS}")
+    above the cap.  Since 2^23 is over the cap, a power of a larger
+    exponent is never computed; the message writes the count out only when
+    it is short enough to print."""
+    if (dim < 2 or legs < 23) and dim**legs <= MAX_COLUMNS:
+        return
+    base = str(dim) if dim.bit_length() <= _PRINTABLE_BITS else f"(a {dim.bit_length()}-bit number)"
+    count = f" = {dim**legs}" if legs * dim.bit_length() <= _PRINTABLE_BITS else ""
+    raise ShapeError(f"{subject} {base}^{legs}{count} columns, over the cap of {MAX_COLUMNS}")
 
 
 class PreconditionFailed(ValueError):
@@ -138,12 +153,6 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
     return VerificationReport(equation, witness is None, mag, shape, shape, witness)
 
 
-def _check_programs(equation: str, programs, maps, d: int, ring) -> VerificationReport:
-    """:func:`_check_sides` on the two compiled sides of an equation."""
-    sides = [_program_steps(side, maps) for side in programs]
-    return _check_sides(equation, sides, len(programs[0].free_inputs), d, ring)
-
-
 def polygon_signature(n: int, dual: bool) -> tuple[int, int]:
     """(in_legs, out_legs) demanded of a (dual) n-gon solution."""
     if n < 3:
@@ -155,46 +164,104 @@ def polygon_signature(n: int, dual: bool) -> tuple[int, int]:
     return (k, k - 1) if dual else (k - 1, k)
 
 
+def _simplex_signature(n: int) -> tuple[int, int]:
+    if n < 1:
+        raise ShapeError(f"no {n}-simplex equation; n must be >= 1")
+    return (n, n)
+
+
+@record
+class Equation:
+    """One equation family.  Each callable takes the order n (``catalog``
+    the largest order m a catalog lists); ``name`` (in a report) and
+    ``label`` (in a catalog) are formatted with n."""
+
+    tags: str  # one per map the equation places, in argument order
+    name: str
+    label: str
+    first: int  # the lowest order
+    signatures: object  # (in_legs, out_legs) per map; ShapeError when no equation has order n
+    compile: object  # both sides, compiled
+    written: object  # ({name: index matrix}, the rendered equation)
+    catalog: object  # the orders listed
+
+
+def _polygon(dual: bool) -> Equation:
+    name = "dual {}-gon" if dual else "{}-gon"
+    return Equation(
+        "S" if dual else "T", name, name, 3,
+        lambda n: (polygon_signature(n, dual),),
+        lambda n: compile_polygon(n, dual),
+        lambda n: (dict(zip("AB", polygon_indices(n))), polygon_equation(n, dual)),
+        lambda m: range(3, m + 1),
+    )
+
+
+# The equation families, in the order a catalog lists them.
+EQUATIONS = {
+    "polygon": _polygon(False),
+    "dual-polygon": _polygon(True),
+    "simplex": Equation(
+        "R", "{}-simplex", "{}-simplex", 1,
+        lambda n: (_simplex_signature(n),),
+        lambda n: compile_simplex(n),
+        lambda n: ({"A": simplex_indices(n)}, simplex_equation(n)),
+        lambda m: range(1, (m + 1) // 2),  # the n-simplex equation is indexed by A_(2n+1)
+    ),
+    "mixed": Equation(
+        "TS", "{}-gon mixed relation", "mixed {}-gon", 3,
+        lambda n: (polygon_signature(n, False), polygon_signature(n, True)),
+        lambda n: compile_mixed(n),
+        lambda n: (dict(zip("DEFG", mixed_indices(n))), mixed_equation(n)),
+        lambda m: range(3, m + 1, 2),  # only odd orders have closed-form index matrices
+    ),
+}
+
+
+def signature(family: str, n: int) -> dict[str, tuple[int, int]]:
+    """(in_legs, out_legs) of each map of the family's equation at order n, by tag."""
+    equation = EQUATIONS[family]
+    return dict(zip(equation.tags, equation.signatures(n)))
+
+
+def require_signatures(family: str, n: int, maps) -> dict[str, Tensor]:
+    """``maps`` by tag, refused with :class:`ShapeError` unless each has its
+    signature in the family's equation at order n and all share dimension
+    and ring."""
+    name, want = EQUATIONS[family].name.format(n), signature(family, n)
+    maps = dict(zip(want, maps))
+    for tag, f in maps.items():
+        if (f.in_legs, f.out_legs) != want[tag]:
+            k, l = want[tag]
+            raise ShapeError(f"{name} needs {tag}:{k}->{l}, got {tag}:{f.in_legs}->{f.out_legs}")
+    if len({(f.dim, f.ring) for f in maps.values()}) > 1:
+        raise ShapeError(f"the maps of the {name} must share dimension and ring")
+    return maps
+
+
+def check_equation(family: str, n: int, t: Tensor, s: Tensor | None = None) -> VerificationReport:
+    """Does t (with s, the dual map of the mixed relation) satisfy the
+    family's equation at order n?  The maps are refused by
+    :func:`require_signatures` before the equation is compiled."""
+    maps, equation = require_signatures(family, n, (t, s)), EQUATIONS[family]
+    programs = equation.compile(n)
+    sides = [_program_steps(side, maps) for side in programs]
+    return _check_sides(equation.name.format(n), sides, len(programs[0].free_inputs), t.dim, t.ring)
+
+
 def check_polygon(t: Tensor, n: int, dual: bool = False) -> VerificationReport:
     """Does t satisfy the (dual) n-gon equation?"""
-    want = polygon_signature(n, dual)
-    if (t.in_legs, t.out_legs) != want:
-        raise ShapeError(
-            f"{'dual ' if dual else ''}{n}-gon needs signature {want[0]}->{want[1]}, "
-            f"got {t.in_legs}->{t.out_legs}"
-        )
-    name = f"dual {n}-gon" if dual else f"{n}-gon"
-    return _check_programs(name, compile_polygon(n, dual), {"S" if dual else "T": t}, t.dim, t.ring)
+    return check_equation("dual-polygon" if dual else "polygon", n, t)
 
 
 def check_simplex(r: Tensor, n: int) -> VerificationReport:
     """Does r satisfy the n-simplex equation?"""
-    programs = compile_simplex(n)
-    if (r.in_legs, r.out_legs) != (n, n):
-        raise ShapeError(
-            f"{n}-simplex needs signature {n}->{n}, got {r.in_legs}->{r.out_legs}"
-        )
-    return _check_programs(f"{n}-simplex", programs, {"R": r}, r.dim, r.ring)
+    return check_equation("simplex", n, r)
 
 
 def check_mixed(t: Tensor, s: Tensor, n: int) -> VerificationReport:
-    """Do (t, s) satisfy the mixed relation at order n?
-
-    t must solve-shape the n-gon and s the dual n-gon.  The sides are
-    those of :func:`compile_mixed`, which ties odd n to the closed-form
-    index matrices.
-    """
-    want_t = polygon_signature(n, dual=False)
-    want_s = polygon_signature(n, dual=True)
-    if (t.in_legs, t.out_legs) != want_t or (s.in_legs, s.out_legs) != want_s:
-        raise ShapeError(
-            f"mixed relation at n={n} needs T:{want_t[0]}->{want_t[1]} and "
-            f"S:{want_s[0]}->{want_s[1]}, got T:{t.in_legs}->{t.out_legs}, "
-            f"S:{s.in_legs}->{s.out_legs}"
-        )
-    if t.dim != s.dim or t.ring != s.ring:
-        raise ShapeError("mixed pair must share dimension and ring")
-    return _check_programs(f"{n}-gon mixed relation", compile_mixed(n), {"T": t, "S": s}, t.dim, t.ring)
+    """Do an n-gon map t and a dual n-gon map s satisfy the mixed relation?"""
+    return check_equation("mixed", n, t, s)
 
 
 def check_commutes(f: Tensor, g: Tensor) -> VerificationReport:

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 import oracle
 import polysimplex
-from polysimplex import construct
-from polysimplex import cli
+from polysimplex import cli, construct, simplicial
 from polysimplex import tensor as tensor_module
 from polysimplex.cli import MAX_COLUMNS, MAX_ORDER, build_catalog, main
 from polysimplex.hopf import GroupTable, cyclic_group, direct_product, group_algebra
@@ -24,8 +23,8 @@ from polysimplex.rings import F64, prime_field
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap, check_polygon_set
 from polysimplex.simplicial import compile_polygon, evaluate_program, pair_to_simplex_map
-from polysimplex.tensor import Tensor, from_function, identity_tensor, rank_to_digits
-from polysimplex.verify import SelfCheckFailed, check_polygon
+from polysimplex.tensor import ShapeError, Tensor, from_function, identity_tensor, rank_to_digits
+from polysimplex.verify import EQUATIONS, Equation, SelfCheckFailed, check_polygon
 
 
 def run(capsys, *argv):
@@ -302,6 +301,12 @@ OUTSIDE_INPUTS = {
     "demo-deep-json": DEEP,
     "construct-deep-json": DEEP,
     "params-deep-json": DEEP,
+    "tensor-3-to-the-10000": f"has 3^10000 columns, over the cap of {MAX_COLUMNS}",
+    "tensor-huge-power": f"has 1000000000^30000000 columns, over the cap of {MAX_COLUMNS}",
+    "map-huge-power": f"the finite map has 1000000000^30000000 columns, over the cap of {MAX_COLUMNS}",
+    "multi-bialgebra-tower-5000-groups": f"the check runs {2**5000}^3 columns, over the cap of {MAX_COLUMNS}",
+    "demo-group-5000-digits": f"runs {'9' * 5000}^3 columns, over the cap of {MAX_COLUMNS}",
+    "bialgebra-tower-group-5000-digits": f"runs {'9' * 5000}^3 columns, over the cap of {MAX_COLUMNS}",
 }
 
 
@@ -410,6 +415,21 @@ def outside_input(tmp_path, case):
             "construct": ["construct", "--recipe", "invert-to-dual", "--input", str(path)],
             "params": ["construct", "--recipe", "bialgebra-tower", "--group", "z2", "--params", DEEP_JSON],
         }[case[: -len("-deep-json")]]
+    elif case.startswith("tensor-"):
+        # 3^10000 once ended in the int-to-str limit, (10^9)^(3*10^7) in a hang.
+        dim, legs = (3, 10000) if case == "tensor-3-to-the-10000" else (10**9, 3 * 10**7)
+        path = write({"dim": dim, "in_legs": legs, "out_legs": 0, "scalar": "rational", "entries": []})
+        argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", path]
+    elif case == "map-huge-power":
+        argv = ["set-verify", "--n", "5", "--map", write({"base": 10**9, "in": 3 * 10**7, "out": 1, "table": {}})]
+    elif case == "multi-bialgebra-tower-5000-groups":
+        params = json.dumps({"groups": ["z2"] * 5000, "k": 2})
+        argv = ["construct", "--recipe", "multi-bialgebra-tower", "--params", params]
+    elif case.endswith("-group-5000-digits"):
+        # Past the int-to-str limit, so it once ended in a traceback from int().
+        group = "z" + "9" * 5000
+        argv = ["demo"] if case.startswith("demo") else ["construct", "--recipe", "bialgebra-tower"]
+        argv += ["--group", group]
     elif case.startswith("hopf-mixed-pair-antipode"):
         argv = ["construct", "--recipe", "hopf-mixed-pair-antipode", "--group", "z2", "--no-verify",
                 "--params", json.dumps({"k": int(case.rsplit("-", 1)[1])})]
@@ -476,17 +496,23 @@ RECIPES_OVER_THE_CAPS = {
     "yang-baxter-four-factor-d-40": ("yang-baxter", f"the check runs 1600^3 = {1600**3} columns"),
     "invert-to-dual-identity-23-gon": ("invert-to-dual", f"the check runs 3^66 = {3**66} columns"),
     "bar-sigma-conjugate-identity-23-gon": ("bar-sigma-conjugate", f"the check runs 3^66 = {3**66} columns"),
+    # Its mixed 5-gon self-check: z161 ran 7.5 s, 1.2 s of it validating the group.
+    "hopf-pentagon-pair-z64": ("hopf-pentagon-pair", f"the check runs 64^4 = {64**4} columns"),
+    "hopf-pentagon-pair-z161": ("hopf-pentagon-pair", f"the check runs 161^4 = {161**4} columns"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RECIPES_OVER_THE_CAPS))
 def test_recipe_over_the_caps_exits_two_at_once(tmp_path, case):
     """Every recipe refuses its self-check over the order or column cap
-    before it builds: at once, or, for the 10 MB identity 23-gon, as soon
-    as its header is read, before its tensor is built."""
+    before it builds: at once (a named group before its Cayley table is
+    built), or, for the 10 MB identity 23-gon, as soon as its header is
+    read, before its tensor is built."""
     recipe, message = RECIPES_OVER_THE_CAPS[case]
     first, seconds = tmp_path / "first.json", 1
-    if recipe == "yang-baxter":
+    if recipe == "hopf-pentagon-pair":
+        argv = ["--group", case.rsplit("-", 1)[1]]
+    elif recipe == "yang-baxter":
         d = int(case.rsplit("-", 1)[1])
         first.write_text(identity_tensor(d, 2).to_json())
         argv = ["--input", str(first), "--input2", str(first), "--params", '{"mode": "four_factor"}']
@@ -584,6 +610,38 @@ def one_point_inputs(tmp_path, family, n):
     return ["--tensor", tensor(*polygon_signature(n, family == "dual-polygon"), "t.json")]
 
 
+def refuse_compiling(monkeypatch):
+    """Make every compile fail the test: each family's compiler in the
+    equation table, and the one compiler behind them, for any order not
+    compiled before."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled")
+
+    for family, equation in EQUATIONS.items():
+        monkeypatch.setitem(EQUATIONS, family, Equation(**dict(vars(equation), compile=refuse)))
+    monkeypatch.setattr(simplicial, "_compile", refuse)
+
+
+def test_family_choices_are_the_equation_table():
+    """gen-eq, compile and verify offer exactly the equation families of
+    the table, verify besides its two pair checks."""
+    commands = next(action for action in cli.make_parser()._actions if action.dest == "command").choices
+    for command in ("gen-eq", "compile", "verify"):
+        family = next(action for action in commands[command]._actions if action.dest == "family")
+        offered = [name for name in family.choices if command != "verify" or name not in cli.PAIR_CHECKS]
+        assert offered == list(EQUATIONS)
+    assert [name for name in family.choices if name not in EQUATIONS] == ["commutes", "relations"]
+
+
+def test_unverified_pair_refused_on_its_input_legs():
+    """With its self-check off, hopf-pentagon-pair is gated on the two
+    input legs of its maps, |G|^2 columns."""
+    cli.require_recipe("mixed", 5, 2048, False, "pair")
+    with pytest.raises(ShapeError, match=f"^the pair maps 2049\\^2 = {2049**2} columns, over the cap"):
+        cli.require_recipe("mixed", 5, 2049, False, "pair")
+
+
 class TestOrderCap:
     """A 1-dimensional map has one column at every order: the order cap
     refuses what the column cap cannot, before anything is compiled."""
@@ -604,11 +662,7 @@ class TestOrderCap:
     def test_over_the_cap_refused_before_compiling(self, capsys, tmp_path, monkeypatch, family):
         n = MAX_ORDER + 1
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("compiled")
-
-        for name in ("compile_polygon", "compile_simplex", "compile_mixed"):
-            monkeypatch.setattr(cli, name, refuse)
+        refuse_compiling(monkeypatch)
         expect = f"error: equation order {n} is over the cap of {MAX_ORDER}\n"
         commands = [
             ["compile", "--family", family, "--n", str(n), "--emit", emit] for emit in ("program", "placements", "dot")

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from polysimplex import tensor as tensor_module, verify
+from polysimplex import simplicial, tensor as tensor_module, verify
 from polysimplex.construct import (
     SolutionDescriptor,
     bialgebra_tower,
@@ -134,6 +134,93 @@ class TestCheckMixed:
         # (Delta, M) solve the 4-gon and its dual but not the mixed relation.
         assert report.equation == "4-gon mixed relation"
         assert not report.holds
+
+
+class TestEquationTable:
+    """One table states each family's maps, compiler and name, and
+    :func:`verify.check_equation` checks every family through it."""
+
+    @staticmethod
+    def refuse_compiling(monkeypatch, family):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled")
+
+        equation = verify.EQUATIONS[family]
+        monkeypatch.setitem(verify.EQUATIONS, family, verify.Equation(**dict(vars(equation), compile=refuse)))
+        monkeypatch.setattr(simplicial, "_compile", refuse)
+
+    @pytest.mark.parametrize("family, n", [("polygon", 6), ("dual-polygon", 6), ("simplex", 3), ("mixed", 7)])
+    def test_wrong_signature_refused_before_compiling(self, monkeypatch, family, n):
+        self.refuse_compiling(monkeypatch, family)
+        want = verify.signature(family, n)
+        name = verify.EQUATIONS[family].name.format(n)
+        for wrong in want:
+            maps = [Tensor(2, k + (tag == wrong), l, {}) for tag, (k, l) in want.items()]
+            k, l = want[wrong]
+            message = f"^{name} needs {wrong}:{k}->{l}, got {wrong}:{k + 1}->{l}$"
+            with pytest.raises(ShapeError, match=message):
+                verify.check_equation(family, n, *maps)
+            wrappers = {
+                "polygon": lambda: check_polygon(*maps, n),
+                "dual-polygon": lambda: check_polygon(*maps, n, dual=True),
+                "simplex": lambda: check_simplex(*maps, n),
+                "mixed": lambda: check_mixed(*maps, n),
+            }
+            with pytest.raises(ShapeError, match=message):
+                wrappers[family]()
+
+    def test_mixed_maps_share_dimension_and_ring(self, monkeypatch):
+        self.refuse_compiling(monkeypatch, "mixed")
+        message = "^the maps of the 5-gon mixed relation must share dimension and ring$"
+        for s in (Z3_S, Tensor(2, 2, 2, {}, F64)):
+            with pytest.raises(ShapeError, match=message):
+                check_mixed(Z2_T, s, 5)
+
+    def test_descriptor_signature_refused(self):
+        with pytest.raises(ShapeError, match="^dual 5-gon needs S:2->2, got S:2->1$"):
+            SolutionDescriptor("dual-polygon", 5, Tensor(2, 2, 1, {}))
+
+    def test_signatures(self):
+        assert verify.signature("polygon", 6) == {"T": (2, 3)}
+        assert verify.signature("dual-polygon", 6) == {"S": (3, 2)}
+        assert verify.signature("simplex", 4) == {"R": (4, 4)}
+        assert verify.signature("mixed", 7) == {"T": (3, 3), "S": (3, 3)}
+        for family, n, message in [
+            ("polygon", 2, "no 2-gon equation; n must be >= 3"),
+            ("simplex", 0, "no 0-simplex equation; n must be >= 1"),
+            ("mixed", 2, "no 2-gon equation; n must be >= 3"),
+        ]:
+            with pytest.raises(ShapeError, match=f"^{message}$"):
+                verify.signature(family, n)
+
+    def test_reports_named_as_before(self):
+        assert check_polygon(Z2_T, 5).equation == "5-gon"
+        assert check_polygon(Z2_S, 5, dual=True).equation == "dual 5-gon"
+        assert check_simplex(identity_tensor(2, 2), 2).equation == "2-simplex"
+        assert check_mixed(Z2_T, Z2_S, 5).equation == "5-gon mixed relation"
+
+
+class TestRequireColumns:
+    """The column cap decides without computing a power plainly over it,
+    and writes the count out only when it is short enough to print."""
+
+    def test_under_and_at_the_cap(self):
+        for dim, legs in ((2, 22), (0, 10**9), (1, 10**9), (2048, 2), (161, 3)):
+            verify.require_columns(dim, legs)
+
+    def test_count_written_when_short(self):
+        message = f"^the check runs 2\\^23 = {2**23} columns, over the cap of {verify.MAX_COLUMNS}$"
+        with pytest.raises(ShapeError, match=message):
+            verify.require_columns(2, 23)
+        with pytest.raises(ShapeError, match=f"^x 3\\^66 = {3**66} columns"):
+            verify.require_columns(3, 66, "x")
+
+    def test_long_count_left_out(self):
+        for dim, legs in ((3, 10**4), (10**9, 3 * 10**7), (2**5000, 3)):
+            with pytest.raises(ShapeError, match=f"^x {dim}\\^{legs} columns, over the cap of {verify.MAX_COLUMNS}$"):
+                verify.require_columns(dim, legs, "x")
+        with pytest.raises(ShapeError, match="^x \\(a 20001-bit number\\)\\^1 columns"):
+            verify.require_columns(2**20000, 1, "x")
 
 
 class TestCheckCommutes:
