@@ -5,7 +5,8 @@ demo, catalog.  Exit status: 0 success / equation holds, 1 verification
 failure or a constructed solution failing its own check, 2 configuration
 or shape error.  The default scalar context comes
 from the POLYSIMPLEX_SCALAR environment variable ("rational", "f64" or
-"gfp:<p>").
+"gfp:<p>").  ``construct`` looks each recipe up in
+:data:`polysimplex.construct.RECIPES`, and gates it before anything is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from contextlib import contextmanager
 from functools import cache
 from itertools import product
-from math import factorial, prod
+from math import factorial
 
 from . import construct as C
 from .hopf import (
@@ -36,6 +37,7 @@ from .tensor import NotInvertible, ShapeError, Tensor, _is_count, partial_trace_
 from .verify import (
     EQUATIONS,
     MAX_COLUMNS as MAX_COLUMNS,
+    OverTheCap,
     PreconditionFailed,
     SelfCheckFailed,
     VerificationReport,
@@ -62,18 +64,19 @@ def default_ring():
 def malformed(what: str, source: str):
     """Outside data is read in this context: undecodable bytes, nesting past
     the interpreter's recursion limit or a document of the wrong structure
-    is a usage error, not a crash."""
+    is a usage error, not a crash.  A refusal over a cap passes through
+    as it is: the input is well-formed."""
     try:
         yield
+    except OverTheCap:
+        raise
     except (TypeError, ValueError, KeyError, AttributeError, IndexError, RecursionError) as exc:
         raise UsageError(f"malformed {what} in {source}: {exc}") from exc
 
 
-def read_json(path: str | None, parse, what: str):
-    """``parse`` applied to the JSON document at ``path``; a missing path
-    or a malformed document is a usage error."""
-    if path is None:
-        raise UsageError(f"missing {what} path")
+def read_json(path: str, parse, what: str):
+    """``parse`` applied to the JSON document at ``path``; a malformed
+    document is a usage error."""
     with open(path, encoding="utf-8") as fh, malformed(what, path):
         return parse(json.load(fh))
 
@@ -106,31 +109,47 @@ def load_group(spec: str, admit=lambda order: None) -> GroupTable:
     return group
 
 
-def load_tensor(path: str | None) -> Tensor:
-    """The tensor at ``path``, refused over ``dim ** in_legs`` columns above
-    the cap: every use of a map runs at least its columns."""
-    t = read_json(path, Tensor.from_json_dict, "tensor")
-    require_columns(t.dim, t.in_legs, f"the tensor in {path} has")
-    return t
+def tensor_dim(tensor, subject: str) -> int | None:
+    """The dim in the header of the tensor JSON ``tensor``, once its ``dim
+    ** in_legs`` columns, which every use of the map runs, are under the
+    cap; None for a header that is not a dim >= 1 and an in_legs >= 0."""
+    dim, in_legs = tensor["dim"], tensor["in_legs"]
+    if not (_is_count(dim) and _is_count(in_legs) and dim >= 1 and in_legs >= 0):
+        return None
+    require_columns(dim, in_legs, subject)
+    return dim
 
 
-def load_descriptor(path: str | None, admit=lambda family, order, dim: None) -> C.SolutionDescriptor:
-    """The solution descriptor at ``path``, with its tensor capped as by
-    :func:`load_tensor`.  The cap and ``admit(family, order, dim)``, which
-    may refuse the descriptor, run on its header, before its tensor is
-    built; a header of the wrong types is left to the full parse, which
-    names the field."""
-    what = "solution descriptor"
+def descriptor_header(data, path: str) -> tuple | None:
+    """The ``(family, order, dim)`` of the solution descriptor JSON ``data``."""
+    family, order = data["family"], data["order"]
+    dim = tensor_dim(data["tensor"], f"the tensor of the descriptor in {path} has")
+    return (family, order, dim) if dim and family in C.FAMILIES and _is_count(order) else None
+
+
+# kind: the input's name in a refusal, its parse, and its header from the JSON and the path
+INPUTS = {
+    "tensor": ("tensor", Tensor.from_json_dict, lambda data, path: tensor_dim(data, f"the tensor in {path} has")),
+    "descriptor": ("solution descriptor", C.SolutionDescriptor.from_json_dict, descriptor_header),
+}
+
+
+def read_input(path: str, kind: str):
+    """The header of the ``kind`` JSON at ``path``, read before anything is
+    built, and a thunk that builds it.  A header read as None is left to
+    the parse, run at once, which refuses it."""
+    what, parse, header = INPUTS[kind]
     data = read_json(path, lambda data: data, what)
+
+    def build():
+        with malformed(what, path):
+            return parse(data)
+
     with malformed(what, path):
-        family, order, tensor = data["family"], data["order"], data["tensor"]
-        dim, in_legs = tensor["dim"], tensor["in_legs"]
-    if _is_count(dim) and _is_count(in_legs):
-        require_columns(dim, in_legs, f"the tensor of the descriptor in {path} has")
-        if family in C.FAMILIES and _is_count(order):
-            admit(family, order, dim)
-    with malformed(what, path):
-        return C.SolutionDescriptor.from_json_dict(data)
+        found = header(data, path)
+    if found is None:
+        build()
+    return found, build
 
 
 def write_json(path: str, data: dict) -> None:
@@ -165,22 +184,27 @@ def require_order(n: int) -> None:
         raise UsageError(f"equation order {n} is over the cap of {MAX_ORDER}")
 
 
-def require_recipe(family: str, order: int, dim: int, verify: bool, what: str = "recipe") -> None:
-    """Refuse a recipe over the caps before it builds: an order over the
-    order cap (a 1-dimensional map has one column at every order, and
-    building or checking it grows with about the cube of the order); with
-    ``verify``, its self-check, the ``family`` equation of ``order`` on
-    ``dim``, over the column cap; without, the map it builds, the
-    ``dim ** in_legs`` columns of the equation's first map.  Orders below
-    the family's first are left to the recipe, which refuses them."""
-    equation = EQUATIONS[family]
-    if order < equation.first:
-        return
-    require_order(order)
-    if verify:
-        require_columns(dim, len(equation.compile(order)[0].free_inputs))
-    else:
-        require_columns(dim, equation.signatures(order)[0][0], f"the {what} maps")
+def require_recipe(recipe: C.Recipe, verify: bool, *headers, **params) -> None:
+    """Refuse a recipe over the caps before it builds, from its inputs'
+    headers and its parameters.  With ``verify``, the first equation it
+    checks over the order cap (a 1-dimensional map has one column at every
+    order, and building or checking it grows with about the cube of the
+    order) or the column cap, with the message the check prints; without,
+    the map it builds, the first map of the last of those equations, by
+    that order and its ``dim ** in_legs`` columns, then the preconditions
+    it checks all the same.  Orders below a family's first are left to the
+    recipe, which refuses them."""
+    checks = recipe.checks(*headers, **params)
+    gates = [(check[:3], False) for check in checks[-1:] if not verify]
+    gates += [(check[:3], True) for check in checks if verify or check[3:]]
+    for (family, order, dim), checked in gates:
+        equation = EQUATIONS[family]
+        if order >= equation.first:
+            require_order(order)
+            if checked:
+                require_columns(dim, len(equation.compile(order)[0].free_inputs))
+            else:
+                require_columns(dim, equation.signatures(order)[0][0], f"the {recipe.what} maps")
 
 
 def cmd_gen_eq(args) -> int:
@@ -252,8 +276,8 @@ PAIR_CHECKS = {
 
 
 def cmd_verify(args) -> int:
-    first = load_tensor(args.tensor)
-    second = load_tensor(args.tensor2) if args.tensor2 else None
+    first = read_input(args.tensor, "tensor")[1]()
+    second = read_input(args.tensor2, "tensor")[1]() if args.tensor2 else None
     if args.tolerance is not None:
         first = _with_tolerance(first, args.tolerance)
         if second is not None:
@@ -298,132 +322,65 @@ def cmd_set_enumerate(args) -> int:
 # -- construct -----------------------------------------------------------------
 
 
-def _descriptor_out(args, desc_or_pair) -> int:
-    if isinstance(desc_or_pair, tuple):
-        data = {
-            "first": desc_or_pair[0].to_json_dict(),
-            "second": desc_or_pair[1].to_json_dict(),
-        }
+PARAM_TYPES = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def recipe_params(name: str, recipe: C.Recipe, text: str | None) -> dict:
+    """The recipe's defaults, overridden by the JSON object ``text``, each
+    of its default's type (a bool is no integer) unless that is None."""
+    with malformed("JSON", "--params"):
+        given = json.loads(text) if text else {}
+    if not isinstance(given, dict):
+        raise UsageError("--params must be a JSON object")
+    for key, value in given.items():
+        if key not in recipe.params:
+            raise UsageError(f"params.{key} is not a parameter of {name} ({', '.join(recipe.params) or 'none'})")
+        default = recipe.params[key]
+        if default is not None and type(value) is not type(default):
+            raise UsageError(f"params.{key} must be {PARAM_TYPES[type(default)]}, got {value!r}")
+    return {**recipe.params, **given}
+
+
+def cmd_construct(args) -> int:
+    """Parse the parameters, read each input's header, gate, and only then
+    build: a group is gated on the product of the orders read so far."""
+    name, recipe = args.recipe, C.RECIPES[args.recipe]
+    params = recipe_params(name, recipe, args.params)
+    verify, ring = not args.no_verify, default_ring()
+    (argument, kind), *_ = recipe.inputs.items()
+    if kind in ("group", "groups"):  # a recipe over group algebras reads nothing else
+        if kind == "group" and not args.group:
+            raise UsageError(f"recipe {name} needs --group")
+        specs = params.pop("groups") if kind == "groups" else [args.group]
+        if not (isinstance(specs, list) and specs and all(isinstance(spec, str) for spec in specs)):
+            raise UsageError(f"{name} needs params.groups, a list of group names")
+        product = 1
+
+        def admit(order: int) -> None:
+            nonlocal product
+            product *= order
+            require_recipe(recipe, verify, product, **params)
+
+        algebras = [group_algebra(table, ring) for table in [load_group(spec, admit) for spec in specs]]
+        arguments = {argument: algebras if kind == "groups" else algebras[0]}
     else:
-        data = desc_or_pair.to_json_dict()
+        files = list(zip(recipe.inputs.values(), ("--input", "--input2"), (args.input, args.input2)))
+        for kind, flag, path in files:
+            if not path:
+                raise UsageError(f"recipe {name} needs {flag} (a {kind} JSON)")
+        read = [read_input(path, kind) for kind, _, path in files]
+        require_recipe(recipe, verify, *(header for header, _ in read), **params)
+        arguments = {argument: build() for argument, (_, build) in zip(recipe.inputs, read)}
+    out = getattr(C, recipe.builder)(**arguments, **params, verify=verify)
+    if isinstance(out, tuple):
+        data = {"first": out[0].to_json_dict(), "second": out[1].to_json_dict()}
+    else:
+        data = out.to_json_dict()
     if args.out:
         write_json(args.out, data)
     else:
         print(json.dumps(data, sort_keys=True))
     return 0
-
-
-def cmd_construct(args) -> int:
-    with malformed("JSON", "--params"):
-        params = json.loads(args.params) if args.params else {}
-    if not isinstance(params, dict):
-        raise UsageError("--params must be a JSON object")
-    verify = not args.no_verify
-    ring = default_ring()
-    recipe = args.recipe
-
-    def group(family: str, order: int, what: str) -> GroupTable:
-        """The --group of a recipe whose self-check is the ``family``
-        equation of ``order`` over it, refused by :func:`require_recipe`
-        before it is built."""
-        if not args.group:
-            raise UsageError(f"recipe {recipe} needs --group")
-        return load_group(args.group, lambda size: require_recipe(family, order, size, verify, what))
-
-    def integer(name: str, default: int) -> int:
-        value = params.get(name, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise UsageError(f"params.{name} must be an integer, got {value!r}")
-        return value
-
-    def boolean(name: str) -> bool:
-        value = params.get(name, False)
-        if not isinstance(value, bool):
-            raise UsageError(f"params.{name} must be true or false, got {value!r}")
-        return value
-
-    def string(name: str, default: str) -> str:
-        value = params.get(name, default)
-        if not isinstance(value, str):
-            raise UsageError(f"params.{name} must be a string, got {value!r}")
-        return value
-
-    if recipe == "hopf-pentagon-pair":
-        # Its widest check is the mixed 5-gon; unchecked, it builds two maps of two inputs.
-        g = group("mixed", 5, "pair")
-        return _descriptor_out(args, C.hopf_pentagon_pair(group_algebra(g, ring), verify))
-    if recipe == "bialgebra-tower":
-        n, dual = integer("n", 5), boolean("dual")
-        g = group("dual-polygon" if dual else "polygon", n, "tower")
-        return _descriptor_out(args, C.bialgebra_tower(n, group_algebra(g, ring), dual, verify))
-    if recipe == "multi-bialgebra-tower":
-        groups = params.get("groups")
-        if not (isinstance(groups, list) and groups and all(isinstance(g, str) for g in groups)):
-            raise UsageError("multi-bialgebra-tower needs params.groups, a list of group names")
-        k, even, tables = integer("k", 2), boolean("even"), [load_group(g) for g in groups]
-        require_recipe("polygon", 2 * k if even else 2 * k + 1, prod(g.order for g in tables), verify, "tower")
-        instances = [group_algebra(g, ring) for g in tables]
-        return _descriptor_out(args, C.multi_bialgebra_tower(k, instances, even, verify))
-    if recipe == "hopf-mixed-pair-antipode":
-        k = integer("k", 2)
-        g = group("polygon", 2 * k + 1, "tower")
-        return _descriptor_out(args, C.hopf_mixed_pair_antipode(k, group_algebra(g, ring), verify))
-    if recipe == "higher-mixed-pair":
-        t = load_tensor(args.input)
-        s = load_tensor(args.input2)
-        k = integer("k", 2)
-        require_recipe("polygon", 2 * k + 3, t.dim, verify, "tower")
-        return _descriptor_out(args, C.higher_mixed_pair(k, t, s, verify))
-    if recipe == "yang-baxter":
-        t = load_tensor(args.input)
-        s = load_tensor(args.input2)
-        mode = string("mode", "compose")
-        # The self-check is the 2-simplex on V, or on V(x)V for the four-factor map.
-        require_recipe("simplex", 2, t.dim**2 if mode == "four_factor" else t.dim, verify)
-        return _descriptor_out(args, C.yang_baxter_from_pair(t, s, mode, verify))
-    # descriptor-consuming transforms, each gated on the (family, order) it checks
-    if not args.input:
-        raise UsageError(f"recipe {recipe} needs --input (a descriptor JSON)")
-    swap = {"polygon": "dual-polygon", "dual-polygon": "polygon"}
-    drop = string("drop", "one") if recipe == "simplex-from-mixed" else None
-    checks = {
-        "invert-to-dual": lambda family, n: (swap.get(family, family), n),
-        "conjugate": lambda family, n: (family, n),
-        "bar-sigma-conjugate": lambda family, n: (swap.get(family, family) if n % 2 else family, n),
-        "trace-descend": lambda family, n: (family, n - 1 if family == "simplex" else n - 2),
-        "trace-descend-mixed": lambda family, n: ("mixed", n - 2),
-        "simplex-from-mixed": lambda family, n: ("simplex", n - 1 if drop == "one" else n - 2),
-    }
-
-    def admit(family: str, order: int, dim: int) -> None:
-        if recipe in checks:
-            require_recipe(*checks[recipe](family, order), dim, verify)
-
-    first = load_descriptor(args.input, admit)
-    if recipe == "invert-to-dual":
-        return _descriptor_out(args, C.invert_to_dual(first, verify))
-    if recipe == "conjugate":
-        if not args.input2:
-            raise UsageError("conjugate needs --input2 with the 1->1 map")
-        return _descriptor_out(args, C.conjugate(first, load_tensor(args.input2), verify))
-    if recipe == "bar-sigma-conjugate":
-        return _descriptor_out(args, C.bar_sigma_conjugate(first, verify))
-    if recipe == "trace-descend":
-        return _descriptor_out(args, C.trace_descend(first, string("side", "left"), verify))
-    if recipe == "trace-descend-mixed":
-        second = load_descriptor(args.input2)
-        out = C.trace_descend_mixed(first, second, string("side", "left"), verify)
-        return _descriptor_out(args, out)
-    if recipe == "stack":
-        second, mode = load_descriptor(args.input2), string("mode", "compose_left")
-        family, order = C.stack_arithmetic(first.family, first.order, second.family, second.order, mode)
-        require_recipe(family, order, first.tensor.dim, verify)
-        return _descriptor_out(args, C.stack(first, second, mode, verify))
-    if recipe == "simplex-from-mixed":
-        second = load_descriptor(args.input2)
-        out = C.simplex_from_mixed(first, second, drop, verify)
-        return _descriptor_out(args, out)
-    raise UsageError(f"unknown recipe {recipe!r}")
 
 
 # -- demo ----------------------------------------------------------------------
@@ -444,7 +401,7 @@ def _basis_action_lines(name: str, t: Tensor) -> list[str]:
 def cmd_demo(args) -> int:
     ring = default_ring()
     # The 4-simplex check on V^(x)10 is the widest; orders above 4 exceed the cap.
-    group = load_group(args.group, lambda order: require_recipe("simplex", 4, order, True))
+    group = load_group(args.group, lambda order: require_columns(order, 10))
     h = group_algebra(group, ring)
     lines: list[str] = [f"pipeline over k[G] with |G| = {group.order}", ""]
     axioms = check_axioms(h)
@@ -567,7 +524,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_set_enumerate)
 
     p = sub.add_parser("construct", help="run a solution-producing recipe")
-    p.add_argument("--recipe", required=True)
+    p.add_argument("--recipe", required=True, choices=list(C.RECIPES))
     p.add_argument("--group", help="z<n>, s<n>, v4, or a group JSON path")
     p.add_argument("--input", help="descriptor or tensor JSON path")
     p.add_argument("--input2", help="second descriptor/tensor JSON path")

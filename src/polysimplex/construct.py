@@ -12,6 +12,9 @@ composition: :func:`_tower_tensor` lays out every alternating chain and
 :func:`_fold_chain` folds every chain, pair by pair, left to right.  A
 chain is not evaluated as one staged word, since that would reassociate
 the products and sums of its entries and so change ``f64`` results.
+
+One table, :data:`RECIPES`, states each ``construct`` recipe once: its
+builder, inputs, parameters, and the equations its self-check runs.
 """
 
 from __future__ import annotations
@@ -539,3 +542,90 @@ def yang_baxter_from_pair(
     packed = regroup(word, 2)
     out = SolutionDescriptor("simplex", 2, packed, ("yang-baxter-four-factor",))
     return _self_check(out, verify)
+
+
+# -- the recipe table ------------------------------------------------------------
+
+
+@record
+class Recipe:
+    """One ``construct`` recipe.  ``checks`` takes the header of each input
+    (a group's order, the product of the orders for ``groups``, a tensor's
+    dim, a descriptor's ``(family, order, dim)``) and the parameters by
+    name, and gives the ``(family, order, dim)`` of each equation the
+    recipe checks, in the order it checks them; the last one's first map
+    is the built map.  A fourth field, True, marks a precondition, which
+    the builder checks with the self-check off too (:func:`_mixed_pair`).
+    Checks that are no equation of :data:`verify.EQUATIONS`, the relations
+    (1)-(6) of the mixed-pair towers and the commutation of :func:`stack`,
+    are not listed: they refuse over the cap when they run."""
+
+    builder: str  # the function of this module, looked up by name when it runs
+    inputs: dict  # builder argument: "group", "groups" (params.groups), "tensor" or "descriptor" (--input, --input2)
+    params: dict  # name: default, whose type a given value must have; None marks an input
+    what: str  # the built map in a refusal: "the <what> maps ..."
+    checks: object
+
+
+def _pair(n: int, dim: int) -> list:
+    """The self-check of a mixed n-gon pair: each map its own equation, then the mixed relation."""
+    return [("polygon", n, dim), ("dual-polygon", n, dim), ("mixed", n, dim)]
+
+
+def _mixed_pair(t: tuple, s: tuple) -> list:
+    """The mixed relation :func:`_require_mixed_pair` checks on a pair of
+    descriptors, as a precondition; none when it refuses the pair first,
+    by its families or orders."""
+    return [("mixed", t[1], t[2], True)] if (t[0], s[0], t[1]) == ("polygon", "dual-polygon", s[1]) else []
+
+
+def _descended(family: str, order: int, dim: int) -> tuple:
+    """The equation of a solution's partial trace."""
+    return family, order - 1 if family == "simplex" else order - 2, dim
+
+
+_DUAL = {"polygon": "dual-polygon", "dual-polygon": "polygon"}
+
+# In the order the README lists them.  A pair of descriptors gates both
+# headers, which a valid pair shares.  A precondition is listed only where
+# the builder reaches it, past the checks of its mode or drop.
+RECIPES = {
+    "hopf-pentagon-pair": Recipe("hopf_pentagon_pair", {"h": "group"}, {}, "pair", lambda h: _pair(5, h)),
+    "bialgebra-tower": Recipe(
+        "bialgebra_tower", {"h": "group"}, {"n": 5, "dual": False}, "tower",
+        lambda h, n, dual: [("dual-polygon" if dual else "polygon", n, h)]),
+    "multi-bialgebra-tower": Recipe(
+        "multi_bialgebra_tower", {"instances": "groups"}, {"groups": None, "k": 2, "even": False}, "tower",
+        lambda instances, k, even: [("polygon", 2 * k if even else 2 * k + 1, instances)]),
+    "hopf-mixed-pair-antipode": Recipe(
+        "hopf_mixed_pair_antipode", {"h": "group"}, {"k": 2}, "tower",
+        lambda h, k: _pair(2 * k + 1, h) if k > 1 else []),  # k = 1 is the identity pair, unchecked
+    "higher-mixed-pair": Recipe(
+        "higher_mixed_pair", {"t": "tensor", "s": "tensor"}, {"k": 2}, "tower", lambda t, s, k: _pair(2 * k + 3, t)),
+    "invert-to-dual": Recipe(
+        "invert_to_dual", {"desc": "descriptor"}, {}, "recipe",
+        lambda desc: [(_DUAL.get(desc[0], desc[0]), *desc[1:])]),
+    "conjugate": Recipe("conjugate", {"desc": "descriptor", "phi": "tensor"}, {}, "recipe", lambda desc, phi: [desc]),
+    "bar-sigma-conjugate": Recipe(
+        "bar_sigma_conjugate", {"desc": "descriptor"}, {}, "recipe",
+        lambda desc: [(_DUAL.get(desc[0], desc[0]) if desc[1] % 2 else desc[0], *desc[1:])]),
+    "trace-descend": Recipe(
+        "trace_descend", {"desc": "descriptor"}, {"side": "left"}, "recipe", lambda desc, side: [_descended(*desc)]),
+    "trace-descend-mixed": Recipe(
+        "trace_descend_mixed", {"t_desc": "descriptor", "s_desc": "descriptor"}, {"side": "left"}, "recipe",
+        lambda t, s, side: [*_mixed_pair(t, s), _descended(*t), _descended(*s), ("mixed", t[1] - 2, t[2])]),
+    "stack": Recipe(
+        "stack", {"x": "descriptor", "y": "descriptor"}, {"mode": "compose_left"}, "recipe",
+        lambda x, y, mode: [(*stack_arithmetic(x[0], x[1], y[0], y[1], mode), x[2])]),
+    "simplex-from-mixed": Recipe(
+        "simplex_from_mixed", {"t_desc": "descriptor", "s_desc": "descriptor"}, {"drop": "one"}, "recipe",
+        lambda t, s, drop: [
+            *(_mixed_pair(t, s) if drop in ("one", "two", "two_right") else []),
+            *(("simplex", order - (1 if drop == "one" else 2), d) for _, order, d in (t, s))]),
+    "yang-baxter": Recipe(
+        "yang_baxter_from_pair", {"t": "tensor", "s": "tensor"}, {"mode": "compose"}, "recipe",
+        lambda t, s, mode: [  # the 2-simplex on V, or on V(x)V
+            ("polygon", 5, t), ("dual-polygon", 5, t),
+            *([("mixed", 5, t, True)] if mode in ("compose", "four_factor") else []),
+            ("simplex", 2, t**2 if mode == "four_factor" else t)]),
+}

@@ -56,16 +56,20 @@ MAX_COLUMNS = 2**22
 _PRINTABLE_BITS = 10_000
 
 
+class OverTheCap(ShapeError):
+    """Work over a cap, refused before it starts: a well-formed input, not a malformed one."""
+
+
 def require_columns(dim: int, legs: int, subject: str = "the check runs") -> None:
     """Refuse a check (or what ``subject`` names) on ``dim ** legs`` columns
-    above the cap.  Since 2^23 is over the cap, a power of a larger
-    exponent is never computed; the message writes the count out only when
-    it is short enough to print."""
+    above the cap, with :class:`OverTheCap`.  Since 2^23 is over the cap, a
+    power of a larger exponent is never computed; the message writes the
+    count out only when it is short enough to print."""
     if (dim < 2 or legs < 23) and dim**legs <= MAX_COLUMNS:
         return
     base = str(dim) if dim.bit_length() <= _PRINTABLE_BITS else f"(a {dim.bit_length()}-bit number)"
     count = f" = {dim**legs}" if legs * dim.bit_length() <= _PRINTABLE_BITS else ""
-    raise ShapeError(f"{subject} {base}^{legs}{count} columns, over the cap of {MAX_COLUMNS}")
+    raise OverTheCap(f"{subject} {base}^{legs}{count} columns, over the cap of {MAX_COLUMNS}")
 
 
 class PreconditionFailed(ValueError):

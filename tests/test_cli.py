@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -303,8 +305,14 @@ OUTSIDE_INPUTS = {
     "params-deep-json": DEEP,
     "tensor-3-to-the-10000": f"has 3^10000 columns, over the cap of {MAX_COLUMNS}",
     "tensor-huge-power": f"has 1000000000^30000000 columns, over the cap of {MAX_COLUMNS}",
+    # A header is capped before the parse, which alone refused these: 0^-1
+    # once ended in a traceback, (-10^9)^(3*10^7) in a hang.
+    "tensor-zero-dim-negative-legs": "dim must be >= 1 and leg counts >= 0",
+    "tensor-negative-huge-power": "dim must be >= 1 and leg counts >= 0",
+    "descriptor-negative-huge-power": "dim must be >= 1 and leg counts >= 0",
     "map-huge-power": f"the finite map has 1000000000^30000000 columns, over the cap of {MAX_COLUMNS}",
-    "multi-bialgebra-tower-5000-groups": f"the check runs {2**5000}^3 columns, over the cap of {MAX_COLUMNS}",
+    # Refused at the eighth group, which takes the product of the orders over the cap.
+    "multi-bialgebra-tower-5000-groups": f"the check runs 256^3 = 16777216 columns, over the cap of {MAX_COLUMNS}",
     "demo-group-5000-digits": f"runs {'9' * 5000}^3 columns, over the cap of {MAX_COLUMNS}",
     "bialgebra-tower-group-5000-digits": f"runs {'9' * 5000}^3 columns, over the cap of {MAX_COLUMNS}",
 }
@@ -415,11 +423,15 @@ def outside_input(tmp_path, case):
             "construct": ["construct", "--recipe", "invert-to-dual", "--input", str(path)],
             "params": ["construct", "--recipe", "bialgebra-tower", "--group", "z2", "--params", DEEP_JSON],
         }[case[: -len("-deep-json")]]
-    elif case.startswith("tensor-"):
+    elif case.startswith(("tensor-", "descriptor-")):
         # 3^10000 once ended in the int-to-str limit, (10^9)^(3*10^7) in a hang.
-        dim, legs = (3, 10000) if case == "tensor-3-to-the-10000" else (10**9, 3 * 10**7)
-        path = write({"dim": dim, "in_legs": legs, "out_legs": 0, "scalar": "rational", "entries": []})
-        argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", path]
+        dim, legs = {"3-to-the-10000": (3, 10000), "zero-dim-negative-legs": (0, -1)}.get(
+            case.split("-", 1)[1], (-(10**9) if "negative" in case else 10**9, 3 * 10**7))
+        tensor = {"dim": dim, "in_legs": legs, "out_legs": 0, "scalar": "rational", "entries": []}
+        if case.startswith("tensor-"):
+            argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", write(tensor)]
+        else:
+            argv = ["construct", "--recipe", "invert-to-dual", "--input", write(dict(t_desc.to_json_dict(), tensor=tensor))]
     elif case == "map-huge-power":
         argv = ["set-verify", "--n", "5", "--map", write({"base": 10**9, "in": 3 * 10**7, "out": 1, "table": {}})]
     elif case == "multi-bialgebra-tower-5000-groups":
@@ -499,6 +511,18 @@ RECIPES_OVER_THE_CAPS = {
     # Its mixed 5-gon self-check: z161 ran 7.5 s, 1.2 s of it validating the group.
     "hopf-pentagon-pair-z64": ("hopf-pentagon-pair", f"the check runs 64^4 = {64**4} columns"),
     "hopf-pentagon-pair-z161": ("hopf-pentagon-pair", f"the check runs 161^4 = {161**4} columns"),
+    # Gated on the 13-gon (2^21), each ran its 13-gon and dual 13-gon checks,
+    # about 3.3 s, before the mixed 13-gon was refused.
+    "hopf-mixed-pair-antipode-z2-k6": ("hopf-mixed-pair-antipode", f"the check runs 2^36 = {2**36} columns"),
+    "higher-mixed-pair-z2-k5": ("higher-mixed-pair", f"the check runs 2^36 = {2**36} columns"),
+    # Each group was built and validated before the product of the orders
+    # was gated: 6.9 s.  Now the second group is refused before it is built.
+    "multi-bialgebra-tower-four-z161": ("multi-bialgebra-tower", f"the check runs 25921^3 = {25921**3} columns"),
+    # Both 14 MB descriptors were built, 8.4 s and 298 MB, before the 45-gon was refused.
+    "stack-tensor-identity-23-gon": ("stack", f"the check runs 3^253 = {3**253} columns"),
+    # The second descriptor of a pair was built before the pair was refused.
+    "trace-descend-mixed-second-identity-23-gon": ("trace-descend-mixed", f"the check runs 3^55 = {3**55} columns"),
+    "simplex-from-mixed-second-identity-23-gon": ("simplex-from-mixed", f"the check runs 3^253 = {3**253} columns"),
 }
 
 
@@ -509,26 +533,61 @@ def test_recipe_over_the_caps_exits_two_at_once(tmp_path, case):
     built), or, for the 10 MB identity 23-gon, as soon as its header is
     read, before its tensor is built."""
     recipe, message = RECIPES_OVER_THE_CAPS[case]
-    first, seconds = tmp_path / "first.json", 1
+    first, second, seconds = tmp_path / "first.json", tmp_path / "second.json", 1
     if recipe == "hopf-pentagon-pair":
         argv = ["--group", case.rsplit("-", 1)[1]]
+    elif recipe == "hopf-mixed-pair-antipode":
+        argv = ["--group", "z2", "--params", '{"k": 6}']
+    elif recipe == "multi-bialgebra-tower":
+        # The first group, admitted, takes about 1.2 s to validate.
+        argv, seconds = ["--params", json.dumps({"groups": ["z161"] * 4})], 3
+    elif recipe == "higher-mixed-pair":
+        t_desc, s_desc = hopf_pentagon_pair(group_algebra(cyclic_group(2)))
+        first.write_text(t_desc.tensor.to_json())
+        second.write_text(s_desc.tensor.to_json())
+        argv = ["--input", str(first), "--input2", str(second), "--params", '{"k": 5}']
     elif recipe == "yang-baxter":
         d = int(case.rsplit("-", 1)[1])
         first.write_text(identity_tensor(d, 2).to_json())
         argv = ["--input", str(first), "--input2", str(first), "--params", '{"mode": "four_factor"}']
-    elif case.endswith("identity-23-gon"):
-        # 10 MB, which takes about a second to read; building its tensor took 4 s more.
-        first.write_text(identity_descriptor(23, 3, 11))
-        argv, seconds = ["--input", str(first)], 3
+    elif "second" in case:
+        # The first descriptor is the pentagon of the z2 pair, the second the identity 23-gon.
+        first.write_text(json.dumps(hopf_pentagon_pair(group_algebra(cyclic_group(2)))[0].to_json_dict()))
+        second.write_text(identity_descriptor(23, 3, 11))
+        argv, seconds = ["--input", str(first), "--input2", str(second)], 3
     else:
-        order = int(case.rsplit("-", 1)[1])
-        first.write_text(identity_descriptor(order, 1, order // 2))
+        if case.endswith("identity-23-gon"):
+            # 10 MB, which takes about a second to read; building its tensor took 4 s more.
+            first.write_text(identity_descriptor(23, 3, 11))
+            seconds = 4 if recipe == "stack" else 3
+        else:
+            order = int(case.rsplit("-", 1)[1])
+            first.write_text(identity_descriptor(order, 1, order // 2))
+        # A recipe of two inputs reads the descriptor twice, or with conjugate the identity on V.
+        second.write_text(identity_tensor(1, 1).to_json())
         argv = ["--input", str(first)]
+        if len(construct.RECIPES[recipe].inputs) == 2:
+            argv += ["--input2", str(second if recipe == "conjugate" else first)]
         if recipe == "stack":
-            argv += ["--input2", str(first), "--params", '{"mode": "tensor"}']
+            argv += ["--params", '{"mode": "tensor"}']
     proc = run_fresh(["construct", "--recipe", recipe, *argv], seconds=seconds)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["map", "group"])
+def test_file_over_the_cap_is_not_called_malformed(capsys, tmp_path, case):
+    """A well-formed file refused over a cap once read "malformed ... in PATH: ..."."""
+    path = tmp_path / "input.json"
+    if case == "map":
+        path.write_text(json.dumps({"base": 10**9, "in": 3 * 10**7, "out": 1, "table": {}}))
+        argv = ["set-verify", "--n", "5", "--map", str(path)]
+        message = "the finite map has 1000000000^30000000 columns"
+    else:
+        path.write_text(json.dumps({"order": 200, "table": [[(a + b) % 200 for b in range(200)] for a in range(200)]}))
+        argv = ["demo", "--group", str(path)]
+        message = f"the associativity check of the group runs 200^3 = {200**3} columns"
+    assert run(capsys, *argv) == (2, "", f"error: {message}, over the cap of {MAX_COLUMNS}\n")
 
 
 def test_huge_exact_witness_printed_in_full(tmp_path):
@@ -637,9 +696,10 @@ def test_family_choices_are_the_equation_table():
 def test_unverified_pair_refused_on_its_input_legs():
     """With its self-check off, hopf-pentagon-pair is gated on the two
     input legs of its maps, |G|^2 columns."""
-    cli.require_recipe("mixed", 5, 2048, False, "pair")
+    recipe = construct.RECIPES["hopf-pentagon-pair"]
+    cli.require_recipe(recipe, False, 2048)
     with pytest.raises(ShapeError, match=f"^the pair maps 2049\\^2 = {2049**2} columns, over the cap"):
-        cli.require_recipe("mixed", 5, 2049, False, "pair")
+        cli.require_recipe(recipe, False, 2049)
 
 
 class TestOrderCap:
@@ -884,7 +944,8 @@ class TestConstruct:
                 "multi-bialgebra-tower",
                 "z3",
                 {"groups": ["z3", "z3"], "k": 15, "even": True},
-                f"the tower maps 9^14 = 22876792454961 columns, over the cap of {MAX_COLUMNS}",
+                # refused at the first group, whose order alone is over the cap
+                f"the tower maps 3^14 = 4782969 columns, over the cap of {MAX_COLUMNS}",
             ),
             # One column at every order; the 1601-gon took 18 s to build.
             ("bialgebra-tower", "z1", {"n": 1601}, f"equation order 1601 is over the cap of {MAX_ORDER}"),
@@ -930,6 +991,49 @@ class TestConstruct:
     def test_unknown_recipe(self, capsys):
         code, _, err = run(capsys, "construct", "--recipe", "frobnicate")
         assert code == 2
+
+    def test_unknown_recipe_refused_before_its_input_is_read(self, capsys, tmp_path):
+        """The recipe was once looked up after its --input had been read."""
+        code, out, err = run(capsys, "construct", "--recipe", "frobnicate", "--input", str(tmp_path / "missing.json"))
+        assert (code, out) == (2, "") and "invalid choice: 'frobnicate'" in err
+
+    @pytest.mark.parametrize(
+        "recipe, argv, names",
+        [
+            ("bialgebra-tower", ["--group", "z2"], "n, dual"),
+            ("multi-bialgebra-tower", [], "groups, k, even"),
+            ("invert-to-dual", ["--input", "unread.json"], "none"),
+        ],
+    )
+    def test_unknown_parameter_refused(self, capsys, monkeypatch, recipe, argv, names):
+        """``{"nn": 9}`` once built the default 5-gon tower and exited 0."""
+        monkeypatch.setattr(construct, construct.RECIPES[recipe].builder, lambda **kwargs: pytest.fail("built"))
+        code, out, err = run(capsys, "construct", "--recipe", recipe, *argv, "--params", '{"nn": 9}')
+        assert (code, out, err) == (2, "", f"error: params.nn is not a parameter of {recipe} ({names})\n")
+
+    @pytest.mark.parametrize("recipe", ["trace-descend-mixed", "simplex-from-mixed", "yang-baxter"])
+    @pytest.mark.parametrize("flags", [[], ["--no-verify"]])
+    def test_mixed_pair_precondition_gated_before_building(self, capsys, monkeypatch, tmp_path, recipe, flags):
+        """Each of these checks the mixed relation of its input pair first,
+        with the self-check off too: on a z64 pentagon pair the mixed 5-gon
+        (64^4) was refused only once both inputs and their maps were built.
+        Unchecked, the 4-simplex map of ``simplex-from-mixed`` is refused
+        first, as large as that check."""
+        t_desc, s_desc = hopf_pentagon_pair(group_algebra(cyclic_group(64)), verify=False)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        tensors = recipe == "yang-baxter"
+        first.write_text(t_desc.tensor.to_json() if tensors else json.dumps(t_desc.to_json_dict()))
+        second.write_text(s_desc.tensor.to_json() if tensors else json.dumps(s_desc.to_json_dict()))
+        monkeypatch.setattr(construct, construct.RECIPES[recipe].builder, lambda **kwargs: pytest.fail("built"))
+        argv = ["construct", "--recipe", recipe, "--input", str(first), "--input2", str(second), *flags]
+        code, out, err = run(capsys, *argv)
+        subject = "the recipe maps" if recipe == "simplex-from-mixed" and flags else "the check runs"
+        assert (code, out, err) == (2, "", f"error: {subject} 64^4 = {64**4} columns, over the cap of {MAX_COLUMNS}\n")
+
+    def test_readme_lists_the_recipe_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = readme.split("Construct recipes:", 1)[1].split(".\n", 1)[0]
+        assert re.findall(r"`([a-z0-9-]+)`", listed) == list(construct.RECIPES)
 
     def test_singular_input_exits_two(self, capsys, tmp_path):
         from polysimplex.construct import SolutionDescriptor
@@ -1246,11 +1350,7 @@ COMMANDS = {
     "catalog": ("--max-n", "--format"),
     "frobnicate": (),
 }
-RECIPES = [
-    "hopf-pentagon-pair", "bialgebra-tower", "multi-bialgebra-tower", "hopf-mixed-pair-antipode",
-    "higher-mixed-pair", "yang-baxter", "invert-to-dual", "conjugate", "bar-sigma-conjugate",
-    "trace-descend", "trace-descend-mixed", "stack", "simplex-from-mixed", "frobnicate",
-]
+RECIPES = [*construct.RECIPES, "frobnicate"]
 
 
 @st.composite
