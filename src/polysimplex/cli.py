@@ -41,8 +41,8 @@ from .verify import (
     PreconditionFailed,
     SelfCheckFailed,
     VerificationReport,
-    check_commutes,
     check_equation,
+    check_orders,
     check_relations_1_6,
     compare_sides,
     require_columns,
@@ -64,13 +64,15 @@ def default_ring():
 def malformed(what: str, source: str):
     """Outside data is read in this context: undecodable bytes, nesting past
     the interpreter's recursion limit or a document of the wrong structure
-    is a usage error, not a crash.  A refusal over a cap passes through
-    as it is: the input is well-formed."""
+    is a usage error, not a crash; a missing field is named as one.  A
+    refusal over a cap passes through as it is: the input is well-formed."""
     try:
         yield
     except OverTheCap:
         raise
-    except (TypeError, ValueError, KeyError, AttributeError, IndexError, RecursionError) as exc:
+    except KeyError as exc:
+        raise UsageError(f"malformed {what} in {source}: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError, IndexError, RecursionError) as exc:
         raise UsageError(f"malformed {what} in {source}: {exc}") from exc
 
 
@@ -81,32 +83,33 @@ def read_json(path: str, parse, what: str):
         return parse(json.load(fh))
 
 
-def load_group(spec: str, admit=lambda order: None) -> GroupTable:
-    """The group ``spec`` names.  ``admit(order)`` may refuse it once its
-    order is known: a named group before its Cayley table is built and
-    validated, a JSON group once it is read."""
+def read_group(spec: str):
+    """The order of the group ``spec`` names (``z<n>``, ``s<n>``, ``v4``),
+    or of the group JSON at the path ``spec`` as read, before its Cayley
+    table is built or validated, and a thunk that builds it.  A name is
+    refused over the cap: s_n (n! >= n) of a large n before n! is computed,
+    and a number of more than 3000 digits before it is converted."""
     if spec == "v4":
-        admit(4)
-        return direct_product(cyclic_group(2), cyclic_group(2))
-    if spec[:1] in ("z", "s") and spec[1:].isdecimal():
-        # Refused before the Cayley table is built, s_n (n! >= n) of a large
-        # n before n! is computed, and a number of more than 3000 digits,
-        # plainly over the cap, before it is converted.
-        digits, subject = spec[1:].lstrip("0"), f"the associativity check of {spec} runs"
-        at_least = subject if spec[0] == "z" else f"{subject} at least"
-        if len(digits) > 3000:
-            raise ShapeError(f"{at_least} {spec[1:]}^3 columns, over the cap of {MAX_COLUMNS}")
-        n = int(digits or "0")
-        require_columns(n, 3, at_least)
-        if spec[0] == "z":
-            admit(n)
-            return cyclic_group(n)
-        require_columns(factorial(n), 3, subject)
-        admit(factorial(n))
-        return symmetric_group(n)
-    group = read_json(spec, GroupTable.from_json_dict, "group")
-    admit(group.order)
-    return group
+        return 4, lambda: direct_product(cyclic_group(2), cyclic_group(2))
+    if not (spec[:1] in ("z", "s") and spec[1:].isdecimal()):
+        return read_input(spec, "group")
+    digits, subject = spec[1:].lstrip("0"), f"the associativity check of {spec} runs"
+    at_least = subject if spec[0] == "z" else f"{subject} at least"
+    if len(digits) > 3000:
+        raise ShapeError(f"{at_least} {spec[1:]}^3 columns, over the cap of {MAX_COLUMNS}")
+    n = int(digits or "0")
+    require_columns(n, 3, at_least)
+    if spec[0] == "z":
+        return n, lambda: cyclic_group(n)
+    require_columns(factorial(n), 3, subject)
+    return factorial(n), lambda: symmetric_group(n)
+
+
+def group_header(data, path: str) -> int:
+    """The order of the group JSON ``data``, once its associativity check is under the cap."""
+    order = len(data["table"])
+    require_columns(order, 3, "the associativity check of the group runs")
+    return order
 
 
 def tensor_dim(tensor, subject: str) -> int | None:
@@ -131,6 +134,7 @@ def descriptor_header(data, path: str) -> tuple | None:
 INPUTS = {
     "tensor": ("tensor", Tensor.from_json_dict, lambda data, path: tensor_dim(data, f"the tensor in {path} has")),
     "descriptor": ("solution descriptor", C.SolutionDescriptor.from_json_dict, descriptor_header),
+    "group": ("group", GroupTable.from_json_dict, group_header),
 }
 
 
@@ -174,14 +178,17 @@ GEN_EQ_MAX_N = 1000
 # a map of a commutation check may have on each side.  Compiling grows faster
 # than the cube of the order whatever the dimension, so the column cap never
 # stops a 1-dimensional map: verifying the widest family, the simplex
-# equation, compile included, takes about 0.26 s at n = 60 (1830 legs),
+# equation, compile included, takes about 0.3 s at n = 60 (1830 legs),
 # 1.4 s at n = 100 and 18 s at n = 200 (2 vCPU Xeon, Python 3.11.7).
 MAX_ORDER = 60
 
-def require_order(n: int) -> None:
-    """Refuse an equation order above the cap, before compiling it."""
-    if n > MAX_ORDER:
-        raise UsageError(f"equation order {n} is over the cap of {MAX_ORDER}")
+
+def require_order(family: str, order) -> None:
+    """Refuse a check of the table over the order cap (the commutation by
+    the legs of its widest map), before staging it."""
+    width, refusal = EQUATIONS[family].width(order)
+    if width > MAX_ORDER:
+        raise UsageError(f"{refusal} of {MAX_ORDER}")
 
 
 def require_recipe(recipe: C.Recipe, verify: bool, *headers, **params) -> None:
@@ -192,19 +199,22 @@ def require_recipe(recipe: C.Recipe, verify: bool, *headers, **params) -> None:
     order) or the column cap, with the message the check prints; without,
     the map it builds, the first map of the last of those equations, by
     that order and its ``dim ** in_legs`` columns, then the preconditions
-    it checks all the same.  Orders below a family's first are left to the
-    recipe, which refuses them."""
+    it checks all the same.  Orders at which a family has no equation are
+    left to the recipe, which refuses them."""
     checks = recipe.checks(*headers, **params)
     gates = [(check[:3], False) for check in checks[-1:] if not verify]
     gates += [(check[:3], True) for check in checks if verify or check[3:]]
     for (family, order, dim), checked in gates:
         equation = EQUATIONS[family]
-        if order >= equation.first:
-            require_order(order)
-            if checked:
-                require_columns(dim, len(equation.compile(order)[0].free_inputs))
-            else:
-                require_columns(dim, equation.signatures(order)[0][0], f"the {recipe.what} maps")
+        try:
+            ((in_legs, _), *_) = equation.signatures(order)
+        except ShapeError:
+            continue
+        require_order(family, order)
+        if checked:
+            require_columns(dim, equation.staged(order)[0])
+        else:
+            require_columns(dim, in_legs, f"the {recipe.what} maps")
 
 
 def cmd_gen_eq(args) -> int:
@@ -226,7 +236,7 @@ def cmd_gen_eq(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    require_order(args.n)
+    require_order(args.family, args.n)
     lhs, rhs = EQUATIONS[args.family].compile(args.n)
     if args.emit == "dot":
         print(program_to_dot(lhs, "lhs"))
@@ -261,37 +271,17 @@ def _with_tolerance(tensor: Tensor, tolerance: float) -> Tensor:
     )
 
 
-def _check_commutes(f: Tensor, g: Tensor) -> VerificationReport:
-    widest = max(f.in_legs, f.out_legs, g.in_legs, g.out_legs)
-    if widest > MAX_ORDER:
-        raise UsageError(f"commutation maps have up to {widest} legs on a side, over the cap of {MAX_ORDER}")
-    return check_commutes(f, g)
-
-
-# The checks verify offers beside the equation families, each of two maps.
-PAIR_CHECKS = {
-    "commutes": ("commutation check", _check_commutes),
-    "relations": ("relations check", check_relations_1_6),
-}
-
-
 def cmd_verify(args) -> int:
-    first = read_input(args.tensor, "tensor")[1]()
-    second = read_input(args.tensor2, "tensor")[1]() if args.tensor2 else None
+    maps = [read_input(path, "tensor")[1]() for path in (args.tensor, args.tensor2) if path]
     if args.tolerance is not None:
-        first = _with_tolerance(first, args.tolerance)
-        if second is not None:
-            second = _with_tolerance(second, args.tolerance)
-    if args.family in EQUATIONS:
-        require_order(args.n)
-        if second is None and len(EQUATIONS[args.family].tags) > 1:
-            raise UsageError(f"{args.family} verification needs --tensor2 for the dual solution")
-        report = check_equation(args.family, args.n, first, second)
-    else:
-        what, check = PAIR_CHECKS[args.family]
-        if second is None:
-            raise UsageError(f"{what} needs --tensor2")
-        report = check(first, second)
+        maps = [_with_tolerance(f, args.tolerance) for f in maps]
+    equation = EQUATIONS[args.family]
+    if len(maps) < len(equation.tags):
+        raise UsageError(f"{args.family} verification needs --tensor2 for its second map")
+    orders = equation.orders(args.n, *maps)
+    for order in orders:
+        require_order(args.family, order)
+    report = check_orders(args.family, orders, *maps)
     emit_report(report, args.report)
     print(f"{report.equation}: {'holds' if report.holds else 'FAILS'}")
     if not report.holds and report.witness:
@@ -301,7 +291,7 @@ def cmd_verify(args) -> int:
 
 def cmd_set_verify(args) -> int:
     fmap = read_json(args.map, FiniteMap.from_json_dict, "finite map")
-    require_order(args.n)
+    require_order(args.family, args.n)
     report = check_polygon_set(fmap, args.n, args.family == "dual-polygon")
     emit_report(report, args.report)
     print(f"{report.equation}: {'holds' if report.holds else 'FAILS'}")
@@ -343,7 +333,8 @@ def recipe_params(name: str, recipe: C.Recipe, text: str | None) -> dict:
 
 def cmd_construct(args) -> int:
     """Parse the parameters, read each input's header, gate, and only then
-    build: a group is gated on the product of the orders read so far."""
+    build: the groups on the running product of their orders, every name
+    and group JSON header read before any Cayley table is built."""
     name, recipe = args.recipe, C.RECIPES[args.recipe]
     params = recipe_params(name, recipe, args.params)
     verify, ring = not args.no_verify, default_ring()
@@ -354,14 +345,11 @@ def cmd_construct(args) -> int:
         specs = params.pop("groups") if kind == "groups" else [args.group]
         if not (isinstance(specs, list) and specs and all(isinstance(spec, str) for spec in specs)):
             raise UsageError(f"{name} needs params.groups, a list of group names")
-        product = 1
-
-        def admit(order: int) -> None:
-            nonlocal product
+        read, product = [read_group(spec) for spec in specs], 1
+        for order, _ in read:
             product *= order
             require_recipe(recipe, verify, product, **params)
-
-        algebras = [group_algebra(table, ring) for table in [load_group(spec, admit) for spec in specs]]
+        algebras = [group_algebra(build(), ring) for _, build in read]
         arguments = {argument: algebras if kind == "groups" else algebras[0]}
     else:
         files = list(zip(recipe.inputs.values(), ("--input", "--input2"), (args.input, args.input2)))
@@ -401,7 +389,9 @@ def _basis_action_lines(name: str, t: Tensor) -> list[str]:
 def cmd_demo(args) -> int:
     ring = default_ring()
     # The 4-simplex check on V^(x)10 is the widest; orders above 4 exceed the cap.
-    group = load_group(args.group, lambda order: require_columns(order, 10))
+    order, build = read_group(args.group)
+    require_columns(order, 10)
+    group = build()
     h = group_algebra(group, ring)
     lines: list[str] = [f"pipeline over k[G] with |G| = {group.order}", ""]
     axioms = check_axioms(h)
@@ -461,6 +451,7 @@ def build_catalog(max_n: int) -> dict:
     return {
         family: {str(n): equation.written(n)[1] for n in equation.catalog(max_n)}
         for family, equation in EQUATIONS.items()
+        if equation.written
     }
 
 
@@ -487,21 +478,22 @@ def make_parser() -> argparse.ArgumentParser:
         description="polygon / simplex tensor equations: generate, verify, construct",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    written = [family for family, equation in EQUATIONS.items() if equation.written]
 
     p = sub.add_parser("gen-eq", help="print index matrices and the rendered equation")
-    p.add_argument("--family", required=True, choices=list(EQUATIONS))
+    p.add_argument("--family", required=True, choices=written)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=cmd_gen_eq)
 
     p = sub.add_parser("compile", help="compile an equation from simplex face combinatorics")
-    p.add_argument("--family", required=True, choices=list(EQUATIONS))
+    p.add_argument("--family", required=True, choices=written)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit", default="program", choices=["program", "placements", "dot"])
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("verify", help="check tensors against an equation family")
-    p.add_argument("--family", required=True, choices=[*EQUATIONS, *PAIR_CHECKS])
+    p.add_argument("--family", required=True, choices=list(EQUATIONS))
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--tensor", required=True)
     p.add_argument("--tensor2")

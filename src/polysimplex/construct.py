@@ -50,6 +50,7 @@ from .verify import (
     check_equation,
     check_mixed,
     check_relations_1_6,
+    polygon_signature,
     require_signatures,
 )
 
@@ -553,12 +554,10 @@ class Recipe:
     (a group's order, the product of the orders for ``groups``, a tensor's
     dim, a descriptor's ``(family, order, dim)``) and the parameters by
     name, and gives the ``(family, order, dim)`` of each equation the
-    recipe checks, in the order it checks them; the last one's first map
-    is the built map.  A fourth field, True, marks a precondition, which
-    the builder checks with the self-check off too (:func:`_mixed_pair`).
-    Checks that are no equation of :data:`verify.EQUATIONS`, the relations
-    (1)-(6) of the mixed-pair towers and the commutation of :func:`stack`,
-    are not listed: they refuse over the cap when they run."""
+    recipe checks, in the order it checks them, each a check of
+    :data:`verify.EQUATIONS`; the last one's first map is the built map.  A
+    fourth field, True, marks a precondition, which the builder checks with
+    the self-check off too (:func:`_mixed_pair`)."""
 
     builder: str  # the function of this module, looked up by name when it runs
     inputs: dict  # builder argument: "group", "groups" (params.groups), "tensor" or "descriptor" (--input, --input2)
@@ -579,6 +578,16 @@ def _mixed_pair(t: tuple, s: tuple) -> list:
     return [("mixed", t[1], t[2], True)] if (t[0], s[0], t[1]) == ("polygon", "dual-polygon", s[1]) else []
 
 
+def _stacked(x: tuple, y: tuple, mode: str) -> list:
+    """The commutation :func:`stack` checks first, a precondition, then its
+    result's equation; none below the 3-gon, which reading refuses."""
+    family, order = stack_arithmetic(x[0], x[1], y[0], y[1], mode)
+    if min(x[1], y[1]) < 3:
+        return [(family, order, x[2])]
+    legs = (*polygon_signature(x[1], x[0] == "dual-polygon"), *polygon_signature(y[1], y[0] == "dual-polygon"))
+    return [("commutes", legs, x[2], True), (family, order, x[2])]
+
+
 def _descended(family: str, order: int, dim: int) -> tuple:
     """The equation of a solution's partial trace."""
     return family, order - 1 if family == "simplex" else order - 2, dim
@@ -587,8 +596,11 @@ def _descended(family: str, order: int, dim: int) -> tuple:
 _DUAL = {"polygon": "dual-polygon", "dual-polygon": "polygon"}
 
 # In the order the README lists them.  A pair of descriptors gates both
-# headers, which a valid pair shares.  A precondition is listed only where
-# the builder reaches it, past the checks of its mode or drop.
+# headers, which a valid pair shares (simplex-from-mixed lists its one
+# simplex check once when they agree).  A precondition is listed only where
+# the builder reaches it, past the checks of its mode or drop, and a check
+# only for the k that runs it: k = 1 is the identity antipode pair, and
+# higher-mixed-pair refuses k < 1 first.
 RECIPES = {
     "hopf-pentagon-pair": Recipe("hopf_pentagon_pair", {"h": "group"}, {}, "pair", lambda h: _pair(5, h)),
     "bialgebra-tower": Recipe(
@@ -599,9 +611,10 @@ RECIPES = {
         lambda instances, k, even: [("polygon", 2 * k if even else 2 * k + 1, instances)]),
     "hopf-mixed-pair-antipode": Recipe(
         "hopf_mixed_pair_antipode", {"h": "group"}, {"k": 2}, "tower",
-        lambda h, k: _pair(2 * k + 1, h) if k > 1 else []),  # k = 1 is the identity pair, unchecked
+        lambda h, k: [*(("relations", n, h) for n in range(1, 7)), *_pair(2 * k + 1, h)] if k > 1 else []),
     "higher-mixed-pair": Recipe(
-        "higher_mixed_pair", {"t": "tensor", "s": "tensor"}, {"k": 2}, "tower", lambda t, s, k: _pair(2 * k + 3, t)),
+        "higher_mixed_pair", {"t": "tensor", "s": "tensor"}, {"k": 2}, "tower",
+        lambda t, s, k: [*(("relations", n, t, True) for n in range(1, 7)), *_pair(2 * k + 3, t)] if k > 0 else []),
     "invert-to-dual": Recipe(
         "invert_to_dual", {"desc": "descriptor"}, {}, "recipe",
         lambda desc: [(_DUAL.get(desc[0], desc[0]), *desc[1:])]),
@@ -615,13 +628,12 @@ RECIPES = {
         "trace_descend_mixed", {"t_desc": "descriptor", "s_desc": "descriptor"}, {"side": "left"}, "recipe",
         lambda t, s, side: [*_mixed_pair(t, s), _descended(*t), _descended(*s), ("mixed", t[1] - 2, t[2])]),
     "stack": Recipe(
-        "stack", {"x": "descriptor", "y": "descriptor"}, {"mode": "compose_left"}, "recipe",
-        lambda x, y, mode: [(*stack_arithmetic(x[0], x[1], y[0], y[1], mode), x[2])]),
+        "stack", {"x": "descriptor", "y": "descriptor"}, {"mode": "compose_left"}, "recipe", _stacked),
     "simplex-from-mixed": Recipe(
         "simplex_from_mixed", {"t_desc": "descriptor", "s_desc": "descriptor"}, {"drop": "one"}, "recipe",
         lambda t, s, drop: [
             *(_mixed_pair(t, s) if drop in ("one", "two", "two_right") else []),
-            *(("simplex", order - (1 if drop == "one" else 2), d) for _, order, d in (t, s))]),
+            *dict.fromkeys(("simplex", order - (1 if drop == "one" else 2), d) for _, order, d in (t, s))]),
     "yang-baxter": Recipe(
         "yang_baxter_from_pair", {"t": "tensor", "s": "tensor"}, {"mode": "compose"}, "recipe",
         lambda t, s, mode: [  # the 2-simplex on V, or on V(x)V

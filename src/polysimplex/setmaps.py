@@ -27,9 +27,8 @@ from functools import cached_property
 from itertools import product
 
 from ._record import record
-from .simplicial import compile_polygon
 from .tensor import ShapeError, _differing_columns, _is_count, _output_masks, _staged_kernel, digits_to_rank
-from .verify import PreconditionFailed, VerificationReport, polygon_signature, require_columns
+from .verify import EQUATIONS, PreconditionFailed, VerificationReport, polygon_signature, require_columns
 
 
 @record
@@ -132,13 +131,10 @@ def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
 
 def _polygon_sides(n: int, dual: bool) -> tuple[int, tuple]:
     """Free-input count and the two kernel shapes (``(gather positions,
-    output count)`` per step) of the compiled (dual) n-gon."""
+    output count)`` per step) of the (dual) n-gon's staged words."""
     out_arity = polygon_signature(n, dual)[1]
-    lhs, rhs = compile_polygon(n, dual)
-    sides = tuple(
-        tuple((positions, out_arity) for _, positions in side.gather_positions()) for side in (lhs, rhs)
-    )
-    return len(lhs.free_inputs), sides
+    legs, words, _ = EQUATIONS["dual-polygon" if dual else "polygon"].staged(n)
+    return legs, tuple(tuple((positions, out_arity) for _, positions in word) for word in words)
 
 
 def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> VerificationReport:

@@ -14,11 +14,11 @@ d(0,1), d(0,2), ..., d(n-1,n)).  Free outputs keep the order the staged
 placements produce; both sides of an equation always agree on it.
 
 The compiled programs are what the checks in :mod:`polysimplex.verify`
-evaluate: :func:`_program_steps` pairs their gather positions with the
-maps, which the checks run through the two-sided table kernel or
-:func:`polysimplex.tensor.contract_staged` (as :func:`evaluate_program`
-does), and the set-theoretic check and search of an equation run the
-same compiled kernel.  The closed-form index
+evaluate: their gather positions are the staged words the checks run
+through the two-sided table kernel, :func:`evaluate_program` contracts
+one side with :func:`polysimplex.tensor.contract_staged`, and the
+set-theoretic check and search of an equation run the same compiled
+kernel.  The closed-form index
 matrices are tied to these programs by the cross-generator tests.  This
 module is the only generator of the even-gon mixed relation, which has no
 closed-form index recursion.
@@ -328,8 +328,13 @@ def program_to_dot(program: ContractionProgram, name: str = "side") -> str:
     return "\n".join(lines)
 
 
-def _program_steps(program: ContractionProgram, maps) -> list:
-    """The ``(map, gather positions)`` steps of one side.
+def evaluate_program(
+    program: ContractionProgram,
+    maps,
+    d: int,
+    ring: ScalarRing = RATIONAL,
+) -> Tensor:
+    """Contract one side into a single tensor.
 
     ``maps`` is either a dict keyed by tag ('T', 'S', 'R'; constant
     solutions) or a callable ``(tag, face) -> Tensor`` for non-constant
@@ -345,15 +350,4 @@ def _program_steps(program: ContractionProgram, maps) -> list:
                 f"{len(step.inputs)}->{len(step.outputs)}"
             )
         steps.append((f, positions))
-    return steps
-
-
-def evaluate_program(
-    program: ContractionProgram,
-    maps,
-    d: int,
-    ring: ScalarRing = RATIONAL,
-) -> Tensor:
-    """Contract one side into a single tensor (``maps`` as for
-    :func:`_program_steps`)."""
-    return contract_staged(_program_steps(program, maps), len(program.free_inputs), d, ring)
+    return contract_staged(steps, len(program.free_inputs), d, ring)

@@ -1,31 +1,20 @@
-"""Decision procedures for every equation family.
+"""Decision procedures for every staged check.
 
-One table, :data:`EQUATIONS`, states each family once: the tags and
-signatures of its maps, its compiler, its index matrices and rendering,
-and its names; the commands and the solution descriptors look families
-up there.  :func:`check_equation` checks every family (``check_polygon``,
-``check_simplex`` and ``check_mixed`` are its wrappers): it refuses a map
-of the wrong signature before anything is compiled, then takes both
-sides from the simplicial compiler as staged ``(map, gather positions)``
-steps.  The relations (1)-(6) are fixed placement words, and the
-commutation that licenses stacking places its maps on the rows and
-columns of a grid of legs, read out row by row in an output order.  When every map is a
-total basis function, both sides run in one table-mode loop-nest kernel
-(:func:`polysimplex.tensor._staged_kernel`), on tables indexed by the
-rank of the input digits, and a holding equation is decided without
-building either side; the set-theoretic check and search of the same
-equation run the same compiled kernel.  Every table check runs it through
-:func:`polysimplex.tensor._differing_columns`, once per
-dependency cone: each final leg of either side reads only some column
-legs, so the legs outside a cone are pinned to 0 and the columns that vary
-them are never run.  On a difference it yields every differing column.
-Other maps, in every ring, push both sides one column at a time on native numbers
-(:func:`polysimplex.tensor._push_columns`).  One comparator
-(:func:`polysimplex.tensor._stream_sides`) reads either stream, so no side
-is built, and reports the largest deviation at the lexicographically
-first key as a witness; :func:`compare_sides` feeds it the entries of two
-built tensors.  Exact rings decide equality exactly; the float ring
-compares within its global absolute tolerance.
+One table, :data:`EQUATIONS`, states each check once: the tags and
+signatures of its maps, its staged words and its names, and for a family
+compiled from simplex faces its compiler, index matrices and rendering.
+Relations (1)-(6) are one record of fixed words, its order the relation
+number; the commutation that licenses stacking is another, its order the
+legs of its two maps.  :func:`check_equation` checks every record, and
+the other ``check_*`` functions are its wrappers: it refuses maps of the
+wrong signature before anything is staged, then puts the maps in for the
+tags of both sides' ``(tag, gather positions)`` words and hands them to
+:func:`_check_sides`, which builds neither side.  Total basis functions
+run both sides in one table-mode kernel per dependency cone, the kernel
+the set-theoretic check and search of the same equation share; other
+maps push both sides column by column on native numbers.  Exact rings
+decide equality exactly; the float ring compares within its global
+absolute tolerance.
 """
 
 from __future__ import annotations
@@ -33,7 +22,7 @@ from __future__ import annotations
 from ._record import field, record
 from .indices import mixed_equation, mixed_indices, polygon_equation, polygon_indices, simplex_equation, simplex_indices
 from .rings import exact_str
-from .simplicial import _program_steps, _replay, compile_mixed, compile_polygon, compile_simplex
+from .simplicial import _replay, compile_mixed, compile_polygon, compile_simplex
 from .tensor import (
     ShapeError,
     Tensor,
@@ -176,48 +165,139 @@ def _simplex_signature(n: int) -> tuple[int, int]:
 
 @record
 class Equation:
-    """One equation family.  Each callable takes the order n (``catalog``
-    the largest order m a catalog lists); ``name`` (in a report) and
-    ``label`` (in a catalog) are formatted with n."""
+    """One equation: a family compiled from simplex faces, or fixed staged
+    words.  Each callable takes the order n (``catalog`` the largest order
+    m a catalog lists); ``name`` (in a report) and ``label`` (in a catalog,
+    or of one report over several orders) are formatted with n."""
 
     tags: str  # one per map the equation places, in argument order
     name: str
     label: str
-    first: int  # the lowest order
     signatures: object  # (in_legs, out_legs) per map; ShapeError when no equation has order n
-    compile: object  # both sides, compiled
-    written: object  # ({name: index matrix}, the rendered equation)
-    catalog: object  # the orders listed
+    orders: object = lambda n, *maps: (n,)  # the orders ``verify --family`` checks, from --n and the maps
+    width: object = lambda n: (n, f"equation order {n} is over the cap")  # what the order cap bounds, and its refusal
+    words: object = None  # fixed words: the staged sides, as :meth:`staged` gives them
+    compile: object = None  # both sides, compiled, for a family compiled from simplex faces
+    written: object = None  # ({name: index matrix}, the rendered equation); None without index matrices
+    catalog: object = None  # the orders listed
+
+    def staged(self, n) -> tuple:
+        """The leg count, both sides as ``(tag, gather positions)`` words in
+        application order, and their output orders, at order n."""
+        if self.words:
+            return self.words(n)
+        lhs, rhs = self.compile(n)
+        return len(lhs.free_inputs), (lhs.gather_positions(), rhs.gather_positions()), (None, None)
 
 
 def _polygon(dual: bool) -> Equation:
     name = "dual {}-gon" if dual else "{}-gon"
     return Equation(
-        "S" if dual else "T", name, name, 3,
-        lambda n: (polygon_signature(n, dual),),
-        lambda n: compile_polygon(n, dual),
-        lambda n: (dict(zip("AB", polygon_indices(n))), polygon_equation(n, dual)),
-        lambda m: range(3, m + 1),
+        "S" if dual else "T", name, name, lambda n: (polygon_signature(n, dual),),
+        compile=lambda n: compile_polygon(n, dual),
+        written=lambda n: (dict(zip("AB", polygon_indices(n))), polygon_equation(n, dual)),
+        catalog=lambda m: range(3, m + 1),
     )
 
 
-# The equation families, in the order a catalog lists them.
+RELATIONS_1_6 = {
+    # name: (ambient legs, [(tag, row), ...] per side, application order is
+    # right-to-left as written)
+    "1": (3, [("T", (1, 3)), ("S", (2, 3))], [("S", (2, 3)), ("T", (1, 3))]),
+    "2": (3, [("T", (2, 3)), ("T", (1, 3)), ("S", (1, 2))], [("S", (1, 2)), ("T", (2, 3))]),
+    "3": (3, [("T", (1, 2)), ("S", (1, 3)), ("S", (2, 3))], [("S", (2, 3)), ("T", (1, 2))]),
+    "4": (4, [("T", (1, 2)), ("S", (1, 3))], [("S", (1, 3)), ("T", (1, 2))]),
+    "5": (
+        4,
+        [("T", (2, 3)), ("S", (3, 4)), ("T", (1, 3)), ("S", (1, 2))],
+        [("S", (3, 4)), ("T", (2, 4)), ("S", (1, 2)), ("T", (2, 3))],
+    ),
+    "6": (
+        4,
+        [("T", (1, 2)), ("S", (1, 3)), ("T", (3, 4)), ("S", (2, 3))],
+        [("S", (2, 3)), ("T", (1, 2)), ("S", (2, 4)), ("T", (3, 4))],
+    ),
+}
+
+
+def _relation_signatures(n) -> tuple:
+    if str(n) not in RELATIONS_1_6:
+        raise ShapeError(f"no relation ({n}); the relations are numbered 1 to 6")
+    return (2, 2), (2, 2)
+
+
+def _relation(n) -> tuple:
+    legs, *sides = RELATIONS_1_6[str(n)]
+    return legs, [side[::-1] for side in sides], (None, None)
+
+
+def _commutation_signatures(legs: tuple) -> tuple:
+    k, l, i, j = legs
+    if min(legs) < 1:
+        raise ShapeError("commutation check needs at least one leg per side")
+    if abs(l - k) > 1 or abs(j - i) > 1:
+        raise ShapeError(f"commutation check needs leg counts that differ by at most one, got {k}->{l} and {i}->{j}")
+    return (k, l), (i, j)
+
+
+def _commutation(legs: tuple) -> tuple:
+    """Both sides of the interchange commutation of f: V^k -> V^l and g:
+    V^i -> V^j, its order ``legs`` = (k, l, i, j).  The legs of V^(ki) form
+    i rows of k.  One side applies f to every row then g to every column,
+    the other applies g to every column then f to every row; both end on
+    the j x l grid read row by row, maps V^(ki) -> V^(lj)."""
+    k, l, i, j = legs
+
+    def on_rows(rows):
+        return [("f", ([(r, c) for c in range(k)], [(r, c) for c in range(l)])) for r in range(rows)]
+
+    def on_columns(columns):
+        return [("g", ([(r, c) for r in range(i)], [(r, c) for r in range(j)])) for c in range(columns)]
+
+    def side(placements):
+        """Words and output order of ``(tag, (input labels, output labels))``
+        placements on the legs, labelled ``(row, column)`` row by row."""
+        tags, wiring = zip(*placements)
+        reads, state = _replay([(r, c) for r in range(i) for c in range(k)], wiring)
+        # Row by row is the sorted order of the final labels.
+        return list(zip(tags, reads)), tuple(sorted(range(1, len(state) + 1), key=lambda m: state[m - 1]))
+
+    (lhs, lhs_order), (rhs, rhs_order) = side(on_rows(i) + on_columns(l)), side(on_columns(k) + on_rows(j))
+    return k * i, (lhs, rhs), (lhs_order, rhs_order)
+
+
+# Every staged check: the equation families, in the order a catalog lists
+# them, then the fixed words.
 EQUATIONS = {
     "polygon": _polygon(False),
     "dual-polygon": _polygon(True),
     "simplex": Equation(
-        "R", "{}-simplex", "{}-simplex", 1,
-        lambda n: (_simplex_signature(n),),
-        lambda n: compile_simplex(n),
-        lambda n: ({"A": simplex_indices(n)}, simplex_equation(n)),
-        lambda m: range(1, (m + 1) // 2),  # the n-simplex equation is indexed by A_(2n+1)
+        "R", "{}-simplex", "{}-simplex", lambda n: (_simplex_signature(n),),
+        compile=compile_simplex,
+        written=lambda n: ({"A": simplex_indices(n)}, simplex_equation(n)),
+        catalog=lambda m: range(1, (m + 1) // 2),  # the n-simplex equation is indexed by A_(2n+1)
     ),
     "mixed": Equation(
-        "TS", "{}-gon mixed relation", "mixed {}-gon", 3,
+        "TS", "{}-gon mixed relation", "mixed {}-gon",
         lambda n: (polygon_signature(n, False), polygon_signature(n, True)),
-        lambda n: compile_mixed(n),
-        lambda n: (dict(zip("DEFG", mixed_indices(n))), mixed_equation(n)),
-        lambda m: range(3, m + 1, 2),  # only odd orders have closed-form index matrices
+        compile=compile_mixed,
+        written=lambda n: (dict(zip("DEFG", mixed_indices(n))), mixed_equation(n)),
+        catalog=lambda m: range(3, m + 1, 2),  # only odd orders have closed-form index matrices
+    ),
+    # The commutation that licenses stacking, its order the legs (k, l, i, j)
+    # of its two maps.
+    "commutes": Equation(
+        "fg", "commutation", "commutation", _commutation_signatures,
+        words=_commutation,
+        orders=lambda n, f, g: ((f.in_legs, f.out_legs, g.in_legs, g.out_legs),),
+        width=lambda legs: (max(legs), f"commutation maps have up to {max(legs)} legs on a side, over the cap"),
+    ),
+    # The compatibility relations (1)-(6) of an n-gon map T and a dual n-gon
+    # map S, each one order; verify checks all six in one report.
+    "relations": Equation(
+        "TS", "relation ({})", "relations (1)-(6)", _relation_signatures,
+        words=_relation,
+        orders=lambda n, t, s: range(1, 7),
     ),
 }
 
@@ -243,14 +323,27 @@ def require_signatures(family: str, n: int, maps) -> dict[str, Tensor]:
     return maps
 
 
-def check_equation(family: str, n: int, t: Tensor, s: Tensor | None = None) -> VerificationReport:
-    """Does t (with s, the dual map of the mixed relation) satisfy the
-    family's equation at order n?  The maps are refused by
-    :func:`require_signatures` before the equation is compiled."""
+def check_equation(family: str, n: int | tuple, t: Tensor, s: Tensor | None = None) -> VerificationReport:
+    """Does t (with s, the second map of a two-map equation) satisfy the
+    equation of the table at order n?  The maps are refused by
+    :func:`require_signatures` before the equation is staged."""
     maps, equation = require_signatures(family, n, (t, s)), EQUATIONS[family]
-    programs = equation.compile(n)
-    sides = [_program_steps(side, maps) for side in programs]
-    return _check_sides(equation.name.format(n), sides, len(programs[0].free_inputs), t.dim, t.ring)
+    legs, words, orders = equation.staged(n)
+    sides = [[(maps[tag], positions) for tag, positions in word] for word in words]
+    return _check_sides(equation.name.format(n), sides, legs, t.dim, t.ring, orders)
+
+
+def check_orders(family: str, orders, t: Tensor, s: Tensor | None = None) -> VerificationReport:
+    """One order's report, or one of several under the label, with
+    ``details`` by order and the first failing order's deviation and witness."""
+    reports = {str(n): check_equation(family, n, t, s) for n in orders}
+    if len(reports) == 1:
+        return next(iter(reports.values()))
+    first = next((report for report in reports.values() if not report.holds), None)
+    return VerificationReport(
+        EQUATIONS[family].label, first is None, first.max_deviation if first else 0, t.shape, s.shape,
+        first.witness if first else None, {n: report.holds for n, report in reports.items()},
+    )
 
 
 def check_polygon(t: Tensor, n: int, dual: bool = False) -> VerificationReport:
@@ -269,91 +362,17 @@ def check_mixed(t: Tensor, s: Tensor, n: int) -> VerificationReport:
 
 
 def check_commutes(f: Tensor, g: Tensor) -> VerificationReport:
-    """The interchange-style commutation that licenses stacking.
-
-    With f: V^k -> V^l on rows and g: V^i -> V^j on columns, the legs of
-    V^(ki) form i rows of k.  One side applies f to every row then g to
-    every column, the other applies g to every column then f to every
-    row; both end on the j x l grid read row by row, maps V^(ki) -> V^(lj).
-    Maps whose leg counts differ by more than one are refused.
-    """
-    if f.dim != g.dim or f.ring != g.ring:
-        raise ShapeError("commutation check needs matching dimension and ring")
-    k, l = f.in_legs, f.out_legs
-    i, j = g.in_legs, g.out_legs
-    if min(k, l, i, j) < 1:
-        raise ShapeError("commutation check needs at least one leg per side")
-    if abs(l - k) > 1 or abs(j - i) > 1:
-        raise ShapeError(
-            f"commutation check needs leg counts that differ by at most one, got {k}->{l} and {i}->{j}"
-        )
-
-    def on_rows(rows):
-        return [(f, ([(r, c) for c in range(k)], [(r, c) for c in range(l)])) for r in range(rows)]
-
-    def on_columns(columns):
-        return [(g, ([(r, c) for r in range(i)], [(r, c) for r in range(j)])) for c in range(columns)]
-
-    def side(placements):
-        """Steps and output order of ``(map, (input labels, output labels))``
-        placements on the legs, labelled ``(row, column)`` row by row."""
-        maps, wiring = zip(*placements)
-        reads, state = _replay([(r, c) for r in range(i) for c in range(k)], wiring)
-        # Row by row is the sorted order of the final labels.
-        return list(zip(maps, reads)), tuple(sorted(range(1, len(state) + 1), key=lambda m: state[m - 1]))
-
-    (lhs, lhs_order), (rhs, rhs_order) = side(on_rows(i) + on_columns(l)), side(on_columns(k) + on_rows(j))
-    return _check_sides("commutation", (lhs, rhs), k * i, f.dim, f.ring, (lhs_order, rhs_order))
-
-
-RELATIONS_1_6 = {
-    # name: (ambient legs, [(tag, row), ...] per side, application order is
-    # right-to-left as written)
-    "1": (3, [("T", (1, 3)), ("S", (2, 3))], [("S", (2, 3)), ("T", (1, 3))]),
-    "2": (3, [("T", (2, 3)), ("T", (1, 3)), ("S", (1, 2))], [("S", (1, 2)), ("T", (2, 3))]),
-    "3": (3, [("T", (1, 2)), ("S", (1, 3)), ("S", (2, 3))], [("S", (2, 3)), ("T", (1, 2))]),
-    "4": (4, [("T", (1, 2)), ("S", (1, 3))], [("S", (1, 3)), ("T", (1, 2))]),
-    "5": (
-        4,
-        [("T", (2, 3)), ("S", (3, 4)), ("T", (1, 3)), ("S", (1, 2))],
-        [("S", (3, 4)), ("T", (2, 4)), ("S", (1, 2)), ("T", (2, 3))],
-    ),
-    "6": (
-        4,
-        [("T", (1, 2)), ("S", (1, 3)), ("T", (3, 4)), ("S", (2, 3))],
-        [("S", (2, 3)), ("T", (1, 2)), ("S", (2, 4)), ("T", (3, 4))],
-    ),
-}
+    """The interchange-style commutation that licenses stacking, of f on the
+    rows and g on the columns of a grid of legs (see :func:`_commutation`).
+    Maps whose leg counts differ by more than one are refused."""
+    return check_equation("commutes", (f.in_legs, f.out_legs, g.in_legs, g.out_legs), f, g)
 
 
 def check_relations_1_6(t: Tensor, s: Tensor) -> VerificationReport:
-    """The six compatibility relations sufficient for the mixed relation.
+    """The six compatibility relations sufficient for the mixed relation, in
+    one report whose ``details`` tell which hold.
 
     Relations 1-3 suffice for pentagon pairs; 4-6 are additionally needed
     when stacking the pair to higher odd-gon mixed pairs.
     """
-    if (t.in_legs, t.out_legs) != (2, 2) or (s.in_legs, s.out_legs) != (2, 2):
-        raise ShapeError("relations (1)-(6) are stated for maps V^2 -> V^2")
-    if t.dim != s.dim or t.ring != s.ring:
-        raise ShapeError("pair must share dimension and ring")
-    maps = {"T": t, "S": s}
-    details = {}
-    first_failure = None
-    worst = 0
-    for name, (legs, lhs_seq, rhs_seq) in RELATIONS_1_6.items():
-        sides = [[(maps[tag], row) for tag, row in reversed(seq)] for seq in (lhs_seq, rhs_seq)]
-        report = _check_sides(f"relation ({name})", sides, legs, t.dim, t.ring)
-        details[name] = report.holds
-        if not report.holds and first_failure is None:
-            first_failure = report
-            worst = report.max_deviation
-    holds = all(details.values())
-    return VerificationReport(
-        "relations (1)-(6)",
-        holds,
-        0 if holds else worst,
-        t.shape,
-        s.shape,
-        witness=None if holds else first_failure.witness,
-        details=details,
-    )
+    return check_orders("relations", range(1, 7), t, s)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracle
 import polysimplex
-from polysimplex import cli, construct, simplicial
+from polysimplex import cli, construct, simplicial, verify
 from polysimplex import tensor as tensor_module
 from polysimplex.cli import MAX_COLUMNS, MAX_ORDER, build_catalog, main
 from polysimplex.hopf import GroupTable, cyclic_group, direct_product, group_algebra
@@ -214,12 +214,17 @@ class TestVerify:
         assert code == 2 and "f64" in err
 
 
-@pytest.mark.parametrize("case", ["tensor-is-directory", "params-not-object", "malformed-ring-tag"])
+@pytest.mark.parametrize("case", ["tensor-is-directory", "params-not-object", "malformed-ring-tag", "missing-field"])
 def test_malformed_input_exits_two(capsys, tmp_path, case):
     if case == "tensor-is-directory":
         argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", str(tmp_path)]
     elif case == "params-not-object":
         argv = ["construct", "--recipe", "bialgebra-tower", "--group", "z2", "--params", "[1]"]
+    elif case == "missing-field":
+        # A descriptor where a tensor is read: its fields are one level down.
+        path = tmp_path / "descriptor.json"
+        path.write_text(json.dumps(hopf_pentagon_pair(group_algebra(cyclic_group(2)))[0].to_json_dict()))
+        argv = ["construct", "--recipe", "yang-baxter", "--input", str(path), "--input2", str(path)]
     else:
         data = json.loads(oracle.flip(2).to_json())
         data["scalar"] = "gfp:x"
@@ -228,6 +233,8 @@ def test_malformed_input_exits_two(capsys, tmp_path, case):
         argv = ["verify", "--family", "simplex", "--n", "2", "--tensor", str(path)]
     code, _, err = run(capsys, *argv)
     assert code == 2 and "error" in err
+    if case == "missing-field":
+        assert err == f"error: malformed tensor in {path}: missing field 'dim'\n"
 
 
 @pytest.mark.parametrize("case", ["dim-true", "dim-float", "legs-true", "digit-true", "digit-float"])
@@ -503,7 +510,8 @@ RECIPES_OVER_THE_CAPS = {
     "conjugate-order-1001": ("conjugate", "equation order 1001 is over the cap"),
     "trace-descend-mixed-order-1001": ("trace-descend-mixed", "equation order 999 is over the cap"),
     "simplex-from-mixed-order-1001": ("simplex-from-mixed", "equation order 1000 is over the cap"),
-    "stack-tensor-order-161": ("stack", "equation order 321 is over the cap"),
+    # Refused at its commutation, the first check of stack, on the 80-leg maps.
+    "stack-tensor-order-161": ("stack", "commutation maps have up to 80 legs on a side, over the cap"),
     "yang-baxter-four-factor-d-24": ("yang-baxter", f"the check runs 576^3 = {576**3} columns"),
     "yang-baxter-four-factor-d-40": ("yang-baxter", f"the check runs 1600^3 = {1600**3} columns"),
     "invert-to-dual-identity-23-gon": ("invert-to-dual", f"the check runs 3^66 = {3**66} columns"),
@@ -515,11 +523,13 @@ RECIPES_OVER_THE_CAPS = {
     # about 3.3 s, before the mixed 13-gon was refused.
     "hopf-mixed-pair-antipode-z2-k6": ("hopf-mixed-pair-antipode", f"the check runs 2^36 = {2**36} columns"),
     "higher-mixed-pair-z2-k5": ("higher-mixed-pair", f"the check runs 2^36 = {2**36} columns"),
-    # Each group was built and validated before the product of the orders
-    # was gated: 6.9 s.  Now the second group is refused before it is built.
+    # Each group was once built and validated before the product of the
+    # orders was gated (6.9 s), later the first group still was (1.4 s); now
+    # every name's order is gated before any group is built.
     "multi-bialgebra-tower-four-z161": ("multi-bialgebra-tower", f"the check runs 25921^3 = {25921**3} columns"),
-    # Both 14 MB descriptors were built, 8.4 s and 298 MB, before the 45-gon was refused.
-    "stack-tensor-identity-23-gon": ("stack", f"the check runs 3^253 = {3**253} columns"),
+    # Both 14 MB descriptors were built, 8.4 s and 298 MB, before the 45-gon
+    # was refused; now the commutation of the two 11-leg maps is, first.
+    "stack-tensor-identity-23-gon": ("stack", f"the check runs 3^121 = {3**121} columns"),
     # The second descriptor of a pair was built before the pair was refused.
     "trace-descend-mixed-second-identity-23-gon": ("trace-descend-mixed", f"the check runs 3^55 = {3**55} columns"),
     "simplex-from-mixed-second-identity-23-gon": ("simplex-from-mixed", f"the check runs 3^253 = {3**253} columns"),
@@ -539,8 +549,7 @@ def test_recipe_over_the_caps_exits_two_at_once(tmp_path, case):
     elif recipe == "hopf-mixed-pair-antipode":
         argv = ["--group", "z2", "--params", '{"k": 6}']
     elif recipe == "multi-bialgebra-tower":
-        # The first group, admitted, takes about 1.2 s to validate.
-        argv, seconds = ["--params", json.dumps({"groups": ["z161"] * 4})], 3
+        argv = ["--params", json.dumps({"groups": ["z161"] * 4})]
     elif recipe == "higher-mixed-pair":
         t_desc, s_desc = hopf_pentagon_pair(group_algebra(cyclic_group(2)))
         first.write_text(t_desc.tensor.to_json())
@@ -683,14 +692,16 @@ def refuse_compiling(monkeypatch):
 
 
 def test_family_choices_are_the_equation_table():
-    """gen-eq, compile and verify offer exactly the equation families of
-    the table, verify besides its two pair checks."""
+    """verify offers every check of the table; gen-eq, compile and the
+    catalog the families the table gives index matrices."""
     commands = next(action for action in cli.make_parser()._actions if action.dest == "command").choices
+    written = [name for name, equation in EQUATIONS.items() if equation.written]
+    assert written == ["polygon", "dual-polygon", "simplex", "mixed"]
+    assert list(build_catalog(3)) == written
     for command in ("gen-eq", "compile", "verify"):
         family = next(action for action in commands[command]._actions if action.dest == "family")
-        offered = [name for name in family.choices if command != "verify" or name not in cli.PAIR_CHECKS]
-        assert offered == list(EQUATIONS)
-    assert [name for name in family.choices if name not in EQUATIONS] == ["commutes", "relations"]
+        assert family.choices == (list(EQUATIONS) if command == "verify" else written)
+    assert list(EQUATIONS)[len(written):] == ["commutes", "relations"]
 
 
 def test_unverified_pair_refused_on_its_input_legs():
@@ -810,6 +821,43 @@ class TestSetCommands:
     def test_set_enumerate_cap(self, capsys):
         code, _, _ = run(capsys, "set-enumerate", "--family", "polygon", "--n", "7", "--base", "2")
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def recipe_argv(tmp_path_factory):
+    """A small valid input of every recipe, as its argv after the recipe name."""
+    root = tmp_path_factory.mktemp("recipes")
+    z2, z3 = group_algebra(cyclic_group(2)), group_algebra(cyclic_group(3))
+    (t2, s2), (t3, s3) = hopf_pentagon_pair(z2), hopf_pentagon_pair(z3)
+    documents = {
+        "T2": t2.tensor.to_json_dict(), "S2": s2.tensor.to_json_dict(),
+        "T3": t3.tensor.to_json_dict(), "S3": s3.tensor.to_json_dict(),
+        "T2d": t2.to_json_dict(), "S2d": s2.to_json_dict(), "T3d": t3.to_json_dict(), "S3d": s3.to_json_dict(),
+        "tower5": construct.bialgebra_tower(5, z2).to_json_dict(),
+        "tower7": construct.bialgebra_tower(7, z3).to_json_dict(),
+        "phi": from_function(2, 1, 1, lambda x: (1 - x[0],)).to_json_dict(),
+    }
+    for name, data in documents.items():
+        (root / f"{name}.json").write_text(json.dumps(data))
+
+    def inputs(*names):
+        return [arg for flag, name in zip(("--input", "--input2"), names) for arg in (flag, str(root / f"{name}.json"))]
+
+    return {
+        "hopf-pentagon-pair": ["--group", "z3"],
+        "bialgebra-tower": ["--group", "z2", "--params", '{"n": 6, "dual": true}'],
+        "multi-bialgebra-tower": ["--params", '{"groups": ["z2", "z3"]}'],
+        "hopf-mixed-pair-antipode": ["--group", "z2", "--params", '{"k": 3}'],
+        "higher-mixed-pair": inputs("T2", "S2"),
+        "invert-to-dual": inputs("T3d"),
+        "conjugate": inputs("T2d", "phi"),
+        "bar-sigma-conjugate": inputs("S3d"),
+        "trace-descend": inputs("tower7"),
+        "trace-descend-mixed": inputs("T3d", "S3d"),
+        "stack": inputs("tower5", "tower5"),
+        "simplex-from-mixed": [*inputs("T2d", "S2d"), "--params", '{"drop": "two"}'],
+        "yang-baxter": [*inputs("T3", "S3"), "--params", '{"mode": "four_factor"}'],
+    }
 
 
 class TestConstruct:
@@ -1029,6 +1077,49 @@ class TestConstruct:
         code, out, err = run(capsys, *argv)
         subject = "the recipe maps" if recipe == "simplex-from-mixed" and flags else "the check runs"
         assert (code, out, err) == (2, "", f"error: {subject} 64^4 = {64**4} columns, over the cap of {MAX_COLUMNS}\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--no-verify"]])
+    def test_relations_precondition_gated_before_building(self, capsys, monkeypatch, tmp_path, flags):
+        """higher-mixed-pair checks relations (1)-(6) of its input pair first,
+        with the self-check off too: on a z46 pentagon pair relation (4)
+        (46^4) was refused only once both tensors were built."""
+        t_desc, s_desc = hopf_pentagon_pair(group_algebra(cyclic_group(46)), verify=False)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(t_desc.tensor.to_json())
+        second.write_text(s_desc.tensor.to_json())
+        monkeypatch.setattr(construct, "higher_mixed_pair", lambda **kwargs: pytest.fail("built"))
+        what, _, header = cli.INPUTS["tensor"]
+        monkeypatch.setitem(cli.INPUTS, "tensor", (what, lambda data: pytest.fail("tensor built"), header))
+        argv = ["construct", "--recipe", "higher-mixed-pair", "--input", str(first), "--input2", str(second)]
+        code, out, err = run(capsys, *argv, "--params", '{"k": 1}', *flags)
+        assert (code, out, err) == (2, "", f"error: the check runs 46^4 = {46**4} columns, over the cap of {MAX_COLUMNS}\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--no-verify"]])
+    @pytest.mark.parametrize("recipe", list(construct.RECIPES))
+    def test_recipe_table_lists_the_checks_that_run(self, capsys, monkeypatch, recipe_argv, recipe, flags):
+        """Every check a recipe runs on a small valid input is listed in its
+        record, in the order it runs, and with --no-verify exactly the
+        preconditions run.  The Hopf laws, no checks of the table, run
+        through hopf's own name for the comparator and are not counted."""
+        ran, gated = [], []
+        check_sides, require_recipe = verify._check_sides, cli.require_recipe
+
+        def record_check(equation, sides, legs, d, *rest):
+            ran.append((equation, d))
+            return check_sides(equation, sides, legs, d, *rest)
+
+        def record_gate(*args, **params):
+            gated.append((args[2:], params))
+            return require_recipe(*args, **params)
+
+        monkeypatch.setattr(verify, "_check_sides", record_check)
+        monkeypatch.setattr(cli, "require_recipe", record_gate)
+        code, _, err = run(capsys, "construct", "--recipe", recipe, *recipe_argv[recipe], *flags)
+        assert (code, err) == (0, "")
+        headers, params = gated[-1]
+        listed = construct.RECIPES[recipe].checks(*headers, **params)
+        assert ran == [(EQUATIONS[check[0]].name.format(check[1]), check[2]) for check in listed if not flags or check[3:]]
+        assert ran or flags
 
     def test_readme_lists_the_recipe_table(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
