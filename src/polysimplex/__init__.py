@@ -51,11 +51,7 @@ from .simplicial import (
     compile_mixed,
     compile_polygon,
     compile_simplex,
-    evaluate_program,
     flatten,
-    pachner_split,
-    simplex_family_from_pair,
-    traced_family,
 )
 from .tensor import (
     NotInvertible,

@@ -272,12 +272,19 @@ def _with_tolerance(tensor: Tensor, tolerance: float) -> Tensor:
 
 
 def cmd_verify(args) -> int:
-    maps = [read_input(path, "tensor")[1]() for path in (args.tensor, args.tensor2) if path]
+    equation = EQUATIONS[args.family]
+    paths = [path for path in (args.tensor, args.tensor2) if path]
+    if len(paths) < len(equation.tags):
+        raise UsageError(f"{args.family} verification needs --tensor2 for its second map")
+    if len(paths) > len(equation.tags):
+        raise UsageError(f"{args.family} verification takes one map; --tensor2 is not used")
+    if equation.compile:
+        # A compiled family's order is --n, refused before any file is read;
+        # the commutation's comes from its maps' legs.
+        require_order(args.family, args.n)
+    maps = [read_input(path, "tensor")[1]() for path in paths]
     if args.tolerance is not None:
         maps = [_with_tolerance(f, args.tolerance) for f in maps]
-    equation = EQUATIONS[args.family]
-    if len(maps) < len(equation.tags):
-        raise UsageError(f"{args.family} verification needs --tensor2 for its second map")
     orders = equation.orders(args.n, *maps)
     for order in orders:
         require_order(args.family, order)
@@ -290,8 +297,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_set_verify(args) -> int:
-    fmap = read_json(args.map, FiniteMap.from_json_dict, "finite map")
     require_order(args.family, args.n)
+    fmap = read_json(args.map, FiniteMap.from_json_dict, "finite map")
     report = check_polygon_set(fmap, args.n, args.family == "dual-polygon")
     emit_report(report, args.report)
     print(f"{report.equation}: {'holds' if report.holds else 'FAILS'}")

@@ -13,15 +13,14 @@ ordering that lists the (n-2)-faces of the n-simplex equation as
 d(0,1), d(0,2), ..., d(n-1,n)).  Free outputs keep the order the staged
 placements produce; both sides of an equation always agree on it.
 
-The compiled programs are what the checks in :mod:`polysimplex.verify`
-evaluate: their gather positions are the staged words the checks run
-through the two-sided table kernel, :func:`evaluate_program` contracts
-one side with :func:`polysimplex.tensor.contract_staged`, and the
+Solutions are constant: one map per tag, placed on every facet that
+carries the tag.  The compiled programs are what the checks in
+:mod:`polysimplex.verify` evaluate: their gather positions are the staged
+words the checks run through the two-sided table kernel, and the
 set-theoretic check and search of an equation run the same compiled
-kernel.  The closed-form index
-matrices are tied to these programs by the cross-generator tests.  This
-module is the only generator of the even-gon mixed relation, which has no
-closed-form index recursion.
+kernel.  The closed-form index matrices are tied to these programs by the
+cross-generator tests.  This module is the only generator of the even-gon
+mixed relation, which has no closed-form index recursion.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from functools import cache
 
 from ._record import field, record
 from .indices import mixed_sequences
-from .rings import RATIONAL, ScalarRing
-from .tensor import ShapeError, Tensor, contract_staged, partial_trace_left, replace_slots
+from .tensor import ShapeError, Tensor, contract_staged, replace_slots
 
 Face = tuple[int, ...]
 
@@ -63,15 +61,6 @@ def odd_faces(p: Face) -> list[Face]:
 
 def reverse_lex_sorted(labels) -> list[Face]:
     return sorted(labels, reverse=True)
-
-
-def pachner_split(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Even/odd vertex split of {0..n+1} driving the two sides."""
-    if n < 1:
-        raise ShapeError("pachner_split needs n >= 1")
-    evens = tuple(range(0, 2 * ((n + 1) // 2) + 1, 2))
-    odds = tuple(range(1, 2 * ((n + 2) // 2), 2))
-    return evens, odds
 
 
 @record
@@ -196,12 +185,11 @@ def compile_polygon(n: int, dual: bool = False) -> tuple[ContractionProgram, Con
     (n-1)-simplex, split by vertex parity."""
     if n < 3:
         raise ShapeError(f"no {n}-gon equation; n must be >= 3")
-    evens, odds = pachner_split(n - 2)
     tag = "S" if dual else "T"
     # Within one side, the map on the larger facet index feeds the smaller
     # for T, and conversely for S; the stacking order is forced.
-    lhs = sorted(evens, reverse=not dual)
-    rhs = sorted(odds, reverse=dual)
+    lhs = sorted(range(0, n, 2), reverse=not dual)
+    rhs = sorted(range(1, n, 2), reverse=dual)
     return _compile(n - 1, [(i, tag) for i in lhs], [(i, tag) for i in rhs], f"{n}-gon")
 
 
@@ -241,7 +229,7 @@ def compile_mixed(n: int) -> tuple[ContractionProgram, ContractionProgram]:
     return programs
 
 
-# -- non-constant solution families (simplex solutions from mixed pairs) ------
+# -- simplex solutions from mixed pairs ---------------------------------------
 
 
 def pair_to_simplex_map(t: Tensor, s: Tensor) -> Tensor:
@@ -263,44 +251,6 @@ def pair_to_simplex_map(t: Tensor, s: Tensor) -> Tensor:
     order = tuple((m ^ 1 if m < swaps else m) + 1 for m in range(legs))
     steps = [(s, tuple(range(1, legs + 1, 2))), (t, tuple(range(2, legs + 1, 2)))]
     return contract_staged(steps, legs, t.dim, t.ring, order)
-
-
-def simplex_family_from_pair(n: int, t_family, s_family) -> dict[Face, Tensor]:
-    """Family of n-simplex maps from (n+1)-gon and dual (n+1)-gon families.
-
-    The (n+1)-gon equation lives on the facets of Delta^n, and so does the
-    n-simplex family built from it: ``t_family``/``s_family`` assign a
-    tensor to each facet (plain tensors build the constant family).
-    """
-    if n < 2:
-        raise ShapeError("simplex families start at order 2")
-    simplex = standard_simplex(n)
-    result: dict[Face, Tensor] = {}
-    for i in range(n + 1):
-        p = face_delete(simplex, i)
-        t = t_family[p] if isinstance(t_family, dict) else t_family
-        s = s_family[p] if isinstance(s_family, dict) else s_family
-        result[p] = pair_to_simplex_map(t, s)
-    return result
-
-
-def traced_family(n: int, r_family: dict[Face, Tensor]) -> dict[Face, Tensor]:
-    """Descend an (n+1)-simplex family to an n-simplex family by closing
-    the loop on the face that drops vertex 0.
-
-    For the facet q of Delta^n, the parent map lives on [0] + (q+1); its
-    first leg (the face deleting vertex 0) is traced out and the remaining
-    legs reindex onto the facets of q in order.
-    """
-    if n < 1:
-        raise ShapeError("traced families need n >= 1")
-    result: dict[Face, Tensor] = {}
-    for q in facets(standard_simplex(n)):
-        parent = (0,) + tuple(v + 1 for v in q)
-        if parent not in r_family:
-            raise ProgramError(f"family is missing the map on {parent}")
-        result[q] = partial_trace_left(r_family[parent])
-    return result
 
 
 def program_to_dot(program: ContractionProgram, name: str = "side") -> str:
@@ -327,27 +277,3 @@ def program_to_dot(program: ContractionProgram, name: str = "side") -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def evaluate_program(
-    program: ContractionProgram,
-    maps,
-    d: int,
-    ring: ScalarRing = RATIONAL,
-) -> Tensor:
-    """Contract one side into a single tensor.
-
-    ``maps`` is either a dict keyed by tag ('T', 'S', 'R'; constant
-    solutions) or a callable ``(tag, face) -> Tensor`` for non-constant
-    families; each map must have the signature of its step.
-    """
-    steps = []
-    for step, positions in zip(program.steps, program._positions):
-        f = maps(step.tag, step.face) if callable(maps) else maps[step.tag]
-        if (f.in_legs, f.out_legs) != (len(step.inputs), len(step.outputs)):
-            raise ShapeError(
-                f"map for {step.tag}{step.face} has signature "
-                f"{f.in_legs}->{f.out_legs}, expected "
-                f"{len(step.inputs)}->{len(step.outputs)}"
-            )
-        steps.append((f, positions))
-    return contract_staged(steps, len(program.free_inputs), d, ring)

@@ -24,8 +24,8 @@ from polysimplex.hopf import GroupTable, cyclic_group, direct_product, group_alg
 from polysimplex.rings import F64, prime_field
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap, check_polygon_set
-from polysimplex.simplicial import compile_polygon, evaluate_program, pair_to_simplex_map
-from polysimplex.tensor import ShapeError, Tensor, from_function, identity_tensor, rank_to_digits
+from polysimplex.simplicial import compile_polygon, pair_to_simplex_map
+from polysimplex.tensor import ShapeError, Tensor, contract_staged, from_function, identity_tensor, rank_to_digits
 from polysimplex.verify import EQUATIONS, Equation, SelfCheckFailed, check_polygon
 
 
@@ -621,7 +621,9 @@ def test_huge_exact_witness_printed_in_full(tmp_path):
 def test_verify_over_the_column_cap_refused(capsys, tmp_path, family, n, legs):
     path = tmp_path / "t.json"
     path.write_text(from_function(3, 6, 6, lambda x: x).to_json())
-    argv = ["verify", "--family", family, "--n", str(n), "--tensor", str(path), "--tensor2", str(path)]
+    argv = ["verify", "--family", family, "--n", str(n), "--tensor", str(path)]
+    if family == "mixed":
+        argv += ["--tensor2", str(path)]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: the check runs 3^{legs} = {3**legs} columns, over the cap of {MAX_COLUMNS}\n"
@@ -691,6 +693,11 @@ def refuse_compiling(monkeypatch):
     monkeypatch.setattr(simplicial, "_compile", refuse)
 
 
+def refuse_reading(*args, **kwargs):
+    """Stands in for the parse of every input file, to show none is read."""
+    raise AssertionError("read")
+
+
 def test_family_choices_are_the_equation_table():
     """verify offers every check of the table; gen-eq, compile and the
     catalog the families the table gives index matrices."""
@@ -745,6 +752,30 @@ class TestOrderCap:
             commands.append(["set-verify", "--family", family, "--n", str(n), "--map", str(path)])
         for argv in commands:
             assert run(capsys, *argv) == (2, "", expect)
+
+    @pytest.mark.parametrize("family", ["polygon", "dual-polygon", "simplex", "mixed"])
+    def test_over_the_cap_refused_before_reading(self, capsys, tmp_path, monkeypatch, family):
+        """The order --n gives is refused before an input file is parsed: a
+        large map once took seconds and gigabytes to be refused."""
+        n = MAX_ORDER + 1
+        inputs = one_point_inputs(tmp_path, family, 3)
+        monkeypatch.setattr(cli, "read_json", refuse_reading)
+        commands = [["verify", "--family", family, "--n", str(n), *inputs]]
+        if family in ("polygon", "dual-polygon"):
+            commands.append(["set-verify", "--family", family, "--n", str(n), "--map", inputs[1]])
+        for argv in commands:
+            assert run(capsys, *argv) == (2, "", f"error: equation order {n} is over the cap of {MAX_ORDER}\n")
+
+
+@pytest.mark.parametrize("family", ["polygon", "dual-polygon", "simplex"])
+def test_surplus_tensor2_refused_before_reading(capsys, tmp_path, monkeypatch, family):
+    """A one-map family once read, built and then ignored --tensor2."""
+    path = tmp_path / "t.json"
+    path.write_text(identity_tensor(2, 2).to_json())
+    monkeypatch.setattr(cli, "read_json", refuse_reading)
+    argv = ["verify", "--family", family, "--n", "3", "--tensor", str(path), "--tensor2", str(path)]
+    expect = f"error: {family} verification takes one map; --tensor2 is not used\n"
+    assert run(capsys, *argv) == (2, "", expect)
 
 
 class TestSetCommands:
@@ -1310,7 +1341,10 @@ class TestDemoAndCatalog:
         path, report = tmp_path / "t.json", tmp_path / "report.json"
         path.write_text(t.to_json())
         code, maxrss_kb, _ = measure_cli("verify", "--family", "polygon", "--n", "9", "--tensor", str(path), "--report", str(report))
-        sides = (evaluate_program(side, {"T": t}, 3, t.ring) for side in compile_polygon(9))
+        sides = (
+            contract_staged([(t, p) for _, p in side.gather_positions()], len(side.free_inputs), 3, t.ring)
+            for side in compile_polygon(9)
+        )
         assert code == 1
         assert json.loads(report.read_text()) == oracle.compare_sides("9-gon", *sides).to_json_dict()
         assert maxrss_kb < 40 * 1024
@@ -1323,7 +1357,10 @@ class TestDemoAndCatalog:
         path, report = tmp_path / "t.json", tmp_path / "report.json"
         path.write_text(t.to_json())
         code, maxrss_kb, _ = measure_cli("verify", "--family", "polygon", "--n", "9", "--tensor", str(path), "--report", str(report))
-        sides = (evaluate_program(side, {"T": t}, 3, t.ring) for side in compile_polygon(9))
+        sides = (
+            contract_staged([(t, p) for _, p in side.gather_positions()], len(side.free_inputs), 3, t.ring)
+            for side in compile_polygon(9)
+        )
         assert code == 1
         assert json.loads(report.read_text()) == oracle.compare_sides("9-gon", *sides).to_json_dict()
         assert maxrss_kb < 30 * 1024

@@ -1,7 +1,7 @@
 """Simplicial compiler: cross-generator equivalence is the structural anchor.
 
 Flattened programs must reproduce the recursion matrices placement for
-placement; the non-constant builders must reproduce the closed-form maps.
+placement; the simplex map of a mixed pair must reproduce the closed-form map.
 """
 
 from fractions import Fraction
@@ -22,25 +22,16 @@ from polysimplex.simplicial import (
     compile_mixed,
     compile_polygon,
     compile_simplex,
-    evaluate_program,
     face_delete,
     facets,
     flatten,
-    pachner_split,
     pair_to_simplex_map,
     program_to_dot,
     reverse_lex_sorted,
-    simplex_family_from_pair,
     standard_simplex,
-    traced_family,
 )
-from polysimplex.tensor import (
-    ShapeError,
-    Tensor,
-    from_function,
-    identity_tensor,
-    partial_trace_left,
-)
+from polysimplex.tensor import ShapeError, Tensor, contract_staged, from_function, identity_tensor
+from polysimplex.verify import check_equation
 
 Z2_T = from_function(2, 2, 2, lambda x: (x[0], (x[0] + x[1]) % 2))
 Z2_S = from_function(2, 2, 2, lambda x: (x[0], (x[1] - x[0]) % 2))
@@ -56,18 +47,6 @@ def seeded_tensor(seed: int, d: int, in_legs: int, out_legs: int) -> Tensor:
             if state % 3:
                 entries[(out, inp)] = Fraction(state % 7 - 3)
     return Tensor(d, in_legs, out_legs, entries)
-
-
-class TestPachnerSplit:
-    def test_examples(self):
-        assert pachner_split(2) == ((0, 2), (1, 3))
-        assert pachner_split(3) == ((0, 2, 4), (1, 3))
-        assert pachner_split(1) == ((0, 2), (1,))
-
-    def test_partitions_vertices(self):
-        for n in range(1, 10):
-            evens, odds = pachner_split(n)
-            assert sorted(evens + odds) == list(range(n + 2))
 
 
 class TestFaceHelpers:
@@ -261,12 +240,18 @@ class TestProgramStructure:
         assert dot.startswith("digraph")
 
 
+def contract_side(program, maps, d):
+    """One compiled side contracted, ``maps`` by tag."""
+    steps = [(maps[tag], positions) for tag, positions in program.gather_positions()]
+    return contract_staged(steps, len(program.free_inputs), d)
+
+
 class TestProgramEvaluation:
     def test_pentagon_program_agrees_with_placements(self):
         lhs, rhs = compile_polygon(5)
         expect, expect_rhs = polygon_sides(Z2_T, 5)
-        assert evaluate_program(lhs, {"T": Z2_T}, 2) == expect
-        assert evaluate_program(rhs, {"T": Z2_T}, 2) == expect_rhs
+        assert contract_side(lhs, {"T": Z2_T}, 2) == expect
+        assert contract_side(rhs, {"T": Z2_T}, 2) == expect_rhs
 
     def test_functional_oracle_even_mixed(self):
         # Evaluate the compiled 4-gon mixed sides two ways: as sparse tensor
@@ -278,7 +263,7 @@ class TestProgramEvaluation:
         from polysimplex.tensor import replace_slots
 
         for program in compile_mixed(4):
-            tensor_side = evaluate_program(program, {"T": delta, "S": mult}, 2)
+            tensor_side = contract_side(program, {"T": delta, "S": mult}, 2)
             for start in product(range(2), repeat=len(program.free_inputs)):
                 state_labels = list(program.free_inputs)
                 state_vals = list(start)
@@ -289,21 +274,11 @@ class TestProgramEvaluation:
                     state_vals = replace_slots(state_vals, positions, outs)
                 assert tensor_side.entry(tuple(state_vals), start) == 1
 
-    def test_signature_mismatch_rejected(self):
-        lhs, _ = compile_polygon(5)
-        with pytest.raises(ShapeError):
-            evaluate_program(lhs, {"T": identity_tensor(2, 3)}, 2)
-
     def test_callable_assignment_for_families(self):
-        # Evaluate the 4-simplex equation with a per-face family (constant
-        # in value, non-constant in plumbing) and compare both sides.
+        # The 4-simplex map of a 5-gon pair satisfies the 4-simplex equation.
         t = from_function(2, 2, 2, lambda x: (x[0], (x[0] + x[1]) % 2))
         s = from_function(2, 2, 2, lambda x: (x[0], (x[1] - x[0]) % 2))
-        family = simplex_family_from_pair(4, t, s)
-        lhs, rhs = compile_simplex(4)
-        left = evaluate_program(lhs, lambda tag, face: family[face], 2)
-        right = evaluate_program(rhs, lambda tag, face: family[face], 2)
-        assert left == right
+        assert check_equation("simplex", 4, pair_to_simplex_map(t, s)).holds
 
 
 class TestNonConstantBuilders:
@@ -311,10 +286,7 @@ class TestNonConstantBuilders:
         # order-4 family from 5-gon-shaped tensors == the pair swaps after T and S
         t = seeded_tensor(11, 2, 2, 2)
         s = seeded_tensor(23, 2, 2, 2)
-        family = simplex_family_from_pair(4, t, s)
-        expect = oracle.pair_swap_formula(t, s)
-        for face, tensor in family.items():
-            assert tensor == expect
+        assert pair_to_simplex_map(t, s) == oracle.pair_swap_formula(t, s)
 
     def test_constant_family_matches_closed_form_even(self):
         for n, seeds in ((3, (5, 7)), (5, (13, 17))):
@@ -322,10 +294,7 @@ class TestNonConstantBuilders:
             k = m // 2
             t = seeded_tensor(seeds[0], 2, k - 1, k)
             s = seeded_tensor(seeds[1], 2, k, k - 1)
-            family = simplex_family_from_pair(n, t, s)
-            expect = oracle.pair_swap_formula(t, s)
-            for tensor in family.values():
-                assert tensor == expect
+            assert pair_to_simplex_map(t, s) == oracle.pair_swap_formula(t, s)
 
     @pytest.mark.parametrize("ring", oracle.RINGS, ids=lambda ring: ring.tag)
     @settings(max_examples=40, deadline=None)
@@ -342,27 +311,7 @@ class TestNonConstantBuilders:
 
     def test_identity_pair_gives_pure_permutation(self):
         one = identity_tensor(2, 1)
-        family = simplex_family_from_pair(2, one, one)
-        for tensor in family.values():
-            assert tensor == flip(2)
-
-    def test_traced_identity_family_scales_by_dimension(self):
-        fam = {face_delete(standard_simplex(4), i): identity_tensor(2, 4) for i in range(5)}
-        q_fam = traced_family(3, fam)
-        for q, tensor in q_fam.items():
-            assert tensor == identity_tensor(2, 3).scale(2)
-
-    def test_traced_family_closes_first_leg(self):
-        t = seeded_tensor(3, 2, 2, 2)
-        s = seeded_tensor(9, 2, 2, 2)
-        family = simplex_family_from_pair(4, t, s)
-        q_fam = traced_family(3, family)
-        parent = family[(0, 1, 3, 4)]
-        assert q_fam[(0, 2, 3)] == partial_trace_left(parent)
-
-    def test_missing_face_rejected(self):
-        with pytest.raises(ProgramError):
-            traced_family(2, {})
+        assert pair_to_simplex_map(one, one) == flip(2)
 
     def test_mismatched_pair_rejected(self):
         with pytest.raises(ShapeError):

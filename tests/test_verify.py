@@ -24,7 +24,7 @@ from polysimplex.construct import (
 from polysimplex.hopf import cyclic_group, group_algebra
 from polysimplex.rings import F64, RATIONAL, FloatRing, prime_field
 from polysimplex.setmaps import FiniteMap, check_polygon_set, enumerate_set_solutions
-from polysimplex.simplicial import compile_simplex, evaluate_program
+from polysimplex.simplicial import compile_simplex
 from polysimplex.tensor import ShapeError, Tensor, contract_staged, from_function, identity_tensor
 from polysimplex.verify import (
     RELATIONS_1_6,
@@ -633,7 +633,10 @@ class TestCompareRoute:
         r4, _ = z3_simplex_maps()
         got = check_simplex(r4, 4)
         assert got.lhs_dims == got.rhs_dims == (3, 10, 10)
-        sides = (evaluate_program(side, {"R": r4}, 3, r4.ring) for side in compile_simplex(4))
+        sides = (
+            contract_staged([(r4, p) for _, p in side.gather_positions()], len(side.free_inputs), 3, r4.ring)
+            for side in compile_simplex(4)
+        )
         assert got.to_json_dict() == oracle.compare_sides("4-simplex", *sides).to_json_dict()
 
     def test_failing_check_returns_the_oracle_witness(self):
