@@ -278,10 +278,13 @@ def cmd_verify(args) -> int:
         raise UsageError(f"{args.family} verification needs --tensor2 for its second map")
     if len(paths) > len(equation.tags):
         raise UsageError(f"{args.family} verification takes one map; --tensor2 is not used")
+    # A compiled family's order is --n, refused before any file is read; the
+    # commutation's comes from its maps' legs, and the relations are all six.
+    if (args.n is None) == bool(equation.compile):
+        raise UsageError(f"{args.family} verification {'needs' if equation.compile else 'takes no'} --n")
     if equation.compile:
-        # A compiled family's order is --n, refused before any file is read;
-        # the commutation's comes from its maps' legs.
         require_order(args.family, args.n)
+        equation.signatures(args.n)  # refuses an order at which the family has no equation
     maps = [read_input(path, "tensor")[1]() for path in paths]
     if args.tolerance is not None:
         maps = [_with_tolerance(f, args.tolerance) for f in maps]
@@ -501,7 +504,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check tensors against an equation family")
     p.add_argument("--family", required=True, choices=list(EQUATIONS))
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int)
     p.add_argument("--tensor", required=True)
     p.add_argument("--tensor2")
     p.add_argument("--tolerance", type=float, help="absolute tolerance, f64 tensors only")

@@ -18,7 +18,7 @@ is a depth-first search over table rows, pruned by the same kernel run
 on the partial table, a list indexed by row rank with None where
 unassigned, whose misses skip the undecided tuples.
 The six lifting constructions between neighbouring polygon orders are
-implemented with their fixed-point criteria checked in both directions.
+one rule, with their fixed-point criteria checked in both directions.
 """
 
 from __future__ import annotations
@@ -145,14 +145,12 @@ def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> Verificati
     failing one.
     """
     want = polygon_signature(n, dual)
+    equation = EQUATIONS["dual-polygon" if dual else "polygon"].name.format(n)
     if (fmap.in_arity, fmap.out_arity) != want:
-        raise ShapeError(
-            f"{'dual ' if dual else ''}{n}-gon needs arity {want[0]}->{want[1]}, "
-            f"got {fmap.in_arity}->{fmap.out_arity}"
-        )
+        raise ShapeError(f"{equation} needs arity {want[0]}->{want[1]}, got {fmap.in_arity}->{fmap.out_arity}")
     legs, sides = _polygon_sides(n, dual)
     require_columns(fmap.base, legs)
-    name = f"set-theoretic {'dual ' if dual else ''}{n}-gon"
+    name = f"set-theoretic {equation}"
     shape = (fmap.base, fmap.in_arity, fmap.out_arity)
     steps = sum(map(len, sides))
     differing = _differing_columns(legs, sides, (None, None), (fmap.table,) * steps, (fmap._masks,) * steps, fmap.base)
@@ -178,49 +176,45 @@ def _require(source: FiniteMap, n: int, dual: bool) -> None:
         raise PreconditionFailed(f"source map fails the {report.equation}")
 
 
+def _lift(source: FiniteMap, n: int, dual: bool, extend, u=None) -> LiftOutcome:
+    """The lift a -> extend(a, source(a)) of a solution of the (dual) n-gon
+    equation, checked on the (n+1)-gon equation; pinned at ``u``, with
+    whether u is a diagonal fixed point of the source."""
+    _require(source, n, dual)
+    k, l = source.in_arity, source.out_arity
+    lifted = FiniteMap.from_callable(source.base, k, l + 1, lambda a: extend(a, source(a)))
+    fixed = u is None or source((u,) * k) == (u,) * l
+    return LiftOutcome(lifted, check_polygon_set(lifted, n + 1), fixed)
+
+
 def lift_dual_even_to_odd(s: FiniteMap, k: int) -> LiftOutcome:
     """a -> (a_1, S(a)) turns a dual 2k-gon solution into a (2k+1)-gon one."""
-    _require(s, 2 * k, dual=True)
-    lifted = FiniteMap.from_callable(s.base, k, k, lambda a: (a[0],) + s(a))
-    return LiftOutcome(lifted, check_polygon_set(lifted, 2 * k + 1))
+    return _lift(s, 2 * k, True, lambda a, image: (a[0],) + image)
 
 
 def lift_dual_even_to_odd_pinned(s: FiniteMap, u: int, k: int) -> LiftOutcome:
     """a -> (u, S(a)); a solution exactly when u is a diagonal fixed point."""
-    _require(s, 2 * k, dual=True)
-    lifted = FiniteMap.from_callable(s.base, k, k, lambda a: (u,) + s(a))
-    fixed = s((u,) * k) == (u,) * (k - 1)
-    return LiftOutcome(lifted, check_polygon_set(lifted, 2 * k + 1), fixed)
+    return _lift(s, 2 * k, True, lambda a, image: (u,) + image, u)
 
 
 def lift_odd_to_even(t: FiniteMap, k: int) -> LiftOutcome:
     """a -> (T(a), a_k) turns a (2k+1)-gon solution into a (2k+2)-gon one."""
-    _require(t, 2 * k + 1, dual=False)
-    lifted = FiniteMap.from_callable(t.base, k, k + 1, lambda a: t(a) + (a[-1],))
-    return LiftOutcome(lifted, check_polygon_set(lifted, 2 * k + 2))
+    return _lift(t, 2 * k + 1, False, lambda a, image: image + (a[-1],))
 
 
 def lift_odd_to_even_pinned(t: FiniteMap, u: int, k: int) -> LiftOutcome:
     """a -> (T(a), u); a solution exactly when u is a diagonal fixed point."""
-    _require(t, 2 * k + 1, dual=False)
-    lifted = FiniteMap.from_callable(t.base, k, k + 1, lambda a: t(a) + (u,))
-    fixed = t((u,) * k) == (u,) * k
-    return LiftOutcome(lifted, check_polygon_set(lifted, 2 * k + 2), fixed)
+    return _lift(t, 2 * k + 1, False, lambda a, image: image + (u,), u)
 
 
 def lift_dual_odd_to_even(s: FiniteMap, k: int) -> LiftOutcome:
     """a -> (a_1, S(a)) turns a dual (2k+1)-gon solution into a (2k+2)-gon one."""
-    _require(s, 2 * k + 1, dual=True)
-    lifted = FiniteMap.from_callable(s.base, k, k + 1, lambda a: (a[0],) + s(a))
-    return LiftOutcome(lifted, check_polygon_set(lifted, 2 * k + 2))
+    return _lift(s, 2 * k + 1, True, lambda a, image: (a[0],) + image)
 
 
 def lift_dual_odd_to_even_pinned(s: FiniteMap, u: int, k: int) -> LiftOutcome:
     """a -> (u, S(a)); a solution exactly when u is a diagonal fixed point."""
-    _require(s, 2 * k + 1, dual=True)
-    lifted = FiniteMap.from_callable(s.base, k, k + 1, lambda a: (u,) + s(a))
-    fixed = s((u,) * k) == (u,) * k
-    return LiftOutcome(lifted, check_polygon_set(lifted, 2 * k + 2), fixed)
+    return _lift(s, 2 * k + 1, True, lambda a, image: (u,) + image, u)
 
 
 LIFTS = {
@@ -247,7 +241,7 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
     instances must be user supplied.
     """
     in_arity, out_arity = polygon_signature(n, dual)
-    k = (n - 1) // 2 if n % 2 else n // 2
+    k = max(in_arity, out_arity)
     if base < 1:
         raise ShapeError("base set must be non-empty")
     if base > ENUMERATION_CAP["base"] or k > ENUMERATION_CAP["k"]:

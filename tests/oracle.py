@@ -16,8 +16,10 @@ every table in lexicographic order, and ``deviation_scan`` compares
 every key.  ``compose``, ``tensor_product`` and ``compare_sides`` are the
 dense calculus the package replaced by staged words and one streaming
 comparator: sums over shared legs, products of every pair of entries,
-and a report built from ``deviation_scan``.  The commutation sides and
-the simplex map of a polygon pair are composed from tensor powers and permutation tensors, and the partial
+and a report built from ``deviation_scan``.  The group laws are loops
+over every pair and triple of a Cayley table, fed random loops (Latin
+squares with identity 0) and relabelled group tables.
+The commutation sides and the simplex map of a polygon pair are composed from tensor powers and permutation tensors, and the partial
 compositions, the Hopf pentagon pair, the legwise conjugation and the
 antipode-twisted product from maps padded with identity tensors.  Random sparse
 and function-like tensors over each scalar ring feed the property tests,
@@ -476,6 +478,51 @@ def enumerate_set_solutions_brute(n, base, dual=False):
         if check_polygon_set(candidate, n, dual).holds:
             found.append(candidate)
     return found
+
+
+def is_associative(table):
+    """(ab)c = a(bc) for every triple of the Cayley table."""
+    n = range(len(table))
+    return all(table[table[a][b]][c] == table[a][table[b][c]] for a in n for b in n for c in n)
+
+
+def is_commutative(table):
+    """ab = ba for every pair of the Cayley table."""
+    n = range(len(table))
+    return all(table[a][b] == table[b][a] for a in n for b in n)
+
+
+@st.composite
+def loops(draw, orders):
+    """A loop of an order in ``orders``: a Latin square with identity 0,
+    filled cell by cell in a drawn order of the free values, or a group
+    table of that order relabelled by a drawn permutation that fixes 0."""
+    n = draw(st.sampled_from(orders))
+    groups = [hopf.cyclic_group(n)] + ([hopf.symmetric_group(3)] if n == 6 else [])
+    if draw(st.booleans()):
+        table = draw(st.sampled_from(groups)).table
+        p = [0] + draw(st.permutations(range(1, n)))
+        back = {x: i for i, x in enumerate(p)}
+        return tuple(tuple(p[table[back[a]][back[b]]] for b in range(n)) for a in range(n))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [list(range(n))] + [[a] + [None] * (n - 1) for a in range(1, n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        a, b = cells[i]
+        free = sorted(set(range(n)) - set(rows[a]) - {row[b] for row in rows})
+        rng.shuffle(free)
+        for x in free:
+            rows[a][b] = x
+            if fill(i + 1):
+                return True
+        rows[a][b] = None
+        return False
+
+    fill(0)
+    return tuple(map(tuple, rows))
 
 
 def partial_compose_left(x, y, overlap=1):

@@ -778,6 +778,30 @@ def test_surplus_tensor2_refused_before_reading(capsys, tmp_path, monkeypatch, f
     assert run(capsys, *argv) == (2, "", expect)
 
 
+@pytest.mark.parametrize(
+    "family, n, refusal",
+    [
+        ("commutes", "999", "commutes verification takes no --n"),
+        ("relations", "-4", "relations verification takes no --n"),
+        ("polygon", None, "polygon verification needs --n"),
+        ("mixed", None, "mixed verification needs --n"),
+        ("polygon", "-4", "no -4-gon equation; n must be >= 3"),
+        ("simplex", "0", "no 0-simplex equation; n must be >= 1"),
+    ],
+)
+def test_unusable_order_refused_before_reading(capsys, tmp_path, monkeypatch, family, n, refusal):
+    """--n is the order of a compiled family and of nothing else: it was
+    once ignored by the fixed words, and a missing one (read as 0) or one
+    at which the family has no equation was refused after the tensor was read."""
+    path = tmp_path / "t.json"
+    path.write_text(identity_tensor(2, 2).to_json())
+    monkeypatch.setattr(cli, "read_json", refuse_reading)
+    argv = ["verify", "--family", family, "--tensor", str(path)]
+    argv += ["--tensor2", str(path)] if len(EQUATIONS[family].tags) == 2 else []
+    argv += ["--n", n] if n else []
+    assert run(capsys, *argv) == (2, "", f"error: {refusal}\n")
+
+
 class TestSetCommands:
     def test_set_verify(self, capsys, tmp_path):
         fmap = FiniteMap.from_callable(2, 2, 2, lambda a: (a[0], (a[0] + a[1]) % 2))

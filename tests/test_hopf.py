@@ -4,8 +4,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
-from polysimplex import hopf
+import oracle
+from polysimplex import hopf, tensor
 from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.hopf import (
     GroupTable,
@@ -21,7 +23,11 @@ from polysimplex.hopf import (
 )
 from polysimplex.rings import F64, RATIONAL, prime_field
 from polysimplex.setmaps import FiniteMap
-from polysimplex.tensor import Tensor, compose, identity_tensor
+from polysimplex.tensor import Tensor, _staged_kernel, compose, identity_tensor
+
+# A loop of order 5 (a Latin square with identity 0) that is not a group:
+# (1*1)*2 = 2 but 1*(1*2) = 4.
+LOOP_5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
 
 
 class TestGroupTable:
@@ -53,6 +59,26 @@ class TestGroupTable:
             with pytest.raises(InvalidGroup, match="entries must be integers"):
                 GroupTable(table)
 
+    def test_loop_with_identity_is_not_a_group(self):
+        assert not oracle.is_associative(LOOP_5)
+        with pytest.raises(InvalidGroup, match="^Cayley table is not associative$"):
+            GroupTable(LOOP_5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(table=oracle.loops(range(5, 8)))
+    def test_group_laws_match_brute_force(self, table):
+        """The constructor runs the associative word, and is_abelian the
+        commutative word, of the law table on the Cayley table; both agree
+        with loops over every triple and pair, on tables that are not groups too."""
+        if oracle.is_associative(table):
+            assert GroupTable(table).is_abelian() == oracle.is_commutative(table)
+        else:
+            with pytest.raises(InvalidGroup, match="^Cayley table is not associative$"):
+                GroupTable(table)
+        unchecked = object.__new__(GroupTable)
+        vars(unchecked)["table"] = table
+        assert unchecked.is_abelian() == oracle.is_commutative(table)
+
     def test_json_round_trip(self):
         g = cyclic_group(3)
         assert GroupTable.from_json_dict(g.to_json_dict()) == g
@@ -71,6 +97,20 @@ class TestGroupAlgebra:
         assert report.holds
         assert report.details["commutative"] and report.details["cocommutative"]
         assert report.details["antipode_invertible"]
+
+    def test_axioms_reuse_the_groups_associativity_kernel(self, monkeypatch):
+        """Building a group compiles the kernel of the associative word; the
+        axiom check of its algebra runs the same word and compiles it no more."""
+        compiled, source = [], tensor._kernel_source
+        monkeypatch.setattr(tensor, "_kernel_source", lambda *key: compiled.append(key) or source(*key))
+        _staged_kernel.cache_clear()
+        [(legs, *words)] = hopf.LAWS["associative"]
+        key = (legs, tuple(tuple((positions, 1) for _, positions in word) for word in words), (None, None), False)
+        group = cyclic_group(3)
+        assert compiled == [key]
+        compiled.clear()
+        assert check_axioms(group_algebra(group)).holds
+        assert compiled and key not in compiled
 
     def test_axioms_checked_once_per_instance(self, monkeypatch):
         calls = []
