@@ -203,7 +203,7 @@ def require_recipe(recipe: C.Recipe, verify: bool, *headers, **params) -> None:
     left to the recipe, which refuses them."""
     checks = recipe.checks(*headers, **params)
     gates = [(check[:3], False) for check in checks[-1:] if not verify]
-    gates += [(check[:3], True) for check in checks if verify or check[3:]]
+    gates += [(check[:3], True) for check in checks if verify or recipe.precondition(check[3])]
     for (family, order, dim), checked in gates:
         equation = EQUATIONS[family]
         try:

@@ -1,20 +1,20 @@
 """Every solution-producing procedure: transforms, trace descent, stacking,
 bialgebra towers, mixed pairs, and the polygon-to-simplex constructions.
 
-Constructors are fail-closed: each one verifies its own output with the
-matching checker before returning, unless ``verify=False`` is passed for
-performance experiments.  Inputs failing a precondition raise
-:class:`PreconditionFailed`; a constructed solution failing its verifier
-raises :class:`SelfCheckFailed` (which would indicate a bug, not bad data).
+One table, :data:`RECIPES`, states each ``construct`` recipe once: its
+builder, inputs, parameters, and every equation it checks, which each
+builder runs through :func:`_run_checks`.  An equation on inputs only is
+a precondition: inputs failing it raise :class:`PreconditionFailed`, also
+with ``verify=False``.  The others are the self-check, skipped with
+``verify=False``; output failing it raises :class:`SelfCheckFailed` (a
+bug, not bad data).  Hypotheses that are no equation (families, orders,
+``k``, modes, invertibility, the Hopf laws) stay in the builders.
 
 The towers and stacked mixed pairs are chains of maps joined by partial
 composition: :func:`_tower_tensor` lays out every alternating chain and
 :func:`_fold_chain` folds every chain, pair by pair, left to right.  A
 chain is not evaluated as one staged word, since that would reassociate
 the products and sums of its entries and so change ``f64`` results.
-
-One table, :data:`RECIPES`, states each ``construct`` recipe once: its
-builder, inputs, parameters, and the equations its self-check runs.
 """
 
 from __future__ import annotations
@@ -43,13 +43,11 @@ from .tensor import (
     tensor_product,
 )
 from .verify import (
+    EQUATIONS,
     PreconditionFailed,
     SelfCheckFailed,
     VerificationReport,
-    check_commutes,
     check_equation,
-    check_mixed,
-    check_relations_1_6,
     polygon_signature,
     require_signatures,
 )
@@ -98,15 +96,47 @@ def verify_descriptor(desc: SolutionDescriptor) -> VerificationReport:
     return check_equation(desc.family, desc.order, desc.tensor)
 
 
-def _self_check(desc: SolutionDescriptor, verify: bool) -> SolutionDescriptor:
-    if verify:
-        report = verify_descriptor(desc)
-        if not report.holds:
-            raise SelfCheckFailed(
-                f"constructed {desc.family} order {desc.order} fails its equation "
-                f"(witness {report.witness})"
-            )
-    return desc
+# What a recipe's checks take of each kind of input (see :class:`Recipe`).
+_HEADERS = {
+    "group": lambda h: h.dim,
+    "groups": lambda instances: prod(h.dim for h in instances),
+    "tensor": lambda t: t.dim,
+    "descriptor": lambda desc: (desc.family, desc.order, desc.tensor.dim),
+}
+
+
+def _run_checks(recipe: str, **arguments):
+    """Run the preconditions of ``RECIPES[recipe]`` on the builder's
+    ``arguments`` (its inputs and parameters by name), and return its
+    self-check: a function of ``verify`` and the maps built, by name, that
+    runs every other entry with ``verify`` on and returns T, or (T, S).
+    The record is evaluated once, on the inputs' headers.  A refusal names
+    the recipe, every failing check and the first one's witness."""
+    spec = RECIPES[recipe]
+    headers = [_HEADERS[kind](arguments[name]) for name, kind in spec.inputs.items()]
+    params = {name: value for name, value in arguments.items() if name not in spec.inputs}
+    checks = spec.checks(*headers, **params)
+
+    def run(maps: dict, precondition: bool) -> None:
+        failing = []
+        for family, order, _, names in checks:
+            if spec.precondition(names) == precondition:
+                tensors = [m.tensor if isinstance(m, SolutionDescriptor) else m for m in map(maps.get, names)]
+                report = check_equation(family, order, *tensors)
+                if not report.holds:
+                    failing.append((EQUATIONS[family].name.format(order), report.witness))
+        if failing:
+            failure, what = (PreconditionFailed, "the inputs") if precondition else (SelfCheckFailed, "the built maps")
+            raise failure(f"{recipe}: {what} fail {[name for name, _ in failing]} (witness {failing[0][1]})")
+
+    run(arguments, True)
+
+    def self_check(verify: bool, **built):
+        if verify:
+            run({**arguments, **built}, False)
+        return (built["T"], built["S"]) if "S" in built else built["T"]
+
+    return self_check
 
 
 # -- transforms of single solutions -------------------------------------------
@@ -116,12 +146,13 @@ def invert_to_dual(desc: SolutionDescriptor, verify: bool = True) -> SolutionDes
     """T -> T^-1 swaps an odd-gon solution with a dual odd-gon solution."""
     if desc.family not in ("polygon", "dual-polygon") or desc.order % 2 == 0:
         raise PreconditionFailed("inverse transform applies to odd-gon solutions")
+    self_check = _run_checks("invert-to-dual", desc=desc)
     try:
         inverse = invert(desc.tensor)
     except NotInvertible as exc:
         raise PreconditionFailed(f"tensor is singular: {exc}") from exc
     family = "dual-polygon" if desc.family == "polygon" else "polygon"
-    return _self_check(desc.derived(family, desc.order, inverse, "invert"), verify)
+    return self_check(verify, T=desc.derived(family, desc.order, inverse, "invert"))
 
 
 def conjugate(desc: SolutionDescriptor, phi: Tensor, verify: bool = True) -> SolutionDescriptor:
@@ -130,6 +161,7 @@ def conjugate(desc: SolutionDescriptor, phi: Tensor, verify: bool = True) -> Sol
         raise PreconditionFailed("conjugation transform is stated for polygon families")
     if (phi.in_legs, phi.out_legs) != (1, 1):
         raise ShapeError("phi must be a 1->1 map")
+    self_check = _run_checks("conjugate", desc=desc, phi=phi)
     try:
         phi_inv = invert(phi)
     except NotInvertible as exc:
@@ -139,7 +171,7 @@ def conjugate(desc: SolutionDescriptor, phi: Tensor, verify: bool = True) -> Sol
     steps.append((t, range(1, t.in_legs + 1)))
     steps += [(phi_inv, (j,)) for j in range(1, t.out_legs + 1)]
     conj = contract_staged(steps, t.in_legs, t.dim, t.ring)
-    return _self_check(desc.derived(desc.family, desc.order, conj, "conjugate"), verify)
+    return self_check(verify, T=desc.derived(desc.family, desc.order, conj, "conjugate"))
 
 
 def bar_sigma_conjugate(desc: SolutionDescriptor, verify: bool = True) -> SolutionDescriptor:
@@ -151,6 +183,7 @@ def bar_sigma_conjugate(desc: SolutionDescriptor, verify: bool = True) -> Soluti
     """
     if desc.family == "simplex":
         raise PreconditionFailed("reversal transform is stated for polygon families")
+    self_check = _run_checks("bar-sigma-conjugate", desc=desc)
     t = desc.tensor
     k, l = t.in_legs, t.out_legs
     reversed_in, reversed_out = tuple(range(k, 0, -1)), tuple(range(l, 0, -1))
@@ -159,7 +192,7 @@ def bar_sigma_conjugate(desc: SolutionDescriptor, verify: bool = True) -> Soluti
         family = "dual-polygon" if desc.family == "polygon" else "polygon"
     else:
         family = desc.family
-    return _self_check(desc.derived(family, desc.order, transformed, "bar-sigma"), verify)
+    return self_check(verify, T=desc.derived(family, desc.order, transformed, "bar-sigma"))
 
 
 def trace_descend(
@@ -169,6 +202,7 @@ def trace_descend(
     simplex order n -> n-1 (no normalization)."""
     if side not in ("left", "right"):
         raise ShapeError(f"side must be 'left' or 'right', got {side!r}")
+    self_check = _run_checks("trace-descend", desc=desc, side=side)
     t = desc.tensor
     if not is_invertible(t):
         raise PreconditionFailed("trace descent is stated for invertible solutions")
@@ -176,13 +210,11 @@ def trace_descend(
     if desc.family == "simplex":
         if desc.order < 2:
             raise PreconditionFailed("no simplex equation below order 1")
-        out = desc.derived("simplex", desc.order - 1, traced, f"trace-{side}")
-        return _self_check(out, verify)
+        return self_check(verify, T=desc.derived("simplex", desc.order - 1, traced, f"trace-{side}"))
     if desc.order % 2 == 0 or desc.order < 5:
         raise PreconditionFailed("polygon trace descent needs an odd order >= 5")
     normalized = traced.scale(t.ring.invert(t.ring.coerce(t.dim)))
-    out = desc.derived(desc.family, desc.order - 2, normalized, f"trace-{side}/dim")
-    return _self_check(out, verify)
+    return self_check(verify, T=desc.derived(desc.family, desc.order - 2, normalized, f"trace-{side}/dim"))
 
 
 def trace_descend_mixed(
@@ -193,17 +225,12 @@ def trace_descend_mixed(
 ) -> tuple[SolutionDescriptor, SolutionDescriptor]:
     """Descend a verified mixed pair two polygon orders at once."""
     _require_mixed_pair(t_desc, s_desc)
+    self_check = _run_checks("trace-descend-mixed", t_desc=t_desc, s_desc=s_desc, side=side)
     if t_desc.order % 2 == 0 or t_desc.order < 5:
         raise PreconditionFailed("mixed trace descent needs an odd order >= 5")
     if not (is_invertible(t_desc.tensor) and is_invertible(s_desc.tensor)):
         raise PreconditionFailed("mixed trace descent needs invertible solutions")
-    new_t = trace_descend(t_desc, side, verify)
-    new_s = trace_descend(s_desc, side, verify)
-    if verify:
-        report = check_mixed(new_t.tensor, new_s.tensor, t_desc.order - 2)
-        if not report.holds:
-            raise SelfCheckFailed("traced pair fails the mixed relation")
-    return new_t, new_s
+    return self_check(verify, T=trace_descend(t_desc, side, False), S=trace_descend(s_desc, side, False))
 
 
 # -- stacking ------------------------------------------------------------------
@@ -243,24 +270,18 @@ def stack(
     """Partial composition or tensor product of commuting solutions.
 
     The first argument is the fixed-order factor from the case table; the
-    pair must satisfy the interchange commutation, checked here.
+    pair must satisfy the interchange commutation, a precondition.
     """
     family, order = stack_arithmetic(x.family, x.order, y.family, y.order, mode)
-    commutes = check_commutes(x.tensor, y.tensor)
-    if not commutes.holds:
-        raise PreconditionFailed(
-            f"stack inputs do not commute (witness {commutes.witness})"
-        )
+    self_check = _run_checks("stack", x=x, y=y, mode=mode)
     if mode == "compose_left":
         tensor = partial_compose_left(x.tensor, y.tensor)
     elif mode == "compose_right":
         tensor = partial_compose_right(x.tensor, y.tensor)
     else:  # "tensor"; stack_arithmetic refuses every other mode
         tensor = tensor_product(x.tensor, y.tensor)
-    out = SolutionDescriptor(
-        family, order, tensor, x.provenance + y.provenance + (f"stack-{mode}",)
-    )
-    return _self_check(out, verify)
+    provenance = x.provenance + y.provenance + (f"stack-{mode}",)
+    return self_check(verify, T=SolutionDescriptor(family, order, tensor, provenance))
 
 
 # -- bialgebra towers ----------------------------------------------------------
@@ -310,10 +331,10 @@ def bialgebra_tower(
     if n < 3:
         raise PreconditionFailed(f"no {n}-gon equation")
     _require_axioms(h, commutative=True, antipode=False)
+    self_check = _run_checks("bialgebra-tower", h=h, n=n, dual=dual)
     tensor = _tower_tensor(n, [(h.coproduct, h.product)] * n, dual)
     family = "dual-polygon" if dual else "polygon"
-    out = SolutionDescriptor(family, n, tensor, (f"tower({h.name or 'H'},{n})",))
-    return _self_check(out, verify)
+    return self_check(verify, T=SolutionDescriptor(family, n, tensor, (f"tower({h.name or 'H'},{n})",)))
 
 
 def _mixed_radix_encode(digits, dims) -> int:
@@ -389,13 +410,12 @@ def multi_bialgebra_tower(
     start = 1 if len(instances) >= k else 0
     if start == 0:
         _require_axioms(instances[0], commutative=True, antipode=False)
+    self_check = _run_checks("multi-bialgebra-tower", instances=instances, k=k, even=even)
     order = 2 * k if even else 2 * k + 1
     blocks = [_hat_structure(instances, i) for i in range(start, start + k - 1)]
     tensor = _tower_tensor(order, blocks, False)
-    out = SolutionDescriptor(
-        "polygon", order, tensor, (f"multi-tower(k={k},factors={len(instances)})",)
-    )
-    return _self_check(out, verify)
+    note = f"multi-tower(k={k},factors={len(instances)})"
+    return self_check(verify, T=SolutionDescriptor("polygon", order, tensor, (note,)))
 
 
 # -- Hopf pairs and mixed machinery --------------------------------------------
@@ -406,25 +426,11 @@ def _require_mixed_pair(t_desc: SolutionDescriptor, s_desc: SolutionDescriptor) 
         raise PreconditionFailed("mixed pair must be (polygon, dual-polygon)")
     if t_desc.order != s_desc.order:
         raise PreconditionFailed("mixed pair must share its order")
-    report = check_mixed(t_desc.tensor, s_desc.tensor, t_desc.order)
-    if not report.holds:
-        raise PreconditionFailed(f"pair fails the mixed relation ({report.witness})")
 
 
-def _self_check_pair(
-    n: int, t: Tensor, s: Tensor, notes: tuple[str, str], verify: bool, failure: str
-) -> tuple[SolutionDescriptor, SolutionDescriptor]:
-    """The mixed n-gon pair (t, s) with provenance ``notes``, checked: each
-    map its own equation, then the pair the mixed relation, raising
-    ``SelfCheckFailed(failure)`` on that."""
-    t_desc = SolutionDescriptor("polygon", n, t, (notes[0],))
-    s_desc = SolutionDescriptor("dual-polygon", n, s, (notes[1],))
-    if verify:
-        _self_check(t_desc, True)
-        _self_check(s_desc, True)
-        if not check_mixed(t, s, n).holds:
-            raise SelfCheckFailed(failure)
-    return t_desc, s_desc
+def _mixed_descriptors(n: int, t: Tensor, s: Tensor, notes: tuple[str, str]) -> dict:
+    """The mixed n-gon pair (t, s) with provenance ``notes``, as T and S."""
+    return dict(T=SolutionDescriptor("polygon", n, t, notes[:1]), S=SolutionDescriptor("dual-polygon", n, s, notes[1:]))
 
 
 def hopf_pentagon_pair(
@@ -436,11 +442,12 @@ def hopf_pentagon_pair(
     S multiplies the inverse antipode of it from the right.
     """
     _require_axioms(h, commutative=False, antipode=True)
+    self_check = _run_checks("hopf-pentagon-pair", h=h)
     t_tensor = partial_compose_right(h.coproduct, h.product)
     steps = [(h.coproduct, (1,)), (h.antipode_inverse(), (2,)), (h.product, (3, 2))]
     s_tensor = contract_staged(steps, 2, h.dim, h.ring)
     notes = (f"hopf-T({h.name or 'H'})", f"hopf-S({h.name or 'H'})")
-    return _self_check_pair(5, t_tensor, s_tensor, notes, verify, "hopf pair fails the mixed relation")
+    return self_check(verify, **_mixed_descriptors(5, t_tensor, s_tensor, notes))
 
 
 def higher_mixed_pair(
@@ -453,16 +460,12 @@ def higher_mixed_pair(
     """
     if k < 1:
         raise PreconditionFailed("k must be >= 1")
-    report = check_relations_1_6(t, s)
-    needed = ("1", "2", "3") if k == 1 else ("1", "2", "3", "4", "5", "6")
-    failing = [name for name in needed if not report.details[name]]
-    if failing:
-        raise PreconditionFailed(f"pair fails relations {failing}")
+    self_check = _run_checks("higher-mixed-pair", t=t, s=s, k=k)
     t_tower = _fold_chain([t] * k, "l" * (k - 1))
     s_tower = _fold_chain([s] * k, "r" * (k - 1))
     n = 2 * k + 3
     notes = (f"mixed-tower-T(k={k})", f"mixed-tower-S(k={k})")
-    return _self_check_pair(n, t_tower, s_tower, notes, verify, f"stacked pair fails the {n}-gon mixed relation")
+    return self_check(verify, **_mixed_descriptors(n, t_tower, s_tower, notes))
 
 
 def hopf_mixed_pair_antipode(
@@ -473,23 +476,19 @@ def hopf_mixed_pair_antipode(
     if k < 1:
         raise PreconditionFailed("k must be >= 1")
     _require_axioms(h, commutative=True, antipode=True)
-    one = identity_tensor(h.dim, 1, h.ring)
+    self_check = _run_checks("hopf-mixed-pair-antipode", h=h, k=k)
     if k == 1:
-        t_desc = SolutionDescriptor("polygon", 3, one, ("identity",))
-        s_desc = SolutionDescriptor("dual-polygon", 3, one, ("identity",))
-        return t_desc, s_desc
+        one = identity_tensor(h.dim, 1, h.ring)
+        return self_check(verify, **_mixed_descriptors(3, one, one, ("identity", "identity")))
     m_twisted = contract_staged([(h.antipode, (1,)), (h.product, (1, 2))], 2, h.dim, h.ring)
     t_block = partial_compose_right(h.coproduct, h.product)
     s_block = partial_compose_right(h.coproduct, m_twisted)
-    if verify:
-        rel = check_relations_1_6(t_block, s_block)
-        if not rel.holds:
-            raise PreconditionFailed(f"twisted pair fails relations ({rel.details})")
     t_tower = _fold_chain([t_block] * (k - 1), "l" * (k - 2))
     s_tower = _fold_chain([s_block] * (k - 1), "r" * (k - 2))
     n = 2 * k + 1
     notes = (f"tower({h.name or 'H'},{n})", f"antipode-tower({h.name or 'H'},{n})")
-    return _self_check_pair(n, t_tower, s_tower, notes, verify, f"antipode pair fails the {n}-gon mixed relation")
+    built = _mixed_descriptors(n, t_tower, s_tower, notes)
+    return self_check(verify, t_block=t_block, s_block=s_block, **built)
 
 
 # -- simplex solutions from mixed pairs ----------------------------------------
@@ -510,18 +509,15 @@ def simplex_from_mixed(
     if drop not in ("one", "two", "two_right"):
         raise ShapeError(f"drop must be one|two|two_right, got {drop!r}")
     _require_mixed_pair(t_desc, s_desc)
+    self_check = _run_checks("simplex-from-mixed", t_desc=t_desc, s_desc=s_desc, drop=drop)
     n = t_desc.order
-    if drop != "one" and n < 3:
-        raise PreconditionFailed(f"cannot drop two orders from an {n}-gon pair")
     r = pair_to_simplex_map(t_desc.tensor, s_desc.tensor)
     provenance = t_desc.provenance + s_desc.provenance
     if drop == "one":
-        out = SolutionDescriptor("simplex", n - 1, r, provenance + ("pair-to-simplex",))
-        return _self_check(out, verify)
+        return self_check(verify, T=SolutionDescriptor("simplex", n - 1, r, provenance + ("pair-to-simplex",)))
     traced = partial_trace_left(r) if drop == "two" else partial_trace_right(r)
     note = "pair-to-simplex/trace-left" if drop == "two" else "pair-to-simplex/trace-right"
-    out = SolutionDescriptor("simplex", n - 2, traced, provenance + (note,))
-    return _self_check(out, verify)
+    return self_check(verify, T=SolutionDescriptor("simplex", n - 2, traced, provenance + (note,)))
 
 
 def yang_baxter_from_pair(
@@ -530,19 +526,11 @@ def yang_baxter_from_pair(
     """Yang-Baxter solutions from a pentagon / dual-pentagon mixed pair."""
     if mode not in ("compose", "four_factor"):
         raise ShapeError(f"mode must be compose|four_factor, got {mode!r}")
-    t_desc = SolutionDescriptor("polygon", 5, t)
-    s_desc = SolutionDescriptor("dual-polygon", 5, s)
-    if verify:
-        if not verify_descriptor(t_desc).holds or not verify_descriptor(s_desc).holds:
-            raise PreconditionFailed("inputs are not a pentagon/dual-pentagon pair")
-    _require_mixed_pair(t_desc, s_desc)
+    self_check = _run_checks("yang-baxter", t=t, s=s, mode=mode)
     if mode == "compose":
-        out = SolutionDescriptor("simplex", 2, compose(s, t), ("yang-baxter-compose",))
-        return _self_check(out, verify)
+        return self_check(verify, T=SolutionDescriptor("simplex", 2, compose(s, t), ("yang-baxter-compose",)))
     word = contract_staged([(t, (2, 3)), (s, (2, 4)), (t, (1, 3)), (s, (1, 4))], 4, t.dim, t.ring)
-    packed = regroup(word, 2)
-    out = SolutionDescriptor("simplex", 2, packed, ("yang-baxter-four-factor",))
-    return _self_check(out, verify)
+    return self_check(verify, T=SolutionDescriptor("simplex", 2, regroup(word, 2), ("yang-baxter-four-factor",)))
 
 
 # -- the recipe table ------------------------------------------------------------
@@ -553,11 +541,12 @@ class Recipe:
     """One ``construct`` recipe.  ``checks`` takes the header of each input
     (a group's order, the product of the orders for ``groups``, a tensor's
     dim, a descriptor's ``(family, order, dim)``) and the parameters by
-    name, and gives the ``(family, order, dim)`` of each equation the
-    recipe checks, in the order it checks them, each a check of
-    :data:`verify.EQUATIONS`; the last one's first map is the built map.  A
-    fourth field, True, marks a precondition, which the builder checks with
-    the self-check off too (:func:`_mixed_pair`)."""
+    name, and gives ``(family, order, dim, maps)`` for each equation of
+    :data:`verify.EQUATIONS` the recipe checks, in the order it checks
+    them.  ``maps`` names the maps it takes, in tag order: inputs by
+    builder argument, T and S for what the builder returns, and the twisted
+    blocks ``t_block`` and ``s_block`` of ``hopf-mixed-pair-antipode``.
+    The last equation's first map is the built map."""
 
     builder: str  # the function of this module, looked up by name when it runs
     inputs: dict  # builder argument: "group", "groups" (params.groups), "tensor" or "descriptor" (--input, --input2)
@@ -565,32 +554,37 @@ class Recipe:
     what: str  # the built map in a refusal: "the <what> maps ..."
     checks: object
 
+    def precondition(self, maps) -> bool:
+        """Is an equation on ``maps`` a precondition, which names inputs only?"""
+        return set(maps) <= set(self.inputs)
+
 
 def _pair(n: int, dim: int) -> list:
     """The self-check of a mixed n-gon pair: each map its own equation, then the mixed relation."""
-    return [("polygon", n, dim), ("dual-polygon", n, dim), ("mixed", n, dim)]
+    return [("polygon", n, dim, ("T",)), ("dual-polygon", n, dim, ("S",)), ("mixed", n, dim, ("T", "S"))]
 
 
 def _mixed_pair(t: tuple, s: tuple) -> list:
-    """The mixed relation :func:`_require_mixed_pair` checks on a pair of
-    descriptors, as a precondition; none when it refuses the pair first,
-    by its families or orders."""
-    return [("mixed", t[1], t[2], True)] if (t[0], s[0], t[1]) == ("polygon", "dual-polygon", s[1]) else []
+    """The mixed relation of a pair of descriptors, a precondition; none
+    when :func:`_require_mixed_pair` refuses the pair first, by its
+    families or orders."""
+    admitted = (t[0], s[0], t[1]) == ("polygon", "dual-polygon", s[1])
+    return [("mixed", t[1], t[2], ("t_desc", "s_desc"))] if admitted else []
 
 
 def _stacked(x: tuple, y: tuple, mode: str) -> list:
-    """The commutation :func:`stack` checks first, a precondition, then its
-    result's equation; none below the 3-gon, which reading refuses."""
+    """The commutation of the inputs, a precondition, then the result's
+    equation; none below the 3-gon, which reading refuses."""
     family, order = stack_arithmetic(x[0], x[1], y[0], y[1], mode)
     if min(x[1], y[1]) < 3:
-        return [(family, order, x[2])]
+        return [(family, order, x[2], ("T",))]
     legs = (*polygon_signature(x[1], x[0] == "dual-polygon"), *polygon_signature(y[1], y[0] == "dual-polygon"))
-    return [("commutes", legs, x[2], True), (family, order, x[2])]
+    return [("commutes", legs, x[2], ("x", "y")), (family, order, x[2], ("T",))]
 
 
-def _descended(family: str, order: int, dim: int) -> tuple:
-    """The equation of a solution's partial trace."""
-    return family, order - 1 if family == "simplex" else order - 2, dim
+def _descended(family: str, order: int, dim: int, built: str = "T") -> tuple:
+    """The equation of a solution's partial trace, the map ``built``."""
+    return family, order - 1 if family == "simplex" else order - 2, dim, (built,)
 
 
 _DUAL = {"polygon": "dual-polygon", "dual-polygon": "polygon"}
@@ -599,45 +593,52 @@ _DUAL = {"polygon": "dual-polygon", "dual-polygon": "polygon"}
 # headers, which a valid pair shares (simplex-from-mixed lists its one
 # simplex check once when they agree).  A precondition is listed only where
 # the builder reaches it, past the checks of its mode or drop, and a check
-# only for the k that runs it: k = 1 is the identity antipode pair, and
+# only for the k that runs it: k = 1 is the identity antipode pair, a
+# single higher-mixed-pair copy needs relations (1)-(3) only, and
 # higher-mixed-pair refuses k < 1 first.
 RECIPES = {
     "hopf-pentagon-pair": Recipe("hopf_pentagon_pair", {"h": "group"}, {}, "pair", lambda h: _pair(5, h)),
     "bialgebra-tower": Recipe(
         "bialgebra_tower", {"h": "group"}, {"n": 5, "dual": False}, "tower",
-        lambda h, n, dual: [("dual-polygon" if dual else "polygon", n, h)]),
+        lambda h, n, dual: [("dual-polygon" if dual else "polygon", n, h, ("T",))]),
     "multi-bialgebra-tower": Recipe(
         "multi_bialgebra_tower", {"instances": "groups"}, {"groups": None, "k": 2, "even": False}, "tower",
-        lambda instances, k, even: [("polygon", 2 * k if even else 2 * k + 1, instances)]),
+        lambda instances, k, even: [("polygon", 2 * k if even else 2 * k + 1, instances, ("T",))]),
     "hopf-mixed-pair-antipode": Recipe(
         "hopf_mixed_pair_antipode", {"h": "group"}, {"k": 2}, "tower",
-        lambda h, k: [*(("relations", n, h) for n in range(1, 7)), *_pair(2 * k + 1, h)] if k > 1 else []),
+        lambda h, k: [
+            *(("relations", n, h, ("t_block", "s_block")) for n in range(1, 7)), *_pair(2 * k + 1, h)
+        ] if k > 1 else []),
     "higher-mixed-pair": Recipe(
         "higher_mixed_pair", {"t": "tensor", "s": "tensor"}, {"k": 2}, "tower",
-        lambda t, s, k: [*(("relations", n, t, True) for n in range(1, 7)), *_pair(2 * k + 3, t)] if k > 0 else []),
+        lambda t, s, k: [
+            *(("relations", n, t, ("t", "s")) for n in range(1, 4 if k == 1 else 7)), *_pair(2 * k + 3, t)
+        ] if k > 0 else []),
     "invert-to-dual": Recipe(
         "invert_to_dual", {"desc": "descriptor"}, {}, "recipe",
-        lambda desc: [(_DUAL.get(desc[0], desc[0]), *desc[1:])]),
-    "conjugate": Recipe("conjugate", {"desc": "descriptor", "phi": "tensor"}, {}, "recipe", lambda desc, phi: [desc]),
+        lambda desc: [(_DUAL.get(desc[0], desc[0]), *desc[1:], ("T",))]),
+    "conjugate": Recipe(
+        "conjugate", {"desc": "descriptor", "phi": "tensor"}, {}, "recipe", lambda desc, phi: [(*desc, ("T",))]),
     "bar-sigma-conjugate": Recipe(
         "bar_sigma_conjugate", {"desc": "descriptor"}, {}, "recipe",
-        lambda desc: [(_DUAL.get(desc[0], desc[0]) if desc[1] % 2 else desc[0], *desc[1:])]),
+        lambda desc: [(_DUAL.get(desc[0], desc[0]) if desc[1] % 2 else desc[0], *desc[1:], ("T",))]),
     "trace-descend": Recipe(
         "trace_descend", {"desc": "descriptor"}, {"side": "left"}, "recipe", lambda desc, side: [_descended(*desc)]),
     "trace-descend-mixed": Recipe(
         "trace_descend_mixed", {"t_desc": "descriptor", "s_desc": "descriptor"}, {"side": "left"}, "recipe",
-        lambda t, s, side: [*_mixed_pair(t, s), _descended(*t), _descended(*s), ("mixed", t[1] - 2, t[2])]),
+        lambda t, s, side: [
+            *_mixed_pair(t, s), _descended(*t), _descended(*s, "S"), ("mixed", t[1] - 2, t[2], ("T", "S"))]),
     "stack": Recipe(
         "stack", {"x": "descriptor", "y": "descriptor"}, {"mode": "compose_left"}, "recipe", _stacked),
     "simplex-from-mixed": Recipe(
         "simplex_from_mixed", {"t_desc": "descriptor", "s_desc": "descriptor"}, {"drop": "one"}, "recipe",
         lambda t, s, drop: [
             *(_mixed_pair(t, s) if drop in ("one", "two", "two_right") else []),
-            *dict.fromkeys(("simplex", order - (1 if drop == "one" else 2), d) for _, order, d in (t, s))]),
+            *dict.fromkeys(("simplex", order - (1 if drop == "one" else 2), d, ("T",)) for _, order, d in (t, s))]),
     "yang-baxter": Recipe(
         "yang_baxter_from_pair", {"t": "tensor", "s": "tensor"}, {"mode": "compose"}, "recipe",
         lambda t, s, mode: [  # the 2-simplex on V, or on V(x)V
-            ("polygon", 5, t), ("dual-polygon", 5, t),
-            *([("mixed", 5, t, True)] if mode in ("compose", "four_factor") else []),
-            ("simplex", 2, t**2 if mode == "four_factor" else t)]),
+            *([("polygon", 5, t, ("t",)), ("dual-polygon", 5, s, ("s",)), ("mixed", 5, t, ("t", "s"))]
+              if mode in ("compose", "four_factor") else []),
+            ("simplex", 2, t**2 if mode == "four_factor" else t, ("T",))]),
 }

@@ -217,15 +217,6 @@ def lift_dual_odd_to_even_pinned(s: FiniteMap, u: int, k: int) -> LiftOutcome:
     return _lift(s, 2 * k + 1, True, lambda a, image: (u,) + image, u)
 
 
-LIFTS = {
-    "dual-even-to-odd": lift_dual_even_to_odd,
-    "dual-even-to-odd-pinned": lift_dual_even_to_odd_pinned,
-    "odd-to-even": lift_odd_to_even,
-    "odd-to-even-pinned": lift_odd_to_even_pinned,
-    "dual-odd-to-even": lift_dual_odd_to_even,
-    "dual-odd-to-even-pinned": lift_dual_odd_to_even_pinned,
-}
-
 ENUMERATION_CAP = {"base": 3, "k": 2}
 
 

@@ -873,6 +873,12 @@ class TestSetCommands:
         assert code == 0
         assert out.splitlines()[0] == "1115 solution(s)"
 
+    def test_set_enumerate_json(self, capsys):
+        code, out, _ = run(capsys, "set-enumerate", "--family", "polygon", "--n", "3", "--base", "2", "--format", "json")
+        found = json.loads(out)
+        assert code == 0 and len(found) == 3
+        assert all(FiniteMap.from_json_dict(data).in_arity == 1 for data in found)
+
     def test_set_enumerate_cap(self, capsys):
         code, _, _ = run(capsys, "set-enumerate", "--family", "polygon", "--n", "7", "--base", "2")
         assert code == 2
@@ -1091,6 +1097,20 @@ class TestConstruct:
         assert (code, out) == (2, "")
         assert err == f"error: params.{flag} must be true or false, got {params[flag]!r}\n"
 
+    @pytest.mark.parametrize("recipe, message", [
+        ("bialgebra-tower", "recipe bialgebra-tower needs --group"),
+        ("invert-to-dual", "recipe invert-to-dual needs --input (a descriptor JSON)"),
+        ("yang-baxter", "recipe yang-baxter needs --input (a tensor JSON)"),
+    ])
+    def test_missing_input_refused(self, capsys, recipe, message):
+        assert run(capsys, "construct", "--recipe", recipe) == (2, "", f"error: {message}\n")
+
+    def test_order_without_an_equation_left_to_the_recipe(self, capsys):
+        """The gate passes an order at which the family has no equation on
+        to the builder, which refuses it."""
+        code, out, err = run(capsys, "construct", "--recipe", "bialgebra-tower", "--group", "z2", "--params", '{"n": 2}')
+        assert (code, out, err) == (2, "", "error: no 2-gon equation\n")
+
     def test_unknown_recipe(self, capsys):
         code, _, err = run(capsys, "construct", "--recipe", "frobnicate")
         assert code == 2
@@ -1135,9 +1155,9 @@ class TestConstruct:
 
     @pytest.mark.parametrize("flags", [[], ["--no-verify"]])
     def test_relations_precondition_gated_before_building(self, capsys, monkeypatch, tmp_path, flags):
-        """higher-mixed-pair checks relations (1)-(6) of its input pair first,
-        with the self-check off too: on a z46 pentagon pair relation (4)
-        (46^4) was refused only once both tensors were built."""
+        """higher-mixed-pair checks relations (1)-(6) of its input pair first
+        when k >= 2, with the self-check off too: on a z46 pentagon pair
+        relation (4) (46^4) was refused only once both tensors were built."""
         t_desc, s_desc = hopf_pentagon_pair(group_algebra(cyclic_group(46)), verify=False)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         first.write_text(t_desc.tensor.to_json())
@@ -1146,7 +1166,7 @@ class TestConstruct:
         what, _, header = cli.INPUTS["tensor"]
         monkeypatch.setitem(cli.INPUTS, "tensor", (what, lambda data: pytest.fail("tensor built"), header))
         argv = ["construct", "--recipe", "higher-mixed-pair", "--input", str(first), "--input2", str(second)]
-        code, out, err = run(capsys, *argv, "--params", '{"k": 1}', *flags)
+        code, out, err = run(capsys, *argv, "--params", '{"k": 2}', *flags)
         assert (code, out, err) == (2, "", f"error: the check runs 46^4 = {46**4} columns, over the cap of {MAX_COLUMNS}\n")
 
     @pytest.mark.parametrize("flags", [[], ["--no-verify"]])
@@ -1173,8 +1193,70 @@ class TestConstruct:
         assert (code, err) == (0, "")
         headers, params = gated[-1]
         listed = construct.RECIPES[recipe].checks(*headers, **params)
-        assert ran == [(EQUATIONS[check[0]].name.format(check[1]), check[2]) for check in listed if not flags or check[3:]]
+        inputs = set(construct.RECIPES[recipe].inputs)
+        preconditions = [check for check in listed if set(check[3]) <= inputs]  # the checks that name inputs only
+        assert ran == [(EQUATIONS[family].name.format(order), dim) for family, order, dim, _ in (preconditions if flags else listed)]
         assert ran or flags
+
+    @staticmethod
+    def fail_checks(monkeypatch, family):
+        """Make every check of ``family`` the recipes run fail."""
+        check_equation = construct.check_equation
+
+        def failing(name, *args):
+            report = check_equation(name, *args)
+            report.holds = report.holds and name != family
+            return report
+
+        monkeypatch.setattr(construct, "check_equation", failing)
+
+    @pytest.mark.parametrize("flags", [[], ["--no-verify"]])
+    def test_failing_precondition_exits_two(self, capsys, monkeypatch, recipe_argv, flags):
+        self.fail_checks(monkeypatch, "commutes")
+        code, out, err = run(capsys, "construct", "--recipe", "stack", *recipe_argv["stack"], *flags)
+        assert (code, out) == (2, "") and err.startswith("error: stack: the inputs fail ['commutation'] (witness ")
+
+    def test_failing_self_check_exits_one(self, capsys, monkeypatch, recipe_argv):
+        self.fail_checks(monkeypatch, "mixed")
+        code, out, err = run(capsys, "construct", "--recipe", "hopf-pentagon-pair", "--group", "z2")
+        assert (code, out) == (1, "")
+        assert err == "error: internal self-check failed: hopf-pentagon-pair: the built maps fail ['5-gon mixed relation'] (witness None)\n"
+        assert run(capsys, "construct", "--recipe", "hopf-pentagon-pair", "--group", "z2", "--no-verify")[0] == 0
+
+    def test_twisted_relations_are_a_self_check(self, capsys, monkeypatch):
+        """The relations of hopf-mixed-pair-antipode's twisted blocks, once
+        refused as a precondition (exit 2), are checked on what it builds."""
+        self.fail_checks(monkeypatch, "relations")
+        argv = ["construct", "--recipe", "hopf-mixed-pair-antipode", "--group", "z2", "--params", '{"k": 2}']
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "relation (1)" in err and "relation (6)" in err
+        assert run(capsys, *argv, "--no-verify")[0] == 0
+
+    def test_single_copy_needs_relations_one_to_three(self, capsys, tmp_path):
+        """higher-mixed-pair at k = 1 checks the relations it needs, (1)-(3),
+        and no longer refuses a z46 pair on relation (4) (46^4) unchecked;
+        checked, its mixed 5-gon refuses it."""
+        t_desc, s_desc = hopf_pentagon_pair(group_algebra(cyclic_group(46)), verify=False)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(t_desc.tensor.to_json())
+        second.write_text(s_desc.tensor.to_json())
+        argv = ["construct", "--recipe", "higher-mixed-pair", "--input", str(first), "--input2", str(second)]
+        code, out, _ = run(capsys, *argv, "--params", '{"k": 1}', "--no-verify")
+        assert code == 0 and json.loads(out)["first"]["order"] == 5
+        code, out, err = run(capsys, *argv, "--params", '{"k": 1}')
+        assert (code, out, err) == (2, "", f"error: the check runs 46^4 = {46**4} columns, over the cap of {MAX_COLUMNS}\n")
+
+    def test_yang_baxter_checks_its_pentagons_unchecked_too(self, capsys, tmp_path):
+        """2T and 2S satisfy the mixed 5-gon relation, which has three T and
+        two S on one side and two T and three S on the other, but not the
+        pentagon equations; with --no-verify they were once admitted."""
+        t_desc, s_desc = hopf_pentagon_pair(group_algebra(cyclic_group(2)))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(t_desc.tensor.scale(2).to_json())
+        second.write_text(s_desc.tensor.scale(2).to_json())
+        argv = ["construct", "--recipe", "yang-baxter", "--input", str(first), "--input2", str(second), "--no-verify"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: yang-baxter: the inputs fail ['5-gon', 'dual 5-gon'] ")
 
     def test_readme_lists_the_recipe_table(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -27,7 +27,7 @@ from polysimplex.construct import (
     verify_descriptor,
     yang_baxter_from_pair,
 )
-from polysimplex.hopf import cyclic_group, direct_product, dual_group_algebra, group_algebra, symmetric_group
+from polysimplex.hopf import HopfInstance, cyclic_group, direct_product, dual_group_algebra, group_algebra, symmetric_group
 from polysimplex.rings import RATIONAL, prime_field
 from polysimplex.simplicial import pair_to_simplex_map
 from polysimplex.tensor import (
@@ -693,3 +693,60 @@ class TestDescriptorPlumbing:
         out = trace_descend(bialgebra_tower(7, H2))
         assert any("tower" in note for note in out.provenance)
         assert any("trace" in note for note in out.provenance)
+
+
+def _broken_algebra():
+    """k[Z2] with the product m(a (x) b) = a, which fails the unit law."""
+    h = group_algebra(cyclic_group(2))
+    first = from_function(2, 2, 1, lambda x: (x[0],))
+    return HopfInstance(h.dim, h.unit, h.counit, first, h.coproduct, h.antipode)
+
+
+ONE3 = identity_tensor(2, 1)
+ZERO5 = Tensor(2, 2, 2, {})
+
+# Every refusal of the builders, each reached by one call: (call, exception).
+REFUSALS = {
+    "unknown descriptor family": (lambda: SolutionDescriptor("hexagon", 5, T2.tensor), ShapeError),
+    "invert even order": (lambda: invert_to_dual(bialgebra_tower(4, H2)), PreconditionFailed),
+    "conjugate simplex": (lambda: conjugate(SolutionDescriptor("simplex", 1, ONE3), ONE3), PreconditionFailed),
+    "conjugate 2->2 phi": (lambda: conjugate(T2, identity_tensor(2, 2)), ShapeError),
+    "bar-sigma simplex": (lambda: bar_sigma_conjugate(SolutionDescriptor("simplex", 1, ONE3)), PreconditionFailed),
+    "trace middle": (lambda: trace_descend(T2, "middle"), ShapeError),
+    "trace simplex order 1": (lambda: trace_descend(SolutionDescriptor("simplex", 1, ONE3)), PreconditionFailed),
+    "trace 6-gon": (lambda: trace_descend(bialgebra_tower(6, H2)), PreconditionFailed),
+    "trace 3-gon": (lambda: trace_descend(SolutionDescriptor("polygon", 3, ONE3)), PreconditionFailed),
+    "trace mixed order 3": (
+        lambda: trace_descend_mixed(SolutionDescriptor("polygon", 3, ONE3), SolutionDescriptor("dual-polygon", 3, ONE3)),
+        PreconditionFailed,
+    ),
+    "trace mixed zero pair": (
+        lambda: trace_descend_mixed(SolutionDescriptor("polygon", 5, ZERO5), SolutionDescriptor("dual-polygon", 5, ZERO5)),
+        PreconditionFailed,
+    ),
+    "stack simplex": (lambda: stack(SolutionDescriptor("simplex", 1, ONE3), T2, "tensor"), PreconditionFailed),
+    "stack bad mode": (lambda: stack(T2, T2, "sideways"), PreconditionFailed),
+    "failing axioms": (lambda: bialgebra_tower(5, _broken_algebra()), PreconditionFailed),
+    "tower below 3": (lambda: bialgebra_tower(2, H2), PreconditionFailed),
+    "multi tower k = 1": (lambda: multi_bialgebra_tower(1, [H2, H2]), PreconditionFailed),
+    "multi tower mixed rings": (
+        lambda: multi_bialgebra_tower(2, [H2, group_algebra(cyclic_group(2), prime_field(5))]),
+        PreconditionFailed,
+    ),
+    "swapped pair": (lambda: simplex_from_mixed(S2, T2), PreconditionFailed),
+    "order-mismatched pair": (
+        lambda: simplex_from_mixed(T2, SolutionDescriptor("dual-polygon", 3, ONE3)),
+        PreconditionFailed,
+    ),
+    "higher mixed k = 0": (lambda: higher_mixed_pair(0, T2.tensor, S2.tensor), PreconditionFailed),
+    "antipode pair k = 0": (lambda: hopf_mixed_pair_antipode(0, H2), PreconditionFailed),
+    "bad drop": (lambda: simplex_from_mixed(T2, S2, "three"), ShapeError),
+    "bad mode": (lambda: yang_baxter_from_pair(T2.tensor, S2.tensor, "sideways"), ShapeError),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_every_refusal_is_pinned(name):
+    call, exception = REFUSALS[name]
+    with pytest.raises(exception):
+        call()

@@ -58,6 +58,12 @@ class TestGroupTable:
         for table in (((False, True), (True, False)), ((0.0, 1.0), (1.0, 0.0))):
             with pytest.raises(InvalidGroup, match="entries must be integers"):
                 GroupTable(table)
+        with pytest.raises(InvalidGroup, match="not square"):
+            GroupTable(((0, 1), (1,)))
+        with pytest.raises(InvalidGroup, match="out of range"):
+            GroupTable(((0, 1), (1, 2)))
+        with pytest.raises(InvalidGroup, match="declared order disagrees"):
+            GroupTable.from_json_dict({"order": 3, "table": [[0, 1], [1, 0]]})
 
     def test_loop_with_identity_is_not_a_group(self):
         assert not oracle.is_associative(LOOP_5)

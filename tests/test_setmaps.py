@@ -15,7 +15,6 @@ from polysimplex.hopf import settheoretic_lift
 from polysimplex.setmaps import (
     ENUMERATION_CAP,
     FiniteMap,
-    LIFTS,
     apply_staged,
     check_polygon_set,
     enumerate_set_solutions,
@@ -386,18 +385,16 @@ class TestLifts:
                     outcome = lift(source, u, k)
                     assert outcome.report.holds == outcome.fixed_point_ok
 
-    def test_lift_registry_is_complete(self):
-        assert set(LIFTS) == {
-            "dual-even-to-odd",
-            "dual-even-to-odd-pinned",
-            "odd-to-even",
-            "odd-to-even-pinned",
-            "dual-odd-to-even",
-            "dual-odd-to-even-pinned",
-        }
-
 
 class TestFiniteMapJson:
+    @pytest.mark.parametrize("base, table, message", [
+        (0, (), "base set must be non-empty"),
+        (2, ((0, 1),), "table has 1 rows, expected 2"),
+    ])
+    def test_bad_base_or_row_count(self, base, table, message):
+        with pytest.raises(ShapeError, match=message):
+            FiniteMap(base, 1, 2, table)
+
     def test_round_trip(self):
         f = z_add_map(3)
         data = f.to_json_dict()

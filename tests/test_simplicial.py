@@ -137,6 +137,10 @@ class TestCrossGeneratorEquivalence:
 
 
 class TestProgramStructure:
+    def test_no_zero_simplex_equation(self):
+        with pytest.raises(ShapeError, match="no 0-simplex equation"):
+            compile_simplex(0)
+
     # Taken from the three compilers this module once had; even orders have
     # no closed form to compare against.
     EVEN_MIXED = {

@@ -42,7 +42,7 @@ from oracle import (
     sweep_inverse,
 )
 from polysimplex import tensor as tensor_module
-from polysimplex.rings import F64, PRIME_CAP, RATIONAL, FloatRing, RingError, _is_prime, prime_field
+from polysimplex.rings import F64, PRIME_CAP, RATIONAL, FloatRing, RingError, _is_prime, prime_field, ring_from_tag
 from polysimplex.tensor import (
     NotInvertible,
     ShapeError,
@@ -856,6 +856,16 @@ class TestPartialComposition:
 
 
 class TestInverseAndRegroup:
+    @pytest.mark.parametrize("call, exception", [
+        (lambda: compose(identity_tensor(2, 1), identity_tensor(2, 1, F64)), ShapeError),
+        (lambda: tensor_product(identity_tensor(2, 1), identity_tensor(2, 1, prime_field(3))), ShapeError),
+        (lambda: regroup(identity_tensor(2, 3), 2), ShapeError),
+        (lambda: invert(from_function(2, 1, 2, lambda x: (x[0], x[0]))), NotInvertible),
+    ], ids=["compose-ring-mismatch", "tensor-product-ring-mismatch", "regroup-legs-not-divisible", "invert-non-square"])
+    def test_refusals(self, call, exception):
+        with pytest.raises(exception):
+            call()
+
     def test_invert_permutation_like(self):
         inv = invert(Z2_T)
         assert compose(inv, Z2_T) == identity_tensor(2, 2)
@@ -1023,6 +1033,23 @@ class TestRingsAndSerialization:
         for modulus in (PRIME_CAP, 2**89 - 1):
             with pytest.raises(RingError, match="over the cap"):
                 prime_field(modulus)
+
+    def test_exact_rings_read_json_integers(self):
+        """The README lets an exact ring's JSON scalar be an integer as well as a string."""
+        data = {"dim": 2, "in_legs": 1, "out_legs": 1, "scalar": "rational", "entries": [[[0], [1], -3], [[1], [0], "2/3"]]}
+        assert Tensor.from_json_dict(data) == Tensor(2, 1, 1, {((0,), (1,)): -3, ((1,), (0,)): Fraction(2, 3)})
+        gf5 = Tensor.from_json_dict({**data, "scalar": "gfp:5", "entries": [[[0], [1], 7]]})
+        assert gf5.entry((0,), (1,)) == 2
+
+    @pytest.mark.parametrize("call", [
+        lambda: ring_from_tag("bogus"),
+        lambda: prime_field(5).coerce(1.5),
+        lambda: RATIONAL.invert(Fraction(0)),
+        lambda: F64.invert(0.0),
+    ], ids=["unknown-tag", "float-into-gfp", "rational-division-by-zero", "f64-division-by-zero"])
+    def test_ring_refusals(self, call):
+        with pytest.raises(RingError):
+            call()
 
     def test_rational_refuses_floats(self):
         with pytest.raises(RingError):

@@ -224,6 +224,11 @@ class TestRequireColumns:
 
 
 class TestCheckCommutes:
+    def test_zero_legs_refused(self):
+        unit = Tensor(2, 0, 1, {((0,), ()): 1})
+        with pytest.raises(ShapeError, match="at least one leg per side"):
+            check_commutes(unit, identity_tensor(2, 1))
+
     def test_identity_pair(self):
         one = identity_tensor(2, 1)
         assert check_commutes(one, one).holds
@@ -272,6 +277,10 @@ class TestCheckCommutes:
 
 
 class TestRelations16:
+    def test_no_seventh_relation(self):
+        with pytest.raises(ShapeError, match=r"no relation \(7\)"):
+            verify.check_equation("relations", 7, Z2_T, Z2_S)
+
     def test_group_pair_satisfies_all_six(self):
         report = check_relations_1_6(Z2_T, Z2_S)
         assert report.holds
