@@ -31,7 +31,7 @@ from .hopf import (
     symmetric_group,
 )
 from .rings import RingError, ring_from_tag
-from .setmaps import FiniteMap, check_polygon_set, enumerate_set_solutions
+from .setmaps import FiniteMap, check_set, enumerate_set_solutions
 from .simplicial import ProgramError, flatten, program_to_dot
 from .tensor import NotInvertible, ShapeError, Tensor, _is_count, partial_trace_left
 from .verify import (
@@ -302,7 +302,7 @@ def cmd_verify(args) -> int:
 def cmd_set_verify(args) -> int:
     require_order(args.family, args.n)
     fmap = read_json(args.map, FiniteMap.from_json_dict, "finite map")
-    report = check_polygon_set(fmap, args.n, args.family == "dual-polygon")
+    report = check_set(args.family, args.n, fmap)
     emit_report(report, args.report)
     print(f"{report.equation}: {'holds' if report.holds else 'FAILS'}")
     return 0 if report.holds else CHECK_FAILED
@@ -557,24 +557,6 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (
-        UsageError,
-        ShapeError,
-        ProgramError,
-        PreconditionFailed,
-        NotInvertible,
-        InvalidGroup,
-        RingError,
-        FileNotFoundError,
-        IsADirectoryError,
-        json.JSONDecodeError,
-        KeyError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except SelfCheckFailed as exc:
-        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
-        return CHECK_FAILED
     except BrokenPipeError:
         # The reader closed stdout early; point it at devnull so the
         # interpreter's final flush of what is buffered cannot raise again.
@@ -583,6 +565,23 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("error: standard output was closed before all output was written", file=sys.stderr)
         return USAGE_ERROR
+    except (
+        UsageError,
+        ShapeError,
+        ProgramError,
+        PreconditionFailed,
+        NotInvertible,
+        InvalidGroup,
+        RingError,
+        OSError,  # a file that cannot be read or written; BrokenPipeError is handled above
+        json.JSONDecodeError,
+        KeyError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except SelfCheckFailed as exc:
+        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
+        return CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -223,13 +223,10 @@ def trace_descend_mixed(
     side: str = "left",
     verify: bool = True,
 ) -> tuple[SolutionDescriptor, SolutionDescriptor]:
-    """Descend a verified mixed pair two polygon orders at once."""
+    """Descend a verified mixed pair two polygon orders at once; each map's
+    descent refuses a singular map or an order other than an odd one >= 5."""
     _require_mixed_pair(t_desc, s_desc)
     self_check = _run_checks("trace-descend-mixed", t_desc=t_desc, s_desc=s_desc, side=side)
-    if t_desc.order % 2 == 0 or t_desc.order < 5:
-        raise PreconditionFailed("mixed trace descent needs an odd order >= 5")
-    if not (is_invertible(t_desc.tensor) and is_invertible(s_desc.tensor)):
-        raise PreconditionFailed("mixed trace descent needs invertible solutions")
     return self_check(verify, T=trace_descend(t_desc, side, False), S=trace_descend(s_desc, side, False))
 
 

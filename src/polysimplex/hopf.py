@@ -5,8 +5,8 @@ function-algebra dual.  Arbitrary user bialgebras enter through the tensor
 JSON format and are gated by :func:`check_axioms`, which decides every
 law of :data:`LAWS` by the tensor checks.  Each law is written there once,
 as staged words of tags for the structure maps; the flip is a swapped
-pair of gather positions or an output order.  A group's Cayley table
-runs the same words.
+pair of gather positions or an output order.  A group's Cayley table,
+as a finite map for m, runs the same words through the set check's driver.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from itertools import permutations
 
 from ._record import record
 from .rings import RATIONAL, ScalarRing
-from .tensor import NotInvertible, ShapeError, Tensor, _differing_columns, _is_count, from_function, invert, is_invertible
+from .setmaps import FiniteMap, _differing_tuples
+from .tensor import NotInvertible, ShapeError, Tensor, _is_count, from_function, invert, is_invertible
 from .verify import VerificationReport, _check_sides, require_columns
 
 
@@ -211,13 +212,11 @@ LAWS = {
 
 
 def _table_holds(table, law: str) -> bool:
-    """Does the Latin square ``table`` (its outputs read both inputs), as m,
-    satisfy the law's one word?  Its rank table runs the compare driver."""
+    """Does the Cayley ``table``, as m, satisfy the law's one word?  Its
+    finite map runs the set check's compare driver."""
     [(legs, *words)] = LAWS[law]
-    ranks = [(c,) for row in table for c in row]
-    sides = tuple(tuple((positions, 1) for _, positions in word) for word in words)
-    steps = sum(map(len, sides))
-    return _differing_columns(legs, sides, (None, None), (ranks,) * steps, ((0b11,),) * steps, len(table)) is None
+    cayley = FiniteMap._trusted(len(table), 2, 1, tuple((c,) for row in table for c in row))
+    return _differing_tuples(legs, words, (None, None), {"m": cayley}) is None
 
 
 def _holds(h: HopfInstance, law: str, legs: int, lhs, rhs, orders=(None, None)) -> bool:

@@ -1,24 +1,20 @@
-"""Set-theoretic polygon equations over a finite base set.
+"""Set-theoretic instances of the equations of ``verify.EQUATIONS``.
 
-Solutions here are plain functions X^k -> X^l evaluated pointwise, with no
-linearization.  The checks run the table-mode kernel of both sides of the
-equation, the one the tensor check of a basis function compiles, on
-values instead of basis digits, with ``FiniteMap.table`` as it stands as
-the lookup table, since it has the form of a tensor's rank table
-(``Tensor._table``): both sides run in one nest over the tuples in
-product order, each lookup in the outermost loop that binds its inputs.
-Like the tensor checks, they run it through
-:func:`polysimplex.tensor._differing_columns`, once per dependency cone
-of the final legs, with the legs outside the cone pinned to 0; only on a
-difference does that run every tuple, and the first tuple whose sides
-differ is the witness.  Runs of
-legs without a lookup share one loop and the depth is capped, so the 28
-free legs of a 15-gon compile as well as the 10 of a 9-gon.  Enumeration
-is a depth-first search over table rows, pruned by the same kernel run
-on the partial table, a list indexed by row rank with None where
-unassigned, whose misses skip the undecided tuples.
-The six lifting constructions between neighbouring polygon orders are
-one rule, with their fixed-point criteria checked in both directions.
+Solutions here are plain functions X^k -> X^l on a finite base set X,
+evaluated pointwise, with no linearization.  :func:`check_set` checks any
+equation of the table with finite maps put in for its tags.  It runs the
+table-mode kernel the tensor check of a basis function compiles, on
+values instead of basis digits, with ``FiniteMap.table`` as the lookup
+table, through :func:`polysimplex.tensor._differing_columns`: once per
+dependency cone of the final legs, and only on a difference over every
+tuple in product order, the first differing tuple being the witness.  A
+group's Cayley table runs the same driver on the Hopf laws' words.
+Enumeration of (dual) polygon solutions is a depth-first search over
+table rows, pruned by the same kernel run on the partial table, a list
+indexed by row rank with None where unassigned, whose misses skip the
+undecided tuples.  The six lifting constructions between neighbouring
+polygon orders are one rule, with their fixed-point criteria checked in
+both directions.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from itertools import product
 
 from ._record import record
 from .tensor import ShapeError, _differing_columns, _is_count, _output_masks, _staged_kernel, digits_to_rank
-from .verify import EQUATIONS, PreconditionFailed, VerificationReport, polygon_signature, require_columns
+from .verify import EQUATIONS, PreconditionFailed, VerificationReport, require_columns
 
 
 @record
@@ -58,8 +54,9 @@ class FiniteMap:
     @classmethod
     def _trusted(cls, base: int, in_arity: int, out_arity: int, table: tuple) -> "FiniteMap":
         """Wrap a table already known to be valid: ``base**in_arity`` rows
-        of ``out_arity`` values in range.  Internal results only; every
-        outside input goes through ``__init__``."""
+        of ``out_arity`` values in range, or the search's partial table
+        (None where unassigned; its masks are never read).  Internal
+        tables only; every outside input goes through ``__init__``."""
         fmap = object.__new__(cls)
         vars(fmap).update(base=base, in_arity=in_arity, out_arity=out_arity, table=table)
         return fmap
@@ -83,9 +80,8 @@ class FiniteMap:
         return self.table[digits_to_rank(args, self.base)]
 
     def to_json_dict(self) -> dict:
-        table = {}
-        for args in product(range(self.base), repeat=self.in_arity):
-            table[",".join(map(str, args))] = list(self(args))
+        inputs = product(range(self.base), repeat=self.in_arity)
+        table = {",".join(map(str, args)): list(row) for args, row in zip(inputs, self.table)}
         return {
             "base": self.base,
             "in": self.in_arity,
@@ -129,36 +125,45 @@ def apply_staged(fmap: FiniteMap, gathers, values) -> tuple[int, ...]:
     return state
 
 
-def _polygon_sides(n: int, dual: bool) -> tuple[int, tuple]:
-    """Free-input count and the two kernel shapes (``(gather positions,
-    output count)`` per step) of the (dual) n-gon's staged words."""
-    out_arity = polygon_signature(n, dual)[1]
-    legs, words, _ = EQUATIONS["dual-polygon" if dual else "polygon"].staged(n)
-    return legs, tuple(tuple((positions, out_arity) for _, positions in word) for word in words)
+def _kernel_steps(words, maps: dict) -> tuple[tuple, tuple]:
+    """The kernel shapes of both sides' ``(tag, gather positions)`` words
+    and the map of every step, lhs steps first, ``maps[tag]`` put in for each tag."""
+    sides = tuple(tuple((positions, maps[tag].out_arity) for tag, positions in word) for word in words)
+    return sides, tuple(maps[tag] for word in words for tag, _ in word)
+
+
+def _differing_tuples(legs: int, words, orders, maps: dict):
+    """The compare driver on the words with ``maps`` put in: None when the sides
+    agree on every tuple, else ``(tuple, lhs, rhs)`` where they differ, in product order."""
+    sides, steps = _kernel_steps(words, maps)
+    tables, masks = [f.table for f in steps], tuple(f._masks for f in steps)
+    return _differing_columns(legs, sides, orders, tables, masks, next(iter(maps.values())).base)
+
+
+def check_set(family: str, n, *maps: FiniteMap) -> VerificationReport:
+    """Exhaustive pointwise check of ``EQUATIONS[family]`` at order n, the
+    finite maps put in for its tags in order; the witness is the first
+    tuple in product order whose sides differ."""
+    equation = EQUATIONS[family]
+    name = equation.name.format(n)
+    want, got = equation.signatures(n), tuple((f.in_arity, f.out_arity) for f in maps)
+    if got != want:
+        want, got = (", ".join(f"{k}->{l}" for k, l in arities) for arities in (want, got))
+        raise ShapeError(f"{name} needs arity {want}, got {got}")
+    if len({f.base for f in maps}) > 1:
+        raise ShapeError(f"the maps of the {name} must share their base set")
+    legs, words, orders = equation.staged(n)
+    require_columns(maps[0].base, legs)
+    differing = _differing_tuples(legs, words, orders, dict(zip(equation.tags, maps)))
+    shapes = [(f.base, f.in_arity, f.out_arity) for f in (maps[0], maps[-1])]
+    first = None if differing is None else next(differing)
+    witness = None if first is None else dict(zip(("in", "lhs", "rhs"), map(list, first)))
+    return VerificationReport(f"set-theoretic {name}", first is None, 0 if first is None else 1, *shapes, witness)
 
 
 def check_polygon_set(fmap: FiniteMap, n: int, dual: bool = False) -> VerificationReport:
-    """Exhaustive pointwise check of the (dual) n-gon equation.
-
-    Tuples run in product order, over each dependency cone and, when a
-    cone finds a difference, over all of them; the witness is the first
-    failing one.
-    """
-    want = polygon_signature(n, dual)
-    equation = EQUATIONS["dual-polygon" if dual else "polygon"].name.format(n)
-    if (fmap.in_arity, fmap.out_arity) != want:
-        raise ShapeError(f"{equation} needs arity {want[0]}->{want[1]}, got {fmap.in_arity}->{fmap.out_arity}")
-    legs, sides = _polygon_sides(n, dual)
-    require_columns(fmap.base, legs)
-    name = f"set-theoretic {equation}"
-    shape = (fmap.base, fmap.in_arity, fmap.out_arity)
-    steps = sum(map(len, sides))
-    differing = _differing_columns(legs, sides, (None, None), (fmap.table,) * steps, (fmap._masks,) * steps, fmap.base)
-    if differing is None:
-        return VerificationReport(name, True, 0, shape, shape)
-    values, lhs, rhs = next(differing)
-    witness = {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
-    return VerificationReport(name, False, 1, shape, shape, witness)
+    """Exhaustive pointwise check of the (dual) n-gon equation (see :func:`check_set`)."""
+    return check_set("dual-polygon" if dual else "polygon", n, fmap)
 
 
 @record
@@ -170,17 +175,12 @@ class LiftOutcome:
     fixed_point_ok: bool = True
 
 
-def _require(source: FiniteMap, n: int, dual: bool) -> None:
-    report = check_polygon_set(source, n, dual)
-    if not report.holds:
-        raise PreconditionFailed(f"source map fails the {report.equation}")
-
-
 def _lift(source: FiniteMap, n: int, dual: bool, extend, u=None) -> LiftOutcome:
     """The lift a -> extend(a, source(a)) of a solution of the (dual) n-gon
     equation, checked on the (n+1)-gon equation; pinned at ``u``, with
     whether u is a diagonal fixed point of the source."""
-    _require(source, n, dual)
+    if not (report := check_polygon_set(source, n, dual)).holds:
+        raise PreconditionFailed(f"source map fails the {report.equation}")
     k, l = source.in_arity, source.out_arity
     lifted = FiniteMap.from_callable(source.base, k, l + 1, lambda a: extend(a, source(a)))
     fixed = u is None or source((u,) * k) == (u,) * l
@@ -231,7 +231,8 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
     in lexicographic table order.  Capped at base <= 3 and k <= 2; larger
     instances must be user supplied.
     """
-    in_arity, out_arity = polygon_signature(n, dual)
+    equation = EQUATIONS["dual-polygon" if dual else "polygon"]
+    [(in_arity, out_arity)] = equation.signatures(n)
     k = max(in_arity, out_arity)
     if base < 1:
         raise ShapeError("base set must be non-empty")
@@ -242,11 +243,12 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
         )
     rows = base**in_arity
     outputs = list(product(range(base), repeat=out_arity))
-    legs, sides = _polygon_sides(n, dual)
-    steps = sum(map(len, sides))
-    kernel = _staged_kernel(legs, sides, (None, None))
+    legs, words, orders = equation.staged(n)
+    partial = FiniteMap._trusted(base, in_arity, out_arity, [None] * rows)
+    sides, steps = _kernel_steps(words, dict.fromkeys(equation.tags, partial))
+    kernel = _staged_kernel(legs, sides, orders)
     domains = (range(base),) * legs
-    table = [None] * rows  # indexed by row rank; None where unassigned
+    table, tables = partial.table, [f.table for f in steps]
     found = []
 
     def extend(row: int) -> None:
@@ -256,7 +258,7 @@ def enumerate_set_solutions(n: int, base: int, dual: bool = False) -> list[Finit
             return
         for out in outputs:
             table[row] = out
-            if next(kernel(domains, base, *(table,) * steps), None) is None:
+            if next(kernel(domains, base, *tables), None) is None:
                 extend(row + 1)
         table[row] = None
 

@@ -1626,3 +1626,27 @@ def test_fuzzed_argv_exits_with_a_contract_code(fuzz_files, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2), argv
+
+
+# Commands that read or write a path under a regular file ("{bad}"), which
+# fails with NotADirectoryError even for root; "{map}" is a valid finite map.
+OS_ERRORS = {
+    "set-verify read": ["set-verify", "--n", "3", "--map", "{bad}"],
+    "verify read": ["verify", "--family", "polygon", "--n", "3", "--tensor", "{bad}"],
+    "demo out": ["demo", "--group", "z2", "--out", "{bad}"],
+    "demo report": ["demo", "--group", "z2", "--report", "{bad}"],
+    "set-verify report": ["set-verify", "--n", "3", "--map", "{map}", "--report", "{bad}"],
+    "construct out": ["construct", "--recipe", "hopf-pentagon-pair", "--group", "z2", "--out", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("name", list(OS_ERRORS))
+def test_os_errors_are_usage_errors(capsys, tmp_path, name):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("not a directory")
+    fmap = tmp_path / "map.json"
+    fmap.write_text(json.dumps(FiniteMap.from_callable(2, 1, 1, lambda a: a).to_json_dict()))
+    argv = [arg.format(bad=plain / "x", map=fmap) for arg in OS_ERRORS[name]]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from polysimplex import tensor as tensor_module
 from polysimplex.construct import (
     SolutionDescriptor,
     bar_sigma_conjugate,
@@ -252,6 +253,14 @@ class TestTraceDescendMixed:
         t7, s7 = higher_mixed_pair(2, T2.tensor, S2.tensor)
         new_t, new_s = trace_descend_mixed(t7, s7, side="right")
         assert check_mixed(new_t.tensor, new_s.tensor, 5).holds
+
+    def test_each_map_is_inverted_once(self, monkeypatch):
+        """The z3 7-gon pair is inverted once per map, by each map's descent."""
+        t7, s7 = higher_mixed_pair(2, T3.tensor, S3.tensor, verify=False)
+        calls = []
+        monkeypatch.setattr(tensor_module, "invert", lambda f: calls.append(f) or invert(f))
+        trace_descend_mixed(t7, s7, verify=False)
+        assert calls == [t7.tensor, s7.tensor]
 
 
 class TestStack:

@@ -24,10 +24,11 @@ from polysimplex.setmaps import (
     lift_dual_odd_to_even_pinned,
     lift_odd_to_even,
     lift_odd_to_even_pinned,
-    _polygon_sides,
+    check_set,
+    _kernel_steps,
 )
 from polysimplex.tensor import ShapeError, _staged_kernel
-from polysimplex.verify import PreconditionFailed, check_polygon, polygon_signature
+from polysimplex.verify import EQUATIONS, PreconditionFailed, check_equation, check_polygon, polygon_signature
 
 
 def z_add_map(base):
@@ -295,22 +296,30 @@ def test_lift_reads_the_same_table(n, base, dual):
 SMALL_POLYGONS = [(3, False), (3, True), (4, False), (4, True), (5, False), (5, True)]
 
 
+def partial_kernel(n, dual):
+    """The search's kernel of the (dual) n-gon over base 2, its step count
+    and leg count, staged by ``_kernel_steps`` on an empty partial table."""
+    family = "dual-polygon" if dual else "polygon"
+    legs, words, orders = EQUATIONS[family].staged(n)
+    in_arity, out_arity = polygon_signature(n, dual)
+    empty = FiniteMap._trusted(2, in_arity, out_arity, [None] * 2**in_arity)
+    sides, steps = _kernel_steps(words, {EQUATIONS[family].tags: empty})
+    return _staged_kernel(legs, sides, orders), len(steps), legs
+
+
 class TestPartialPolygonKernel:
     @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
     def test_empty_table_is_undecided(self, n, dual):
-        legs, sides = _polygon_sides(n, dual)
-        kernel = _staged_kernel(legs, sides, (None, None))
+        kernel, steps, legs = partial_kernel(n, dual)
         empty = [None] * 2 ** polygon_signature(n, dual)[0]
-        assert next(kernel((range(2),) * legs, 2, *(empty,) * sum(map(len, sides))), None) is None
+        assert next(kernel((range(2),) * legs, 2, *(empty,) * steps), None) is None
 
     @pytest.mark.parametrize("n, dual", SMALL_POLYGONS)
     def test_complete_tables_match_total_kernel(self, n, dual):
         """On a complete table the search's kernel yields first the witness of
         the total check, the oracle's."""
         in_arity, out_arity = polygon_signature(n, dual)
-        legs, sides = _polygon_sides(n, dual)
-        steps = sum(map(len, sides))
-        kernel = _staged_kernel(legs, sides, (None, None))
+        kernel, steps, legs = partial_kernel(n, dual)
         rows = 2**in_arity
         outputs = list(product(range(2), repeat=out_arity))
         failures = 0
@@ -333,6 +342,92 @@ def test_tensor_check_set_check_and_search_share_one_kernel(n, dual):
     check_polygon_set(fmap, n, dual)
     enumerate_set_solutions(n, 2, dual)
     assert _staged_kernel.cache_info().misses == 1
+
+
+# The orders at which the set check of each record of verify.EQUATIONS is
+# compared with the tensor check of the maps' lifts.
+SET_ORDERS = {
+    "polygon": range(3, 8),
+    "dual-polygon": range(3, 8),
+    "simplex": range(1, 4),
+    "mixed": range(3, 8),
+    "commutes": [(1, 1, 1, 1), (2, 1, 1, 2), (1, 2, 2, 1), (2, 2, 2, 2)],
+    "relations": range(1, 7),
+}
+
+
+def random_set_map(rng, base, k, l):
+    """A random table, or one whose every output copies an input or is a
+    constant, which solves more of the equations."""
+    if rng.random() < 0.5:
+        return FiniteMap.from_callable(base, k, l, lambda a: tuple(rng.randrange(base) for _ in range(l)))
+    picks = [rng.randrange(k + 1) for _ in range(l)]  # k: a constant
+    consts = [rng.randrange(base) for _ in range(l)]
+    return FiniteMap.from_callable(base, k, l, lambda a: tuple(a[p] if p < k else c for p, c in zip(picks, consts)))
+
+
+def staged_by_steps(maps, word, order, values):
+    """One side of a word at a tuple, one ``apply_staged`` per step."""
+    for tag, positions in word:
+        values = apply_staged(maps[tag], [positions], values)
+    return tuple(values) if order is None else tuple(values[m - 1] for m in order)
+
+
+def first_differing(maps, legs, words, orders, base):
+    """The first tuple in product order whose sides, staged one step at a
+    time, differ, as a set witness; None when there is none."""
+    for values in product(range(base), repeat=legs):
+        lhs, rhs = (staged_by_steps(maps, word, order, values) for word, order in zip(words, orders))
+        if lhs != rhs:
+            return {"in": list(values), "lhs": list(lhs), "rhs": list(rhs)}
+    return None
+
+
+@pytest.mark.parametrize("family", list(EQUATIONS))
+def test_set_check_agrees_with_the_tensor_check(family):
+    """Random finite maps get the verdict of the tensor check of their lifts,
+    and a failure's witness is the first tuple in product order whose sides,
+    staged step by step, differ."""
+    rng = random.Random(family)
+    equation, verdicts = EQUATIONS[family], set()
+    for n, base, _ in product(SET_ORDERS[family], (1, 2), range(6)):
+        maps = [random_set_map(rng, base, k, l) for k, l in equation.signatures(n)]
+        report = check_set(family, n, *maps)
+        assert report.holds == check_equation(family, n, *map(settheoretic_lift, maps)).holds
+        assert report.equation == f"set-theoretic {equation.name.format(n)}"
+        first = first_differing(dict(zip(equation.tags, maps)), *equation.staged(n), base)
+        assert report.witness == first and report.max_deviation == (0 if first is None else 1)
+        verdicts.add(report.holds)
+    assert verdicts == {True, False}
+
+
+class TestCheckSet:
+    def test_polygon_wrapper_is_the_set_check(self):
+        swap = FiniteMap.from_callable(2, 2, 2, lambda a: (a[1], a[0]))
+        for n, dual in ((5, False), (5, True)):
+            family = "dual-polygon" if dual else "polygon"
+            assert check_polygon_set(swap, n, dual).to_json_dict() == check_set(family, n, swap).to_json_dict()
+
+    def test_arities_are_checked_in_tag_order(self):
+        t = z_add_map(2)
+        with pytest.raises(ShapeError, match=r"5-gon mixed relation needs arity 2->2, 2->2, got 2->2, 1->1"):
+            check_set("mixed", 5, t, FiniteMap.from_callable(2, 1, 1, lambda a: a))
+        with pytest.raises(ShapeError, match="needs arity 2->2, 2->2, got 2->2$"):
+            check_set("relations", 1, t)
+
+    def test_maps_share_their_base(self):
+        with pytest.raises(ShapeError, match="must share their base set"):
+            check_set("mixed", 5, z_add_map(2), z_add_map(3))
+
+    def test_two_map_report_shapes(self):
+        f, g = FiniteMap.from_callable(2, 2, 1, lambda a: (a[0],)), FiniteMap.from_callable(2, 1, 2, lambda a: a * 2)
+        report = check_set("commutes", (2, 1, 1, 2), f, g)
+        assert (report.lhs_dims, report.rhs_dims) == ((2, 2, 1), (2, 1, 2))
+
+    def test_column_cap(self):
+        ident = FiniteMap.from_callable(2, 7, 7, lambda a: a)
+        with pytest.raises(ShapeError, match="over the cap"):
+            check_set("polygon", 15, ident)
 
 
 class TestLifts:
