@@ -124,10 +124,17 @@ def tensor_dim(tensor, subject: str) -> int | None:
 
 
 def descriptor_header(data, path: str) -> tuple | None:
-    """The ``(family, order, dim)`` of the solution descriptor JSON ``data``."""
+    """The ``(family, order, dim)`` of the solution descriptor JSON ``data``;
+    None for a family and order that have no equation."""
     family, order = data["family"], data["order"]
     dim = tensor_dim(data["tensor"], f"the tensor of the descriptor in {path} has")
-    return (family, order, dim) if dim and family in C.FAMILIES and _is_count(order) else None
+    if not (dim and family in C.FAMILIES and _is_count(order)):
+        return None
+    try:
+        EQUATIONS[family].signatures(order)
+    except ShapeError:
+        return None
+    return family, order, dim
 
 
 # kind: the input's name in a refusal, its parse, and its header from the JSON and the path
@@ -162,9 +169,26 @@ def write_json(path: str, data: dict) -> None:
         fh.write("\n")
 
 
-def emit_report(report: VerificationReport, path: str | None) -> None:
+def require_writable(path: str) -> None:
+    """Raise the error that opening the output ``path`` would raise when its
+    parent is no directory, before any work and creating nothing."""
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        try:
+            os.listdir(parent)  # a parent that is a file, missing or unreadable raises as opening would
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def print_verdict(report: VerificationReport, path: str | None) -> int:
+    """Write the report to ``path``, if given, print the verdict and a
+    failing check's witness, and return the exit code."""
     if path:
         write_json(path, report.to_json_dict())
+    print(f"{report.equation}: {'holds' if report.holds else 'FAILS'}")
+    if not report.holds and report.witness:
+        print(f"witness: {json.dumps(report.witness, sort_keys=True)}")
+    return 0 if report.holds else CHECK_FAILED
 
 
 # -- gen-eq --------------------------------------------------------------------
@@ -192,28 +216,25 @@ def require_order(family: str, order) -> None:
 
 
 def require_recipe(recipe: C.Recipe, verify: bool, *headers, **params) -> None:
-    """Refuse a recipe over the caps before it builds, from its inputs'
-    headers and its parameters.  With ``verify``, the first equation it
-    checks over the order cap (a 1-dimensional map has one column at every
-    order, and building or checking it grows with about the cube of the
-    order) or the column cap, with the message the check prints; without,
-    the map it builds, the first map of the last of those equations, by
-    that order and its ``dim ** in_legs`` columns, then the preconditions
-    it checks all the same.  Orders at which a family has no equation are
-    left to the recipe, which refuses them."""
+    """Refuse a recipe before it builds, from its inputs' headers and its
+    parameters: first what its record refuses, with the recipe's own
+    message, then what is over the caps.  With ``verify``, the first
+    equation it checks over the order cap (a 1-dimensional map has one
+    column at every order, and building or checking it grows with about the
+    cube of the order) or the column cap, with the message the check
+    prints; without, the map it builds, the first map of the last of those
+    equations, by that order and its ``dim ** in_legs`` columns, then the
+    preconditions it checks all the same."""
     checks = recipe.checks(*headers, **params)
     gates = [(check[:3], False) for check in checks[-1:] if not verify]
     gates += [(check[:3], True) for check in checks if verify or recipe.precondition(check[3])]
     for (family, order, dim), checked in gates:
         equation = EQUATIONS[family]
-        try:
-            ((in_legs, _), *_) = equation.signatures(order)
-        except ShapeError:
-            continue
         require_order(family, order)
         if checked:
             require_columns(dim, equation.staged(order)[0])
         else:
+            ((in_legs, _), *_) = equation.signatures(order)
             require_columns(dim, in_legs, f"the {recipe.what} maps")
 
 
@@ -291,21 +312,13 @@ def cmd_verify(args) -> int:
     orders = equation.orders(args.n, *maps)
     for order in orders:
         require_order(args.family, order)
-    report = check_orders(args.family, orders, *maps)
-    emit_report(report, args.report)
-    print(f"{report.equation}: {'holds' if report.holds else 'FAILS'}")
-    if not report.holds and report.witness:
-        print(f"witness: {json.dumps(report.witness, sort_keys=True)}")
-    return 0 if report.holds else CHECK_FAILED
+    return print_verdict(check_orders(args.family, orders, *maps), args.report)
 
 
 def cmd_set_verify(args) -> int:
     require_order(args.family, args.n)
     fmap = read_json(args.map, FiniteMap.from_json_dict, "finite map")
-    report = check_set(args.family, args.n, fmap)
-    emit_report(report, args.report)
-    print(f"{report.equation}: {'holds' if report.holds else 'FAILS'}")
-    return 0 if report.holds else CHECK_FAILED
+    return print_verdict(check_set(args.family, args.n, fmap), args.report)
 
 
 def cmd_set_enumerate(args) -> int:
@@ -556,6 +569,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        for path in filter(None, (vars(args).get("out"), vars(args).get("report"))):
+            require_writable(path)
         return args.func(args)
     except BrokenPipeError:
         # The reader closed stdout early; point it at devnull so the

@@ -493,11 +493,11 @@ def run_fresh(argv, env=None, keep_scalar=False, seconds=5):
     return proc
 
 
-def identity_descriptor(order, dim, legs):
-    """The JSON text of the identity polygon descriptor, written without building its tensor."""
+def identity_descriptor(order, dim, legs, family="polygon"):
+    """The JSON text of the identity descriptor, written without building its tensor."""
     entries = [[list(t), list(t), "1"] for t in product(range(dim), repeat=legs)]
     tensor = {"dim": dim, "in_legs": legs, "out_legs": legs, "scalar": "rational", "entries": entries}
-    return json.dumps({"family": "polygon", "order": order, "provenance": [], "tensor": tensor})
+    return json.dumps({"family": family, "order": order, "provenance": [], "tensor": tensor})
 
 
 RECIPES_OVER_THE_CAPS = {
@@ -508,8 +508,9 @@ RECIPES_OVER_THE_CAPS = {
     "trace-descend-order-1001": ("trace-descend", "equation order 999 is over the cap"),
     "invert-to-dual-order-401": ("invert-to-dual", "equation order 401 is over the cap"),
     "conjugate-order-1001": ("conjugate", "equation order 1001 is over the cap"),
-    "trace-descend-mixed-order-1001": ("trace-descend-mixed", "equation order 999 is over the cap"),
-    "simplex-from-mixed-order-1001": ("simplex-from-mixed", "equation order 1000 is over the cap"),
+    # Refused at the mixed 1001-gon of the input pair, their first check.
+    "trace-descend-mixed-order-1001": ("trace-descend-mixed", "equation order 1001 is over the cap"),
+    "simplex-from-mixed-order-1001": ("simplex-from-mixed", "equation order 1001 is over the cap"),
     # Refused at its commutation, the first check of stack, on the 80-leg maps.
     "stack-tensor-order-161": ("stack", "commutation maps have up to 80 legs on a side, over the cap"),
     "yang-baxter-four-factor-d-24": ("yang-baxter", f"the check runs 576^3 = {576**3} columns"),
@@ -530,9 +531,10 @@ RECIPES_OVER_THE_CAPS = {
     # Both 14 MB descriptors were built, 8.4 s and 298 MB, before the 45-gon
     # was refused; now the commutation of the two 11-leg maps is, first.
     "stack-tensor-identity-23-gon": ("stack", f"the check runs 3^121 = {3**121} columns"),
-    # The second descriptor of a pair was built before the pair was refused.
-    "trace-descend-mixed-second-identity-23-gon": ("trace-descend-mixed", f"the check runs 3^55 = {3**55} columns"),
-    "simplex-from-mixed-second-identity-23-gon": ("simplex-from-mixed", f"the check runs 3^253 = {3**253} columns"),
+    # The second descriptor of a pair was built before the pair was refused;
+    # later two polygons were refused over the cap, not as no mixed pair.
+    "trace-descend-mixed-second-identity-23-gon": ("trace-descend-mixed", "mixed pair must be (polygon, dual-polygon)"),
+    "simplex-from-mixed-second-identity-23-gon": ("simplex-from-mixed", "mixed pair must be (polygon, dual-polygon)"),
 }
 
 
@@ -572,11 +574,17 @@ def test_recipe_over_the_caps_exits_two_at_once(tmp_path, case):
         else:
             order = int(case.rsplit("-", 1)[1])
             first.write_text(identity_descriptor(order, 1, order // 2))
-        # A recipe of two inputs reads the descriptor twice, or with conjugate the identity on V.
-        second.write_text(identity_tensor(1, 1).to_json())
+        # A recipe of two inputs reads the descriptor twice, a mixed pair its
+        # dual, and conjugate the identity on V.
+        if recipe == "conjugate":
+            second.write_text(identity_tensor(1, 1).to_json())
+        elif "mixed" in recipe:
+            second.write_text(identity_descriptor(order, 1, order // 2, "dual-polygon"))
+        else:
+            second = first
         argv = ["--input", str(first)]
         if len(construct.RECIPES[recipe].inputs) == 2:
-            argv += ["--input2", str(second if recipe == "conjugate" else first)]
+            argv += ["--input2", str(second)]
         if recipe == "stack":
             argv += ["--params", '{"mode": "tensor"}']
     proc = run_fresh(["construct", "--recipe", recipe, *argv], seconds=seconds)
@@ -810,6 +818,15 @@ class TestSetCommands:
         code, out, _ = run(capsys, "set-verify", "--family", "polygon", "--n", "5", "--map", str(path))
         assert code == 0 and "holds" in out
 
+    def test_set_verify_prints_the_witness_of_its_report(self, capsys, tmp_path):
+        """A failing map once printed its verdict alone, the witness only in --report."""
+        fmap = FiniteMap.from_callable(2, 2, 2, lambda a: (a[1], a[0]))
+        path, report = tmp_path / "map.json", tmp_path / "report.json"
+        path.write_text(json.dumps(fmap.to_json_dict()))
+        code, out, err = run(capsys, "set-verify", "--n", "5", "--map", str(path), "--report", str(report))
+        witness = json.loads(report.read_text())["witness"]
+        assert (code, out, err) == (1, f"set-theoretic 5-gon: FAILS\nwitness: {json.dumps(witness, sort_keys=True)}\n", "")
+
     @pytest.mark.parametrize("family", ["polygon", "dual-polygon"])
     def test_set_verify_past_the_block_limit(self, capsys, tmp_path, family):
         # The 15-gon has 28 free legs, more loops than CPython nests statically.
@@ -919,6 +936,30 @@ def recipe_argv(tmp_path_factory):
         "simplex-from-mixed": [*inputs("T2d", "S2d"), "--params", '{"drop": "two"}'],
         "yang-baxter": [*inputs("T3", "S3"), "--params", '{"mode": "four_factor"}'],
     }
+
+
+# Hypotheses of three recipes on the identity 21-gon over d = 3 (3^10
+# input columns), each once refused over a cap for a check that never
+# runs, or after building its inputs: (recipe, input families, params,
+# the recipe's refusal).
+HYPOTHESES_ON_THE_21_GON = {
+    "trace-descend side": ("trace-descend", ["polygon"], {"side": "middle"}, "side must be 'left' or 'right', got 'middle'"),
+    "trace-descend-mixed two polygons": (
+        "trace-descend-mixed", ["polygon", "polygon"], {}, "mixed pair must be (polygon, dual-polygon)"
+    ),
+    "simplex-from-mixed drop": (
+        "simplex-from-mixed", ["polygon", "dual-polygon"], {"drop": "three"}, "drop must be one|two|two_right, got 'three'"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def z3_21_gons(tmp_path_factory):
+    root = tmp_path_factory.mktemp("z3_21_gons")
+    paths = {family: root / f"{family}.json" for family in ("polygon", "dual-polygon")}
+    for family, path in paths.items():
+        path.write_text(identity_descriptor(21, 3, 10, family))
+    return {family: str(path) for family, path in paths.items()}
 
 
 class TestConstruct:
@@ -1106,8 +1147,8 @@ class TestConstruct:
         assert run(capsys, "construct", "--recipe", recipe) == (2, "", f"error: {message}\n")
 
     def test_order_without_an_equation_left_to_the_recipe(self, capsys):
-        """The gate passes an order at which the family has no equation on
-        to the builder, which refuses it."""
+        """The recipe's record refuses an order at which the family has no
+        equation, with the builder's message."""
         code, out, err = run(capsys, "construct", "--recipe", "bialgebra-tower", "--group", "z2", "--params", '{"n": 2}')
         assert (code, out, err) == (2, "", "error: no 2-gon equation\n")
 
@@ -1152,6 +1193,17 @@ class TestConstruct:
         code, out, err = run(capsys, *argv)
         subject = "the recipe maps" if recipe == "simplex-from-mixed" and flags else "the check runs"
         assert (code, out, err) == (2, "", f"error: {subject} 64^4 = {64**4} columns, over the cap of {MAX_COLUMNS}\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--no-verify"]])
+    @pytest.mark.parametrize("case", sorted(HYPOTHESES_ON_THE_21_GON))
+    def test_hypothesis_refused_before_any_input_is_built(self, capsys, monkeypatch, z3_21_gons, case, flags):
+        recipe, families, params, message = HYPOTHESES_ON_THE_21_GON[case]
+        monkeypatch.setattr(construct, construct.RECIPES[recipe].builder, lambda **kwargs: pytest.fail("built"))
+        what, _, header = cli.INPUTS["descriptor"]
+        monkeypatch.setitem(cli.INPUTS, "descriptor", (what, lambda data: pytest.fail("descriptor built"), header))
+        inputs = [arg for flag, family in zip(("--input", "--input2"), families) for arg in (flag, z3_21_gons[family])]
+        argv = ["construct", "--recipe", recipe, *inputs, "--params", json.dumps(params), *flags]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("flags", [[], ["--no-verify"]])
     def test_relations_precondition_gated_before_building(self, capsys, monkeypatch, tmp_path, flags):
@@ -1650,3 +1702,26 @@ def test_os_errors_are_usage_errors(capsys, tmp_path, name):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Each output option, before the path: the work is patched to fail.
+OUTPUTS = {
+    "demo --out": ["demo", "--group", "z2", "--out"],
+    "demo --report": ["demo", "--group", "z2", "--report"],
+    "construct --out": ["construct", "--recipe", "hopf-pentagon-pair", "--group", "z2", "--out"],
+    "verify --report": ["verify", "--family", "simplex", "--n", "2", "--tensor", "flip.json", "--report"],
+    "set-verify --report": ["set-verify", "--n", "5", "--map", "map.json", "--report"],
+}
+
+
+@pytest.mark.parametrize("name", list(OUTPUTS))
+def test_unwritable_output_refused_before_the_work(capsys, monkeypatch, tmp_path, name):
+    """Each of these once did all of its work before opening its output
+    path: ``demo --group z3 --out plainfile/x`` exited 2 after 0.17 s."""
+    for reader in ("read_group", "read_input", "read_json"):
+        monkeypatch.setattr(cli, reader, lambda *args: pytest.fail("the work started"))
+    plain = tmp_path / "plain.txt"
+    plain.write_text("not a directory")
+    bad = str(plain / "x")
+    assert run(capsys, *OUTPUTS[name], bad) == (2, "", f"error: [Errno 20] Not a directory: {bad!r}\n")
+    assert list(tmp_path.iterdir()) == [plain] and plain.read_text() == "not a directory"

@@ -1,5 +1,6 @@
 """Constructors: every producing procedure re-verified through the checkers."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from polysimplex import cli, construct
 from polysimplex import tensor as tensor_module
 from polysimplex.construct import (
+    RECIPES,
     SolutionDescriptor,
     bar_sigma_conjugate,
     bialgebra_tower,
@@ -42,6 +45,7 @@ from polysimplex.tensor import (
     tensor_product,
 )
 from polysimplex.verify import (
+    EQUATIONS,
     PreconditionFailed,
     check_mixed,
     check_polygon,
@@ -713,27 +717,28 @@ def _broken_algebra():
 
 ONE3 = identity_tensor(2, 1)
 ZERO5 = Tensor(2, 2, 2, {})
+SIMPLEX1 = SolutionDescriptor("simplex", 1, ONE3)
+POLYGON3 = SolutionDescriptor("polygon", 3, ONE3)
+DUAL3 = SolutionDescriptor("dual-polygon", 3, ONE3)
+TOWER4, TOWER6 = bialgebra_tower(4, H2), bialgebra_tower(6, H2)
 
 # Every refusal of the builders, each reached by one call: (call, exception).
 REFUSALS = {
     "unknown descriptor family": (lambda: SolutionDescriptor("hexagon", 5, T2.tensor), ShapeError),
-    "invert even order": (lambda: invert_to_dual(bialgebra_tower(4, H2)), PreconditionFailed),
-    "conjugate simplex": (lambda: conjugate(SolutionDescriptor("simplex", 1, ONE3), ONE3), PreconditionFailed),
+    "invert even order": (lambda: invert_to_dual(TOWER4), PreconditionFailed),
+    "conjugate simplex": (lambda: conjugate(SIMPLEX1, ONE3), PreconditionFailed),
     "conjugate 2->2 phi": (lambda: conjugate(T2, identity_tensor(2, 2)), ShapeError),
-    "bar-sigma simplex": (lambda: bar_sigma_conjugate(SolutionDescriptor("simplex", 1, ONE3)), PreconditionFailed),
+    "bar-sigma simplex": (lambda: bar_sigma_conjugate(SIMPLEX1), PreconditionFailed),
     "trace middle": (lambda: trace_descend(T2, "middle"), ShapeError),
-    "trace simplex order 1": (lambda: trace_descend(SolutionDescriptor("simplex", 1, ONE3)), PreconditionFailed),
-    "trace 6-gon": (lambda: trace_descend(bialgebra_tower(6, H2)), PreconditionFailed),
-    "trace 3-gon": (lambda: trace_descend(SolutionDescriptor("polygon", 3, ONE3)), PreconditionFailed),
-    "trace mixed order 3": (
-        lambda: trace_descend_mixed(SolutionDescriptor("polygon", 3, ONE3), SolutionDescriptor("dual-polygon", 3, ONE3)),
-        PreconditionFailed,
-    ),
+    "trace simplex order 1": (lambda: trace_descend(SIMPLEX1), PreconditionFailed),
+    "trace 6-gon": (lambda: trace_descend(TOWER6), PreconditionFailed),
+    "trace 3-gon": (lambda: trace_descend(POLYGON3), PreconditionFailed),
+    "trace mixed order 3": (lambda: trace_descend_mixed(POLYGON3, DUAL3), PreconditionFailed),
     "trace mixed zero pair": (
         lambda: trace_descend_mixed(SolutionDescriptor("polygon", 5, ZERO5), SolutionDescriptor("dual-polygon", 5, ZERO5)),
         PreconditionFailed,
     ),
-    "stack simplex": (lambda: stack(SolutionDescriptor("simplex", 1, ONE3), T2, "tensor"), PreconditionFailed),
+    "stack simplex": (lambda: stack(SIMPLEX1, T2, "tensor"), PreconditionFailed),
     "stack bad mode": (lambda: stack(T2, T2, "sideways"), PreconditionFailed),
     "failing axioms": (lambda: bialgebra_tower(5, _broken_algebra()), PreconditionFailed),
     "tower below 3": (lambda: bialgebra_tower(2, H2), PreconditionFailed),
@@ -743,10 +748,7 @@ REFUSALS = {
         PreconditionFailed,
     ),
     "swapped pair": (lambda: simplex_from_mixed(S2, T2), PreconditionFailed),
-    "order-mismatched pair": (
-        lambda: simplex_from_mixed(T2, SolutionDescriptor("dual-polygon", 3, ONE3)),
-        PreconditionFailed,
-    ),
+    "order-mismatched pair": (lambda: simplex_from_mixed(T2, DUAL3), PreconditionFailed),
     "higher mixed k = 0": (lambda: higher_mixed_pair(0, T2.tensor, S2.tensor), PreconditionFailed),
     "antipode pair k = 0": (lambda: hopf_mixed_pair_antipode(0, H2), PreconditionFailed),
     "bad drop": (lambda: simplex_from_mixed(T2, S2, "three"), ShapeError),
@@ -759,3 +761,93 @@ def test_every_refusal_is_pinned(name):
     call, exception = REFUSALS[name]
     with pytest.raises(exception):
         call()
+
+
+# The header and parameter cases of REFUSALS as ``construct`` calls:
+# (recipe, inputs, params), an input a group name (--group) or a tensor
+# or descriptor (--input, --input2).
+CLI_REFUSALS = {
+    "invert even order": ("invert-to-dual", [TOWER4], {}),
+    "conjugate simplex": ("conjugate", [SIMPLEX1, ONE3], {}),
+    "bar-sigma simplex": ("bar-sigma-conjugate", [SIMPLEX1], {}),
+    "trace middle": ("trace-descend", [T2], {"side": "middle"}),
+    "trace simplex order 1": ("trace-descend", [SIMPLEX1], {}),
+    "trace 6-gon": ("trace-descend", [TOWER6], {}),
+    "trace 3-gon": ("trace-descend", [POLYGON3], {}),
+    "trace mixed order 3": ("trace-descend-mixed", [POLYGON3, DUAL3], {}),
+    "stack simplex": ("stack", [SIMPLEX1, T2], {"mode": "tensor"}),
+    "stack bad mode": ("stack", [T2, T2], {"mode": "sideways"}),
+    "tower below 3": ("bialgebra-tower", ["z2"], {"n": 2}),
+    "multi tower k = 1": ("multi-bialgebra-tower", [], {"groups": ["z2", "z2"], "k": 1}),
+    "swapped pair": ("simplex-from-mixed", [S2, T2], {}),
+    "order-mismatched pair": ("simplex-from-mixed", [T2, DUAL3], {}),
+    "higher mixed k = 0": ("higher-mixed-pair", [T2.tensor, S2.tensor], {"k": 0}),
+    "antipode pair k = 0": ("hopf-mixed-pair-antipode", ["z2"], {"k": 0}),
+    "bad drop": ("simplex-from-mixed", [T2, S2], {"drop": "three"}),
+    "bad mode": ("yang-baxter", [T2.tensor, S2.tensor], {"mode": "sideways"}),
+}
+# The others need built maps, or no recipe runs them.
+BUILT_MAP_REFUSALS = {
+    "unknown descriptor family", "conjugate 2->2 phi", "trace mixed zero pair", "failing axioms", "multi tower mixed rings",
+}
+
+
+def test_refusals_split_into_hypotheses_and_built_maps():
+    assert sorted([*CLI_REFUSALS, *BUILT_MAP_REFUSALS]) == sorted(REFUSALS)
+
+
+@pytest.mark.parametrize("name", list(CLI_REFUSALS))
+def test_construct_refuses_a_hypothesis_as_the_library_does(capsys, monkeypatch, tmp_path, name):
+    """Every header or parameter hypothesis is refused by the record the
+    CLI gate reads, before any input or map is built, with the library's
+    message."""
+    call, exception = REFUSALS[name]
+    with pytest.raises(exception) as refused:
+        call()
+    recipe, inputs, params = CLI_REFUSALS[name]
+    monkeypatch.setattr(construct, RECIPES[recipe].builder, lambda **kwargs: pytest.fail("built"))
+    for kind, (what, _, header) in list(cli.INPUTS.items()):
+        monkeypatch.setitem(cli.INPUTS, kind, (what, lambda data: pytest.fail(f"{what} built"), header))
+    monkeypatch.setattr(cli, "group_algebra", lambda *args: pytest.fail("group algebra built"))
+    argv = ["construct", "--recipe", recipe, "--params", json.dumps(params)]
+    for flag, value in zip(("--input", "--input2"), inputs):
+        if isinstance(value, str):
+            argv += ["--group", value]
+            continue
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(value.to_json_dict()) if isinstance(value, SolutionDescriptor) else value.to_json())
+        argv += [flag, str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {refused.value}\n")
+
+
+def _has_equation(family, order) -> bool:
+    try:
+        EQUATIONS[family].signatures(order)
+    except ShapeError:
+        return False
+    return True
+
+
+def test_records_list_only_equations_that_exist():
+    """For headers and parameters its record admits, each recipe lists the
+    family and order of T, and only (family, order) pairs that have an
+    equation, which the CLI gate stages without a guard."""
+    descriptors = [(f, n, 2) for f in ("polygon", "dual-polygon", "simplex") for n in range(-1, 10) if _has_equation(f, n)]
+    headers = {"group": [1, 2], "groups": [4], "tensor": [2], "descriptor": descriptors}
+    words = ["left", "right", "middle", "one", "two", "two_right", "three", "compose", "four_factor", "compose_left",
+             "compose_right", "tensor", "sideways"]
+    values = {int: range(-1, 6), bool: (False, True), str: words}
+    for name, recipe in RECIPES.items():
+        params = {key: values[type(default)] for key, default in recipe.params.items() if default is not None}
+        admitted = 0
+        for inputs in product(*(headers[kind] for kind in recipe.inputs.values())):
+            for chosen in product(*params.values()):
+                try:
+                    checks = recipe.checks(*inputs, **dict(zip(params, chosen)))
+                except (PreconditionFailed, ShapeError):
+                    continue
+                admitted += 1
+                assert ("T",) in [maps for *_, maps in checks], (name, inputs, chosen)
+                assert all(_has_equation(family, order) for family, order, *_ in checks), (name, inputs, chosen)
+        assert admitted, name
