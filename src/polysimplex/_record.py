@@ -2,15 +2,15 @@
 
 ``@record`` reads a class's annotated fields in order and adds what the
 class body does not define itself: an ``__init__`` taking the fields
-positionally or by keyword, field-wise ``==``, a hash of the field tuple
-(frozen records only; a mutable record is unhashable), a
-``Name(field=value, ...)`` repr, and, when frozen, ``__setattr__`` and
+positionally or by keyword, field-wise ``==``, a hash of the field tuple,
+a ``Name(field=value, ...)`` repr, and ``__setattr__`` and
 ``__delattr__`` that raise :class:`AttributeError`.  A class attribute
 gives a field its default; :func:`field` gives a fresh default per
-instance, or leaves a field out of ``__init__``, ``repr`` or ``==``.
-``__post_init__``, when the class has one, runs last and is looked up
-on the instance at every call.  Field values live in the instance
-``__dict__``, so a trusted constructor may fill it directly.
+instance.  ``__post_init__``, when the class has one, runs last and is
+looked up on the instance at every call.  Field values live in the
+instance ``__dict__``, so a trusted constructor may fill it directly; so
+may ``__post_init__``, with what it derives from the fields, which
+``==``, hash and repr do not read.
 
 The methods are closures over the field names; nothing is compiled at
 run time, which keeps :mod:`dataclasses` (and the :mod:`inspect` it
@@ -23,44 +23,30 @@ _MISSING = object()
 
 
 class field:
-    """Per-field options: ``default_factory`` is called for each instance
-    that does not pass the field; a field with ``init=False`` is set by
-    ``__post_init__``."""
+    """A field whose default, ``default_factory()``, is made afresh for
+    each instance that does not pass it."""
 
-    __slots__ = ("default_factory", "init", "repr", "compare")
+    __slots__ = ("default_factory",)
 
-    def __init__(self, *, default_factory=None, init=True, repr=True, compare=True):
-        self.default_factory, self.init, self.repr, self.compare = default_factory, init, repr, compare
-
-
-_PLAIN = field()
+    def __init__(self, *, default_factory):
+        self.default_factory = default_factory
 
 
-def record(cls=None, *, frozen=True):
-    """Class decorator making ``cls`` a record; ``@record(frozen=False)``
-    makes a mutable, unhashable one."""
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
-    names, shown, compared, defaults, factories = [], [], [], {}, {}
+def record(cls):
+    """Class decorator making ``cls`` a frozen record."""
+    names, defaults, factories = [], {}, {}
     for name in cls.__dict__.get("__annotations__", {}):
+        names.append(name)
         value = cls.__dict__.get(name, _MISSING)
-        spec = value if isinstance(value, field) else _PLAIN
-        if spec is value:
+        if isinstance(value, field):
             delattr(cls, name)
+            factories[name] = value.default_factory
         elif value is not _MISSING:
             defaults[name] = value
-        if spec.default_factory is not None:
-            factories[name] = spec.default_factory
-        if spec.init:
-            names.append(name)
-        if spec.repr:
-            shown.append(name)
-        if spec.compare:
-            compared.append(name)
     count, accepted = len(names), frozenset(names)
     post_init = hasattr(cls, "__post_init__")
-    get = attrgetter(*compared)
-    key = get if len(compared) > 1 else lambda self: (get(self),)
+    get = attrgetter(*names)
+    key = get if count > 1 else lambda self: (get(self),)
 
     def __init__(self, *args, **kwargs):
         if len(args) > count:
@@ -95,7 +81,7 @@ def record(cls=None, *, frozen=True):
         return hash(key(self))
 
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):
@@ -104,14 +90,10 @@ def record(cls=None, *, frozen=True):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__}
-    if frozen:
-        methods.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
-    else:
-        methods["__hash__"] = None
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__, "__repr__": __repr__,
+               "__setattr__": __setattr__, "__delattr__": __delattr__}
     for name, method in methods.items():
         if name not in cls.__dict__:
-            if method is not None:
-                method.__qualname__ = f"{cls.__qualname__}.{name}"
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, method)
     return cls

@@ -12,6 +12,7 @@ from the POLYSIMPLEX_SCALAR environment variable ("rational", "f64" or
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -171,13 +172,16 @@ def write_json(path: str, data: dict) -> None:
 
 def require_writable(path: str) -> None:
     """Raise the error that opening the output ``path`` would raise when its
-    parent is no directory, before any work and creating nothing."""
-    parent = os.path.dirname(path) or os.curdir
+    parent is no directory, or when it names a directory (an existing one,
+    or any path ending in a separator), before any work and creating nothing."""
+    parent = os.path.dirname(path.rstrip(os.sep)) or os.curdir
     if not os.path.isdir(parent):
         try:
             os.listdir(parent)  # a parent that is a file, missing or unreadable raises as opening would
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
+    if path.endswith(os.sep) or os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def print_verdict(report: VerificationReport, path: str | None) -> int:
@@ -222,11 +226,11 @@ def require_recipe(recipe: C.Recipe, verify: bool, *headers, **params) -> None:
     equation it checks over the order cap (a 1-dimensional map has one
     column at every order, and building or checking it grows with about the
     cube of the order) or the column cap, with the message the check
-    prints; without, the map it builds, the first map of the last of those
-    equations, by that order and its ``dim ** in_legs`` columns, then the
-    preconditions it checks all the same."""
+    prints; without, the map it builds, the entry naming T alone, by that
+    order and its ``dim ** in_legs`` columns, then the preconditions it
+    checks all the same."""
     checks = recipe.checks(*headers, **params)
-    gates = [(check[:3], False) for check in checks[-1:] if not verify]
+    gates = [(check[:3], False) for check in checks if not verify and check[3] == ("T",)]
     gates += [(check[:3], True) for check in checks if verify or recipe.precondition(check[3])]
     for (family, order, dim), checked in gates:
         equation = EQUATIONS[family]

@@ -501,7 +501,7 @@ class Recipe:
     builder argument, T and S for what the builder returns, and the twisted
     blocks ``t_block`` and ``s_block`` of ``hopf-mixed-pair-antipode``.
     The entry naming T (or S) alone gives that built map's family and
-    order, and the last equation's first map is the built map."""
+    order."""
 
     builder: str  # the function of this module, looked up by name when it runs
     inputs: dict  # builder argument: "group", "groups" (params.groups), "tensor" or "descriptor" (--input, --input2)
@@ -526,11 +526,13 @@ def _pair(n: int, dim: int) -> list:
 
 def _mixed_pair(t: tuple, s: tuple) -> list:
     """The mixed relation of a (polygon, dual-polygon) pair of descriptors
-    of one order, a precondition."""
+    of one order and dimension, a precondition."""
     if (t[0], s[0]) != ("polygon", "dual-polygon"):
         raise PreconditionFailed("mixed pair must be (polygon, dual-polygon)")
     if t[1] != s[1]:
         raise PreconditionFailed("mixed pair must share its order")
+    if t[2] != s[2]:
+        raise PreconditionFailed("mixed pair must share its dimension")
     return [("mixed", t[1], t[2], ("t_desc", "s_desc"))]
 
 
@@ -556,11 +558,10 @@ def _descended(family: str, order: int, dim: int, side: str, built: str = "T") -
 
 _DUAL = {"polygon": "dual-polygon", "dual-polygon": "polygon"}
 
-# In the order the README lists them.  A pair of descriptors gates both
-# headers (simplex-from-mixed lists its one simplex check once when they
-# agree).  A check is listed only for the k that runs it: k = 1 of
-# hopf-mixed-pair-antipode is the identity pair, with no twisted blocks,
-# and a single higher-mixed-pair copy needs relations (1)-(3) only.
+# In the order the README lists them.  A check is listed only for the k
+# that runs it: k = 1 of hopf-mixed-pair-antipode is the identity pair,
+# with no twisted blocks, and a single higher-mixed-pair copy needs
+# relations (1)-(3) only.
 RECIPES = {
     "hopf-pentagon-pair": Recipe("hopf_pentagon_pair", {"h": "group"}, {}, "pair", lambda h: _pair(5, h)),
     "bialgebra-tower": Recipe(
@@ -605,10 +606,8 @@ RECIPES = {
         "stack", {"x": "descriptor", "y": "descriptor"}, {"mode": "compose_left"}, "recipe", _stacked),
     "simplex-from-mixed": Recipe(
         "simplex_from_mixed", {"t_desc": "descriptor", "s_desc": "descriptor"}, {"drop": "one"}, "recipe",
-        lambda t, s, drop: [
-            *_mixed_pair(t, s),
-            *dict.fromkeys(("simplex", order - (1 if drop == "one" else 2), d, ("T",)) for _, order, d in (t, s))
-        ] if drop in ("one", "two", "two_right")
+        lambda t, s, drop: [*_mixed_pair(t, s), ("simplex", t[1] - (1 if drop == "one" else 2), t[2], ("T",))]
+        if drop in ("one", "two", "two_right")
         else _refuse(ShapeError, f"drop must be one|two|two_right, got {drop!r}")),
     "yang-baxter": Recipe(
         "yang_baxter_from_pair", {"t": "tensor", "s": "tensor"}, {"mode": "compose"}, "recipe",

@@ -11,6 +11,7 @@ as a finite map for m, runs the same words through the set check's driver.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations
 
 from ._record import record
@@ -135,6 +136,11 @@ class HopfInstance:
     def ring(self) -> ScalarRing:
         return self.product.ring
 
+    @cached_property
+    def _axioms(self) -> VerificationReport:
+        """The report of :func:`check_axioms`."""
+        return _axioms_report(self)
+
     def antipode_inverse(self) -> Tensor:
         if self.antipode is None:
             raise NotInvertible(f"{self.name or 'instance'} has no antipode")
@@ -179,13 +185,10 @@ def dual_group_algebra(group: GroupTable, ring: ScalarRing = RATIONAL) -> HopfIn
 def check_axioms(h: HopfInstance) -> VerificationReport:
     """Report on every (co)algebra, bialgebra and antipode identity.
 
-    The instance is immutable, so the report is computed once and kept in
-    its ``__dict__``; every later call returns that same report.
+    The instance is immutable, so the report is computed once, as its
+    cached ``_axioms``; every later call returns that same report.
     """
-    report = vars(h).get("_axioms")
-    if report is None:
-        report = vars(h)["_axioms"] = _axioms_report(h)
-    return report
+    return h._axioms
 
 
 # Each law is one or more staged words (legs, lhs, rhs[, output orders])

@@ -6,12 +6,13 @@ matching face labels between maps in a fixed stacking order, and arrange
 the free legs.  One face rule serves every family: T maps read the odd
 faces of their facet and write the even ones, S maps the reverse, and R
 maps read and write all of them; a public compiler only lists its facets
-in stacking order.  Each compiled side is staged once, and the program is
-filled from that replay.  Free inputs are sorted in reverse lexicographic order of
-their vertex tuples, implemented as descending tuple order (this is the
-ordering that lists the (n-2)-faces of the n-simplex equation as
-d(0,1), d(0,2), ..., d(n-1,n)).  Free outputs keep the order the staged
-placements produce; both sides of an equation always agree on it.
+in stacking order.  A program is its steps: constructing it stages them
+once, and its free legs and gather positions come from that replay.  Free
+inputs are sorted in reverse lexicographic order of their vertex tuples,
+implemented as descending tuple order (this is the ordering that lists
+the (n-2)-faces of the n-simplex equation as d(0,1), d(0,2), ...,
+d(n-1,n)).  Free outputs keep the order the staged placements produce;
+both sides of an equation always agree on it.
 
 Solutions are constant: one map per tag, placed on every facet that
 carries the tag.  The compiled programs are what the checks in
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from ._record import field, record
+from ._record import record
 from .indices import mixed_sequences
 from .tensor import ShapeError, Tensor, contract_staged, replace_slots
 
@@ -35,7 +36,7 @@ Face = tuple[int, ...]
 
 
 class ProgramError(ValueError):
-    """Malformed wiring: dangling label, bad order, or side mismatch."""
+    """Malformed wiring: dangling label, double read, or side mismatch."""
 
 
 def standard_simplex(n: int) -> Face:
@@ -75,42 +76,31 @@ class Step:
 
 @record
 class ContractionProgram:
-    """One side of an equation; steps are stored in application order.
+    """One side of an equation: its steps, in application order.
 
-    Construction from outside replays the wiring: the stored free inputs
-    must be the labels read before any step writes them, in reverse
-    lexicographic order, and the staged placements must end in the stored
-    free outputs, else :class:`ProgramError`.  The gather positions of the
-    replay are kept for :meth:`gather_positions`.  The compilers fill a
-    program from their own replay instead (:func:`_program`).
+    Construction replays the wiring once.  The free inputs are the labels
+    read before any step writes them, in reverse lexicographic order; the
+    free outputs are the labels the staged placements end in, and the
+    gather positions (:meth:`gather_positions`) those the replay reads.
+    All three are derived from the steps, so equality, hash and repr read
+    the steps alone.  A label that no leg carries, or a placement reading
+    one leg twice, is a :class:`ProgramError`.
     """
 
     steps: tuple[Step, ...]
-    free_inputs: tuple[Face, ...]
-    free_outputs: tuple[Face, ...]
-    _positions: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if _free_inputs(self.steps) != self.free_inputs:
-            raise ProgramError("stored free inputs disagree with the wiring")
-        positions, state = _replay(self.free_inputs, [(step.inputs, step.outputs) for step in self.steps])
-        if tuple(state) != self.free_outputs:
-            raise ProgramError("program does not terminate in its free outputs")
-        object.__setattr__(self, "_positions", tuple(positions))
+        produced, free_inputs = set(), []
+        for step in self.steps:
+            free_inputs.extend(label for label in step.inputs if label not in produced)
+            produced.update(step.outputs)
+        free_inputs = tuple(reverse_lex_sorted(free_inputs))
+        positions, state = _replay(free_inputs, [(step.inputs, step.outputs) for step in self.steps])
+        vars(self).update(free_inputs=free_inputs, free_outputs=tuple(state), _positions=tuple(positions))
 
     def gather_positions(self) -> list[tuple[str, tuple[int, ...]]]:
         """Per step, the 1-based state positions its inputs are read from."""
         return [(step.tag, positions) for step, positions in zip(self.steps, self._positions)]
-
-
-def _free_inputs(steps) -> tuple[Face, ...]:
-    """Labels read before any step writes them, in reverse lexicographic order."""
-    produced = set()
-    free_inputs = []
-    for step in steps:
-        free_inputs.extend(label for label in step.inputs if label not in produced)
-        produced.update(step.outputs)
-    return tuple(reverse_lex_sorted(free_inputs))
 
 
 def _replay(state, placements) -> tuple[list[tuple[int, ...]], list]:
@@ -134,16 +124,6 @@ def _replay(state, placements) -> tuple[list[tuple[int, ...]], list]:
         reads.append(positions)
         state = replace_slots(state, positions, outputs)
     return reads, state
-
-
-def _program(steps: list[Step]) -> ContractionProgram:
-    """The program of compiled steps, filled from its one replay."""
-    steps = tuple(steps)
-    free_inputs = _free_inputs(steps)
-    positions, state = _replay(free_inputs, [(step.inputs, step.outputs) for step in steps])
-    program = object.__new__(ContractionProgram)
-    vars(program).update(steps=steps, free_inputs=free_inputs, free_outputs=tuple(state), _positions=tuple(positions))
-    return program
 
 
 def flatten(program: ContractionProgram) -> list[tuple[str, tuple[int, ...]]]:
@@ -172,7 +152,7 @@ def _compile(dim: int, lhs, rhs, what: str) -> tuple[ContractionProgram, Contrac
             p = face_delete(simplex, i)
             reads, writes = _FACES[tag]
             steps.append(Step(tag, p, tuple(reads(p)), tuple(writes(p))))
-        programs.append(_program(steps))
+        programs.append(ContractionProgram(tuple(steps)))
     lhs, rhs = programs
     if lhs.free_inputs != rhs.free_inputs or lhs.free_outputs != rhs.free_outputs:
         raise ProgramError(f"sides of the {what} do not share their free legs")

@@ -69,7 +69,7 @@ class SelfCheckFailed(RuntimeError):
     """A constructed solution failed its own verifier (internal error)."""
 
 
-@record(frozen=False)
+@record
 class VerificationReport:
     """Outcome of one equation check."""
 

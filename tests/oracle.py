@@ -620,9 +620,6 @@ class StepTwin(simplicial.Step):
 class ContractionProgramTwin(simplicial.ContractionProgram):
     __qualname__ = "ContractionProgram"
     steps: tuple
-    free_inputs: tuple
-    free_outputs: tuple
-    _positions: tuple = field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -660,7 +657,7 @@ class SolutionDescriptorTwin(construct.SolutionDescriptor):
     provenance: tuple = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReportTwin(verify.VerificationReport):
     __qualname__ = "VerificationReport"
     equation: str

@@ -26,7 +26,7 @@ from polysimplex.construct import hopf_pentagon_pair
 from polysimplex.setmaps import FiniteMap, check_polygon_set
 from polysimplex.simplicial import compile_polygon, pair_to_simplex_map
 from polysimplex.tensor import ShapeError, Tensor, contract_staged, from_function, identity_tensor, rank_to_digits
-from polysimplex.verify import EQUATIONS, Equation, SelfCheckFailed, check_polygon
+from polysimplex.verify import EQUATIONS, Equation, SelfCheckFailed, VerificationReport, check_polygon
 
 
 def run(capsys, *argv):
@@ -950,16 +950,26 @@ HYPOTHESES_ON_THE_21_GON = {
     "simplex-from-mixed drop": (
         "simplex-from-mixed", ["polygon", "dual-polygon"], {"drop": "three"}, "drop must be one|two|two_right, got 'three'"
     ),
+    # A pair of two dims was refused by the mixed check's signatures only
+    # once both inputs were built.
+    "trace-descend-mixed two dims": (
+        "trace-descend-mixed", ["polygon", "dual-polygon d2"], {}, "mixed pair must share its dimension"
+    ),
+    "simplex-from-mixed two dims": (
+        "simplex-from-mixed", ["polygon", "dual-polygon d2"], {}, "mixed pair must share its dimension"
+    ),
 }
 
 
 @pytest.fixture(scope="module")
 def z3_21_gons(tmp_path_factory):
+    """The identity 21-gon descriptors over d = 3, and a dual one over d = 2."""
     root = tmp_path_factory.mktemp("z3_21_gons")
-    paths = {family: root / f"{family}.json" for family in ("polygon", "dual-polygon")}
-    for family, path in paths.items():
-        path.write_text(identity_descriptor(21, 3, 10, family))
-    return {family: str(path) for family, path in paths.items()}
+    documents = {"polygon": (3, "polygon"), "dual-polygon": (3, "dual-polygon"), "dual-polygon d2": (2, "dual-polygon")}
+    paths = {name: root / f"{name}.json" for name in documents}
+    for name, (dim, family) in documents.items():
+        paths[name].write_text(identity_descriptor(21, dim, 10, family))
+    return {name: str(path) for name, path in paths.items()}
 
 
 class TestConstruct:
@@ -1257,8 +1267,7 @@ class TestConstruct:
 
         def failing(name, *args):
             report = check_equation(name, *args)
-            report.holds = report.holds and name != family
-            return report
+            return VerificationReport(**{**vars(report), "holds": False}) if name == family else report
 
         monkeypatch.setattr(construct, "check_equation", failing)
 
@@ -1717,11 +1726,18 @@ OUTPUTS = {
 @pytest.mark.parametrize("name", list(OUTPUTS))
 def test_unwritable_output_refused_before_the_work(capsys, monkeypatch, tmp_path, name):
     """Each of these once did all of its work before opening its output
-    path: ``demo --group z3 --out plainfile/x`` exited 2 after 0.17 s."""
+    path: ``demo --group z3 --out plainfile/x`` exited 2 after 0.17 s, and
+    ``demo --group v4 --report outdir/`` printed its whole report first."""
     for reader in ("read_group", "read_input", "read_json"):
         monkeypatch.setattr(cli, reader, lambda *args: pytest.fail("the work started"))
-    plain = tmp_path / "plain.txt"
+    plain, outdir = tmp_path / "plain.txt", tmp_path / "outdir"
     plain.write_text("not a directory")
-    bad = str(plain / "x")
-    assert run(capsys, *OUTPUTS[name], bad) == (2, "", f"error: [Errno 20] Not a directory: {bad!r}\n")
-    assert list(tmp_path.iterdir()) == [plain] and plain.read_text() == "not a directory"
+    outdir.mkdir()
+    for bad, error in (
+        (str(plain / "x"), "[Errno 20] Not a directory"),
+        (str(outdir), "[Errno 21] Is a directory"),
+        (f"{outdir}{os.sep}", "[Errno 21] Is a directory"),
+    ):
+        assert run(capsys, *OUTPUTS[name], bad) == (2, "", f"error: {error}: {bad!r}\n")
+    assert sorted(tmp_path.iterdir()) == [outdir, plain] and plain.read_text() == "not a directory"
+    assert not any(outdir.iterdir())

@@ -194,20 +194,28 @@ class TestProgramStructure:
         assert len(lhs.steps) == 2 and len(rhs.steps) == 2
         assert all((len(s.inputs), len(s.outputs)) == (1, 2) for s in lhs.steps)
 
-    def test_validate_rejects_tampering(self):
-        lhs, _ = compile_polygon(5)
-        with pytest.raises(ProgramError):
-            ContractionProgram(lhs.steps, lhs.free_inputs[::-1], lhs.free_outputs)
+    def test_program_is_its_steps(self):
+        """A program built from a compiled side's steps alone derives the
+        same free legs and gather positions, and equals the side."""
+        sides = [side for n in range(1, 13) for side in compile_simplex(n)]
+        for n in range(3, 13):
+            sides += [*compile_polygon(n), *compile_polygon(n, True), *compile_mixed(n)]
+        for side in sides:
+            rebuilt = ContractionProgram(side.steps)
+            assert rebuilt == side and hash(rebuilt) == hash(side) and repr(rebuilt) == repr(side)
+            assert (rebuilt.free_inputs, rebuilt.free_outputs) == (side.free_inputs, side.free_outputs)
+            assert rebuilt.gather_positions() == side.gather_positions()
 
     def test_dangling_label(self):
-        step = Step("T", (0, 1), ((9, 9),), ((1, 2),))
-        with pytest.raises(ProgramError):
-            ContractionProgram((step,), ((0, 1),), ((1, 2),))
+        """The second step consumes the leg the first wrote, which the third then reads."""
+        steps = [Step("T", (0,), ((0,),), ((1,),)), Step("T", (1,), ((1,),), ((2,),)), Step("T", (2,), ((1,),), ((3,),))]
+        with pytest.raises(ProgramError, match=r"no leg labelled \(1,\) to read"):
+            ContractionProgram(tuple(steps))
 
     def test_placement_reading_one_leg_twice(self):
         step = Step("T", (0, 1), ((0,), (0,)), ((1,),))
         with pytest.raises(ProgramError, match="reads one leg twice"):
-            ContractionProgram((step,), ((0,), (0,)), ((1,),))
+            ContractionProgram((step,))
 
     def test_each_compiled_side_replayed_once(self, monkeypatch):
         calls = []
@@ -232,9 +240,8 @@ class TestProgramStructure:
     def test_single_step_flatten(self):
         p = face_delete(standard_simplex(2), 0)
         step = Step("R", p, tuple(facets(p)), tuple(facets(p)))
-        prog = ContractionProgram(
-            (step,), tuple(reverse_lex_sorted(facets(p))), tuple(reverse_lex_sorted(facets(p)))
-        )
+        prog = ContractionProgram((step,))
+        assert prog.free_inputs == prog.free_outputs == tuple(reverse_lex_sorted(facets(p)))
         assert flatten(prog) == [("R", (1, 2))]
 
     def test_dot_export_mentions_all_steps(self):
