@@ -36,7 +36,6 @@ from .hopf import (
     symmetric_group,
 )
 from .indices import (
-    MultiIndexMatrix,
     mixed_equation,
     mixed_indices,
     polygon_equation,

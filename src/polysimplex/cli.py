@@ -247,7 +247,7 @@ def cmd_gen_eq(args) -> int:
     if n > GEN_EQ_MAX_N:
         raise UsageError(f"gen-eq is limited to n <= {GEN_EQ_MAX_N}")
     indices, line = EQUATIONS[args.family].written(n)
-    matrices = {name: m.as_lists() for name, m in indices.items()}
+    matrices = {name: [list(row) for row in rows] for name, rows in indices.items()}
     if args.format == "json":
         print(json.dumps({"family": args.family, "n": n, "equation": line, "matrices": matrices}, sort_keys=True))
     else:

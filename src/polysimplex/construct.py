@@ -10,9 +10,11 @@ record through :func:`_run_checks`, which refuses a failing hypothesis.
 An equation on inputs only is a precondition: inputs failing it raise
 :class:`PreconditionFailed`, also with ``verify=False``.  The others are
 the self-check, skipped with ``verify=False``; output failing it raises
-:class:`SelfCheckFailed` (a bug, not bad data).  Only the hypotheses that
-need built maps stay in the builders: invertibility, the Hopf laws,
-``phi``'s 1->1 shape, and the multi-tower's factor count and shared ring.
+:class:`SelfCheckFailed` (a bug, not bad data), unless a descriptor input
+fails its own equation, which is refused as a precondition after all.
+Only the hypotheses that need built maps stay in the builders:
+invertibility, the Hopf laws, ``phi``'s 1->1 shape, and the multi-tower's
+factor count and shared ring.
 
 The towers and stacked mixed pairs are chains of maps joined by partial
 composition: :func:`_tower_tensor` lays out every alternating chain and
@@ -114,7 +116,10 @@ def _run_checks(recipe: str, **arguments):
     descriptors of the family and order of their own entries, runs every
     other entry with ``verify`` on, and returns T, or (T, S).  The record is
     evaluated once, on the inputs' headers.  A failing check's refusal names
-    the recipe, every failing check and the first one's witness."""
+    the recipe, every failing check and the first one's witness.  When the
+    self-check fails, each descriptor input is first checked against its
+    own equation, and the first that fails it is refused as a precondition,
+    named with its witness."""
     spec = RECIPES[recipe]
     headers = [_HEADERS[kind](arguments[name]) for name, kind in spec.inputs.items()]
     params = {name: value for name, value in arguments.items() if name not in spec.inputs}
@@ -138,7 +143,16 @@ def _run_checks(recipe: str, **arguments):
         made = {names[0]: (family, order) for family, order, _, names in checks if names in (("T",), ("S",))}
         built.update((name, SolutionDescriptor(*made[name], *built[name])) for name in made)
         if verify:
-            run({**arguments, **built}, False)
+            try:
+                run({**arguments, **built}, False)
+            except SelfCheckFailed as exc:
+                # A descriptor input that fails its own equation is bad data, not a bug.
+                for name, kind in spec.inputs.items():
+                    report = verify_descriptor(arguments[name]) if kind == "descriptor" else None
+                    if report and not report.holds:
+                        failure = f"the input {name} fails its own equation, the {report.equation}"
+                        raise PreconditionFailed(f"{recipe}: {failure} (witness {report.witness})") from exc
+                raise
         return (built["T"], built["S"]) if "S" in built else built["T"]
 
     return self_check

@@ -105,7 +105,11 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
 
 @record
 class HopfInstance:
-    """Structure tensors of a finite-dimensional (Hopf) bialgebra."""
+    """Structure tensors of a finite-dimensional (Hopf) bialgebra.
+
+    Construction refuses a structure map of the wrong leg counts or
+    dimension, and maps of more than one ring, so the laws of
+    :func:`check_axioms` stage the maps without checking them again."""
 
     dim: int
     unit: Tensor
@@ -121,16 +125,15 @@ class HopfInstance:
             "counit": (1, 0),
             "product": (2, 1),
             "coproduct": (1, 2),
+            "antipode": (1, 1),
         }
-        for field_name, (k, l) in expect.items():
-            t = getattr(self, field_name)
+        maps = {name: getattr(self, name) for name in expect if getattr(self, name) is not None}
+        for field_name, t in maps.items():
+            k, l = expect[field_name]
             if (t.in_legs, t.out_legs) != (k, l) or t.dim != self.dim:
                 raise ShapeError(f"{field_name} must be a {k}->{l} tensor of dim {self.dim}")
-        if self.antipode is not None and (
-            self.antipode.in_legs,
-            self.antipode.out_legs,
-        ) != (1, 1):
-            raise ShapeError("antipode must be a 1->1 tensor")
+        if len({t.ring for t in maps.values()}) > 1:
+            raise ShapeError("the structure maps must share one ring")
 
     @property
     def ring(self) -> ScalarRing:

@@ -1,44 +1,17 @@
 """Multi-index matrices of the polygon, simplex and mixed-relation families.
 
 All matrices are produced by unrolling their two-term recursions from the
-base case at order 3.  Rows are strictly increasing multi-indices naming
-the tensor factors each operator acts on.
+base case at order 3.  A matrix is a tuple of rows, each a strictly
+increasing tuple of indices from 1 up naming the tensor factors its
+operator acts on.
 """
 
 from __future__ import annotations
 
-from ._record import record
 from .tensor import ShapeError
 
 Row = tuple[int, ...]
-
-
-@record
-class MultiIndexMatrix:
-    """Value object holding one of the A, B, D, E, F, G index matrices."""
-
-    rows: tuple[Row, ...]
-    kind: str
-    order: int
-
-    def __post_init__(self):
-        for row in self.rows:
-            if any(row[m] >= row[m + 1] for m in range(len(row) - 1)):
-                raise ShapeError(f"{self.kind}_{self.order} row {row} not increasing")
-            if row and row[0] < 1:
-                raise ShapeError(f"{self.kind}_{self.order} row {row} not positive")
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def as_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
+Matrix = tuple[Row, ...]
 
 
 def _unroll(k: int, base: list[Row], head, column, offset) -> list[Row]:
@@ -74,7 +47,7 @@ def _odd_b_rows(k: int) -> list[Row]:
     return _unroll(k, [(1,)], lambda j: range(1, j + 1), lambda j, i: i + 2, lambda j: j)
 
 
-def polygon_indices(n: int) -> tuple[MultiIndexMatrix, MultiIndexMatrix]:
+def polygon_indices(n: int) -> tuple[Matrix, Matrix]:
     """Index matrices (A, B) of the n-gon equation.
 
     Rows are listed in the order the corresponding factors appear in the
@@ -91,23 +64,20 @@ def polygon_indices(n: int) -> tuple[MultiIndexMatrix, MultiIndexMatrix]:
         k = n // 2
         a_rows = _odd_a_rows(k - 1) if k > 1 else []
         b_rows = [row[:-1] for row in _odd_b_rows(k)]
-    return (
-        MultiIndexMatrix(tuple(a_rows), "A", n),
-        MultiIndexMatrix(tuple(reversed(b_rows)), "B", n),
-    )
+    return tuple(a_rows), tuple(reversed(b_rows))
 
 
 def polygon_recursion_rows(n: int) -> tuple[list[Row], list[Row]]:
     """(A, B) rows in recursion order a_1..  and b_1.. (B not reversed)."""
     a, b = polygon_indices(n)
-    return list(a.rows), list(reversed(b.rows))
+    return list(a), list(reversed(b))
 
 
-def simplex_indices(n: int) -> MultiIndexMatrix:
+def simplex_indices(n: int) -> Matrix:
     """The matrix A_(2n+1) indexing the n-simplex equation."""
     if n < 1:
         raise ShapeError(f"no {n}-simplex equation; n must be >= 1")
-    return MultiIndexMatrix(tuple(_odd_a_rows(n)), "A", 2 * n + 1)
+    return tuple(_odd_a_rows(n))
 
 
 def _mixed_head(j: int) -> Row:
@@ -132,9 +102,7 @@ def _mixed_f_rows(k: int) -> list[Row]:
     return _unroll(k, [(1,), (1,)], _mixed_head, lambda j, i: i + 1, lambda j: 2 * j - 1)
 
 
-def mixed_indices(
-    n: int,
-) -> tuple[MultiIndexMatrix, MultiIndexMatrix, MultiIndexMatrix, MultiIndexMatrix]:
+def mixed_indices(n: int) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """Index matrices (D, E, F, G) of the odd-gon mixed relation.
 
     Rows are in recursion order (d_1.., e_1.., f_1.., g_1..); G is the
@@ -146,12 +114,7 @@ def mixed_indices(
     k = (n - 1) // 2
     e_rows = _mixed_e_rows(k)
     g_rows = [tuple(e_rows[i][j] for i in range(k)) for j in range(k)]
-    return (
-        MultiIndexMatrix(tuple(_mixed_d_rows(k)), "D", n),
-        MultiIndexMatrix(tuple(e_rows), "E", n),
-        MultiIndexMatrix(tuple(_mixed_f_rows(k)), "F", n),
-        MultiIndexMatrix(tuple(g_rows), "G", n),
-    )
+    return tuple(_mixed_d_rows(k)), tuple(e_rows), tuple(_mixed_f_rows(k)), tuple(g_rows)
 
 
 # -- equation rendering ------------------------------------------------------
@@ -181,7 +144,7 @@ def polygon_equation(n: int, dual: bool = False) -> str:
 
 
 def simplex_equation(n: int) -> str:
-    rows = simplex_indices(n).rows
+    rows = simplex_indices(n)
     return _written([("R", r) for r in rows], [("R", r) for r in reversed(rows)])
 
 

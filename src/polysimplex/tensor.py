@@ -45,7 +45,12 @@ of two built tensors (``==``), runs in one comparator,
 Validation sits at the trust boundary: ``Tensor(...)``, JSON input and
 :func:`from_function` check every key and coerce every value, while the
 evaluator's results, already clean and zero-free, are wrapped by the
-private ``Tensor._trusted`` without a second pass.  What the evaluator
+private ``Tensor._trusted`` without a second pass.  The staged boundary
+is :func:`contract_staged`, which checks its steps before they run; the
+checks of :mod:`polysimplex.verify` and the Hopf laws stage the words of
+their tables, on maps that ``require_signatures`` or ``HopfInstance``
+has checked, without that pass.  The generator keeps its own shape
+check, since it guards the text that is ``exec``'d.  What the evaluator
 reads of a map, its prepared form (the rank table, the output masks of a
 total one, and the push table), is derived on first use and kept on the
 instance, as ``hopf.check_axioms`` keeps its report, so a tensor's
@@ -367,7 +372,7 @@ def _tuple_source(names) -> str:
     return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"  # "()" when empty
 
 
-def _kernel_source(legs: int, sides: tuple, orders: tuple, push: bool = False) -> str:
+def _kernel_source(legs: int, sides: tuple, orders: tuple, push: bool = False, exact: bool = False) -> str:
     """Python source of the loop-nest kernel of staged placements.
 
     ``sides`` holds one shape (push mode, and table mode on one side) or
@@ -409,7 +414,8 @@ def _kernel_source(legs: int, sides: tuple, orders: tuple, push: bool = False) -
     state from them.  Colliding terms are merged as they arrive, products
     take the map's coefficient first, and ``settle`` drops the ring's
     zeros after each step, so the values are those of the composed placed
-    factors.
+    factors.  With ``exact`` (an exact ring, where a zero pushed on stays
+    zero) it runs once per column, after the last step.
 
     The source is made only of generated names; tables, domains and ``d``
     are arguments of the kernel, never part of the text.
@@ -455,7 +461,7 @@ def _kernel_source(legs: int, sides: tuple, orders: tuple, push: bool = False) -
             lines.append(f"                k = {_tuple_source(after)}")
             # 0 + x is x for every nonzero float, and a -0.0 sum is a zero either way.
             lines.append("                nxt[k] = nxt.get(k, 0) + y * x")
-            lines.append("        vec = settle(nxt)")
+            lines.append("        vec = nxt" if exact and s < len(lookups) - 1 else "        vec = settle(nxt)")
         lines.append(f"        yield column, {{{_tuple_source(states[0])}: x for {_tuple_source(state)}, x in vec.items()}}")
         return "\n".join(lines) + "\n"
 
@@ -517,10 +523,10 @@ def _kernel_source(legs: int, sides: tuple, orders: tuple, push: bool = False) -
 
 
 @lru_cache(maxsize=256)
-def _staged_kernel(legs: int, sides: tuple, orders: tuple, push: bool = False):
+def _staged_kernel(legs: int, sides: tuple, orders: tuple, push: bool = False, exact: bool = False):
     """The compiled kernel of :func:`_kernel_source`, built once per shape."""
     namespace = {"product": product}
-    exec(compile(_kernel_source(legs, sides, orders, push), "<staged kernel>", "exec"), namespace)
+    exec(compile(_kernel_source(legs, sides, orders, push, exact), "<staged kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -586,28 +592,6 @@ def _cones(legs: int, sides: tuple, orders, step_masks: tuple, d: int) -> tuple:
     return tuple(tuple(full if c >> j & 1 else pinned for j in range(legs)) for c in sorted(cones))
 
 
-def _check_steps(steps, legs: int, d: int, ring: ScalarRing, order=None) -> tuple[list, tuple, int]:
-    """Validate ``(f, positions)`` steps and an output order on V^(x)legs
-    over ``d`` and ``ring``.
-
-    Returns the maps, the shape (``(gather positions, output count)`` per
-    step) and the final leg count; every staged evaluation runs this first.
-    """
-    if d < 1 or legs < 0:
-        raise ShapeError("dim must be >= 1 and leg counts >= 0")
-    maps, shape = [], []
-    for f, positions in steps:
-        positions = tuple(positions)
-        if f.dim != d or f.ring != ring:
-            raise ShapeError("map dimension/ring does not match the staged evaluation")
-        if len(positions) != f.in_legs:
-            raise ShapeError(f"gather positions {positions} must be {f.in_legs} distinct legs")
-        maps.append(f)
-        shape.append((positions, f.out_legs))
-    shape = tuple(shape)
-    return maps, shape, _check_shape(legs, shape, order)
-
-
 def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order=None) -> Tensor:
     """Compose staged placements on V^(x)legs into one tensor.
 
@@ -619,6 +603,11 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     final state as it stands).  No placed factor is ever built; the
     result equals composing the placed factors, and then the leg
     permutation, one after another.
+
+    This is the staged boundary: every map must have dimension ``d`` and
+    ring ``ring`` and read as many distinct legs in range as it has
+    inputs, and ``order`` must permute the final legs, or
+    :class:`ShapeError` is raised before anything runs.
 
     When every map is a basis function on the columns it has, the steps
     run as a generated loop nest over the columns in product order, with
@@ -632,7 +621,19 @@ def contract_staged(steps, legs: int, d: int, ring: ScalarRing = RATIONAL, order
     (see :func:`_push_columns`), and a rational entry is built once, as
     ``Fraction(c, S)`` from the integer ``c`` and the side's scale ``S``.
     """
-    maps, shape, n = _check_steps(steps, legs, d, ring, order)
+    if d < 1 or legs < 0:
+        raise ShapeError("dim must be >= 1 and leg counts >= 0")
+    maps, shape = [], []
+    for f, positions in steps:
+        positions = tuple(positions)
+        if f.dim != d or f.ring != ring:
+            raise ShapeError("map dimension/ring does not match the staged evaluation")
+        if len(positions) != f.in_legs:
+            raise ShapeError(f"gather positions {positions} must be {f.in_legs} distinct legs")
+        maps.append(f)
+        shape.append((positions, f.out_legs))
+    shape = tuple(shape)
+    n = _check_shape(legs, shape, order)
     tables = [f._table for f in maps]
     # A float tolerance >= 1 makes one a zero, which the sparse path drops.
     if None not in tables and not ring.is_zero(ring.one):
@@ -665,9 +666,10 @@ def _push_columns(maps, shape, legs: int, d: int, ring: ScalarRing, order=None):
     ``Tensor._push``), and an iterator over the columns in product
     order of ``(column, {final legs in the output order: c})``, where the
     entry is ``c / S`` in the rationals and ``c`` in the other rings.
-    GF(p) values are reduced mod p after each step, and floats are
-    multiplied and added in the order of the composed placed factors;
-    after each step values that are zero in the ring are dropped.
+    Floats are multiplied and added in the order of the composed placed
+    factors, and values within the tolerance are dropped after each step.
+    The exact rings settle once per column, after the last step: GF(p)
+    values are reduced mod p and zeros dropped there.
     """
     scale = prod(f._push[1] for f in maps)
     if isinstance(ring, FloatRing):
@@ -679,7 +681,7 @@ def _push_columns(maps, shape, legs: int, d: int, ring: ScalarRing, order=None):
         settle = lambda nxt: {key: r for key, c in nxt.items() if (r := c % p)}
     else:
         settle = lambda nxt: {key: c for key, c in nxt.items() if c}
-    kernel = _staged_kernel(legs, (shape,), (order,), push=True)
+    kernel = _staged_kernel(legs, (shape,), (order,), push=True, exact=not isinstance(ring, FloatRing))
     return scale, kernel((range(d),) * legs, d, settle, *(f._push[0] for f in maps))
 
 

@@ -26,7 +26,6 @@ from .simplicial import _replay, compile_mixed, compile_polygon, compile_simplex
 from .tensor import (
     ShapeError,
     Tensor,
-    _check_steps,
     _differing_columns,
     _paired_columns,
     _push_columns,
@@ -118,15 +117,16 @@ def _check_sides(equation: str, sides, legs: int, d: int, ring, orders=(None, No
     (:func:`_push_columns`) into the same comparator.  The witness is the largest deviation at the
     lexicographically first key, which the first differing column in
     product order need not be.  Checks over more than ``MAX_COLUMNS``
-    columns are refused.
+    columns are refused; nothing else is checked.  The steps are trusted:
+    their maps come from :func:`require_signatures` (exact signatures, one
+    dimension and one ring) or from a ``HopfInstance``, and their words
+    from compiled programs or fixed records, so the shapes are read off
+    them directly and the final leg count off the lhs maps.
     """
-    (lhs_maps, lhs_shape, n), (rhs_maps, rhs_shape, rhs_n) = (
-        _check_steps(steps, legs, d, ring, order) for steps, order in zip(sides, orders)
-    )
     require_columns(d, legs)
-    if n != rhs_n:
-        raise ShapeError(f"cannot compare shapes {(d, legs, n)} and {(d, legs, rhs_n)}")
-    shape = (d, legs, n)
+    lhs_maps, rhs_maps = ([f for f, _ in steps] for steps in sides)
+    lhs_shape, rhs_shape = (tuple((positions, f.out_legs) for f, positions in steps) for steps in sides)
+    shape = (d, legs, legs + sum(f.out_legs - f.in_legs for f in lhs_maps))
     maps = lhs_maps + rhs_maps
     masks = tuple(f._masks for f in maps)
     if not ring.is_zero(ring.one) and None not in masks:

@@ -35,7 +35,7 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from polysimplex import construct, hopf, indices, setmaps, simplicial, tensor, verify
+from polysimplex import construct, hopf, setmaps, simplicial, tensor, verify
 from polysimplex.indices import mixed_indices, polygon_recursion_rows, simplex_indices
 from polysimplex.rings import F64, RATIONAL, prime_field
 from polysimplex.setmaps import FiniteMap, check_polygon_set
@@ -271,7 +271,7 @@ def polygon_sides(t, n, dual=False):
 
 
 def simplex_sides(r, n):
-    rows = list(simplex_indices(n).rows)
+    rows = list(simplex_indices(n))
     legs = start_legs("simplex", n)
     return tuple(
         staged([(r, row) for row in order], legs, r.dim, r.ring)
@@ -620,14 +620,6 @@ class StepTwin(simplicial.Step):
 class ContractionProgramTwin(simplicial.ContractionProgram):
     __qualname__ = "ContractionProgram"
     steps: tuple
-
-
-@dataclass(frozen=True)
-class MultiIndexMatrixTwin(indices.MultiIndexMatrix):
-    __qualname__ = "MultiIndexMatrix"
-    rows: tuple
-    kind: str
-    order: int
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 The golden file holds, for the (dual) n-gon with n <= 9 as the set checks
 shape it, the source of both generator modes: table and push mode of each
-side, and table mode of both sides, which the tensor check, the set check
-and the search of an equation share;
+side (push mode as floats run it, settling after every step, and as the
+exact rings run it, settling once per column), and table mode of both
+sides, which the tensor check, the set check and the search of an
+equation share;
 ``test_contract_and_compare_sources_unchanged`` compares the generator
 against it.  Regenerate it on purpose, after a change to the generator,
 and review the diff:
@@ -35,6 +37,7 @@ def polygon_kernel_sources() -> dict:
             for name, side in (("lhs", sides[:1]), ("rhs", sides[1:])):
                 sources[f"{tag} {name} contract"] = _kernel_source(legs, side, (None,))
                 sources[f"{tag} {name} push"] = _kernel_source(legs, side, (None,), push=True)
+                sources[f"{tag} {name} push exact"] = _kernel_source(legs, side, (None,), push=True, exact=True)
             sources[f"{tag} compare"] = _kernel_source(legs, sides, (None, None))
     return sources
 

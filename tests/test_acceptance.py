@@ -117,7 +117,7 @@ def test_criterion_2_cross_generator_equivalence():
             assert [r for _, r in flatten(dual_lhs)] == list(reversed(a_rows))
             assert [r for _, r in flatten(dual_rhs)] == b_rows
         for n in range(1, 5):
-            rows = list(simplex_indices(n).rows)
+            rows = list(simplex_indices(n))
             lhs, rhs = compile_simplex(n)
             assert [r for _, r in flatten(lhs)] == rows
             assert [r for _, r in flatten(rhs)] == list(reversed(rows))

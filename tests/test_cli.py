@@ -983,6 +983,30 @@ class TestConstruct:
         assert out == ""
         assert err == "error: internal self-check failed: hopf pair fails the mixed relation\n"
 
+    @pytest.mark.parametrize("recipe, params", [
+        ("invert-to-dual", "{}"),
+        ("bar-sigma-conjugate", "{}"),
+        ("trace-descend", "{}"),
+        ("stack", '{"mode": "tensor"}'),
+    ])
+    def test_descriptor_failing_its_own_equation_exits_two(self, capsys, tmp_path, recipe, params):
+        """A polygon 5 descriptor holding 2T, which fails the pentagon, makes
+        the self-check fail; the input is refused as bad data, not reported
+        as an internal error, and with --no-verify it is built unchecked."""
+        t, _ = hopf_pentagon_pair(group_algebra(cyclic_group(2)))
+        doubled = construct.SolutionDescriptor("polygon", 5, t.tensor.scale(2))
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(doubled.to_json_dict()))
+        inputs = ["--input", str(path)] + (["--input2", str(path)] if recipe == "stack" else [])
+        argv = ["construct", "--recipe", recipe, *inputs, "--params", params]
+        witness = verify.check_polygon(doubled.tensor, 5).witness
+        code, out, err = run(capsys, *argv)
+        input_name = "x" if recipe == "stack" else "desc"
+        assert (code, out) == (2, "")
+        assert err == f"error: {recipe}: the input {input_name} fails its own equation, the 5-gon (witness {witness})\n"
+        code, out, err = run(capsys, *argv, "--no-verify")
+        assert (code, err) == (0, "")
+
     def test_pentagon_pair_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "pair.json"
         code, _, _ = run(

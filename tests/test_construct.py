@@ -763,6 +763,22 @@ def test_every_refusal_is_pinned(name):
         call()
 
 
+def test_inputs_checked_against_their_own_equations_only_after_a_failing_self_check(monkeypatch):
+    """A passing self-check runs no extra check; a failing one first
+    refuses a descriptor input that fails its own equation."""
+    checked = []
+    verify_descriptor = construct.verify_descriptor
+    monkeypatch.setattr(construct, "verify_descriptor", lambda desc: checked.append(desc) or verify_descriptor(desc))
+    assert check_polygon(invert_to_dual(T2).tensor, 5, dual=True).holds
+    assert checked == []
+    doubled = SolutionDescriptor("polygon", 5, T2.tensor.scale(2))
+    with pytest.raises(PreconditionFailed, match="invert-to-dual: the input desc fails its own equation, the 5-gon"):
+        invert_to_dual(doubled)
+    assert checked == [doubled]
+    assert invert_to_dual(doubled, verify=False).tensor.shape == (2, 2, 2)
+    assert checked == [doubled]
+
+
 # The header and parameter cases of REFUSALS as ``construct`` calls:
 # (recipe, inputs, params), an input a group name (--group) or a tensor
 # or descriptor (--input, --input2).

@@ -23,7 +23,7 @@ from polysimplex.hopf import (
 )
 from polysimplex.rings import F64, RATIONAL, prime_field
 from polysimplex.setmaps import FiniteMap
-from polysimplex.tensor import Tensor, _staged_kernel, compose, identity_tensor
+from polysimplex.tensor import ShapeError, Tensor, _staged_kernel, compose, identity_tensor
 
 # A loop of order 5 (a Latin square with identity 0) that is not a group:
 # (1*1)*2 = 2 but 1*(1*2) = 4.
@@ -111,7 +111,7 @@ class TestGroupAlgebra:
         monkeypatch.setattr(tensor, "_kernel_source", lambda *key: compiled.append(key) or source(*key))
         _staged_kernel.cache_clear()
         [(legs, *words)] = hopf.LAWS["associative"]
-        key = (legs, tuple(tuple((positions, 1) for _, positions in word) for word in words), (None, None), False)
+        key = (legs, tuple(tuple((positions, 1) for _, positions in word) for word in words), (None, None), False, False)
         group = cyclic_group(3)
         assert compiled == [key]
         compiled.clear()
@@ -128,6 +128,20 @@ class TestGroupAlgebra:
         assert check_axioms(h) is first
         assert calls == [h]
         assert check_axioms(group_algebra(cyclic_group(2))) is not first
+
+    @pytest.mark.parametrize("field_name", ["unit", "counit", "product", "coproduct", "antipode"])
+    def test_structure_maps_of_two_rings_refused_at_construction(self, field_name):
+        """The laws stage the maps unchecked, so one ring is required when the instance is built."""
+        h, other = group_algebra(cyclic_group(2)), group_algebra(cyclic_group(2), prime_field(5))
+        maps = {name: getattr(h, name) for name in ("unit", "counit", "product", "coproduct", "antipode")}
+        maps[field_name] = getattr(other, field_name)
+        with pytest.raises(ShapeError, match="the structure maps must share one ring"):
+            HopfInstance(2, **maps)
+
+    def test_antipode_of_another_dim_refused_at_construction(self):
+        h = group_algebra(cyclic_group(2))
+        with pytest.raises(ShapeError, match="antipode must be a 1->1 tensor of dim 2"):
+            HopfInstance(2, h.unit, h.counit, h.product, h.coproduct, identity_tensor(3, 1))
 
     def test_s3_flagged_noncommutative(self):
         h = group_algebra(symmetric_group(3))

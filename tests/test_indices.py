@@ -6,7 +6,6 @@ import pytest
 
 from oracle import bar_sigma, compose, flip, permutation_tensor
 from polysimplex.indices import (
-    MultiIndexMatrix,
     format_subscript,
     mixed_equation,
     mixed_indices,
@@ -43,18 +42,18 @@ KNOWN_SIMPLEX_EQUATIONS = {
 class TestPolygonIndices:
     def test_pentagon(self):
         a, b = polygon_indices(5)
-        assert a.as_lists() == [[1, 2], [1, 3], [2, 3]]
-        assert b.as_lists() == [[2, 3], [1, 2]]
+        assert a == ((1, 2), (1, 3), (2, 3))
+        assert b == ((2, 3), (1, 2))
 
     def test_octagon(self):
         a, b = polygon_indices(8)
-        assert a.as_lists() == [[1, 2, 3], [1, 4, 5], [2, 4, 6], [3, 5, 6]]
-        assert b.as_lists() == [[4, 7, 9], [3, 6, 8], [2, 5, 6], [1, 2, 3]]
+        assert a == ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))
+        assert b == ((4, 7, 9), (3, 6, 8), (2, 5, 6), (1, 2, 3))
 
     def test_triangle(self):
         a, b = polygon_indices(3)
-        assert a.as_lists() == [[1], [1]]
-        assert b.as_lists() == [[1]]
+        assert a == ((1,), (1,))
+        assert b == ((1,),)
 
     def test_rejects_small_n(self):
         with pytest.raises(ShapeError):
@@ -75,16 +74,16 @@ class TestPolygonIndices:
             if n >= 5:
                 # the 3-gon's A is [1; 1] by construction, so distinctness
                 # of rows only starts at the pentagon
-                assert len(set(a.rows)) == len(a.rows)
-                assert len(set(b.rows)) == len(b.rows)
+                assert len(set(a)) == len(a)
+                assert len(set(b)) == len(b)
 
     def test_even_matrices_derive_from_odd_neighbours(self):
         for k in range(2, 6):
             a_even, b_even = polygon_indices(2 * k)
             a_prev, _ = polygon_indices(2 * k - 1)
             _, b_next = polygon_indices(2 * k + 1)
-            assert a_even.rows == a_prev.rows
-            assert b_even.rows == tuple(r[:-1] for r in b_next.rows)
+            assert a_even == a_prev
+            assert b_even == tuple(r[:-1] for r in b_next)
 
     def test_recursion_rows_orientation(self):
         a_rows, b_rows = polygon_recursion_rows(5)
@@ -94,18 +93,18 @@ class TestPolygonIndices:
 
 class TestSimplexIndices:
     def test_yang_baxter(self):
-        assert simplex_indices(2).as_lists() == [[1, 2], [1, 3], [2, 3]]
+        assert simplex_indices(2) == ((1, 2), (1, 3), (2, 3))
 
     def test_tetrahedron(self):
-        assert simplex_indices(3).as_lists() == [[1, 2, 3], [1, 4, 5], [2, 4, 6], [3, 5, 6]]
+        assert simplex_indices(3) == ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))
 
     def test_one_simplex(self):
-        assert simplex_indices(1).as_lists() == [[1], [1]]
+        assert simplex_indices(1) == ((1,), (1,))
 
     def test_matches_odd_polygon_up_to_5(self):
         for n in range(1, 6):
             a, _ = polygon_indices(2 * n + 1)
-            assert simplex_indices(n).rows == a.rows
+            assert simplex_indices(n) == a
 
     def test_rejects_n_zero(self):
         with pytest.raises(ShapeError):
@@ -115,22 +114,22 @@ class TestSimplexIndices:
 class TestMixedIndices:
     def test_base_case(self):
         d, e, f, g = mixed_indices(3)
-        assert d.as_lists() == [[1], [1]]
-        assert e.as_lists() == [[1]]
-        assert f.as_lists() == [[1], [1]]
-        assert g.as_lists() == [[1]]
+        assert d == ((1,), (1,))
+        assert e == ((1,),)
+        assert f == ((1,), (1,))
+        assert g == ((1,),)
 
     def test_pentagon_case(self):
         d, e, f, g = mixed_indices(5)
-        assert d.as_lists() == [[1, 2], [1, 4], [3, 4]]
-        assert e.as_lists() == [[1, 3], [2, 4]]
-        assert f.as_lists() == [[1, 3], [1, 4], [2, 4]]
-        assert g.as_lists() == [[1, 2], [3, 4]]
+        assert d == ((1, 2), (1, 4), (3, 4))
+        assert e == ((1, 3), (2, 4))
+        assert f == ((1, 3), (1, 4), (2, 4))
+        assert g == ((1, 2), (3, 4))
 
     def test_heptagon_case(self):
         _, e, _, g = mixed_indices(7)
-        assert e.as_lists() == [[1, 4, 5], [2, 6, 8], [3, 7, 9]]
-        assert g.as_lists() == [[1, 2, 3], [4, 6, 7], [5, 8, 9]]
+        assert e == ((1, 4, 5), (2, 6, 8), (3, 7, 9))
+        assert g == ((1, 2, 3), (4, 6, 7), (5, 8, 9))
 
     def test_g_is_e_transposed_up_to_11(self):
         for n in range(3, 12, 2):
@@ -206,6 +205,13 @@ class TestRendering:
         assert format_subscript((5, 9, 12, 14)) == "59,12,14"
         assert format_subscript((1, 2, 3, 4)) == "1234"
 
-    def test_matrix_validation(self):
-        with pytest.raises(ShapeError):
-            MultiIndexMatrix(((2, 1),), "A", 5)
+    def test_rows_increase_from_one(self):
+        """Every row of every index matrix is strictly increasing and starts at 1 or more."""
+        matrices = [m for n in range(3, 16) for m in polygon_indices(n)]
+        matrices += [simplex_indices(n) for n in range(1, 16)]
+        matrices += [m for n in range(3, 16, 2) for m in mixed_indices(n)]
+        for rows in matrices:
+            assert isinstance(rows, tuple)
+            for row in rows:
+                assert isinstance(row, tuple) and row[0] >= 1
+                assert all(a < b for a, b in zip(row, row[1:]))

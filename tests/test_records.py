@@ -12,7 +12,6 @@ import pytest
 import oracle
 from polysimplex.construct import SolutionDescriptor
 from polysimplex.hopf import GroupTable, HopfInstance, cyclic_group, group_algebra
-from polysimplex.indices import MultiIndexMatrix
 from polysimplex.rings import RATIONAL
 from polysimplex.setmaps import FiniteMap, LiftOutcome
 from polysimplex.simplicial import ContractionProgram, Step, compile_polygon
@@ -33,7 +32,6 @@ def _cases():
         (LiftOutcome, oracle.LiftOutcomeTwin, (fmap, report, False), 2),
         (Step, oracle.StepTwin, (step.tag, step.face, step.inputs, step.outputs), 4),
         (ContractionProgram, oracle.ContractionProgramTwin, (lhs.steps,), 1),
-        (MultiIndexMatrix, oracle.MultiIndexMatrixTwin, (((1, 2), (1, 3), (2, 3)), "A", 3), 3),
         (GroupTable, oracle.GroupTableTwin, (cyclic_group(3).table,), 1),
         (HopfInstance, oracle.HopfInstanceTwin, (2, h.unit, h.counit, h.product, h.coproduct, h.antipode, "k"), 5),
         (SolutionDescriptor, oracle.SolutionDescriptorTwin, ("polygon", 3, identity_tensor(2, 1), ("id",)), 3),

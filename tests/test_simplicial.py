@@ -102,7 +102,7 @@ class TestCrossGeneratorEquivalence:
 
     def test_simplex_all_orders(self):
         for n in range(1, 10):
-            rows = list(simplex_indices(n).rows)
+            rows = list(simplex_indices(n))
             lhs, rhs = compile_simplex(n)
             assert [r for _, r in flatten(lhs)] == rows
             assert [r for _, r in flatten(rhs)] == list(reversed(rows))
